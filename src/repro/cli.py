@@ -67,6 +67,11 @@ bit-identical with telemetry on or off::
     repro-slugger summarize --dataset PR --workers 4 --trace run.trace.json
     repro-slugger serve --batch requests.json --metrics-file metrics.prom
     repro-slugger metrics --file metrics.prom --match service_
+
+Exit codes: ``0`` success, ``1`` a failed command (unreadable input,
+malformed file, failed job; a :class:`~repro.exceptions.ReproError` or
+``OSError`` is reported as one ``repro-slugger: error: ...`` line on
+stderr), ``2`` invalid arguments.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import engine
 from repro.analysis.comparison import compare_methods, default_methods
 from repro.engine.hooks import RunControl
+from repro.exceptions import ReproError
 from repro.service import SummaryRequest, SummaryService
 from repro.compression.pipeline import compression_report
 from repro.core import Slugger, SluggerConfig
@@ -982,7 +988,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lossy": _command_lossy,
         "export": _command_export,
     }
-    return handlers[arguments.command](arguments)
+    try:
+        return handlers[arguments.command](arguments)
+    except (ReproError, OSError) as error:
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

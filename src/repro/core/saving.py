@@ -8,17 +8,29 @@ in the same spirit as the paper's approximations — the estimate below
 prices every affected root pair with the best *single-superedge* encoding
 (keep the current encoding, list subedges individually, or use one
 blanket p-edge plus corrections), which can be read off the per-root
-counters in O(degree) time.  The exact local search is then run only for
-pairs that are actually merged.
+counters.  The exact local search is then run only for pairs that are
+actually merged.
+
+Partner search (:func:`best_partner`) scores every candidate ``B`` of one
+root ``A``, so ``A``'s side of the estimate is priced once per search in a
+:class:`PartnerProfile`: ``A``'s per-neighbor (subedges, p/n-edges) counts
+and the sum of the terms ``A``'s neighbors contribute on their own,
+memoized per merged size.  Each candidate then costs one walk over ``B``'s
+adjacency (:func:`estimate_merged_cost`), O(deg B) instead of
+O(deg A + deg B).  Lemma 1 (merging roots at distance 3 or more never
+saves) is applied per candidate as "adjacent to ``A``, or the two adjacency
+key sets intersect", which needs no two-hop set.  All arithmetic is on
+integers, so every shortcut returns exactly what a full walk would.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.state import SluggerState
 
 __all__ = [
+    "PartnerProfile",
     "best_partner",
     "estimate_merged_cost",
     "pair_cost_estimate",
@@ -44,73 +56,139 @@ def pair_cost_estimate(subedges: int, possible: int, current: int) -> int:
     return best
 
 
-def estimate_merged_cost(state: SluggerState, root_a: int, root_b: int) -> int:
+class PartnerProfile:
+    """Root ``A``'s side of the Eq. 8 numerator, priced once per partner search.
+
+    Every candidate ``B`` that :func:`best_partner` scores against ``A``
+    shares ``A``'s counters, so they are read once here:
+
+    * ``neighbors`` maps every root tree ``C != A`` adjacent to ``A`` to
+      ``(subedges, p/n-edges)`` between ``A`` and ``C``;
+    * :meth:`a_only_sum` is the sum, over those ``C``, of the term ``C``
+      would contribute if ``B`` had no edges to it.  That term depends on
+      ``B`` only through the merged size ``m = size_A + size_B`` (in the
+      dense-block alternative ``1 + m·|C| − s``), so the sum is memoized
+      per ``m``.
+
+    A profile is valid only while the state is not mutated, i.e. within
+    one :func:`best_partner` call.
+    """
+
+    __slots__ = ("size", "size_of", "fixed", "self_subedges", "self_pn",
+                 "neighbors", "_sums")
+
+    def __init__(self, state: SluggerState, root: int) -> None:
+        size_of = state.summary.hierarchy.size_map().__getitem__
+        adj = state.root_adj[root]
+        pn_get = state.pn_count[root].get
+        self.size = size_of(root)
+        self.size_of = size_of
+        # A's hierarchy edges plus the two new h-edges to the merged root;
+        # B's are added per candidate.
+        self.fixed = state.tree_h[root] + 2
+        self.self_subedges = adj.get(root, 0)
+        self.self_pn = pn_get(root, 0)
+        self.neighbors: Dict[int, Tuple[int, int]] = {
+            other: (subedges, pn_get(other, 0))
+            for other, subedges in adj.items() if other != root
+        }
+        self._sums: Dict[int, int] = {}
+
+    def a_only_sum(self, merged_size: int) -> int:
+        """Sum of :func:`_a_only_term` over every neighbor, for merged size ``m``."""
+        total = self._sums.get(merged_size)
+        if total is None:
+            size_of = self.size_of
+            total = 0
+            for other, (subedges, current) in self.neighbors.items():
+                total += _a_only_term(subedges, current, merged_size, size_of, other)
+            self._sums[merged_size] = total
+        return total
+
+
+def _a_only_term(subedges: int, current: int, merged_size: int, size_of, other: int) -> int:
+    """Estimated cost of root pair ``(A∪B, C)`` when only ``A`` touches ``C``.
+
+    The dense-block alternative ``1 + m·|C| − s`` beats ``s`` only when
+    ``2s > m·|C| + 1``, which needs ``2s > m + 1``, so ``|C|`` is looked up
+    only then.
+    """
+    best = subedges
+    if 2 * subedges > merged_size + 1:
+        alternative = 1 + merged_size * size_of(other) - subedges
+        if alternative < best:
+            best = alternative
+    if 0 < current < best:
+        best = current
+    return best
+
+
+def estimate_merged_cost(
+    state: SluggerState, root_a: int, root_b: int, profile: Optional[PartnerProfile] = None
+) -> int:
     """Estimated Cost_{A∪B} after merging two root supernodes (numerator of Eq. 8).
 
-    This is the innermost loop of partner search (it runs once per
-    surviving candidate pair), so the per-neighbor arithmetic is inlined
-    and every mapping is bound to a local: the logic is exactly
-    :func:`pair_cost_estimate` over the merged counter maps, just without
-    a function call and four attribute lookups per adjacent root tree.
-    """
-    size_of = state.summary.hierarchy.size_map().__getitem__
-    size_a = size_of(root_a)
-    size_b = size_of(root_b)
-    adj_a = state.root_adj[root_a]
-    adj_b = state.root_adj[root_b]
-    pn_a = state.pn_count[root_a]
-    pn_b = state.pn_count[root_b]
+    ``profile`` is ``root_a``'s :class:`PartnerProfile`; it is built here
+    when not supplied.  The cost is the profile's A-only sum corrected by
+    one walk over ``root_b``'s adjacency: a neighbor ``C`` that ``A`` also
+    touches swaps ``A``'s term for the joint term, any other neighbor adds
+    ``B``'s own term, and ``A``'s term for ``C = B`` is taken back out.
+    Each term is :func:`pair_cost_estimate` over the merged counters,
+    inlined because this runs once per scored candidate pair.
 
-    # Hierarchy edges: both old trees plus two new h-edges to the new root.
-    cost = state.tree_h[root_a] + state.tree_h[root_b] + 2
+    Exactness relies on the invariant that every root pair with p/n-edges
+    also has subedges (checked by
+    :meth:`~repro.core.state.SluggerState.check_consistency`): a root the
+    adjacency maps do not list contributes nothing.
+    """
+    if profile is None:
+        profile = PartnerProfile(state, root_a)
+    size_of = profile.size_of
+    size_a = profile.size
+    size_b = size_of(root_b)
+    merged_size = size_a + size_b
+    adj_b = state.root_adj[root_b]
+    pn_b_get = state.pn_count[root_b].get
+    neighbors_get = profile.neighbors.get
+
+    cost = profile.fixed + state.tree_h[root_b]
 
     # Everything inside the merged tree: either keep the existing intra
     # encodings and (re-)encode only the cross part, or re-encode the whole
     # inside with a self-loop p-edge plus corrections (the clique case).
-    cross_subedges = adj_a.get(root_b, 0)
-    cross_current = pn_a.get(root_b, 0)
+    cross_subedges, cross_current = neighbors_get(root_b, (0, 0))
     keep_intra = (
-        pn_a.get(root_a, 0)
-        + pn_b.get(root_b, 0)
+        profile.self_pn
+        + pn_b_get(root_b, 0)
         + pair_cost_estimate(cross_subedges, size_a * size_b, cross_current)
     )
-    intra_subedges = adj_a.get(root_a, 0) + adj_b.get(root_b, 0) + cross_subedges
-    merged_pairs = (size_a + size_b) * (size_a + size_b - 1) // 2
+    intra_subedges = profile.self_subedges + adj_b.get(root_b, 0) + cross_subedges
     if intra_subedges > 0:
-        self_loop = 1 + (merged_pairs - intra_subedges)
+        self_loop = 1 + (merged_size * (merged_size - 1) // 2 - intra_subedges)
         cost += min(keep_intra, self_loop)
     else:
         cost += keep_intra
 
-    # Edges towards every other adjacent root tree C.  Roots adjacent only
-    # through p/n-edges but with no subedges contribute 0 (the estimate
-    # ignores ``current`` when there is nothing to encode), so iterating
-    # the two adjacency maps covers every non-zero term without building
-    # a union set.
-    merged_size = size_a + size_b
-    adj_b_get = adj_b.get
-    pn_a_get = pn_a.get
-    pn_b_get = pn_b.get
-    for other, sub_a in adj_a.items():
+    # Edges towards every other adjacent root tree C.
+    cost += profile.a_only_sum(merged_size)
+    if cross_subedges:
+        cost -= _a_only_term(cross_subedges, cross_current, merged_size, size_of, root_b)
+    threshold = merged_size + 1
+    for other, subedges in adj_b.items():
         if other == root_a or other == root_b:
             continue
-        subedges = sub_a + adj_b_get(other, 0)
+        current = pn_b_get(other, 0)
+        shared = neighbors_get(other)
+        if shared is not None:
+            sub_a, current_a = shared
+            cost -= _a_only_term(sub_a, current_a, merged_size, size_of, other)
+            subedges += sub_a
+            current += current_a
         best = subedges
-        alternative = 1 + merged_size * size_of(other) - subedges
-        if alternative < best:
-            best = alternative
-        current = pn_a_get(other, 0) + pn_b_get(other, 0)
-        if 0 < current < best:
-            best = current
-        cost += best
-    for other, subedges in adj_b.items():
-        if other == root_a or other == root_b or other in adj_a:
-            continue
-        best = subedges
-        alternative = 1 + merged_size * size_of(other) - subedges
-        if alternative < best:
-            best = alternative
-        current = pn_a_get(other, 0) + pn_b_get(other, 0)
+        if 2 * subedges > threshold:
+            alternative = 1 + merged_size * size_of(other) - subedges
+            if alternative < best:
+                best = alternative
         if 0 < current < best:
             best = current
         cost += best
@@ -138,8 +216,8 @@ def saving(
 ) -> float:
     """Saving(A, B, G) of Eq. 8; larger is better, values ≤ 0 mean "do not merge".
 
-    ``cost_a`` and ``denominator`` let partner search reuse its
-    precomputed values; both default to computing from scratch.
+    ``cost_a`` and ``denominator`` let a caller reuse precomputed values;
+    both default to computing from scratch.
     """
     if denominator is None:
         denominator = pair_denominator(state, root_a, root_b, cost_a)
@@ -153,7 +231,8 @@ def two_hop_roots(state: SluggerState, root: int) -> set:
 
     Lemma 1 shows that merging root trees at distance 3 or more always
     increases the encoding cost, so partner search can be restricted to
-    this set without affecting the result.
+    this set without affecting the result.  :func:`best_partner` tests the
+    same membership per candidate without building the set.
     """
     direct = set(state.root_adj[root])
     reachable = set(direct)
@@ -169,38 +248,41 @@ def best_partner(
     """The candidate with the largest saving when merged with ``root``.
 
     Returns ``(saving, partner)``; ``partner`` is ``-1`` when no candidate
-    is admissible (e.g. all would exceed the height bound).  Candidates at
-    distance 3 or more are skipped (Lemma 1).
+    is admissible (e.g. all would exceed the height bound).
 
-    Three exact short-circuits keep the inner loop cheap without changing
-    the selected partner:
+    The search prices ``root``'s side once and each candidate ``B`` by a
+    walk over ``B``'s neighbors only; every shortcut is exact:
 
-    * directly-adjacent candidates skip the two-hop admissibility set,
-      which is only materialized when a non-adjacent candidate shows up;
-    * ``Cost_A`` is computed once instead of per candidate;
-    * a candidate is skipped without running the O(degree) merged-cost
-      estimate when even the lower bound ``Cost_{A∪B} ≥ Cost^H_A +
-      Cost^H_B + 2`` (the merged tree keeps both trees' h-edges, from the
-      incrementally maintained leaf counts, plus two new ones) cannot
-      beat the best saving found so far.
+    * **Lemma 1.**  Candidates at distance 3 or more never save, so a
+      candidate is scored only if it is adjacent to ``root`` or shares a
+      neighbor with it (``root_adj`` is symmetric, so a non-empty
+      intersection of the two adjacency key sets is exactly membership in
+      :func:`two_hop_roots`); no two-hop set is built.
+    * **Lower bound.**  ``Cost_{A∪B} ≥ Cost^H_A + Cost^H_B + 2`` (the merged
+      tree keeps both trees' h-edges plus two new ones), so a candidate
+      whose saving cannot beat the best so far even at that bound is
+      skipped without an estimate.  ``Cost_A`` is computed once.
+    * **A-profile.**  ``root``'s :class:`PartnerProfile` is built when the
+      first candidate survives both checks, then shared by every
+      :func:`estimate_merged_cost` call, which walks only ``root_adj[B]``.
     """
-    direct = state.root_adj[root]
-    two_hop = None
+    root_adj = state.root_adj
+    direct = root_adj[root]
+    direct_keys = direct.keys()
     tree_h = state.tree_h
+    tree_height = state.tree_height
     cost_root = state.cost_of(root)
     h_root = tree_h[root]
+    profile = None
     best_value = float("-inf")
     best_root = -1
     for other in candidates:
         if other == root:
             continue
-        if other not in direct:
-            if two_hop is None:
-                two_hop = two_hop_roots(state, root)
-            if other not in two_hop:
-                continue
+        if other not in direct and direct_keys.isdisjoint(root_adj[other]):
+            continue
         if height_bound is not None:
-            new_height = 1 + max(state.tree_height[root], state.tree_height[other])
+            new_height = 1 + max(tree_height[root], tree_height[other])
             if new_height > height_bound:
                 continue
         denominator = pair_denominator(state, root, other, cost_root)
@@ -210,7 +292,9 @@ def best_partner(
             # Even the cheapest conceivable merged cost cannot strictly
             # improve on the current best; skip the expensive estimate.
             continue
-        value = saving(state, root, other, denominator=denominator)
+        if profile is None:
+            profile = PartnerProfile(state, root)
+        value = 1.0 - estimate_merged_cost(state, root, other, profile) / denominator
         if value > best_value:
             best_value = value
             best_root = other

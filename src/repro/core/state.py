@@ -486,6 +486,15 @@ class SluggerState:
                 raise SummaryInvariantError(
                     f"root_adj for root pair {pair} is {stored}, expected {count}"
                 )
+        # Partner search prices a merge from the subedge maps alone, which
+        # is exact only if p/n-edges between two trees imply subedges.
+        for root, counters in self.pn_count.items():
+            adjacent = self.root_adj[root]
+            for other in counters:
+                if other not in adjacent:
+                    raise SummaryInvariantError(
+                        f"root pair ({root}, {other}) has p/n-edges but no subedges"
+                    )
         for pair, records in self.pn_edges.items():
             if not records:
                 raise SummaryInvariantError(f"empty superedge bucket kept for root pair {pair}")

@@ -72,3 +72,24 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "PR" in output
         assert "UK-05" in output
+
+
+class TestFailures:
+    def test_missing_input_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        exit_code = main(["summarize", "--input", str(missing)])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("repro-slugger: error: ")
+        assert str(missing) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_malformed_input_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\nnot-an-edge\n")
+        exit_code = main(["summarize", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("repro-slugger: error: ")

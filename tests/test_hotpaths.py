@@ -9,10 +9,13 @@ merges and pruning, and index consistency after every driver iteration.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import Slugger, SluggerConfig, summarize
 from repro.core.candidates import generate_candidate_sets
+from repro.core.merging import merge_and_update
 from repro.core.saving import best_partner, saving, two_hop_roots
 from repro.core.shingles import make_hash_function, root_shingles, subnode_shingles
 from repro.core.state import SluggerState
@@ -108,6 +111,28 @@ class TestBestPartnerShortCircuits:
         state = SluggerState(graph)
         roots = sorted(state.roots)
         for root in roots[:8]:
+            candidates = [other for other in roots if other != root]
+            expected = self.naive_best_partner(state, root, candidates, height_bound)
+            actual = best_partner(state, root, candidates, height_bound=height_bound)
+            assert actual == expected
+
+    @pytest.mark.parametrize("height_bound", [None, 2])
+    @pytest.mark.parametrize("reencode", [True, False])
+    def test_matches_naive_search_with_merged_trees(self, height_bound, reencode):
+        graph = caveman_graph(5, 6, 0.1, seed=3)
+        state = SluggerState(graph)
+        config = SluggerConfig()
+        rng = random.Random(7)
+        for _ in range(12):
+            root_a, root_b = rng.sample(sorted(state.roots), 2)
+            if reencode:
+                merge_and_update(state, root_a, root_b, config)
+            else:
+                state.merge_roots(root_a, root_b)
+        state.check_consistency()
+        roots = sorted(state.roots)
+        assert any(state.tree_height[root] > 1 for root in roots)
+        for root in roots:
             candidates = [other for other in roots if other != root]
             expected = self.naive_best_partner(state, root, candidates, height_bound)
             actual = best_partner(state, root, candidates, height_bound=height_bound)

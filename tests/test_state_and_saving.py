@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from contextlib import contextmanager
 
-from repro.core.saving import best_partner, estimate_merged_cost, pair_cost_estimate, saving, two_hop_roots
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Slugger, SluggerConfig
+from repro.core import saving as saving_module
+from repro.core.merging import merge_and_update
+from repro.core.saving import (
+    PartnerProfile,
+    best_partner,
+    estimate_merged_cost,
+    pair_cost_estimate,
+    pair_denominator,
+    saving,
+    two_hop_roots,
+)
 from repro.core.state import SluggerState
 from repro.exceptions import SummaryInvariantError
-from repro.graphs import Graph, complete_bipartite_graph, complete_graph, path_graph
+from repro.graphs import (
+    Graph,
+    caveman_graph,
+    complete_bipartite_graph,
+    complete_graph,
+    erdos_renyi_graph,
+    path_graph,
+)
 
 
 @pytest.fixture
@@ -41,12 +64,24 @@ class TestStateInitialization:
 class TestSuperedgeBookkeeping:
     def test_add_and_remove_superedge(self, path_state):
         hierarchy = path_state.summary.hierarchy
-        a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(2)
+        a = hierarchy.leaf_of(0)
+        b = path_state.merge_roots(hierarchy.leaf_of(1), hierarchy.leaf_of(2))
         path_state.add_superedge(a, b, a, b, 1)
-        assert path_state.pn_cost_between(a, b) == 1
+        assert path_state.pn_cost_between(a, b) == 2
         path_state.check_consistency()
         path_state.remove_superedge(a, b, a, b, 1)
-        assert path_state.pn_cost_between(a, b) == 0
+        assert path_state.pn_cost_between(a, b) == 1
+        path_state.check_consistency()
+
+    def test_pn_edges_without_subedges_break_consistency(self, path_state):
+        # Partner search prices merges from the subedge maps, so a p/n-edge
+        # between two trees with no subedges between them must be flagged.
+        hierarchy = path_state.summary.hierarchy
+        a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(2)
+        path_state.add_superedge(a, b, a, b, 1)
+        with pytest.raises(SummaryInvariantError, match="no subedges"):
+            path_state.check_consistency()
+        path_state.remove_superedge(a, b, a, b, 1)
         path_state.check_consistency()
 
     def test_remove_missing_superedge_raises(self, path_state):
@@ -156,3 +191,218 @@ class TestSaving:
             state, hierarchy.leaf_of(0), [hierarchy.leaf_of(6), hierarchy.leaf_of(7)]
         )
         assert partner == -1
+
+
+# ----------------------------------------------------------------------
+# The incremental estimate against a full walk over both trees
+# ----------------------------------------------------------------------
+def reference_estimate(state, root_a, root_b, fired=None):
+    """Cost_{A∪B} by walking both roots' full counter maps.
+
+    The incremental :func:`estimate_merged_cost` must return exactly this.
+    ``fired`` collects every outside root whose term was won by the
+    dense-block alternative.
+    """
+    size_of = state.summary.hierarchy.size_map().__getitem__
+    size_a = size_of(root_a)
+    size_b = size_of(root_b)
+    adj_a = state.root_adj[root_a]
+    adj_b = state.root_adj[root_b]
+    pn_a = state.pn_count[root_a]
+    pn_b = state.pn_count[root_b]
+    cost = state.tree_h[root_a] + state.tree_h[root_b] + 2
+    cross_subedges = adj_a.get(root_b, 0)
+    cross_current = pn_a.get(root_b, 0)
+    keep_intra = (
+        pn_a.get(root_a, 0)
+        + pn_b.get(root_b, 0)
+        + pair_cost_estimate(cross_subedges, size_a * size_b, cross_current)
+    )
+    intra_subedges = adj_a.get(root_a, 0) + adj_b.get(root_b, 0) + cross_subedges
+    merged_size = size_a + size_b
+    if intra_subedges > 0:
+        self_loop = 1 + (merged_size * (merged_size - 1) // 2 - intra_subedges)
+        cost += min(keep_intra, self_loop)
+    else:
+        cost += keep_intra
+    for other in set(adj_a) | set(adj_b):
+        if other == root_a or other == root_b:
+            continue
+        subedges = adj_a.get(other, 0) + adj_b.get(other, 0)
+        best = subedges
+        alternative = 1 + merged_size * size_of(other) - subedges
+        if alternative < best:
+            best = alternative
+            if fired is not None:
+                fired.append(other)
+        current = pn_a.get(other, 0) + pn_b.get(other, 0)
+        if 0 < current < best:
+            best = current
+        cost += best
+    return cost
+
+
+def reference_best_partner(state, root, candidates, height_bound=None):
+    """Partner search with the two-hop set, the reference estimate, no skips."""
+    admissible = two_hop_roots(state, root)
+    best_value = float("-inf")
+    best_root = -1
+    for other in candidates:
+        if other == root or other not in admissible:
+            continue
+        if height_bound is not None:
+            if 1 + max(state.tree_height[root], state.tree_height[other]) > height_bound:
+                continue
+        denominator = pair_denominator(state, root, other)
+        if denominator <= 0:
+            continue
+        value = 1.0 - reference_estimate(state, root, other) / denominator
+        if value > best_value:
+            best_value = value
+            best_root = other
+    return best_value, best_root
+
+
+@contextmanager
+def checked_estimates(fired=None):
+    """Check every estimate partner search makes against the reference.
+
+    Yields the list of scored ``(root_a, root_b)`` pairs.
+    """
+    scored = []
+    original = saving_module.estimate_merged_cost
+
+    def checked(state, root_a, root_b, profile=None):
+        cost = original(state, root_a, root_b, profile)
+        assert cost == reference_estimate(state, root_a, root_b, fired), (root_a, root_b)
+        scored.append((root_a, root_b))
+        return cost
+
+    saving_module.estimate_merged_cost = checked
+    try:
+        yield scored
+    finally:
+        saving_module.estimate_merged_cost = original
+
+
+def assert_lemma1_test_matches_two_hop(state):
+    """The per-candidate Lemma 1 test admits exactly the two-hop set."""
+    root_adj = state.root_adj
+    for root in state.roots:
+        direct = root_adj[root]
+        two_hop = two_hop_roots(state, root)
+        for other in state.roots:
+            if other == root:
+                continue
+            admitted = other in direct or not direct.keys().isdisjoint(root_adj[other])
+            assert admitted == (other in two_hop), (root, other)
+
+
+def assert_partner_search_matches_reference(state, height_bound):
+    roots = sorted(state.roots)
+    with checked_estimates() as scored:
+        for root in roots:
+            candidates = [other for other in roots if other != root]
+            expected = reference_best_partner(state, root, candidates, height_bound)
+            assert best_partner(state, root, candidates, height_bound=height_bound) == expected
+    return scored
+
+
+def randomly_merged_state(graph, merges, seed):
+    """A state after ``merges`` random merge-and-re-encode steps."""
+    rng = random.Random(seed)
+    state = SluggerState(graph)
+    config = SluggerConfig()
+    for _ in range(merges):
+        if len(state.roots) < 2:
+            break
+        root_a, root_b = rng.sample(sorted(state.roots), 2)
+        merge_and_update(state, root_a, root_b, config)
+    return state
+
+
+@st.composite
+def merged_dense_states(draw, max_nodes: int = 11):
+    """A dense random graph (at least half of all pairs) after random merges.
+
+    Each merge either re-encodes locally (as SLUGGER does) or only joins
+    the trees, which keeps leaf-level encodings whose per-pair p-edge
+    counts leave the dense-block alternative room to win.
+    """
+    num_nodes = draw(st.integers(min_value=4, max_value=max_nodes))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    missing = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs) // 2)))
+    graph = Graph(nodes=range(num_nodes))
+    for u, v in pairs:
+        if (u, v) not in missing:
+            graph.add_edge(u, v)
+    state = SluggerState(graph)
+    config = SluggerConfig()
+    for _ in range(draw(st.integers(min_value=0, max_value=num_nodes - 2))):
+        roots = sorted(state.roots)
+        root_a = draw(st.sampled_from(roots))
+        root_b = draw(st.sampled_from([root for root in roots if root != root_a]))
+        if draw(st.booleans()):
+            merge_and_update(state, root_a, root_b, config)
+        else:
+            state.merge_roots(root_a, root_b)
+    return state
+
+
+class TestIncrementalEstimate:
+    @pytest.mark.parametrize("height_bound", [None, 2])
+    @pytest.mark.parametrize("graph", [
+        erdos_renyi_graph(150, 0.05, seed=3),
+        caveman_graph(8, 6, 0.1, seed=2),
+    ], ids=["er", "caveman"])
+    def test_every_scored_pair_matches_full_walk(self, graph, height_bound):
+        config = SluggerConfig(iterations=8, seed=1, height_bound=height_bound,
+                               check_invariants=True)
+        with checked_estimates() as scored:
+            Slugger(config).summarize(graph)
+        assert len(scored) > 100
+
+    def test_dense_block_alternative_fires_on_caveman(self):
+        fired = []
+        with checked_estimates(fired):
+            Slugger(SluggerConfig(iterations=5, seed=0)).summarize(caveman_graph(6, 6, 0.05, seed=4))
+        assert fired
+
+    def test_a_only_dense_block_term(self):
+        # Tree A = {0, 1, 2} is fully joined to leaf 3; B = leaf 4 touches
+        # only A.  The (A∪B, 3) term lives in A's profile alone and is won
+        # by the dense block: 1 + 4·1 − 3 = 2 < 3 subedges.
+        graph = Graph(edges=[(0, 3), (1, 3), (2, 3), (0, 4)])
+        state = SluggerState(graph)
+        hierarchy = state.summary.hierarchy
+        tree_a = state.merge_roots(hierarchy.leaf_of(0), hierarchy.leaf_of(1))
+        tree_a = state.merge_roots(tree_a, hierarchy.leaf_of(2))
+        leaf_b = hierarchy.leaf_of(4)
+        fired = []
+        expected = reference_estimate(state, tree_a, leaf_b, fired)
+        assert fired == [hierarchy.leaf_of(3)]
+        assert estimate_merged_cost(state, tree_a, leaf_b) == expected
+        assert estimate_merged_cost(state, leaf_b, tree_a) == reference_estimate(state, leaf_b, tree_a)
+
+    @pytest.mark.parametrize("graph", [
+        erdos_renyi_graph(60, 0.1, seed=5),
+        caveman_graph(6, 5, 0.1, seed=1),
+    ], ids=["er", "caveman"])
+    def test_lemma1_test_matches_two_hop_on_merged_states(self, graph):
+        assert_lemma1_test_matches_two_hop(randomly_merged_state(graph, 15, seed=2))
+
+    @pytest.mark.parametrize("height_bound", [None, 2])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(state=merged_dense_states())
+    def test_random_merged_dense_states(self, state, height_bound):
+        state.check_consistency()
+        assert_lemma1_test_matches_two_hop(state)
+        assert_partner_search_matches_reference(state, height_bound)
+        # One shared profile prices candidates of every size exactly.
+        for root_a in state.roots:
+            profile = PartnerProfile(state, root_a)
+            for root_b in state.roots:
+                if root_b != root_a:
+                    assert estimate_merged_cost(state, root_a, root_b, profile) == \
+                        reference_estimate(state, root_a, root_b)
