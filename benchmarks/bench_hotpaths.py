@@ -35,20 +35,10 @@ storage layer: mmap load >= 5x faster than the text parse and the
 container >= 2x smaller than the text edge list (the sharded-parse gate
 is skipped without fork or a second CPU).
 
-Three serial-tail sections round out the record:
-
-* ``pruning`` — the pruning step on one unpruned 10k-node ER summary
-  across worker counts, bit-identity asserted against the serial
-  reference, with the :func:`pruning_profile` substep split (gate:
-  >= 2x at 4 workers; skipped without fork or 4 CPUs);
-* ``coloring`` — full runs whose zero-threshold iterations go through
-  the colored sweep on a community-structured fixture, bit-identity
-  asserted at every worker count (gate skipped without 4 CPUs; the
-  engagement cross-check always runs);
-* ``thaw`` — eager ``DenseAdjacency.from_csr`` versus the
-  :class:`LazyDenseAdjacency` overlay on a mapped container, contents
-  cross-checked equal (hardware-independent gate: lazy construction
-  >= 5x cheaper than the eager O(m) thaw).
+The ``thaw`` section compares eager ``DenseAdjacency.from_csr`` versus the
+:class:`LazyDenseAdjacency` overlay on a mapped container, contents
+cross-checked equal (hardware-independent gate: lazy construction >= 5x
+cheaper than the eager O(m) thaw).
 
 The ``queries`` section times the CSR-native query kernels (pagerank,
 BFS, triangle counting) served straight off a mapped container against
@@ -81,10 +71,9 @@ import sys
 import time
 from typing import Callable, Dict, List, Sequence
 
-from repro.analysis.cost_breakdown import pruning_profile
 from repro.core import Slugger, SluggerConfig
 from repro.core.candidates import generate_candidate_sets
-from repro.engine.execution import ExecutionConfig, available_cpus, process_execution_available
+from repro.engine.execution import available_cpus, process_execution_available
 from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.pruning import prune
 from repro.core.saving import saving, two_hop_roots
@@ -384,49 +373,6 @@ def bench_substrate(graph: Graph, repeats: int) -> Dict[str, float]:
     }
 
 
-def bench_scaling(graph: Graph, iterations: int, workers_list: Sequence[int]) -> Dict[str, object]:
-    """End-to-end SLUGGER wall time across worker counts on one graph.
-
-    ``workers=1`` is the serial reference; every parallel run's summary
-    cost is asserted equal to it (the pipeline's determinism guarantee),
-    so the section measures pure execution speed, never a different
-    computation.
-    """
-    section: Dict[str, object] = {
-        "iterations": iterations,
-        "cpus": available_cpus(),
-        "fork_available": process_execution_available(),
-        "workers": {},
-    }
-    reference_cost = None
-    reference_seconds = None
-    for workers in workers_list:
-        config = SluggerConfig(iterations=iterations, seed=0)
-        execution = None if workers == 1 else ExecutionConfig(workers=workers)
-        started = time.perf_counter()
-        result = Slugger(config, execution=execution).summarize(graph)
-        elapsed = time.perf_counter() - started
-        cost = result.cost()
-        if reference_cost is None:
-            reference_cost, reference_seconds = cost, elapsed
-        else:
-            assert cost == reference_cost, (
-                f"workers={workers} diverged from the serial reference: "
-                f"{cost} != {reference_cost}"
-            )
-        speedup = reference_seconds / elapsed if elapsed > 0 else float("inf")
-        section["workers"][str(workers)] = {  # type: ignore[index]
-            "seconds": elapsed,
-            "speedup": speedup,
-            "cost": cost,
-            "replayed": result.execution_stats["replayed"],
-            "fallbacks": result.execution_stats["fallbacks"],
-        }
-        print(f"  scaling workers={workers}   {elapsed:8.3f}s  speedup={speedup:5.2f}x  "
-              f"cost={cost}")
-    return section
-
-
 def bench_serving(quick: bool) -> Dict[str, object]:
     """Throughput of many small requests: warm service vs per-call runs.
 
@@ -602,112 +548,6 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
     print(f"  ingest size            text={text_bytes/1024:.0f}KiB  "
           f"container={info.file_bytes/1024:.0f}KiB  "
           f"({section['size_ratio']:.2f}x smaller)")
-    return section
-
-
-def _summary_fingerprint(summary) -> tuple:
-    return (
-        summary.cost(),
-        tuple(sorted(map(tuple, summary.p_edges()))),
-        tuple(sorted(map(tuple, summary.n_edges()))),
-    )
-
-
-def bench_pruning(graph: Graph, iterations: int, workers_list: Sequence[int]) -> Dict[str, object]:
-    """The pruning step across worker counts on one unpruned summary.
-
-    One unpruned SLUGGER summary is built, then pruned from identical
-    copies serially and through the sharded executor layer.  Every
-    parallel result's summary is asserted bit-identical to the serial
-    one (re-encode plans are exact and applied in canonical pair order),
-    so the section measures pure execution speed.  The per-substep
-    timing split comes from :func:`pruning_profile`.
-    """
-    config = SluggerConfig(iterations=iterations, seed=0, prune=False)
-    base = Slugger(config).summarize(graph).summary
-    section: Dict[str, object] = {
-        "iterations": iterations,
-        "cpus": available_cpus(),
-        "fork_available": process_execution_available(),
-        "workers": {},
-    }
-    reference_fingerprint = None
-    reference_seconds = None
-    for workers in workers_list:
-        summary = base.copy()
-        profile: Dict[str, object] = {}
-        execution = None if workers == 1 else ExecutionConfig(
-            workers=workers, prune_parallel_min_pairs=64
-        )
-        started = time.perf_counter()
-        prune(graph, summary, rounds=2, execution=execution, profile=profile)
-        elapsed = time.perf_counter() - started
-        fingerprint = _summary_fingerprint(summary)
-        if reference_fingerprint is None:
-            reference_fingerprint, reference_seconds = fingerprint, elapsed
-        else:
-            assert fingerprint == reference_fingerprint, (
-                f"pruning at workers={workers} diverged from the serial reference"
-            )
-        speedup = reference_seconds / elapsed if elapsed > 0 else float("inf")
-        entry = pruning_profile(profile)
-        entry.update({"seconds": elapsed, "speedup": speedup})
-        section["workers"][str(workers)] = entry  # type: ignore[index]
-        print(f"  pruning workers={workers}    {elapsed:8.3f}s  speedup={speedup:5.2f}x  "
-              f"parallel_rounds={int(entry['parallel_rounds'])}  "
-              f"serial_share={entry['serial_share']:.0%}")
-    return section
-
-
-def bench_coloring(graph: Graph, iterations: int, workers_list: Sequence[int]) -> Dict[str, object]:
-    """Colored zero-threshold sweeps across worker counts.
-
-    The fixture is community-structured, so the candidate-group
-    interaction graph colors well and the final (zero-threshold)
-    iteration runs as colored decide rounds.  Every parallel summary is
-    asserted bit-identical to the serial reference; the section reports
-    how many groups replayed colored traces versus fell to the serial
-    reference inside the sweep.
-    """
-    section: Dict[str, object] = {
-        "iterations": iterations,
-        "cpus": available_cpus(),
-        "fork_available": process_execution_available(),
-        "workers": {},
-    }
-    reference_fingerprint = None
-    reference_seconds = None
-    engaged = False
-    for workers in workers_list:
-        config = SluggerConfig(iterations=iterations, seed=0)
-        execution = None if workers == 1 else ExecutionConfig(
-            workers=workers, shingle_parallel_min_nodes=0, colored_min_class=4,
-        )
-        started = time.perf_counter()
-        result = Slugger(config, execution=execution).summarize(graph)
-        elapsed = time.perf_counter() - started
-        fingerprint = _summary_fingerprint(result.summary)
-        if reference_fingerprint is None:
-            reference_fingerprint, reference_seconds = fingerprint, elapsed
-        else:
-            assert fingerprint == reference_fingerprint, (
-                f"colored run at workers={workers} diverged from the serial reference"
-            )
-        stats = result.execution_stats
-        if workers > 1 and stats["colored_rounds"] > 0:
-            engaged = True
-        speedup = reference_seconds / elapsed if elapsed > 0 else float("inf")
-        section["workers"][str(workers)] = {  # type: ignore[index]
-            "seconds": elapsed,
-            "speedup": speedup,
-            "colored_rounds": stats["colored_rounds"],
-            "colored_replayed": stats["colored_replayed"],
-            "colored_serial": stats["colored_serial"],
-        }
-        print(f"  coloring workers={workers}   {elapsed:8.3f}s  speedup={speedup:5.2f}x  "
-              f"rounds={stats['colored_rounds']}  replayed={stats['colored_replayed']}  "
-              f"serial={stats['colored_serial']}")
-    section["engaged"] = engaged
     return section
 
 
@@ -1078,16 +918,6 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"  validation             lossless OK (cost={cost})")
         record["graphs"][name] = graph_record  # type: ignore[index]
 
-    # Worker-count scaling of the staged phase pipeline on the ER fixture.
-    scaling_name, scaling_graph = graphs[0]
-    scaling_iterations = 5 if not args.quick else 3
-    scaling_workers = (1, 2, 4) if not args.quick else (1, 2)
-    print(f"{scaling_name}: pipeline scaling (iterations={scaling_iterations})")
-    record["scaling"] = {
-        "graph": scaling_name,
-        **bench_scaling(scaling_graph, scaling_iterations, scaling_workers),
-    }
-
     # Warm-pool serving throughput over many small requests.
     print("serving: warm service vs per-call engine.run")
     record["serving"] = bench_serving(args.quick)
@@ -1097,29 +927,10 @@ def main(argv: Sequence[str] = None) -> int:
     print(f"{ingest_name}: ingest (text parse vs sharded parse vs mmap load)")
     record["ingest"] = bench_ingest(ingest_graph, ingest_name, repeats)
 
-    # Parallel pruning of one unpruned summary on the ER fixture.
-    pruning_name, pruning_graph = graphs[0]
-    pruning_workers = (1, 2, 4) if not args.quick else (1, 2)
-    print(f"{pruning_name}: pruning (serial vs sharded scans/re-encode)")
-    record["pruning"] = {
-        "graph": pruning_name,
-        **bench_pruning(pruning_graph, iterations, pruning_workers),
-    }
-
-    # Colored zero-threshold sweeps on a community-structured fixture
-    # (the ER fixtures interlock and would correctly degenerate).
-    coloring_graph = (caveman_graph(120, 12, 0.01, seed=2) if not args.quick
-                      else caveman_graph(30, 10, 0.0, seed=0))
-    coloring_iterations = 5 if not args.quick else 3
-    print(f"coloring: colored zero-threshold sweeps on a caveman fixture "
-          f"(n={coloring_graph.num_nodes}, iterations={coloring_iterations})")
-    record["coloring"] = bench_coloring(
-        coloring_graph, coloring_iterations, pruning_workers
-    )
-
+    thaw_name, thaw_graph = graphs[0]
     # Thaw-on-demand read path versus the eager O(m) dense thaw.
-    print(f"{pruning_name}: lazy thaw-on-demand vs eager dense thaw")
-    record["thaw"] = {"graph": pruning_name, **bench_thaw(pruning_graph, repeats)}
+    print(f"{thaw_name}: lazy thaw-on-demand vs eager dense thaw")
+    record["thaw"] = {"graph": thaw_name, **bench_thaw(thaw_graph, repeats)}
 
     # CSR-native query kernels versus the dict-of-sets analytics.
     queries_name, queries_graph = graphs[0]
@@ -1158,23 +969,6 @@ def main(argv: Sequence[str] = None) -> int:
         else:
             print(f"PASS: 10k-node ER full run {er_full:.2f}x faster end-to-end; "
                   f"CSR adjacency {er_memory:.0%} smaller than dict-of-sets")
-        scaling = record["scaling"]  # type: ignore[assignment]
-        four = scaling["workers"].get("4")  # type: ignore[index]
-        if not scaling["fork_available"] or scaling["cpus"] < 4 or four is None:
-            # The gate measures hardware parallelism; on boxes without 4
-            # usable cores (or without fork) it cannot be meaningful.
-            scaling["gate"] = "skipped"  # type: ignore[index]
-            print(f"SKIP: scaling gate needs >= 4 usable CPUs and fork "
-                  f"(cpus={scaling['cpus']}, fork={scaling['fork_available']}); "
-                  f"determinism cross-check still enforced")
-        elif four["speedup"] < 1.5:
-            scaling["gate"] = "failed"  # type: ignore[index]
-            failures.append(f"pipeline scaling on the 10k-node ER graph is only "
-                            f"{four['speedup']:.2f}x end-to-end at 4 workers (need >= 1.5x)")
-        else:
-            scaling["gate"] = "passed"  # type: ignore[index]
-            print(f"PASS: 10k-node ER full run {four['speedup']:.2f}x faster "
-                  f"end-to-end at 4 workers")
         ingest = record["ingest"]  # type: ignore[assignment]
         if ingest["load_speedup"] < 5.0:
             ingest["load_gate"] = "failed"  # type: ignore[index]
@@ -1229,46 +1023,6 @@ def main(argv: Sequence[str] = None) -> int:
             serving["gate"] = "passed"  # type: ignore[index]
             print(f"PASS: warm-pool service served {serving['requests']} requests "
                   f"{serving['speedup']:.2f}x faster than per-call engine.run")
-        pruning_section = record["pruning"]  # type: ignore[assignment]
-        four_prune = pruning_section["workers"].get("4")  # type: ignore[index]
-        if (not pruning_section["fork_available"] or pruning_section["cpus"] < 4
-                or four_prune is None):
-            # Like the scaling gate: speedup needs real cores; the
-            # bit-identity cross-check inside bench_pruning already ran.
-            pruning_section["gate"] = "skipped"  # type: ignore[index]
-            print(f"SKIP: pruning gate needs >= 4 usable CPUs and fork "
-                  f"(cpus={pruning_section['cpus']}, "
-                  f"fork={pruning_section['fork_available']}); "
-                  f"bit-identity cross-check still enforced")
-        elif four_prune["speedup"] < 2.0:
-            pruning_section["gate"] = "failed"  # type: ignore[index]
-            failures.append(f"parallel pruning on the 10k-node ER graph is only "
-                            f"{four_prune['speedup']:.2f}x at 4 workers (need >= 2x)")
-        else:
-            pruning_section["gate"] = "passed"  # type: ignore[index]
-            print(f"PASS: 10k-node ER pruning {four_prune['speedup']:.2f}x faster "
-                  f"at 4 workers")
-        coloring_section = record["coloring"]  # type: ignore[assignment]
-        four_color = coloring_section["workers"].get("4")  # type: ignore[index]
-        if not coloring_section["engaged"]:
-            coloring_section["gate"] = "failed"  # type: ignore[index]
-            failures.append("colored sweep never engaged on the community-structured "
-                            "fixture (zero colored rounds at every worker count)")
-        elif (not coloring_section["fork_available"] or coloring_section["cpus"] < 4
-                or four_color is None):
-            coloring_section["gate"] = "skipped"  # type: ignore[index]
-            print(f"SKIP: coloring gate needs >= 4 usable CPUs and fork "
-                  f"(cpus={coloring_section['cpus']}, "
-                  f"fork={coloring_section['fork_available']}); "
-                  f"bit-identity and engagement cross-checks still enforced")
-        elif four_color["speedup"] < 1.2:
-            coloring_section["gate"] = "failed"  # type: ignore[index]
-            failures.append(f"colored zero-threshold runs are only "
-                            f"{four_color['speedup']:.2f}x at 4 workers (need >= 1.2x)")
-        else:
-            coloring_section["gate"] = "passed"  # type: ignore[index]
-            print(f"PASS: colored zero-threshold runs {four_color['speedup']:.2f}x "
-                  f"faster at 4 workers")
         thaw_section = record["thaw"]  # type: ignore[assignment]
         if thaw_section["thaw_ratio"] < 5.0:
             thaw_section["gate"] = "failed"  # type: ignore[index]
@@ -1321,12 +1075,10 @@ def main(argv: Sequence[str] = None) -> int:
             print(f"PASS: full telemetry overhead {obs_section['overhead']:+.1%} "
                   f"on the 10k-node ER run; costs identical")
     else:
-        record["scaling"]["gate"] = "not-evaluated"  # type: ignore[index]
         record["serving"]["gate"] = "not-evaluated"  # type: ignore[index]
         for gate in ("load_gate", "size_gate", "sharded_gate"):
             record["ingest"][gate] = "not-evaluated"  # type: ignore[index]
-        for section in ("pruning", "coloring", "thaw", "queries", "summary_cache",
-                        "obs"):
+        for section in ("thaw", "queries", "summary_cache", "obs"):
             record[section]["gate"] = "not-evaluated"  # type: ignore[index]
         failures = []
 

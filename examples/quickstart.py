@@ -4,8 +4,9 @@ Run with::
 
     python examples/quickstart.py
 
-    # Same computation, sharded over worker processes (bit-identical
-    # output for the fixed seed — see the README's Execution & scaling):
+    # SLUGGER runs serially at any worker count, so passing an
+    # ExecutionConfig gives the same output (see the README's
+    # Execution & scaling):
     python examples/quickstart.py --workers 2
 
 The script builds the Protein-dataset analogue, summarizes it under the
@@ -27,8 +28,8 @@ from repro.model import load_hierarchical_summary, save_hierarchical_summary
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the parallel pipeline phases "
-                             "(default 1 = serial; the output is identical)")
+                        help="ExecutionConfig worker count (SLUGGER runs serially "
+                             "at any count; the output is identical)")
     arguments = parser.parse_args()
     execution = (ExecutionConfig(workers=arguments.workers)
                  if arguments.workers > 1 else None)

@@ -111,37 +111,23 @@ def pruning_profile(profile: Mapping[str, Any]) -> Dict[str, float]:
 
     ``profile`` is the dictionary :func:`repro.core.pruning.prune`
     fills (also surfaced as ``SluggerResult.prune_profile``): raw
-    per-substep wall times, the pair counters, and the parallel-round
-    count.  The report adds the derived quantities the bench harness and
-    the analysis examples plot — each substep's share of the total prune
-    time and the split between time spent deciding in workers versus
-    applying serially — so regressions in the re-parallelized pruning
-    step show up as a shifted ``serial_share``.  All values are plain
-    floats, safe for JSON.
+    per-substep wall times and the pair counters.  The report adds each
+    substep's share of the total prune time, the derived quantity the
+    bench harness plots.  All values are plain floats, safe for JSON.
     """
     edgeless = float(profile.get("edgeless_seconds", 0.0))
     single_edge = float(profile.get("single_edge_seconds", 0.0))
     reencode = float(profile.get("reencode_seconds", 0.0))
-    decide = float(profile.get("reencode_decide_seconds", 0.0))
     total = edgeless + single_edge + reencode
-    serial = total - decide
     return {
         "rounds": float(profile.get("rounds", 0)),
-        "workers": float(profile.get("workers", 1)),
-        "parallel": float(bool(profile.get("parallel", False))),
-        "parallel_rounds": float(profile.get("parallel_rounds", 0)),
         "pairs_scanned": float(profile.get("pairs_scanned", 0)),
         "pairs_reencoded": float(profile.get("pairs_reencoded", 0)),
         "total_seconds": total,
         "edgeless_seconds": edgeless,
         "single_edge_seconds": single_edge,
         "reencode_seconds": reencode,
-        "reencode_index_seconds": float(profile.get("reencode_index_seconds", 0.0)),
-        "reencode_decide_seconds": decide,
-        "reencode_apply_seconds": float(profile.get("reencode_apply_seconds", 0.0)),
         "edgeless_share": (edgeless / total) if total else 0.0,
         "single_edge_share": (single_edge / total) if total else 0.0,
         "reencode_share": (reencode / total) if total else 0.0,
-        "serial_seconds": serial,
-        "serial_share": (serial / total) if total else 1.0,
     }

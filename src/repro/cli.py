@@ -64,7 +64,7 @@ span tree (Chrome trace-event JSON, or JSON-lines for ``.jsonl`` paths),
 ``metrics`` subcommand pretty-prints such a file — summaries stay
 bit-identical with telemetry on or off::
 
-    repro-slugger summarize --dataset PR --workers 4 --trace run.trace.json
+    repro-slugger summarize --dataset PR --trace run.trace.json
     repro-slugger serve --batch requests.json --metrics-file metrics.prom
     repro-slugger metrics --file metrics.prom --match service_
 
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the parallel execution phases (default 1 = serial; "
-             "output is bit-identical for a fixed seed at any worker count)",
+        help="worker processes for sharded edge-list ingest and SWeG's divide step "
+             "(default 1 = serial; SLUGGER itself always runs serially; output is "
+             "bit-identical for a fixed seed at any worker count)",
     )
 
 

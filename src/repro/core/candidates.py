@@ -12,9 +12,8 @@ Lazy, cached shingle rounds
 Each shingle round only has to split the groups that are still above the
 candidate-size cap, so shingles are computed *lazily* per oversized
 group: one :class:`~repro.core.shingles.ShingleCache` is created per
-round (keyed by the round's hash-function seed in a per-iteration cache
-dictionary), and only the leaf sets of the roots that still need
-splitting are hashed.  The first round typically covers the whole graph
+round (for the round's hash-function seed), and only the leaf sets of
+the roots that still need splitting are hashed.  The first round typically covers the whole graph
 — the cache then bulk-hashes every node once up front so the per-edge
 minimum runs at C speed — while later rounds touch only the shrinking
 oversized remainder instead of rehashing all of ``graph.nodes()`` as the
@@ -25,7 +24,7 @@ work happens, not which shingle values are computed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SluggerConfig
 from repro.core.shingles import DenseShingleCache, ShingleCache
@@ -44,7 +43,6 @@ def generate_candidate_sets(
     config: SluggerConfig,
     seed: SeedLike = None,
     dense: Optional[DenseAdjacency] = None,
-    shingle_caches: Optional[Dict[int, Union[ShingleCache, DenseShingleCache]]] = None,
 ) -> List[List[int]]:
     """Split ``roots`` into candidate sets of at most ``config.max_candidate_size``.
 
@@ -58,23 +56,11 @@ def generate_candidate_sets(
     dense node id, internal roots aggregate over the hierarchy's memoized
     leaf-id tuples, and per-node storage is list-backed.  The produced
     candidate sets are bit-identical to the label path for a fixed seed.
-
-    ``shingle_caches`` optionally seeds the per-iteration cache
-    dictionary (hash-function seed → cache).  The batch shingle phase
-    uses it to inject a pre-computed first-round cache: the cached values
-    are bit-identical to what the rounds below would compute, so the
-    produced candidate sets cannot depend on whether (or where) the
-    pre-computation ran.
     """
     rng = ensure_rng(seed)
     groups: List[List[int]] = [list(roots)]
     finished: List[List[int]] = []
-    # Per-iteration shingle caches, keyed by hash-function seed: every
-    # round draws a fresh seed, and all groups split within that round
-    # share the round's lazily-filled cache.
     use_dense = dense is not None
-    if shingle_caches is None:
-        shingle_caches = {}
     # Leaf lists per root, shared by every round of this call (roots do
     # not change while candidate sets are being generated).  Leaf roots —
     # the entire first iteration, and stragglers later — resolve through
@@ -89,12 +75,11 @@ def generate_candidate_sets(
         if not oversized:
             groups = []
             break
+        # Every round draws a fresh hash-function seed; all groups split
+        # within the round share its lazily-filled cache.
         round_seed = rng.randrange(2**61)
-        cache = shingle_caches.get(round_seed)
-        if cache is None:
-            cache = (DenseShingleCache(dense, round_seed) if use_dense
-                     else ShingleCache(graph, round_seed))
-            shingle_caches[round_seed] = cache
+        cache = (DenseShingleCache(dense, round_seed) if use_dense
+                 else ShingleCache(graph, round_seed))
         if 2 * sum(len(group) for group in oversized) >= len(roots):
             # The round still covers most of the roots (always true for the
             # first round), so its closed neighborhoods touch most of the

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_int
 
 __all__ = ["SluggerConfig"]
 
@@ -79,6 +80,10 @@ class SluggerConfig:
     use_dense_substrate: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "max_candidate_size", "shingle_rounds", "prune_rounds"):
+            require_int(getattr(self, name), name)
+        if self.height_bound is not None:
+            require_int(self.height_bound, "height_bound")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.max_candidate_size < 2:

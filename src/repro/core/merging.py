@@ -17,7 +17,7 @@ search plus the work of counting/listing the affected subedges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.core.config import SluggerConfig
 from repro.core.encoder import (
@@ -33,8 +33,6 @@ from repro.exceptions import SummaryInvariantError
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = [
-    "apply_merge_trace",
-    "decide_merges",
     "merge_and_update",
     "process_candidate_set",
 ]
@@ -120,7 +118,6 @@ def process_candidate_set(
     threshold: float,
     config: SluggerConfig,
     seed: SeedLike = None,
-    trace: Optional[List[Tuple[int, int]]] = None,
 ) -> int:
     """Run Algorithm 2 on one candidate root set; returns the number of merges.
 
@@ -128,15 +125,6 @@ def process_candidate_set(
     merged partner is O(1) instead of an O(n) ``list.index`` scan, and a
     partner that is unexpectedly absent raises a clear invariant error
     instead of ``ValueError``.
-
-    With ``trace`` supplied, every performed merge is appended to it as an
-    ``(a, b)`` pair in *trace encoding*: a non-negative value is a root id
-    that existed when the call started, ``-(j + 1)`` refers to the result
-    of the j-th merge recorded earlier in the same trace.  The encoding is
-    position-independent — replaying the trace with
-    :func:`apply_merge_trace` against a state whose visible neighborhood
-    matches reproduces the exact same merges even though the replayed
-    state assigns different merged-supernode ids.
     """
     rng = ensure_rng(seed)
     # dict.fromkeys dedups while keeping order: a duplicated root must get
@@ -145,11 +133,6 @@ def process_candidate_set(
         root for root in candidate_set if root in state.roots
     ))
     position: Dict[int, int] = {root: index for index, root in enumerate(queue)}
-    # Trace encoding of every root currently in play; merged roots get
-    # negative codes so replays are independent of the id counter.
-    code_of: Optional[Dict[int, int]] = None
-    if trace is not None:
-        code_of = {root: root for root in queue}
     merges = 0
     while len(queue) > 1:
         index = rng.randrange(len(queue))
@@ -172,66 +155,6 @@ def process_candidate_set(
             )
         queue[slot] = merged
         position[merged] = slot
-        if code_of is not None:
-            trace.append((code_of[root_a], code_of[root_b]))
-            code_of[merged] = -(merges + 1)
         merges += 1
     return merges
 
-
-def decide_merges(
-    state: SluggerState,
-    candidate_set: Iterable[int],
-    threshold: float,
-    config: SluggerConfig,
-    seed: SeedLike = None,
-) -> List[Tuple[int, int]]:
-    """Decide one candidate set's merges; returns the merge trace (the *plan*).
-
-    The decide half of the decide/apply split: it runs the full
-    Algorithm-2 loop — partner search needs to observe each merge's
-    effect on the group — so ``state`` is mutated and callers must hand
-    in a disposable image (the execution layer forks the process, which
-    makes the caller's own state an immutable snapshot).  The returned
-    trace is id-independent (see :func:`process_candidate_set`) and can
-    be replayed elsewhere with :func:`apply_merges`.
-
-    Two parallel consumers exist: the optimistic decide phase (traces
-    conflict-checked and possibly discarded at apply time) and the
-    colored zero-threshold sweep of :mod:`repro.core.coloring`, whose
-    footprint-disjoint classes let one forked worker decide several
-    groups back-to-back on the same image with every trace staying
-    exact.
-    """
-    trace: List[Tuple[int, int]] = []
-    process_candidate_set(state, candidate_set, threshold, config, seed=seed,
-                          trace=trace)
-    return trace
-
-
-def apply_merge_trace(
-    state: SluggerState,
-    trace: Iterable[Tuple[int, int]],
-    config: SluggerConfig,
-) -> int:
-    """Replay a recorded merge trace against ``state``; returns the merge count.
-
-    Trace entries use the encoding produced by :func:`process_candidate_set`
-    (non-negative = pre-existing root id, ``-(j + 1)`` = result of the
-    j-th replayed merge).  Replaying runs the full local re-encoding via
-    :func:`merge_and_update`, so — provided the state visible to the
-    merged trees matches the state the trace was decided against — the
-    mutations are bit-identical to deciding and merging in one pass.
-    """
-    created: List[int] = []
-    merges = 0
-    for a_code, b_code in trace:
-        root_a = created[-a_code - 1] if a_code < 0 else a_code
-        root_b = created[-b_code - 1] if b_code < 0 else b_code
-        created.append(merge_and_update(state, root_a, root_b, config))
-        merges += 1
-    return merges
-
-
-#: The apply half of the decide/apply split (see :func:`decide_merges`).
-apply_merges = apply_merge_trace

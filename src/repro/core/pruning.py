@@ -17,21 +17,6 @@ opportunities for substeps 1 and 2):
 
 All operations strictly decrease the encoding cost and preserve
 losslessness; the latter is exercised by the property-based tests.
-
-Parallel pruning
-----------------
-Substep 3's per-pair decision (flat vs. hierarchical encoding) reads
-only the immutable input graph, the hierarchy — which substep 3 never
-mutates — and per-pair indexes built up front, so the decisions for
-different pairs are fully independent.  :func:`reencode_root_pairs_flat`
-exploits that with the same decide/apply split the merge phase uses:
-workers (:func:`reencode_shard_worker`) return per-pair re-encode plans
-for contiguous shards of the *sorted* pair list, and the parent applies
-them serially in canonical pair order.  Because the plans are exact (no
-state a worker reads is ever written during the substep), the result is
-bit-identical to the serial path at any worker count.  Substeps 1 and 2
-stay serial, but substep 1's candidate feed comes from the same sharded
-scan machinery (:func:`prune_scan_worker`).
 """
 
 from __future__ import annotations
@@ -39,13 +24,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.engine.execution import (
-    ExecutionConfig,
-    ProcessShardExecutor,
-    executor_for,
-    shard_bounds,
-    worker_context,
-)
 from repro.graphs.graph import Graph
 from repro.model.summary import NEGATIVE, POSITIVE, HierarchicalSummary
 
@@ -53,56 +31,27 @@ __all__ = [
     "prune",
     "prune_edgeless_supernodes",
     "prune_single_edge_roots",
-    "prune_scan_worker",
     "reencode_root_pairs_flat",
-    "reencode_shard_worker",
 ]
 
 Subnode = Hashable
 RootPair = Tuple[int, int]
 
-#: A worker's verdict for one root pair: ``None`` (keep the hierarchical
+#: The verdict for one root pair: ``None`` (keep the hierarchical
 #: encoding) or a plan — ``("blanket", n_edge_leaf_pairs)`` for the
 #: superedge-plus-corrections form, ``("leaves", p_edge_leaf_pairs)``
 #: for the individual-subedge form.
 FlatPlan = Tuple[str, List[Tuple[int, int]]]
 
 
-class _PruneContext:
-    """Mutable worker context shared by the sharded pruning scans.
-
-    One instance is registered with the prune loop's executor and
-    refreshed in place each round (the forked snapshot is restarted
-    between rounds, so workers always observe the current contents).
-    """
-
-    __slots__ = ("graph", "hierarchy", "summary", "scan_nodes", "pairs",
-                 "pair_edges", "pair_subedges")
-
-    def __init__(self, graph: Graph, summary: HierarchicalSummary) -> None:
-        self.graph = graph
-        self.summary = summary
-        self.hierarchy = summary.hierarchy
-        self.scan_nodes: List[int] = []
-        self.pairs: List[RootPair] = []
-        self.pair_edges: Dict[RootPair, List[Tuple[int, int, int]]] = {}
-        self.pair_subedges: Dict[RootPair, List[Tuple[Subnode, Subnode]]] = {}
-
-
 def _fresh_profile() -> Dict[str, Any]:
     return {
         "rounds": 0,
-        "workers": 1,
-        "parallel": False,
-        "parallel_rounds": 0,
         "pairs_scanned": 0,
         "pairs_reencoded": 0,
         "edgeless_seconds": 0.0,
         "single_edge_seconds": 0.0,
         "reencode_seconds": 0.0,
-        "reencode_index_seconds": 0.0,
-        "reencode_decide_seconds": 0.0,
-        "reencode_apply_seconds": 0.0,
     }
 
 
@@ -110,7 +59,6 @@ def prune(
     graph: Graph,
     summary: HierarchicalSummary,
     rounds: int = 2,
-    execution: Optional[ExecutionConfig] = None,
     profile: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, int]:
     """Run the pruning substeps in place; returns per-substep change counters.
@@ -118,136 +66,48 @@ def prune(
     ``rounds`` bounds how many times the three substeps are repeated; the
     loop stops early once a full round changes nothing.
 
-    ``execution`` distributes substep 3's per-pair decisions (and
-    substep 1's candidate scan) over the sharded executor layer; the
-    output is bit-identical to the serial path for any worker count.
-    One executor is kept across the rounds loop (``executor_for``'s
-    ``reuse`` hand-back), restarted between rounds so workers re-fork
-    against the mutated summary instead of paying a full pool teardown
-    and rebuild per round.
-
     ``profile``, when given, is filled in place with per-substep wall
-    times and the serial-vs-parallel split (see
+    times and pair counters (see
     :func:`repro.analysis.cost_breakdown.pruning_profile`).
     """
     totals = {"substep1": 0, "substep2": 0, "substep3": 0}
     timings = _fresh_profile()
-    context = _PruneContext(graph, summary)
-    executor = None
-    try:
-        for _ in range(max(rounds, 0)):
-            previous = executor
-            executor = executor_for(
-                execution,
-                max(summary.hierarchy.num_supernodes, 1),
-                context=context,
-                reuse=executor,
-            )
-            if previous is not None and previous is not executor:
-                previous.close()
-            timings["rounds"] += 1
-            timings["workers"] = max(timings["workers"], executor.workers)
-            started = time.perf_counter()
-            removed_silent = prune_edgeless_supernodes(
-                summary, execution=execution, executor=executor, context=context
-            )
-            mid = time.perf_counter()
-            timings["edgeless_seconds"] += mid - started
-            removed_single = prune_single_edge_roots(summary)
-            ended = time.perf_counter()
-            timings["single_edge_seconds"] += ended - mid
-            reencoded = reencode_root_pairs_flat(
-                graph,
-                summary,
-                execution=execution,
-                executor=executor,
-                context=context,
-                profile=timings,
-            )
-            totals["substep1"] += removed_silent
-            totals["substep2"] += removed_single
-            totals["substep3"] += reencoded
-            if removed_silent == 0 and removed_single == 0 and reencoded == 0:
-                break
-    finally:
-        if executor is not None:
-            executor.close()
-    timings["parallel"] = timings["parallel_rounds"] > 0
+    for _ in range(max(rounds, 0)):
+        timings["rounds"] += 1
+        started = time.perf_counter()
+        removed_silent = prune_edgeless_supernodes(summary)
+        mid = time.perf_counter()
+        timings["edgeless_seconds"] += mid - started
+        removed_single = prune_single_edge_roots(summary)
+        ended = time.perf_counter()
+        timings["single_edge_seconds"] += ended - mid
+        reencoded = reencode_root_pairs_flat(graph, summary, profile=timings)
+        totals["substep1"] += removed_silent
+        totals["substep2"] += removed_single
+        totals["substep3"] += reencoded
+        if removed_silent == 0 and removed_single == 0 and reencoded == 0:
+            break
     if profile is not None:
         profile.update(timings)
     return totals
 
 
-def _use_sharded_scan(
-    execution: Optional[ExecutionConfig], executor, items: int
-) -> bool:
-    """Whether a pruning scan over ``items`` should go through the pool.
-
-    Process pools pay a re-fork per scan (the summary mutates between
-    scans), so only scans big enough to clear the pruning floor are
-    sharded; everything smaller runs inline on the identical code path.
-    """
-    return (
-        execution is not None
-        and isinstance(executor, ProcessShardExecutor)
-        and executor.workers > 1
-        and items >= max(execution.prune_parallel_min_pairs, 2)
-    )
-
-
 # ----------------------------------------------------------------------
 # Substep 1
 # ----------------------------------------------------------------------
-def prune_scan_worker(bounds: Tuple[int, int]) -> List[int]:
-    """Sharded candidate scan: edgeless internal supernodes in one id range.
-
-    Reads the :class:`_PruneContext` (snapshot state only, no mutation,
-    no locks) and returns, in scan order, the supernodes of
-    ``scan_nodes[start:stop]`` that substep 1 should splice out.
-    Chaining the shard results reproduces the serial scan exactly.
-    """
-    start, stop = bounds
-    context = worker_context()
-    hierarchy = context.hierarchy
-    summary = context.summary
-    scan_nodes = context.scan_nodes
-    return [
-        node
-        for node in scan_nodes[start:stop]
-        if not hierarchy.is_leaf(node) and summary.degree(node) == 0
-    ]
-
-
-def prune_edgeless_supernodes(
-    summary: HierarchicalSummary,
-    execution: Optional[ExecutionConfig] = None,
-    executor=None,
-    context: Optional[_PruneContext] = None,
-) -> int:
+def prune_edgeless_supernodes(summary: HierarchicalSummary) -> int:
     """Remove internal supernodes with no incident p/n-edge (Algorithm 3, step 1).
 
-    The candidate scan is a pure read over the supernode list; with a
-    parallel ``executor`` (plus its registered ``context``) it is fed
-    from sharded :func:`prune_scan_worker` calls, and the splices are
-    applied serially in scan order — splicing an edgeless supernode
-    never changes another supernode's degree or leaf-ness, so the
-    sharded feed is exact.
+    The candidate scan is a pure read over the supernode list, and the
+    splices are applied in scan order — splicing an edgeless supernode
+    never changes another supernode's degree or leaf-ness.
     """
     hierarchy = summary.hierarchy
-    scan_nodes = hierarchy.supernodes()
-    if context is not None and _use_sharded_scan(execution, executor, len(scan_nodes)):
-        context.scan_nodes = scan_nodes
-        bounds = shard_bounds(len(scan_nodes), executor.workers)
-        removable: List[int] = []
-        for shard in executor.map_shards(prune_scan_worker, bounds):
-            removable.extend(shard)
-        _drop_stale_fork(executor)
-    else:
-        removable = [
-            node
-            for node in scan_nodes
-            if not hierarchy.is_leaf(node) and summary.degree(node) == 0
-        ]
+    removable = [
+        node
+        for node in hierarchy.supernodes()
+        if not hierarchy.is_leaf(node) and summary.degree(node) == 0
+    ]
     for node in removable:
         hierarchy.splice_out(node)
     return len(removable)
@@ -300,16 +160,6 @@ def prune_single_edge_roots(summary: HierarchicalSummary) -> int:
 # ----------------------------------------------------------------------
 # Substep 3
 # ----------------------------------------------------------------------
-def _drop_stale_fork(executor) -> None:
-    """After a sharded scan, drop the pool's snapshot before state mutates.
-
-    The next ``map_shards`` then re-forks against the current summary;
-    serial executors have no snapshot and need nothing.
-    """
-    if isinstance(executor, ProcessShardExecutor):
-        executor.restart()
-
-
 def _flat_plan(
     graph: Graph,
     hierarchy,
@@ -320,9 +170,7 @@ def _flat_plan(
     """The flat re-encode plan for one root pair, or ``None`` to keep it.
 
     Pure function of the (immutable during substep 3) graph and
-    hierarchy plus the pair's index entries — the decision a worker
-    computes on its forked snapshot is therefore identical to the one
-    the serial path computes in place.
+    hierarchy plus the pair's index entries.
     """
     root_a, root_b = pair
     num_present = len(present)
@@ -368,45 +216,9 @@ def _apply_plan(
             summary.add_p_edge(x, y)
 
 
-def reencode_shard_worker(
-    bounds: Tuple[int, int],
-) -> List[Tuple[int, FlatPlan]]:
-    """Decide flat re-encode plans for one contiguous run of root pairs.
-
-    Reads the :class:`_PruneContext` from :func:`worker_context` (the
-    forked snapshot; no locks, no mutation) and returns ``(pair_index,
-    plan)`` for every pair in ``pairs[start:stop]`` whose flat encoding
-    wins.  Indexes are positions in the canonical sorted pair list, so
-    the parent can apply shard results in pair order as they stream in.
-    """
-    start, stop = bounds
-    context = worker_context()
-    graph = context.graph
-    hierarchy = context.hierarchy
-    pairs = context.pairs
-    pair_edges = context.pair_edges
-    pair_subedges = context.pair_subedges
-    decided: List[Tuple[int, FlatPlan]] = []
-    for position in range(start, stop):
-        pair = pairs[position]
-        plan = _flat_plan(
-            graph,
-            hierarchy,
-            pair,
-            pair_edges.get(pair, ()),
-            pair_subedges.get(pair, ()),
-        )
-        if plan is not None:
-            decided.append((position, plan))
-    return decided
-
-
 def reencode_root_pairs_flat(
     graph: Graph,
     summary: HierarchicalSummary,
-    execution: Optional[ExecutionConfig] = None,
-    executor=None,
-    context: Optional[_PruneContext] = None,
     profile: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Fall back to the flat-model encoding per root pair when cheaper (step 3).
@@ -415,86 +227,27 @@ def reencode_root_pairs_flat(
     either lists the subedges individually or uses one superedge between
     the roots plus per-pair negative corrections; whichever of the two is
     cheaper is compared against the current hierarchical encoding of the
-    pair and substituted when it wins.  Returns the number of re-encoded
-    root pairs.
-
-    With a parallel ``execution`` the decisions are sharded over the
-    executor layer (see :func:`reencode_shard_worker`) and the resulting
-    plans applied serially in canonical (sorted) pair order.  Decisions
-    read only state substep 3 never writes, so the plans are exact —
-    never replayed, never discarded — and the summary is bit-identical
-    to the serial path at any worker count.  Callers without a prepared
-    executor (tests, one-shot use) may pass just ``execution``; the
-    function then builds and closes its own.
+    pair and substituted when it wins.  Pairs are visited in canonical
+    (sorted) order.  Returns the number of re-encoded root pairs.
     """
-    owns_executor = False
-    if profile is not None:
-        for key, value in _fresh_profile().items():
-            profile.setdefault(key, value)
-    if context is None:
-        context = _PruneContext(graph, summary)
-    hierarchy = context.hierarchy
-    index_started = time.perf_counter()
+    started = time.perf_counter()
+    hierarchy = summary.hierarchy
     pair_edges = _superedges_by_root_pair(summary)
     pair_subedges = _subedges_by_root_pair(graph, summary)
     pairs = sorted(set(pair_edges) | set(pair_subedges))
-    index_seconds = time.perf_counter() - index_started
-    if executor is None and execution is not None:
-        executor = executor_for(execution, len(pairs), context=context)
-        owns_executor = True
-
     changed = 0
-    decide_seconds = 0.0
-    apply_seconds = 0.0
-    try:
-        if _use_sharded_scan(execution, executor, len(pairs)):
-            context.pairs = pairs
-            context.pair_edges = pair_edges
-            context.pair_subedges = pair_subedges
-            bounds = shard_bounds(
-                len(pairs), executor.workers * execution.chunks_per_worker
-            )
-            # All payloads are submitted here; workers fork against the
-            # post-substep-2 summary and decide while the parent applies
-            # earlier shards (plans never go stale — see worker docs).
-            tick = time.perf_counter()
-            results = executor.map_shards(reencode_shard_worker, bounds)
-            for shard in results:
-                decide_seconds += time.perf_counter() - tick
-                tick = time.perf_counter()
-                for position, plan in shard:
-                    pair = pairs[position]
-                    _apply_plan(summary, pair, pair_edges.get(pair, ()), plan)
-                    changed += 1
-                apply_seconds += time.perf_counter() - tick
-                tick = time.perf_counter()
-            _drop_stale_fork(executor)
-            if profile is not None:
-                profile["parallel_rounds"] += 1
-        else:
-            tick = time.perf_counter()
-            for pair in pairs:
-                plan = _flat_plan(
-                    graph,
-                    hierarchy,
-                    pair,
-                    pair_edges.get(pair, ()),
-                    pair_subedges.get(pair, ()),
-                )
-                if plan is not None:
-                    _apply_plan(summary, pair, pair_edges.get(pair, ()), plan)
-                    changed += 1
-            apply_seconds = time.perf_counter() - tick
-    finally:
-        if owns_executor:
-            executor.close()
+    for pair in pairs:
+        current = pair_edges.get(pair, ())
+        plan = _flat_plan(graph, hierarchy, pair, current, pair_subedges.get(pair, ()))
+        if plan is not None:
+            _apply_plan(summary, pair, current, plan)
+            changed += 1
     if profile is not None:
+        for key, value in _fresh_profile().items():
+            profile.setdefault(key, value)
         profile["pairs_scanned"] += len(pairs)
         profile["pairs_reencoded"] += changed
-        profile["reencode_index_seconds"] += index_seconds
-        profile["reencode_decide_seconds"] += decide_seconds
-        profile["reencode_apply_seconds"] += apply_seconds
-        profile["reencode_seconds"] += index_seconds + decide_seconds + apply_seconds
+        profile["reencode_seconds"] += time.perf_counter() - started
     return changed
 
 

@@ -240,7 +240,7 @@ def csr_shingles_range(
 ) -> List[int]:
     """Shingles of the contiguous id range ``[start, stop)`` on a CSR view.
 
-    The per-shard building block of the batch shingle phase: ``values``
+    The per-shard building block of sharded shingle sweeps: ``values``
     holds the hash value of *every* node (a neighbor can lie outside the
     shard), the minima are taken over the shard's closed neighborhoods
     only.  Concatenating the shards in range order is bit-identical to
@@ -289,8 +289,8 @@ def sharded_shingles(executor, bounds, seed: int) -> List[int]:
     ``executor`` must have ``(csr, labels)`` installed as its worker
     context and ``bounds`` must partition ``range(num_nodes)`` (see
     :func:`~repro.engine.execution.shard_bounds`); the concatenated
-    result is bit-identical to the unsharded sweep.  The one sharding
-    recipe shared by SLUGGER's shingle phase and SWeG's divide step.
+    result is bit-identical to the unsharded sweep.  Used by SWeG's
+    sharded divide step.
     """
     payloads = [(seed, start, stop) for start, stop in bounds]
     shingles: List[int] = []
@@ -322,26 +322,6 @@ class DenseShingleCache:
         self._shingles: List[Optional[int]] = [None] * size
         self._values_complete = False
         self._shingles_complete = False
-
-    @classmethod
-    def from_shingles(
-        cls, dense: DenseAdjacency, seed: SeedLike, shingles: List[int]
-    ) -> "DenseShingleCache":
-        """A cache pre-seeded with a complete shingle list for ``seed``.
-
-        Used by the batch shingle phase: the per-shard CSR computation
-        (:func:`csr_shingles_range`) produces the full list up front, and
-        candidate generation then reads it through the ordinary cache
-        interface with no recomputation.
-        """
-        cache = cls(dense, seed)
-        if len(shingles) != dense.num_nodes:
-            raise ValueError(
-                f"expected {dense.num_nodes} shingles, got {len(shingles)}"
-            )
-        cache._shingles = list(shingles)
-        cache._shingles_complete = True
-        return cache
 
     def ensure_values(self) -> None:
         """Precompute the hash value of every node (a no-op afterwards)."""

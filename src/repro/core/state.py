@@ -24,7 +24,7 @@ index against a fresh traversal along with the superedge counters.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import CSRAdjacency, DenseAdjacency
@@ -42,27 +42,6 @@ def _pair(a: int, b: int) -> RootPair:
     return (a, b) if a <= b else (b, a)
 
 
-def _group_footprint(
-    root_adj: Mapping[int, Dict[int, int]],
-    pn_count: Mapping[int, Dict[int, int]],
-    members: Iterable[int],
-) -> Set[int]:
-    """Roots whose state processing ``members`` as one candidate group may
-    read or write: the members plus every root adjacent to one of them
-    through a subedge or a p/n-edge.  Merging within the group can only
-    touch state of roots in this set — merges combine member trees
-    (their adjacency never grows during the group's own processing), and
-    re-encodings only rewrite superedges between the merged tree and its
-    direct neighbors.  Shared by :class:`SluggerState` (the live reads of
-    the decide workers and the apply phase) and :class:`StateSnapshot`.
-    """
-    footprint: Set[int] = set(members)
-    for member in members:
-        footprint.update(root_adj[member])
-        footprint.update(pn_count[member])
-    return footprint
-
-
 class StateSnapshot:
     """Cheap read-only view over a :class:`SluggerState`.
 
@@ -72,11 +51,7 @@ class StateSnapshot:
     read-only phases — can be handed a view that cannot rebind or
     replace any index.  It is a *view*, not a deep freeze: the proxied
     mappings track the underlying state, and the inner per-root counter
-    dictionaries stay shared.  For a true point-in-time image across
-    process boundaries, the execution layer forks the process instead
-    (copy-on-write), which is cheaper than any explicit copy; the decide
-    and apply phases read footprints straight off the live state via the
-    same :func:`_group_footprint` helper this view uses.
+    dictionaries stay shared.
     """
 
     __slots__ = ("roots", "root_adj", "pn_count", "pn_total",
@@ -99,9 +74,18 @@ class StateSnapshot:
         raise AttributeError(f"StateSnapshot is read-only (cannot delete {name!r})")
 
     def group_footprint(self, members: Iterable[int]) -> Set[int]:
-        """Roots whose state the processing of ``members`` may read or write
-        (see :func:`_group_footprint`)."""
-        return _group_footprint(self.root_adj, self.pn_count, members)
+        """Roots whose state processing ``members`` as one candidate group
+        may read or write: the members plus every root adjacent to one of
+        them through a subedge or a p/n-edge.  Merging within the group
+        can only touch state of roots in this set — merges combine member
+        trees, and re-encodings only rewrite superedges between the merged
+        tree and its direct neighbors.
+        """
+        footprint: Set[int] = set(members)
+        for member in members:
+            footprint.update(self.root_adj[member])
+            footprint.update(self.pn_count[member])
+        return footprint
 
 
 class SluggerState:
@@ -136,7 +120,6 @@ class SluggerState:
             else DenseAdjacency.from_graph(graph) if build_dense
             else None
         )
-        self._csr: Optional[CSRAdjacency] = csr if self.dense is not None else None
 
         self.roots: Set[int] = set(hierarchy.roots())
         self.root_adj: Dict[int, Dict[int, int]] = {root: {} for root in self.roots}
@@ -330,26 +313,6 @@ class SluggerState:
     def snapshot(self) -> StateSnapshot:
         """A read-only view of the per-root indices (see :class:`StateSnapshot`)."""
         return StateSnapshot(self)
-
-    def csr_view(self) -> CSRAdjacency:
-        """The frozen CSR view of the input graph (built once, then cached).
-
-        The input adjacency never changes during a SLUGGER run, so the
-        view is safe to share with read-only phases (batch shingle
-        sweeps) across all iterations.
-        """
-        if self.dense is None:
-            raise SummaryInvariantError(
-                "the CSR view requires the dense substrate (build_dense=True)"
-            )
-        if self._csr is None:
-            self._csr = self.dense.freeze()
-        return self._csr
-
-    def group_footprint(self, members: Iterable[int]) -> Set[int]:
-        """Roots whose state processing ``members`` as one candidate group
-        may read or write (see :func:`_group_footprint`)."""
-        return _group_footprint(self.root_adj, self.pn_count, members)
 
     # ------------------------------------------------------------------
     # Merging

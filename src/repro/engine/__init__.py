@@ -10,9 +10,9 @@
     result.summary.validate(graph)                   # lossless
     result.cost(), result.runtime_seconds            # shared bookkeeping
 
-    # Shard the parallelizable phases over 4 worker processes; the
-    # summary is bit-identical to the serial run for a fixed seed.
-    engine.run("slugger", graph, seed=0, execution=ExecutionConfig(workers=4))
+    # Shard SWeG's divide step over 4 worker processes; the summary is
+    # bit-identical to the serial run for a fixed seed.
+    engine.run("sweg", graph, seed=0, execution=ExecutionConfig(workers=4))
 
 New methods plug in by subclassing :class:`Summarizer` and decorating
 with :func:`register`; the CLI, the comparison harness, and the
@@ -35,7 +35,6 @@ from repro.engine.execution import (
     SERIAL_EXECUTION,
     ExecutionConfig,
     ProcessShardExecutor,
-    SerialExecutor,
     process_execution_available,
 )
 from repro.engine.hooks import GraphResources, RunControl
@@ -58,7 +57,6 @@ __all__ = [
     "SERIAL_EXECUTION",
     "ExecutionConfig",
     "ProcessShardExecutor",
-    "SerialExecutor",
     "available_methods",
     "create",
     "default_suite",

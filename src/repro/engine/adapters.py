@@ -45,18 +45,14 @@ class SluggerSummarizer(Summarizer):
 
     name = "slugger"
     iteration_controlled = True
-    supports_parallel = True
+    # SLUGGER runs serially at any worker count (see repro.core.slugger).
+    supports_parallel = False
 
     def __init__(self, **options: Any) -> None:
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._run_with_execution(graph, seed, None)
-
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> RunOutput:
-        return self._dispatch(graph, seed, execution, None, None)
+        return self._dispatch(graph, seed, None, None, None)
 
     def _dispatch(
         self,

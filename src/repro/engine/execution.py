@@ -1,19 +1,16 @@
-"""Pluggable execution layer: serial and process-sharded phase executors.
+"""Pluggable execution layer: the fork-based process-shard executor.
 
-Every parallelizable phase of the summarization stack (shingle sweeps,
-SLUGGER's decide-merges phase, SWeG's divide step) funnels through the
-same tiny abstraction defined here: an *executor* maps a worker function
-over a list of contiguous shard payloads and yields the results **in
-payload order**.  Two implementations exist:
-
-* :class:`SerialExecutor` runs the shards inline, one after the other —
-  the default, and the reference semantics every parallel run must
-  reproduce bit-for-bit;
-* :class:`ProcessShardExecutor` fans the shards out over a
-  ``concurrent.futures.ProcessPoolExecutor`` whose workers are created
-  with the ``fork`` start method, so they inherit the caller's in-memory
-  snapshot (graph, summarization state, frozen CSR views) as a cheap
-  copy-on-write image instead of pickling it through a pipe.
+The sharded phases of the stack (SWeG's divide-step shingle sweeps,
+sharded edge-list ingest, the serving layer's process-mode job pool)
+funnel through the same tiny abstraction defined here: an *executor*
+maps a worker function over a list of contiguous shard payloads and
+yields the results **in payload order**.
+:class:`ProcessShardExecutor` fans the shards out over a
+``concurrent.futures.ProcessPoolExecutor`` whose workers are created
+with the ``fork`` start method, so they inherit the caller's in-memory
+snapshot (graph, frozen CSR views, graph stores) as a cheap
+copy-on-write image instead of pickling it through a pipe.  SLUGGER
+itself runs serially at any worker count.
 
 Context hand-off
 ----------------
@@ -24,26 +21,21 @@ dispatched through :func:`_run_shard`, which resolves the token against
 the registry and pins the context for the duration of the shard, where
 worker functions read it back via :func:`worker_context`.  Forked
 workers inherit the registry (and therefore the context object) as part
-of the copy-on-write image — nothing is pickled in.  Because the current
-context is tracked per *thread* in the parent, any number of serial
-executions (e.g. concurrent service jobs) can run simultaneously without
-observing each other's contexts; a forked worker owns a private
-copy-on-write image, so it may freely *mutate* its context (e.g.
-simulate merges on the summarization state) without the parent — or any
-sibling worker — observing the writes.
+of the copy-on-write image — nothing is pickled in.  A forked worker
+owns a private copy-on-write image, so nothing it does to its context
+is observed by the parent or by sibling workers.
 
 Determinism
 -----------
 Nothing in this module introduces ordering nondeterminism: results are
-yielded in payload order regardless of which worker computed them, and
-the phases built on top are designed so the final output is bit-identical
-for a fixed seed no matter how many workers are configured (see
-``core/slugger.py`` and the execution test suite).
+yielded in payload order regardless of which worker computed them, so
+the phases built on top produce output bit-identical to their serial
+paths for a fixed seed no matter how many workers are configured.
 
 Teardown guarantee
 ------------------
-Both executors are context managers, ``close()`` is idempotent, and
-live process pools are tracked in a module-level set with an ``atexit``
+The executor is a context manager, ``close()`` is idempotent, and live
+process pools are tracked in a module-level set with an ``atexit``
 sweep — an exception anywhere between pool creation and the normal
 ``close()`` call can no longer leak forked workers past interpreter
 shutdown.  The long-lived serving layer (:mod:`repro.service`) keeps
@@ -65,14 +57,13 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, InvalidStateError
+from repro.utils.validation import require_int
 
 __all__ = [
     "ExecutionConfig",
     "ProcessShardExecutor",
-    "SerialExecutor",
     "SERIAL_EXECUTION",
     "available_cpus",
-    "executor_for",
     "process_execution_available",
     "shard_bounds",
     "worker_context",
@@ -85,9 +76,8 @@ _CONTEXTS: Dict[int, Any] = {}
 _CONTEXTS_LOCK = threading.Lock()
 _TOKENS = itertools.count(1)
 
-#: The context pinned for the shard currently running on this thread.
-#: Thread-local in the parent (concurrent serial runs stay isolated);
-#: a forked pool worker is single-threaded, so its slot is private too.
+#: The context pinned for the shard currently running on this thread (a
+#: forked pool worker is single-threaded, so the slot is private to it).
 _CURRENT = threading.local()
 
 
@@ -106,9 +96,9 @@ def _release_context(token: int) -> None:
 def _run_shard(token: int, fn: Callable[[Any], Any], payload: Any) -> Any:
     """Resolve ``token``, pin its context for this thread, run ``fn``.
 
-    Runs inline for :class:`SerialExecutor` and inside the forked worker
-    process for :class:`ProcessShardExecutor` (the registry entry was
-    inherited at fork time).
+    Runs inside the forked worker process of a
+    :class:`ProcessShardExecutor` (the registry entry was inherited at
+    fork time).
     """
     previous = getattr(_CURRENT, "context", None)
     _CURRENT.context = _CONTEXTS.get(token)
@@ -132,7 +122,7 @@ def process_execution_available() -> bool:
 
     The sharded executor relies on ``fork`` so workers inherit the
     parent's state snapshot without pickling; platforms without it (e.g.
-    Windows) transparently fall back to serial execution.
+    Windows) fall back to the serial paths.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -147,96 +137,41 @@ def available_cpus() -> int:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a summarizer run distributes its parallelizable phases.
+    """How a summarizer run distributes its sharded phases.
+
+    SLUGGER runs serially at any worker count; ``workers`` drives SWeG's
+    divide step and sizes a process-mode service's job pool.
 
     Attributes
     ----------
     workers:
         Number of worker processes for the sharded phases.  ``1`` (the
-        default) keeps everything on the serial reference path.  Output
-        is bit-identical for a fixed seed regardless of this value.
-    chunks_per_worker:
-        Shard granularity of the decide-merges phase: candidate groups
-        are split into ``workers * chunks_per_worker`` contiguous chunks
-        so the apply phase can start consuming decisions while later
-        chunks are still being computed.
-    serial_zero_threshold:
-        Zero-threshold iterations (the final SLUGGER pass) merge almost
-        every candidate, so optimistic decide work would be thrown away
-        wholesale; with this flag (default) those iterations run on the
-        serial path directly.  Purely a performance heuristic — flipping
-        it cannot change the output.
-    min_parallel_items:
-        Smallest number of shardable items (candidate groups) worth
-        spinning up a process pool for; below it the phase runs serially.
+        default) keeps everything on the serial path.  Output is
+        bit-identical for a fixed seed regardless of this value.
     shingle_parallel_min_nodes:
-        Smallest graph (node count) for which the batch shingle phase is
-        sharded across processes; below it the pool dispatch overhead
-        exceeds the hashing work.
-    colored_zero_threshold:
-        Zero-threshold iterations can instead run *colored* merge
-        sweeps: candidate groups whose footprints are pairwise disjoint
-        (an independent class of the interaction graph) are decided
-        concurrently and applied in canonical order — structurally
-        exact, no replay.  On (default) the colored path engages
-        whenever ``serial_zero_threshold`` would have forced a parallel
-        zero-threshold iteration serial; purely a performance choice,
-        the output cannot change.
-    colored_min_class:
-        Smallest independent class worth a parallel decide round in a
-        colored sweep; below it the remaining groups run on the serial
-        reference path.
-    prune_parallel_min_pairs:
-        Smallest pruning scan (root pairs for substep 3, supernodes for
-        substep 1's candidate feed) worth sharding over the pool; each
-        sharded pruning scan pays a re-fork, so small scans stay inline.
+        Smallest graph (node count) for which SWeG's divide-step shingle
+        sweeps are sharded across processes; below it the pool dispatch
+        overhead exceeds the hashing work.
     """
 
     workers: int = 1
-    chunks_per_worker: int = 4
-    serial_zero_threshold: bool = True
-    min_parallel_items: int = 2
     shingle_parallel_min_nodes: int = 25000
-    colored_zero_threshold: bool = True
-    colored_min_class: int = 8
-    prune_parallel_min_pairs: int = 1024
 
     def __post_init__(self) -> None:
+        require_int(self.workers, "workers")
+        require_int(self.shingle_parallel_min_nodes, "shingle_parallel_min_nodes")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.chunks_per_worker < 1:
-            raise ConfigurationError(
-                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
-            )
-        if self.min_parallel_items < 0:
-            raise ConfigurationError(
-                f"min_parallel_items must be >= 0, got {self.min_parallel_items}"
-            )
         if self.shingle_parallel_min_nodes < 0:
             raise ConfigurationError(
                 f"shingle_parallel_min_nodes must be >= 0, "
                 f"got {self.shingle_parallel_min_nodes}"
-            )
-        if self.colored_min_class < 2:
-            raise ConfigurationError(
-                f"colored_min_class must be >= 2, got {self.colored_min_class}"
-            )
-        if self.prune_parallel_min_pairs < 2:
-            raise ConfigurationError(
-                f"prune_parallel_min_pairs must be >= 2, "
-                f"got {self.prune_parallel_min_pairs}"
             )
 
     @property
     def parallel(self) -> bool:
         """Whether this configuration can use process sharding at all."""
         return self.workers > 1 and process_execution_available()
-
-    def effective_workers(self, items: int) -> int:
-        """Worker count actually used for ``items`` shardable work items."""
-        if not self.parallel or items < max(self.min_parallel_items, 2):
-            return 1
-        return min(self.workers, items)
 
 
 #: The default configuration: everything on the serial reference path.
@@ -258,36 +193,6 @@ def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
         if stop > start:
             bounds.append((start, stop))
     return bounds
-
-
-class SerialExecutor:
-    """Run shards inline, in order — the reference executor."""
-
-    workers = 1
-
-    def __init__(self, context: Any = None) -> None:
-        self._context = context
-        self._token = _register_context(context) if context is not None else 0
-
-    def map_shards(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> Iterator[Any]:
-        """Yield ``fn(payload)`` for every payload, lazily and in order."""
-        token = self._token
-
-        def results() -> Iterator[Any]:
-            for payload in payloads:
-                yield _run_shard(token, fn, payload)
-        return results()
-
-    def close(self) -> None:
-        if self._token:
-            _release_context(self._token)
-            self._token = 0
-
-    def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 #: Live process pools, swept at interpreter exit so forked workers never
@@ -328,11 +233,9 @@ class ProcessShardExecutor:
     def __init__(self, workers: int, context: Any = None) -> None:
         if not process_execution_available():
             raise ConfigurationError(
-                "process execution requires the 'fork' start method; "
-                "use SerialExecutor on this platform"
+                "process execution requires the 'fork' start method"
             )
         self.workers = max(1, workers)
-        self._context = context
         self._token = _register_context(context) if context is not None else 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
@@ -418,41 +321,3 @@ class ProcessShardExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def executor_for(
-    config: Optional[ExecutionConfig],
-    items: int,
-    context: Any = None,
-    reuse: Any = None,
-):
-    """The executor matching ``config`` for ``items`` shardable work items.
-
-    Falls back to :class:`SerialExecutor` when the configuration is
-    serial, the platform cannot fork, or the work is too small to be
-    worth a pool.  The choice can never affect results — only where the
-    work runs.
-
-    ``reuse`` lets multi-round callers (the prune loop) hand back the
-    executor from the previous round: when it was registered with the
-    *same* context object and still fits (same class, enough workers),
-    it is returned again — restarted for process pools, dropping the
-    stale forked snapshot so the next submission re-forks against
-    current state — instead of being torn down and rebuilt each round.
-    When the returned executor is a different object, the caller still
-    owns (and must close) the one it passed in.
-    """
-    workers = 1 if config is None else config.effective_workers(items)
-    if reuse is not None and reuse._context is context:
-        if workers <= 1 and isinstance(reuse, SerialExecutor):
-            return reuse
-        if (
-            workers > 1
-            and isinstance(reuse, ProcessShardExecutor)
-            and reuse.workers >= workers
-            and not reuse._closed
-        ):
-            reuse.restart()
-            return reuse
-    if workers <= 1:
-        return SerialExecutor(context)
-    return ProcessShardExecutor(workers, context)

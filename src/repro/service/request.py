@@ -25,10 +25,7 @@ from repro.utils.rng import SeedLike
 __all__ = ["SummaryRequest"]
 
 #: ExecutionConfig fields that travel through request serialization.
-_EXECUTION_FIELDS = (
-    "workers", "chunks_per_worker", "serial_zero_threshold",
-    "min_parallel_items", "shingle_parallel_min_nodes",
-)
+_EXECUTION_FIELDS = ("workers", "shingle_parallel_min_nodes")
 
 
 @dataclass(frozen=True)

@@ -133,13 +133,13 @@ class GraphHandle(GraphResources):
     def shingle_executor(self, execution: Optional[ExecutionConfig]):
         """A warm per-graph shingle pool for ``execution``, or ``None``.
 
-        Mirrors the gating of the shingle phases (parallel configuration,
-        graph clears the size floor); pools are keyed by worker count and
-        stay open across requests — their forked workers inherited this
-        handle's immutable ``(csr, labels)`` context, so every later
-        request against the same graph skips both the substrate build and
-        the fork.  Closed by :meth:`close` when the store drops the
-        handle.
+        Mirrors the gating of SWeG's sharded divide step (parallel
+        configuration, graph clears the size floor); pools are keyed by
+        worker count and stay open across requests — their forked
+        workers inherited this handle's immutable ``(csr, labels)``
+        context, so every later request against the same graph skips both
+        the substrate build and the fork.  Closed by :meth:`close` when
+        the store drops the handle.
         """
         if (
             execution is None

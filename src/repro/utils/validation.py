@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from typing import Any, Tuple, Type, Union
 
+from repro.exceptions import ConfigurationError
+
 __all__ = [
+    "require_int",
     "require_non_negative",
     "require_positive",
     "require_probability",
@@ -20,6 +23,19 @@ def require_type(value: Any, types: Union[Type, Tuple[Type, ...]], name: str) ->
         else:
             expected = types.__name__
         raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
+    return value
+
+
+def require_int(value: Any, name: str) -> int:
+    """Raise :class:`ConfigurationError` unless ``value`` is an ``int``.
+
+    ``bool`` is rejected even though it subclasses ``int``: a config
+    field set to ``True`` is a mistake, not a count.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{name} must be an int, got {type(value).__name__} {value!r}"
+        )
     return value
 
 

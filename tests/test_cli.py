@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,6 +60,20 @@ class TestCommands:
         exit_code = main(["summarize", "--input", str(path), "--iterations", "2", "--no-prune"])
         assert exit_code == 0
 
+    def test_summarize_with_workers_matches_serial(self, edge_list_file, tmp_path, capsys):
+        path, graph = edge_list_file
+        outputs = []
+        for workers in ("1", "2"):
+            output = tmp_path / f"summary-{workers}.json"
+            exit_code = main([
+                "summarize", "--input", str(path), "--output", str(output),
+                "--iterations", "3", "--seed", "0", "--workers", workers,
+            ])
+            assert exit_code == 0
+            outputs.append(json.loads(output.read_text()))
+        assert outputs[0] == outputs[1]
+        load_hierarchical_summary(tmp_path / "summary-2.json").validate(graph)
+
     def test_compare_command(self, edge_list_file, capsys):
         path, _graph = edge_list_file
         exit_code = main(["compare", "--input", str(path), "--iterations", "2"])
@@ -93,3 +109,21 @@ class TestFailures:
         assert exit_code == 1
         assert "Traceback" not in captured.err
         assert captured.err.startswith("repro-slugger: error: ")
+
+    @pytest.mark.parametrize("workers", ["2", 2.5, True])
+    def test_serve_with_non_int_workers_is_one_line_error(
+        self, edge_list_file, tmp_path, capsys, workers
+    ):
+        path, _graph = edge_list_file
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{
+            "method": "slugger", "input": str(path), "seed": 0,
+            "workers": workers, "options": {"iterations": 2},
+        }]))
+        exit_code = main(["serve", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("repro-slugger: error: ")
+        assert "workers must be an int" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1

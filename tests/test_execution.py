@@ -1,12 +1,12 @@
-"""Tests for the staged phase pipeline and the pluggable executor layer.
+"""Tests for the staged phase pipeline and the process-shard executor layer.
 
 The central guarantee exercised here: for a fixed seed, SLUGGER and SWeG
-summaries are **bit-identical across worker counts** — the parallel
-decide/apply machinery may only move work between the replay and
-fallback paths, never change a decision.  On top of that, the suite pins
-hard-coded fingerprints (so drift against the serial reference of
-earlier PRs is caught), and unit-tests the executor primitives, the
-merge-trace encoding, and the read-only state snapshot.
+summaries are **bit-identical across worker counts** — SLUGGER runs
+serially at any worker count (it never forks), and SWeG's sharded divide
+step reproduces its serial shingle sweeps exactly.  On top of that, the
+suite pins hard-coded fingerprints (so drift against the serial
+reference of earlier changes is caught), and unit-tests the executor
+primitives and the read-only state snapshot.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ import pytest
 from repro import ExecutionConfig, Slugger, SluggerConfig, engine
 from repro.analysis.comparison import compare_methods
 from repro.baselines.sweg import sweg_summarize
-from repro.core.merging import (
-    apply_merge_trace,
-    apply_merges,
-    decide_merges,
-    process_candidate_set,
-)
 from repro.core.shingles import (
-    DenseShingleCache,
     csr_shingles_range,
     dense_hash_values,
     dense_subnode_shingles,
@@ -33,13 +26,8 @@ from repro.core.shingles import (
 )
 from repro.core.state import SluggerState, StateSnapshot
 from repro.engine import execution
-from repro.engine.execution import (
-    ProcessShardExecutor,
-    SerialExecutor,
-    executor_for,
-    shard_bounds,
-)
-from repro.exceptions import ConfigurationError
+from repro.engine.execution import ProcessShardExecutor, shard_bounds
+from repro.exceptions import ConfigurationError, InvalidStateError
 from repro.graphs import DenseAdjacency, Graph, caveman_graph, erdos_renyi_graph
 
 WORKER_COUNTS = (1, 2, 4)
@@ -84,12 +72,9 @@ def slugger_fingerprint(summary):
     )
 
 
-def parallel_config(workers: int, **overrides) -> ExecutionConfig:
+def parallel_config(workers: int) -> ExecutionConfig:
     """An execution config that engages the pool even on small fixtures."""
-    defaults = dict(workers=workers, serial_zero_threshold=False,
-                    shingle_parallel_min_nodes=0)
-    defaults.update(overrides)
-    return ExecutionConfig(**defaults)
+    return ExecutionConfig(workers=workers, shingle_parallel_min_nodes=0)
 
 
 # ----------------------------------------------------------------------
@@ -99,39 +84,29 @@ class TestExecutionConfig:
     def test_defaults_are_serial(self):
         config = ExecutionConfig()
         assert config.workers == 1
+        assert config.shingle_parallel_min_nodes == 25000
         assert not config.parallel
-        assert config.effective_workers(1000) == 1
 
     @pytest.mark.parametrize("bad", [
-        dict(workers=0), dict(chunks_per_worker=0),
-        dict(min_parallel_items=-1), dict(shingle_parallel_min_nodes=-1),
+        dict(workers=0), dict(workers="2"), dict(workers=2.5), dict(workers=True),
+        dict(shingle_parallel_min_nodes=-1), dict(shingle_parallel_min_nodes=1.5),
+        dict(shingle_parallel_min_nodes=False), dict(workers=None),
+        dict(shingle_parallel_min_nodes="0"),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             ExecutionConfig(**bad)
 
-    def test_effective_workers_respects_item_count(self):
-        config = ExecutionConfig(workers=4)
-        if not execution.process_execution_available():  # pragma: no cover
-            pytest.skip("no fork on this platform")
-        assert config.effective_workers(100) == 4
-        assert config.effective_workers(3) == 3
-        assert config.effective_workers(1) == 1
-        assert config.effective_workers(0) == 1
-
     def test_platforms_without_fork_fall_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(execution, "process_execution_available", lambda: False)
         config = ExecutionConfig(workers=4)
         assert not config.parallel
-        assert config.effective_workers(100) == 1
-        assert isinstance(executor_for(config, 100), SerialExecutor)
         # A full run with an unusable parallel config still matches serial.
         graph = caveman_graph(6, 5, 0.05, seed=3)
         serial = Slugger(SluggerConfig(iterations=3, seed=0)).summarize(graph)
         fallback = Slugger(SluggerConfig(iterations=3, seed=0),
                            execution=config).summarize(graph)
         assert slugger_fingerprint(serial.summary) == slugger_fingerprint(fallback.summary)
-        assert fallback.execution_stats["parallel_iterations"] == 0
 
 
 class TestShardBounds:
@@ -148,17 +123,21 @@ class TestShardBounds:
 
 
 class TestExecutors:
-    def test_serial_executor_maps_in_order_with_context(self):
-        with SerialExecutor(context=10) as executor:
-            results = list(executor.map_shards(_add_context, [1, 2, 3]))
-        assert results == [11, 12, 13]
-
     def test_process_executor_matches_serial(self):
         if not execution.process_execution_available():  # pragma: no cover
             pytest.skip("no fork on this platform")
         with ProcessShardExecutor(2, context=100) as executor:
             results = list(executor.map_shards(_add_context, list(range(8))))
         assert results == [100 + i for i in range(8)]
+
+    def test_worker_context_outside_a_shard_raises(self):
+        with pytest.raises(InvalidStateError, match="no worker context"):
+            execution.worker_context()
+
+    def test_process_executor_requires_fork(self, monkeypatch):
+        monkeypatch.setattr(execution, "process_execution_available", lambda: False)
+        with pytest.raises(ConfigurationError, match="fork"):
+            ProcessShardExecutor(2, context=1)
 
 
 def _add_context(payload):
@@ -197,52 +176,10 @@ class TestStateSnapshot:
         state = SluggerState(caveman_graph(4, 5, seed=2))
         members = sorted(state.roots)[:5]
         footprint = state.snapshot().group_footprint(members)
-        assert footprint == state.group_footprint(members)
         for member in members:
             assert member in footprint
             assert set(state.root_adj[member]) <= footprint
             assert set(state.pn_count[member]) <= footprint
-
-
-# ----------------------------------------------------------------------
-# Merge traces
-# ----------------------------------------------------------------------
-class TestMergeTrace:
-    def test_trace_replay_reproduces_the_serial_merges(self):
-        graph = caveman_graph(5, 6, 0.05, seed=4)
-        config = SluggerConfig(iterations=3, seed=0)
-        recorded = SluggerState(graph)
-        members = sorted(recorded.roots)
-        trace = []
-        merges = process_candidate_set(recorded, members, 0.0, config, seed=123,
-                                       trace=trace)
-        assert merges == len(trace) > 0
-        # Negative codes must reference earlier merges of the same trace.
-        for position, (a, b) in enumerate(trace):
-            for code in (a, b):
-                assert code >= 0 or -code - 1 < position
-        replayed = SluggerState(graph)
-        assert apply_merge_trace(replayed, trace, config) == merges
-        assert slugger_fingerprint(replayed.summary) == slugger_fingerprint(recorded.summary)
-
-    def test_decide_apply_split_matches_one_pass_processing(self):
-        graph = caveman_graph(4, 6, 0.05, seed=8)
-        config = SluggerConfig(iterations=3, seed=0)
-        scratch = SluggerState(graph)  # the disposable decide image
-        members = sorted(scratch.roots)
-        plan = decide_merges(scratch, members, 0.0, config, seed=77)
-        reference = SluggerState(graph)
-        process_candidate_set(reference, members, 0.0, config, seed=77)
-        applied = SluggerState(graph)
-        assert apply_merges(applied, plan, config) == len(plan)
-        assert slugger_fingerprint(applied.summary) == slugger_fingerprint(reference.summary)
-
-    def test_no_trace_requested_keeps_legacy_signature(self):
-        graph = caveman_graph(3, 4, seed=1)
-        state = SluggerState(graph)
-        merges = process_candidate_set(state, sorted(state.roots), 0.0,
-                                       SluggerConfig(seed=0), seed=5)
-        assert merges >= 0
 
 
 # ----------------------------------------------------------------------
@@ -263,20 +200,37 @@ class TestCsrShingles:
                 combined.extend(csr_shingles_range(csr, values, start, stop))
             assert combined == expected
 
-    def test_preseeded_cache_serves_the_batch_values(self):
-        graph = caveman_graph(4, 5, seed=3)
-        dense = DenseAdjacency.from_graph(graph)
-        shingles = dense_subnode_shingles(dense, make_hash_function(7))
-        cache = DenseShingleCache.from_shingles(dense, 7, shingles)
-        assert cache.ensure_shingles() == shingles
-        assert cache.shingle(0) == shingles[0]
-        with pytest.raises(ValueError):
-            DenseShingleCache.from_shingles(dense, 7, shingles[:-1])
-
 
 # ----------------------------------------------------------------------
-# Worker-count determinism (the tentpole guarantee)
+# Worker-count determinism
 # ----------------------------------------------------------------------
+def _refuse_to_fork(*args, **kwargs):
+    raise AssertionError("SLUGGER must not create a process pool")
+
+
+class TestSluggerNeverForks:
+    @pytest.mark.parametrize("fixture", [er_fixture, int_fixture, string_fixture])
+    def test_workers_two_runs_the_serial_path(self, fixture, monkeypatch):
+        graph = fixture()
+        config = SluggerConfig(iterations=5, seed=0)
+        serial = Slugger(config).summarize(graph)
+        monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
+        result = Slugger(config, execution=ExecutionConfig(workers=2)).summarize(graph)
+        assert slugger_fingerprint(result.summary) == slugger_fingerprint(serial.summary)
+        assert set(result.execution_stats) == {"groups", "replayed", "fallbacks"}
+        assert result.execution_stats == serial.execution_stats
+
+    @pytest.mark.skipif(not execution.process_execution_available(),
+                        reason="process execution needs the fork start method")
+    def test_workers_still_drive_the_sweg_divide_step(self, monkeypatch):
+        # The same refusal that SLUGGER never trips is hit by SWeG, whose
+        # divide step still shards its shingle sweeps over worker processes.
+        monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
+        with pytest.raises(AssertionError, match="process pool"):
+            sweg_summarize(int_fixture(), iterations=2, seed=0,
+                           execution=parallel_config(2))
+
+
 @pytest.mark.skipif(not execution.process_execution_available(),
                     reason="process execution needs the fork start method")
 class TestWorkerCountDeterminism:
@@ -293,10 +247,6 @@ class TestWorkerCountDeterminism:
             executor = None if workers == 1 else parallel_config(workers)
             result = Slugger(config, execution=executor).summarize(graph)
             fingerprints[workers] = slugger_fingerprint(result.summary)
-            if workers > 1:
-                stats = result.execution_stats
-                assert stats["parallel_iterations"] > 0
-                assert stats["replayed"] + stats["fallbacks"] > 0
         assert len(set(fingerprints.values())) == 1
         if key != "caveman-str" or HASHSEED_PINNED:
             assert fingerprints[1][:4] == SLUGGER_PINS[key]
@@ -311,8 +261,7 @@ class TestWorkerCountDeterminism:
         assert serial.history == parallel.history
 
     def test_default_heuristics_also_preserve_output(self):
-        # Default ExecutionConfig (zero-threshold iterations serial, size
-        # floors active): still bit-identical, just fewer parallel phases.
+        # Default ExecutionConfig (size floor active): still bit-identical.
         graph = int_fixture()
         config = SluggerConfig(iterations=3, seed=0)
         serial = Slugger(config).summarize(graph)
@@ -347,8 +296,9 @@ class TestWorkerCountDeterminism:
         serial = engine.run("slugger", graph, seed=0, iterations=4)
         parallel = engine.run("slugger", graph, seed=0, iterations=4, execution=executor)
         assert parallel.cost() == serial.cost()
-        assert parallel.details["execution"] == {"workers": 2, "parallel_capable": True}
-        assert parallel.details["execution_stats"]["parallel_iterations"] > 0
+        assert parallel.details["execution"] == {"workers": 2, "parallel_capable": False}
+        assert parallel.details["execution_stats"]["replayed"] == 0
+        assert parallel.details["execution_stats"]["fallbacks"] == 0
         # Methods without the capability ignore the executor but report it.
         flat = engine.run("randomized", graph, seed=0, execution=executor)
         assert flat.details["execution"]["parallel_capable"] is False
@@ -359,7 +309,7 @@ class TestWorkerCountDeterminism:
             name: type(engine.create(name)).supports_parallel
             for name in engine.available_methods()
         }
-        assert capabilities["slugger"] is True
+        assert capabilities["slugger"] is False
         assert capabilities["sweg"] is True
         assert capabilities["mosso"] is False
         assert capabilities["greedy"] is False

@@ -9,10 +9,9 @@ Three families of guarantees:
   through :func:`~repro.obs.parse_prometheus_text` and the Chrome trace
   export is structurally loadable.
 * **Non-perturbation** — a traced/metered SLUGGER run produces a summary
-  bit-identical to an untraced one at every worker count, and per-shard
-  registries merged across a fork boundary agree with the serial totals.
-  ``REPRO_TEST_WORKERS`` (comma-separated counts) restricts the worker
-  sweep for the CI matrix legs.
+  bit-identical to an untraced one at every worker count, with equal
+  engine counters.  ``REPRO_TEST_WORKERS`` (comma-separated counts)
+  restricts the worker sweep for the CI matrix legs.
 """
 
 from __future__ import annotations
@@ -320,9 +319,6 @@ class TestRunControlSeq:
 
 
 class TestEngineTelemetry:
-    # An ER graph keeps the early iterations above the zero-threshold
-    # heuristic, so the optimistic decide/apply shard path (and its
-    # worker-registry shipping) actually runs in the parallel legs.
     GRAPH = staticmethod(lambda: erdos_renyi_graph(200, 0.05, seed=7))
     CONFIG = dict(iterations=4, seed=0)
 
@@ -359,29 +355,33 @@ class TestEngineTelemetry:
         values = list(per_worker.values())
         assert all(value == values[0] for value in values), per_worker
 
-    def test_parallel_run_ships_shard_registries_and_spans(self):
-        counts = [w for w in worker_counts() if w > 1]
-        if not counts:
-            pytest.skip("serial-only REPRO_TEST_WORKERS")
+    def test_run_records_phase_spans_and_counters(self):
         metrics = MetricsRegistry()
         tracer = Tracer()
-        self.run(workers=counts[0], metrics=metrics, tracer=tracer)
+        self.run(workers=1, metrics=metrics, tracer=tracer)
         snapshot = metrics.snapshot()
-        # Shard workers built private registries; the parent merged them.
-        assert "slugger_decide_shard_seconds" in snapshot
-        shard_seconds = snapshot["slugger_decide_shard_seconds"]["series"][0]
-        assert shard_seconds["count"] > 0
-        assert snapshot["slugger_decide_groups_total"]["series"][0]["value"] > 0
+        assert snapshot["slugger_groups_total"]["series"][0]["value"] > 0
         names = {span.name for span in tracer.sorted_spans()}
-        assert {"iteration", "shingle", "group", "decide", "apply",
-                "recost"} <= names
-        shard_lanes = {span.lane for span in tracer.sorted_spans()
-                       if span.name == "decide-shard"}
-        assert shard_lanes, "no per-shard spans on the parent timeline"
-        # The Chrome export of a sharded run loads as JSON.
+        assert {"iteration", "group", "merge", "recost", "prune"} <= names
         events = tracer.chrome_trace_events()
         json.dumps(events)
-        assert any(e["ph"] == "X" and e["name"] == "decide-shard" for e in events)
+        assert any(e["ph"] == "X" and e["name"] == "merge" for e in events)
+
+    def test_phase_seconds_cover_exactly_the_pipeline(self):
+        from repro.core.slugger import PHASE_NAMES
+
+        result = self.run(workers=1)
+        assert set(result.phase_seconds) == set(PHASE_NAMES) | {"prune"}
+        assert all(value >= 0.0 for value in result.phase_seconds.values())
+
+    def test_worker_count_does_not_change_the_span_tree(self):
+        names = {}
+        for workers in worker_counts():
+            tracer = Tracer()
+            self.run(workers=workers, tracer=tracer)
+            names[workers] = sorted(span.name for span in tracer.sorted_spans())
+        values = list(names.values())
+        assert all(value == values[0] for value in values), names
 
     def test_phase_events_carry_span_timings(self):
         events = []
@@ -393,8 +393,7 @@ class TestEngineTelemetry:
         phase_events = [event for event in events if event["stage"] == "phases"]
         assert phase_events, "no per-phase progress events emitted"
         for event in phase_events:
-            assert set(event["seconds"]) >= {"shingle", "group", "decide",
-                                             "apply", "recost"}
+            assert set(event["seconds"]) == {"group", "merge", "recost"}
             assert all(value >= 0.0 for value in event["seconds"].values())
         seqs = [event["seq"] for event in events]
         assert seqs == sorted(seqs)

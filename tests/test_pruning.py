@@ -1,16 +1,11 @@
 """Tests for the three pruning substeps (Sect. III-B4).
 
-Besides the per-substep unit tests, the parallel section pins the PR's
-central guarantee: pruning through the sharded executor layer is
-**bit-identical** to the serial reference at every worker count —
-substep 3's re-encode decisions are exact (never replayed) and applied
-in canonical pair order.  ``REPRO_TEST_WORKERS`` (comma-separated
-counts) restricts the sweep for the CI worker-matrix legs.
+Besides the per-substep unit tests, the last section checks the prune
+profile and that a SLUGGER run configured with worker processes prunes
+to the same summary as the serial run.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -21,17 +16,9 @@ from repro.core.pruning import (
     prune_single_edge_roots,
     reencode_root_pairs_flat,
 )
-from repro.engine import execution
 from repro.engine.execution import ExecutionConfig
 from repro.graphs import Graph, caveman_graph, complete_graph, nested_partition_graph
 from repro.model import Hierarchy, HierarchicalSummary
-
-
-def worker_counts():
-    env = os.environ.get("REPRO_TEST_WORKERS")
-    if env:
-        return tuple(int(part) for part in env.split(","))
-    return (1, 2, 4)
 
 
 def _unpruned_summary(graph, iterations=6, seed=0):
@@ -182,7 +169,7 @@ class TestFullPruning:
 
 
 # ----------------------------------------------------------------------
-# Parallel pruning
+# Determinism and profile
 # ----------------------------------------------------------------------
 def _summary_fingerprint(summary):
     hierarchy = summary.hierarchy
@@ -216,68 +203,45 @@ def _leaf_encoded_cliques(communities=12, size=5):
     return graph, summary
 
 
-def _prune_execution(workers):
-    return ExecutionConfig(workers=workers, prune_parallel_min_pairs=2,
-                           min_parallel_items=2)
-
-
-@pytest.mark.skipif(not execution.process_execution_available(),
-                    reason="process execution needs the fork start method")
-class TestParallelPruning:
+class TestPruneDeterminism:
     @pytest.mark.parametrize("fixture,seed", [
         (lambda: caveman_graph(30, 12, 0.05, seed=3), 11),
         (lambda: nested_partition_graph((3, 3, 4), (0.02, 0.3, 0.95), seed=5), 0),
     ])
-    def test_prune_bit_identical_across_worker_counts(self, fixture, seed):
+    def test_prune_is_deterministic(self, fixture, seed):
         graph = fixture()
         base = _unpruned_summary(graph, iterations=8, seed=seed)
-        reference_stats = None
-        fingerprints = set()
-        for workers in worker_counts():
+        runs = []
+        for _ in range(2):
             summary = base.copy()
-            profile = {}
-            exe = None if workers == 1 else _prune_execution(workers)
-            stats = prune(graph, summary, rounds=2, execution=exe, profile=profile)
+            stats = prune(graph, summary, rounds=2)
             summary.validate(graph)
-            if reference_stats is None:
-                reference_stats = stats
-            assert stats == reference_stats
-            fingerprints.add(_summary_fingerprint(summary))
-            if workers > 1:
-                assert profile["parallel_rounds"] > 0
-                assert profile["workers"] == workers
-            else:
-                assert profile["parallel_rounds"] == 0
-        assert len(fingerprints) == 1
+            runs.append((stats, _summary_fingerprint(summary)))
+        assert runs[0] == runs[1]
 
     def test_reencode_plans_applied_in_canonical_order(self):
-        graph, reference = _leaf_encoded_cliques()
-        assert reencode_root_pairs_flat(graph, reference) == 12
-        reference.validate(graph)
-        expected = _summary_fingerprint(reference)
-        for workers in worker_counts():
-            if workers == 1:
-                continue
-            graph2, summary = _leaf_encoded_cliques()
-            profile = {}
-            changed = reencode_root_pairs_flat(
-                graph2, summary, execution=_prune_execution(workers), profile=profile
-            )
-            summary.validate(graph2)
-            assert changed == 12
-            assert profile["parallel_rounds"] == 1
-            assert profile["pairs_reencoded"] == 12
-            assert _summary_fingerprint(summary) == expected
+        graph, summary = _leaf_encoded_cliques()
+        hierarchy = summary.hierarchy
+        profile = {}
+        assert reencode_root_pairs_flat(graph, summary, profile=profile) == 12
+        summary.validate(graph)
+        assert profile["pairs_scanned"] == 12
+        assert profile["pairs_reencoded"] == 12
+        # Every 5-clique collapses to one self-loop p-edge on its root.
+        roots = sorted(hierarchy.roots())
+        assert sorted(map(tuple, summary.p_edges())) == [(root, root) for root in roots]
+        assert not list(summary.n_edges())
 
     def test_profile_reports_substep_timings(self, small_caveman):
         summary = _unpruned_summary(small_caveman)
         profile = {}
         prune(small_caveman, summary, rounds=2, profile=profile)
         assert profile["rounds"] >= 1
-        assert profile["parallel"] is False
-        for key in ("edgeless_seconds", "single_edge_seconds", "reencode_seconds",
-                    "reencode_index_seconds", "reencode_decide_seconds",
-                    "reencode_apply_seconds"):
+        assert set(profile) == {
+            "rounds", "pairs_scanned", "pairs_reencoded",
+            "edgeless_seconds", "single_edge_seconds", "reencode_seconds",
+        }
+        for key in ("edgeless_seconds", "single_edge_seconds", "reencode_seconds"):
             assert profile[key] >= 0.0
         assert profile["pairs_scanned"] > 0
 
@@ -285,7 +249,7 @@ class TestParallelPruning:
         graph = caveman_graph(20, 10, 0.05, seed=1)
         config = SluggerConfig(iterations=4, seed=0)
         serial = Slugger(config).summarize(graph)
-        parallel = Slugger(config, execution=_prune_execution(2)).summarize(graph)
+        parallel = Slugger(config, execution=ExecutionConfig(workers=2)).summarize(graph)
         assert _summary_fingerprint(parallel.summary) == _summary_fingerprint(serial.summary)
+        assert parallel.prune_stats == serial.prune_stats
         assert parallel.prune_profile["rounds"] >= 1
-        assert serial.prune_profile["parallel"] is False

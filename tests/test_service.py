@@ -146,6 +146,23 @@ class TestSummaryRequest:
                  "execution": {"workers": 2, "bogus": 1}}
             )
 
+    @pytest.mark.parametrize("execution", [
+        {"workers": "2"}, {"workers": 2.5}, {"workers": True},
+        {"workers": 2, "shingle_parallel_min_nodes": 1.5},
+    ])
+    def test_from_dict_rejects_non_int_execution_values(self, execution):
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            SummaryRequest.from_dict(
+                {"method": "slugger", "graph_key": "g", "execution": execution}
+            )
+
+    def test_from_dict_rejects_removed_execution_fields(self):
+        with pytest.raises(ConfigurationError, match="unknown execution fields"):
+            SummaryRequest.from_dict(
+                {"method": "slugger", "graph_key": "g",
+                 "execution": {"workers": 2, "chunks_per_worker": 4}}
+            )
+
     def test_from_dict_rejects_unknown_record_fields(self):
         # A top-level 'iterations' (belongs under 'options') must fail
         # loudly instead of silently running with defaults.
@@ -725,22 +742,24 @@ class TestExecutorTeardown:
         with pytest.raises(RuntimeError):
             executor.map_shards(add, [1])
 
-    def test_concurrent_serial_contexts_stay_isolated(self):
-        from repro.engine.execution import SerialExecutor
-
+    @pytest.mark.skipif(not process_execution_available(),
+                        reason="no fork on this platform")
+    def test_concurrent_executor_contexts_stay_isolated(self):
+        # Executors created from different dispatcher threads each resolve
+        # their own registered context, never a sibling's.
         failures = []
 
         def run(value):
             try:
-                with SerialExecutor(context=value) as executor:
-                    for result in executor.map_shards(_add_context, [0] * 50):
+                with ProcessShardExecutor(1, context=value) as executor:
+                    for result in executor.map_shards(_add_context, [0] * 8):
                         if result != value:
                             failures.append((value, result))
             except Exception as error:  # pragma: no cover - surfaced below
                 failures.append((value, error))
 
         threads = [threading.Thread(target=run, args=(offset,))
-                   for offset in (100, 200, 300, 400)]
+                   for offset in (100, 200, 300)]
         for thread in threads:
             thread.start()
         for thread in threads:

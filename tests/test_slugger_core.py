@@ -58,6 +58,17 @@ class TestConfig:
             SluggerConfig(threshold_schedule="constant:2.0")
         with pytest.raises(ConfigurationError):
             SluggerConfig(prune_rounds=-1)
+        # Integer fields reject non-int values (and bool) up front instead
+        # of crashing later in range().
+        for bad in (
+            dict(iterations=2.5), dict(iterations="3"), dict(iterations=True),
+            dict(max_candidate_size=120.0), dict(shingle_rounds="10"),
+            dict(prune_rounds=1.5), dict(height_bound="2"), dict(height_bound=2.0),
+            dict(height_bound=True),
+        ):
+            with pytest.raises(ConfigurationError, match="must be an int"):
+                SluggerConfig(**bad)
+        assert SluggerConfig(height_bound=None).height_bound is None
 
     def test_threshold_out_of_range(self):
         config = SluggerConfig(iterations=3)
