@@ -53,7 +53,9 @@ def summary_components_ids(summary: HierarchicalSummary) -> List[List[int]]:
 
     Output convention matches :func:`~repro.algorithms.kernels.components_ids`:
     components discovered in ascending order of their smallest leaf id,
-    then stably sorted by size, descending.
+    then stably sorted by size, descending.  Leaf ids must be dense
+    (:meth:`~repro.model.hierarchy.Hierarchy.leaf_ids_are_dense`);
+    :func:`connected_components` takes the generic path otherwise.
     """
     hierarchy = summary.hierarchy
     num_leaves = hierarchy.num_subnodes
@@ -119,7 +121,7 @@ def summary_components_ids(summary: HierarchicalSummary) -> List[List[int]]:
 
 def connected_components(provider: NeighborProvider) -> List[Set[Node]]:
     """All connected components, largest first (stable order for equal sizes)."""
-    if isinstance(provider, HierarchicalSummary):
+    if isinstance(provider, HierarchicalSummary) and provider.hierarchy.leaf_ids_are_dense():
         subnodes = provider.hierarchy.subnodes()
         return [
             {subnodes[u] for u in component}

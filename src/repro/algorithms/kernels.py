@@ -35,6 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 __all__ = [
     "bfs_distances_ids",
     "bfs_order_ids",
+    "bfs_sweep_ids",
     "components_ids",
     "core_numbers_ids",
     "dfs_order_ids",
@@ -120,27 +121,47 @@ def bfs_order_ids(
     The label shims pass the ``repr``-sort rank to reproduce the legacy
     visiting order exactly.
     """
+    return bfs_sweep_ids(adj, source, rank)[0]
+
+
+def bfs_sweep_ids(
+    adj, source: int, rank: Optional[Sequence[int]] = None
+) -> Tuple[List[int], int]:
+    """One breadth-first pass: ``(visiting order, eccentricity of source)``.
+
+    The order is :func:`bfs_order_ids`'s; the eccentricity is the hop
+    distance of the last level reached (0 for an isolated source), the
+    maximum :func:`bfs_distances_ids` would report.  Each reached row is
+    read exactly once, which matters when rows come from partial
+    decompression rather than flat arrays.
+    """
     _check_source(adj, source)
     row = row_reader(adj)
     seen = bytearray(adj.num_nodes)
     seen[source] = 1
     unseen = seen.__getitem__
+    order = [source]
     frontier = [source]
-    head = 0
-    while head < len(frontier):
-        u = frontier[head]
-        head += 1
-        # Filter before sorting: only the not-yet-seen neighbors are
-        # enqueued, and their relative order is all the sort decides, so
-        # sorting the (usually much smaller) fresh set is equivalent.
-        fresh = list(filterfalse(unseen, row(u)))
-        if fresh:
-            if rank is not None and len(fresh) > 1:
-                fresh.sort(key=rank.__getitem__)
-            for v in fresh:
-                seen[v] = 1
-            frontier.extend(fresh)
-    return frontier
+    level = 0
+    while True:
+        reached: List[int] = []
+        for u in frontier:
+            # Filter before sorting: only the not-yet-seen neighbors are
+            # enqueued, and their relative order is all the sort
+            # decides, so sorting the (usually much smaller) fresh set
+            # is equivalent.
+            fresh = list(filterfalse(unseen, row(u)))
+            if fresh:
+                if rank is not None and len(fresh) > 1:
+                    fresh.sort(key=rank.__getitem__)
+                for v in fresh:
+                    seen[v] = 1
+                reached.extend(fresh)
+        if not reached:
+            return order, level
+        level += 1
+        order.extend(reached)
+        frontier = reached
 
 
 def bfs_distances_ids(adj, source: int) -> List[int]:

@@ -114,23 +114,41 @@ class GraphIdAdjacency(CSRIdAdjacency):
 class SummaryIdAdjacency:
     """Id adjacency answered by the summary's partial decompression.
 
-    Leaf supernode ids coincide with dense node ids (both number the
-    subnodes in graph order), so :meth:`neighbor_ids` is simply
-    :meth:`HierarchicalSummary.neighbor_ids` — superedges incident to
-    the queried leaf's ancestors, net p-minus-n coverage, sorted ids
-    out.  Nothing is materialized up front.
+    Leaf supernode ids normally coincide with dense node ids (both
+    number the subnodes in graph order), so :meth:`neighbor_ids` is
+    simply :meth:`HierarchicalSummary.neighbor_ids` — superedges
+    incident to the queried leaf's ancestors, net p-minus-n coverage,
+    sorted ids out.  Nothing is materialized up front, and the index is
+    the hierarchy's memoized
+    :meth:`~repro.model.hierarchy.Hierarchy.subnode_index`, shared by
+    every query on the summary.
+
+    A hierarchy whose leaves were not all added before its first
+    internal supernode (e.g. one rebuilt by
+    :mod:`repro.compression.pipeline`) has gaps in its leaf ids; rows
+    are then translated through the leaf order, which is monotone in
+    leaf id, so they stay sorted.
     """
 
-    __slots__ = ("summary", "num_nodes", "index")
+    __slots__ = ("summary", "num_nodes", "index", "neighbor_ids")
 
     def __init__(self, summary: HierarchicalSummary) -> None:
+        hierarchy = summary.hierarchy
         self.summary = summary
-        self.num_nodes = summary.hierarchy.num_subnodes
-        self.index = NodeIndex(summary.hierarchy.subnodes())
+        self.num_nodes = hierarchy.num_subnodes
+        self.index = hierarchy.subnode_index()
+        if hierarchy.leaf_ids_are_dense():
+            # Bound once so kernels call the summary method directly.
+            self.neighbor_ids = summary.neighbor_ids
+            return
+        leaves = list(hierarchy.leaf_subnode_map())
+        position = {leaf: u for u, leaf in enumerate(leaves)}
+        rows = summary.neighbor_ids
 
-    def neighbor_ids(self, u: int) -> List[int]:
-        """Sorted leaf ids adjacent to leaf ``u`` (partial decompression)."""
-        return self.summary.neighbor_ids(u)
+        def neighbor_ids(u: int) -> List[int]:
+            return [position[leaf] for leaf in rows(leaves[u])]
+
+        self.neighbor_ids = neighbor_ids
 
     def __repr__(self) -> str:
         return f"SummaryIdAdjacency(num_nodes={self.num_nodes})"

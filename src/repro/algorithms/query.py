@@ -16,7 +16,7 @@ from typing import Any, Hashable, NamedTuple, Optional
 from repro.algorithms.components import connected_components
 from repro.algorithms.cores import core_numbers
 from repro.algorithms.pagerank import pagerank
-from repro.algorithms.traversal import bfs_distances, bfs_order
+from repro.algorithms.traversal import bfs_sweep
 from repro.algorithms.triangles import count_triangles, local_triangle_counts
 
 __all__ = ["QUERY_KINDS", "QueryResult", "run_query"]
@@ -74,12 +74,11 @@ def run_query(
     if kind == "bfs":
         if source is None:
             raise ValueError("bfs query requires a source node")
-        order = bfs_order(provider, source)
-        distances = bfs_distances(provider, source)
+        order, eccentricity = bfs_sweep(provider, source)
         return QueryResult(kind, {
             "source": source,
             "reached": len(order),
-            "eccentricity": max(distances.values()) if distances else 0,
+            "eccentricity": eccentricity,
             "order": order if top is None else order[:top],
         })
     if kind == "components":

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set
+from typing import Dict, Hashable, List, Set, Tuple
 
-from repro.algorithms.kernels import bfs_distances_ids, bfs_order_ids, dfs_order_ids
+from repro.algorithms.kernels import bfs_distances_ids, bfs_sweep_ids, dfs_order_ids
 from repro.algorithms.neighbors import NeighborProvider
 from repro.algorithms.providers import repr_rank, resolve_id_adjacency
 
-__all__ = ["bfs_distances", "bfs_order", "connected_component_of", "dfs_order"]
+__all__ = ["bfs_distances", "bfs_order", "bfs_sweep", "connected_component_of", "dfs_order"]
 
 Subnode = Hashable
 
@@ -20,12 +20,22 @@ def bfs_order(provider: NeighborProvider, source: Subnode) -> List[Subnode]:
     permutation handed to the id kernel), matching the historical
     label-keyed traversal exactly.
     """
+    return bfs_sweep(provider, source)[0]
+
+
+def bfs_sweep(provider: NeighborProvider, source: Subnode) -> Tuple[List[Subnode], int]:
+    """``(bfs_order(...), eccentricity of source)`` from one traversal.
+
+    The eccentricity equals ``max(bfs_distances(...).values())`` (0 for
+    an isolated source); computing both from one pass reads every
+    reached neighbor row once instead of twice.
+    """
     adjacency = resolve_id_adjacency(provider)
     labels = adjacency.index.labels()
-    order = bfs_order_ids(
+    order, eccentricity = bfs_sweep_ids(
         adjacency, adjacency.index.id_of(source), rank=repr_rank(adjacency.index)
     )
-    return [labels[u] for u in order]
+    return [labels[u] for u in order], eccentricity
 
 
 def bfs_distances(provider: NeighborProvider, source: Subnode) -> Dict[Subnode, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
+from repro.graphs.index import NodeIndex
 
 __all__ = ["Hierarchy"]
 
@@ -49,6 +50,11 @@ class Hierarchy:
         # shingle rounds, panel statistics, and saving evaluation from
         # re-walking trees on the SLUGGER hot path.
         self._leaf_cache: Dict[int, Tuple[int, ...]] = {}
+        # Memoized subnode index for query serving (see subnode_index);
+        # leaves are never removed, so the subnode count alone tells
+        # whether it is current.  Two threads racing to rebuild it build
+        # equal indexes, so the memo needs no lock.
+        self._subnode_index: Optional[NodeIndex] = None
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -224,10 +230,6 @@ class Hierarchy:
         """Whether the id refers to a live supernode."""
         return supernode in self._parent
 
-    def is_leaf(self, supernode: int) -> bool:
-        """Whether ``supernode`` is a singleton leaf."""
-        return supernode in self._leaf_subnode
-
     def is_root(self, supernode: int) -> bool:
         """Whether ``supernode`` has no parent."""
         return self._parent[supernode] is None
@@ -275,6 +277,31 @@ class Hierarchy:
     def subnodes(self) -> List[Subnode]:
         """All registered subnodes."""
         return list(self._leaf_of_subnode)
+
+    def leaf_ids_are_dense(self) -> bool:
+        """Whether the leaf ids are exactly ``0..n-1`` (leaf id == subnode index id).
+
+        True whenever every leaf was added before the first internal
+        supernode — summaries built from a graph or a substrate, and
+        every codec that rebuilds leaves first.  Leaf ids grow in
+        insertion order, so the last one is the largest.
+        """
+        leaf_subnode = self._leaf_subnode
+        return not leaf_subnode or next(reversed(leaf_subnode)) == len(leaf_subnode) - 1
+
+    def subnode_index(self) -> NodeIndex:
+        """A :class:`NodeIndex` over the subnodes in leaf order (memoized; do not mutate).
+
+        Rebuilt only when a leaf was added since the last call
+        (``splice_out`` never removes leaves), so query serving pays for
+        the index — and for the ``repr`` ranks memoized per index
+        object — once per summary instead of once per query.
+        """
+        index = self._subnode_index
+        if index is None or len(index) != len(self._leaf_subnode):
+            index = NodeIndex(self._leaf_of_subnode)
+            self._subnode_index = index
+        return index
 
     def root_of(self, supernode: int) -> int:
         """The root of the tree containing ``supernode``."""

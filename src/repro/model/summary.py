@@ -12,6 +12,7 @@ endpoint supernode contains ``u`` and the other contains ``v``
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
@@ -309,70 +310,61 @@ class HierarchicalSummary:
     def neighbors(self, subnode: Subnode) -> Set[Subnode]:
         """One-hop neighbors of ``subnode`` by partial decompression (Alg. 4).
 
-        Only the superedges incident to the ancestors of ``subnode`` are
-        touched, so the query cost is proportional to the encoding local
-        to the queried node rather than to the whole summary.
+        The label-keyed form of :meth:`neighbor_ids`: only the superedges
+        incident to the ancestors of ``subnode`` are touched, so the query
+        cost is proportional to the encoding local to the queried node
+        rather than to the whole summary.
         """
-        leaf = self.hierarchy.leaf_of(subnode)
-        ancestors = self.hierarchy.ancestors(leaf)
-        ancestor_set = set(ancestors)
-        counts: Dict[Subnode, int] = {}
-        processed: Set[Tuple[int, int, int]] = set()
-        for ancestor in ancestors:
-            for other, sign in self._incident.get(ancestor, ()):
-                edge = _canonical(ancestor, other)
-                key = (edge[0], edge[1], sign)
-                if key in processed:
-                    continue
-                processed.add(key)
-                x, y = edge
-                targets: Set[Subnode] = set()
-                if x in ancestor_set:
-                    targets.update(self.hierarchy.leaf_subnodes(y))
-                if y in ancestor_set:
-                    targets.update(self.hierarchy.leaf_subnodes(x))
-                targets.discard(subnode)
-                for target in targets:
-                    counts[target] = counts.get(target, 0) + sign
-        return {node for node, weight in counts.items() if weight > 0}
+        hierarchy = self.hierarchy
+        label_of = hierarchy.leaf_subnode_map()
+        return {label_of[leaf] for leaf in self._neighbor_leaves(hierarchy.leaf_of(subnode))}
 
     def neighbor_ids(self, node_id: int) -> List[int]:
         """Sorted leaf ids adjacent to leaf ``node_id`` by partial decompression.
 
-        The id-native twin of :meth:`neighbors` (Alg. 4): walks the
-        superedges incident to the leaf's ancestors and accumulates the
-        net p-minus-n coverage per far leaf, but speaks dense ids end to
-        end — leaf ids coincide with the node ids of an index built from
-        the same graph, so no subnode labels are resolved.  This is the
-        neighbor query the substrate-native kernels
+        Alg. 4 on dense ids: walks the superedges incident to the leaf's
+        ancestors and keeps the far leaves whose net p-minus-n coverage
+        is positive.  Leaf ids coincide with the node ids of an index
+        built from the same graph, so no subnode labels are resolved;
+        this is the neighbor query the substrate-native kernels
         (:mod:`repro.algorithms.kernels`) run on when serving analytics
         off the summary.
         """
-        hierarchy = self.hierarchy
-        if not hierarchy.is_leaf(node_id):
+        if not self.hierarchy.is_leaf(node_id):
             # repro-lint: disable=raise-taxonomy (documented mapping-style lookup contract)
             raise KeyError(f"unknown leaf supernode id {node_id}")
-        ancestors = hierarchy.ancestors(node_id)
-        ancestor_set = set(ancestors)
-        counts: Dict[int, int] = {}
-        processed: Set[Tuple[int, int, int]] = set()
-        for ancestor in ancestors:
-            for other, sign in self._incident.get(ancestor, ()):
-                edge = _canonical(ancestor, other)
-                key = (edge[0], edge[1], sign)
-                if key in processed:
+        return sorted(self._neighbor_leaves(node_id))
+
+    def _neighbor_leaves(self, node_id: int) -> Iterable[int]:
+        """The leaves adjacent to leaf ``node_id``, unordered (Alg. 4).
+
+        A superedge whose far end is off the ancestor chain is met
+        exactly once and its leaves never contain ``node_id``, so its
+        leaf tuple is appended to a flat positive or negative list as
+        is.  Only a superedge with both ends on the chain (a self-loop,
+        or a supernode and its own ancestor) is met from both ends: it
+        is taken once, from its lower end, and covers the leaves of its
+        upper end — which include ``node_id`` itself, dropped at the end.
+        """
+        leaf_ids = self.hierarchy.leaf_id_view
+        incident = self._incident
+        chain = self.hierarchy.ancestors(node_id)
+        height = {ancestor: level for level, ancestor in enumerate(chain)}
+        positive: List[int] = []
+        negative: List[int] = []
+        for level, ancestor in enumerate(chain):
+            for other, sign in incident.get(ancestor, ()):
+                other_level = height.get(other)
+                if other_level is not None and other_level < level:
                     continue
-                processed.add(key)
-                x, y = edge
-                targets: Set[int] = set()
-                if x in ancestor_set:
-                    targets.update(hierarchy.leaf_id_view(y))
-                if y in ancestor_set:
-                    targets.update(hierarchy.leaf_id_view(x))
-                targets.discard(node_id)
-                for target in targets:
-                    counts[target] = counts.get(target, 0) + sign
-        return sorted(node for node, weight in counts.items() if weight > 0)
+                (positive if sign == POSITIVE else negative).extend(leaf_ids(other))
+        if negative:
+            counts = Counter(positive)
+            counts.subtract(negative)
+            return [leaf for leaf, count in counts.items() if count > 0 and leaf != node_id]
+        kept = set(positive)
+        kept.discard(node_id)
+        return kept
 
     # ------------------------------------------------------------------
     # Validation
