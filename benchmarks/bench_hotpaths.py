@@ -29,11 +29,10 @@ peak RSS) so the perf trajectory is tracked across PRs.  The full mode
 asserts the acceptance bars: candidate generation on the 10k-node
 Erdős–Rényi graph at least 2x faster than the seed, and the substrate
 either >= 1.3x faster end-to-end or >= 30% smaller in adjacency memory.
-The ``ingest`` section compares the three disk-to-substrate paths (text
-parse, sharded parallel parse, packed-container mmap load) and gates the
-storage layer: mmap load >= 5x faster than the text parse and the
-container >= 2x smaller than the text edge list (the sharded-parse gate
-is skipped without fork or a second CPU).
+The ``ingest`` section compares the two disk-to-substrate paths (text
+parse, packed-container mmap load) and gates the storage layer: mmap
+load >= 5x faster than the text parse and the container >= 2x smaller
+than the text edge list.
 
 The ``thaw`` section compares eager ``DenseAdjacency.from_csr`` versus the
 :class:`LazyDenseAdjacency` overlay on a mapped container, contents
@@ -455,10 +454,10 @@ def bench_serving(quick: bool) -> Dict[str, object]:
 
 
 def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
-    """Getting a graph off disk: text parse vs sharded parse vs mmap load.
+    """Getting a graph off disk: text parse vs mmap load.
 
     Writes the fixture as a text edge list and as a packed binary
-    container, then times the three ingest paths.  Every path's result
+    container, then times the two ingest paths.  Every path's result
     is cross-checked for equality with the text parse (edge set, node
     insertion order, CSR arrays), so the section measures I/O strategy,
     never a different graph.
@@ -468,15 +467,8 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
 
     from repro import storage
     from repro.graphs.io import read_edge_list, write_edge_list
-    from repro.storage.ingest import byte_shards, sharded_read_edge_list
 
-    cpus = available_cpus()
-    fork = process_execution_available()
-    section: Dict[str, object] = {
-        "graph": name,
-        "cpus": cpus,
-        "fork_available": fork,
-    }
+    section: Dict[str, object] = {"graph": name}
     with tempfile.TemporaryDirectory() as workdir:
         text_path = f"{workdir}/graph.txt"
         container_path = f"{workdir}/graph.slg"
@@ -484,28 +476,6 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
 
         text_seconds = best_of(repeats, lambda: read_edge_list(text_path))
         parsed = read_edge_list(text_path)
-
-        # A shard floor sized for the fixture (the default 1 MiB floor
-        # targets multi-million-edge files): the bench must measure a
-        # parse that actually sharded, never a silent serial fallback.
-        min_shard_bytes = 1 << 16
-        sharded_seconds = None
-        workers = min(4, max(2, cpus))
-        shards = len(byte_shards(os.path.getsize(text_path), workers, min_shard_bytes))
-        if fork and shards >= 2:
-            sharded_seconds = best_of(
-                repeats,
-                lambda: sharded_read_edge_list(
-                    text_path, workers=workers, min_shard_bytes=min_shard_bytes
-                ),
-            )
-            sharded = sharded_read_edge_list(
-                text_path, workers=workers, min_shard_bytes=min_shard_bytes
-            )
-            assert sharded.edge_set() == parsed.edge_set(), "sharded parse diverged"
-            assert sharded.nodes() == parsed.nodes(), "sharded node order diverged"
-            section["sharded_workers"] = workers
-            section["sharded_shards"] = shards
 
         pack_started = time.perf_counter()
         info = storage.pack(parsed, container_path)
@@ -528,12 +498,9 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "text_parse_seconds": text_seconds,
-            "sharded_parse_seconds": sharded_seconds,
             "pack_seconds": pack_seconds,
             "mmap_load_seconds": load_seconds,
             "load_speedup": text_seconds / load_seconds if load_seconds > 0 else float("inf"),
-            "sharded_speedup": (text_seconds / sharded_seconds
-                                if sharded_seconds else None),
             "text_bytes": text_bytes,
             "container_bytes": info.file_bytes,
             "size_ratio": text_bytes / info.file_bytes if info.file_bytes else float("inf"),
@@ -541,10 +508,6 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
     print(f"  ingest text parse      {section['text_parse_seconds']:8.3f}s  "
           f"mmap load={section['mmap_load_seconds']:8.3f}s  "
           f"({section['load_speedup']:5.2f}x)  pack={section['pack_seconds']:8.3f}s")
-    if sharded_seconds is not None:
-        print(f"  ingest sharded parse   {sharded_seconds:8.3f}s  "
-              f"({section['sharded_speedup']:5.2f}x, "
-              f"workers={section['sharded_workers']})")
     print(f"  ingest size            text={text_bytes/1024:.0f}KiB  "
           f"container={info.file_bytes/1024:.0f}KiB  "
           f"({section['size_ratio']:.2f}x smaller)")
@@ -924,7 +887,7 @@ def main(argv: Sequence[str] = None) -> int:
 
     # Disk-to-substrate ingest paths on the ER fixture.
     ingest_name, ingest_graph = graphs[0]
-    print(f"{ingest_name}: ingest (text parse vs sharded parse vs mmap load)")
+    print(f"{ingest_name}: ingest (text parse vs mmap load)")
     record["ingest"] = bench_ingest(ingest_graph, ingest_name, repeats)
 
     thaw_name, thaw_graph = graphs[0]
@@ -986,26 +949,6 @@ def main(argv: Sequence[str] = None) -> int:
             ingest["size_gate"] = "passed"  # type: ignore[index]
             print(f"PASS: container {ingest['size_ratio']:.2f}x smaller than the "
                   f"text edge list")
-        if (not ingest["fork_available"] or ingest["cpus"] < 2
-                or ingest["sharded_speedup"] is None):
-            # Sharded parsing measures hardware parallelism; without
-            # fork, a second core, or a file big enough to split, the
-            # equality cross-check still ran (when shards existed), only
-            # the speedup gate is meaningless.
-            ingest["sharded_gate"] = "skipped"  # type: ignore[index]
-            print(f"SKIP: sharded-parse gate needs >= 2 usable CPUs, fork, and "
-                  f">= 2 shards (cpus={ingest['cpus']}, "
-                  f"fork={ingest['fork_available']}); "
-                  f"equality cross-check still enforced where shards existed")
-        elif ingest["sharded_speedup"] < 1.2:
-            ingest["sharded_gate"] = "failed"  # type: ignore[index]
-            failures.append(f"sharded edge-list parse is only "
-                            f"{ingest['sharded_speedup']:.2f}x the serial parse "
-                            f"(need >= 1.2x)")
-        else:
-            ingest["sharded_gate"] = "passed"  # type: ignore[index]
-            print(f"PASS: sharded parse {ingest['sharded_speedup']:.2f}x faster "
-                  f"than the serial parse")
         serving = record["serving"]  # type: ignore[assignment]
         if not serving["fork_available"] or serving["cpus"] < 2:
             # Warm-pool throughput needs real hardware parallelism; on a
@@ -1076,7 +1019,7 @@ def main(argv: Sequence[str] = None) -> int:
                   f"on the 10k-node ER run; costs identical")
     else:
         record["serving"]["gate"] = "not-evaluated"  # type: ignore[index]
-        for gate in ("load_gate", "size_gate", "sharded_gate"):
+        for gate in ("load_gate", "size_gate"):
             record["ingest"][gate] = "not-evaluated"  # type: ignore[index]
         for section in ("thaw", "queries", "summary_cache", "obs"):
             record[section]["gate"] = "not-evaluated"  # type: ignore[index]

@@ -4,11 +4,6 @@ Run with::
 
     python examples/quickstart.py
 
-    # SLUGGER runs serially at any worker count, so passing an
-    # ExecutionConfig gives the same output (see the README's
-    # Execution & scaling):
-    python examples/quickstart.py --workers 2
-
 The script builds the Protein-dataset analogue, summarizes it under the
 hierarchical graph summarization model, verifies that the summary is
 lossless, prints the key statistics, and round-trips the summary through
@@ -17,23 +12,14 @@ the JSON serialization.
 
 from __future__ import annotations
 
-import argparse
 import tempfile
 from pathlib import Path
 
-from repro import ExecutionConfig, SluggerConfig, load_dataset, summarize
+from repro import SluggerConfig, load_dataset, summarize
 from repro.model import load_hierarchical_summary, save_hierarchical_summary
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1,
-                        help="ExecutionConfig worker count (SLUGGER runs serially "
-                             "at any count; the output is identical)")
-    arguments = parser.parse_args()
-    execution = (ExecutionConfig(workers=arguments.workers)
-                 if arguments.workers > 1 else None)
-
     # 1. Load a graph.  Any simple undirected graph works; here we use the
     #    built-in analogue of the paper's Protein (PR) dataset.
     graph = load_dataset("PR", seed=0)
@@ -42,7 +28,7 @@ def main() -> None:
     # 2. Summarize it.  T=10 iterations is plenty for a graph this size;
     #    the paper's default is T=20.
     config = SluggerConfig(iterations=10, seed=0)
-    result = summarize(graph, config, execution=execution)
+    result = summarize(graph, config)
     summary = result.summary
 
     # 3. The summary is exact: decompressing it gives back the input graph.

@@ -21,8 +21,8 @@ Package map
 ``repro.core``          the SLUGGER algorithm
 ``repro.baselines``     Randomized, Greedy, SWeG, SAGS, MoSSo
 ``repro.engine``        the summarizer protocol + registry (one API for all)
-``repro.service``       long-lived serving: sessions, jobs, warm pools
-``repro.storage``       binary containers, mmap loads, parallel ingest
+``repro.service``       long-lived serving: sessions, jobs, a process job pool
+``repro.storage``       binary containers, mmap loads, a content cache
 ``repro.algorithms``    BFS/DFS/PageRank/Dijkstra/triangles on summaries
 ``repro.analysis``      compression metrics and method comparison
 ``repro.experiments``   harness regenerating the paper's tables and figures

@@ -136,8 +136,8 @@ def compare_methods(
 
     ``methods`` may be a mapping of display name → method spec, a
     sequence of registry names, or ``None`` for the paper's default
-    suite.  ``execution`` is forwarded to parallel-capable methods
-    (SLUGGER, SWeG); it cannot change any result, only the wall time.
+    suite.  ``execution`` rides along on every request; every method
+    runs serially, so it changes no result.
     Results are ordered by ascending relative size (best compression
     first), which makes the winner immediately visible in reports.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.exceptions import SummaryInvariantError
-from repro.graphs.dense import CSRAdjacency, DenseAdjacency
+from repro.graphs.dense import DenseAdjacency
 from repro.graphs.graph import Graph
 from repro.graphs.staleness import ensure_fresh_views
 from repro.model.flat import FlatSummary
@@ -51,14 +51,9 @@ class FlatGroupingState:
     evaluate encoding costs and merge savings.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        dense: Optional[DenseAdjacency] = None,
-        csr: Optional[CSRAdjacency] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, dense: Optional[DenseAdjacency] = None) -> None:
         self.graph = graph
-        ensure_fresh_views(graph.num_edges, dense=dense, csr=csr)
+        ensure_fresh_views(graph.num_edges, dense=dense)
         self.dense = dense if dense is not None else DenseAdjacency.from_graph(graph)
         self.index = self.dense.index
         num_nodes = self.dense.num_nodes
@@ -67,9 +62,6 @@ class FlatGroupingState:
         self.group_of: List[int] = list(range(num_nodes))
         self.group_adj: Dict[int, Dict[int, int]] = {node: {} for node in range(num_nodes)}
         self._next_id = num_nodes
-        # A prebuilt frozen view (service interning, storage mmap) seeds
-        # the cache; it is dropped like the self-built one on mutation.
-        self._csr: Optional[CSRAdjacency] = csr
         for u, v in self.dense.edge_ids():
             self._bump(u, v, 1)
 
@@ -87,21 +79,7 @@ class FlatGroupingState:
         from repro.graphs.dense import LazyDenseAdjacency
         from repro.graphs.view import CSRGraphView
 
-        return cls(
-            CSRGraphView(csr, index), dense=LazyDenseAdjacency(csr), csr=csr
-        )
-
-    def frozen_adjacency(self) -> CSRAdjacency:
-        """The frozen CSR view of the current graph adjacency (cached).
-
-        Used by sharded read-only passes (SWeG's parallel divide step);
-        the cache is invalidated whenever an edge mutation changes the
-        underlying dense adjacency, so static-graph consumers pay the
-        freeze exactly once.
-        """
-        if self._csr is None:
-            self._csr = self.dense.freeze()
-        return self._csr
+        return cls(CSRGraphView(csr, index), dense=LazyDenseAdjacency(csr))
 
     def _bump(self, group_a: int, group_b: int, delta: int) -> None:
         adj_a = self.group_adj[group_a]
@@ -193,13 +171,11 @@ class FlatGroupingState:
     def insert_edge(self, u: int, v: int) -> None:
         """Record a new graph edge ``(u, v)`` (ids) in substrate and counters."""
         self.dense.add_edge(u, v)
-        self._csr = None
         self._bump(self.group_of[u], self.group_of[v], 1)
 
     def delete_edge(self, u: int, v: int) -> None:
         """Remove the graph edge ``(u, v)`` (ids) from substrate and counters."""
         self.dense.remove_edge(u, v)
-        self._csr = None
         self._bump(self.group_of[u], self.group_of[v], -1)
 
     def merge(self, group_a: int, group_b: int) -> int:

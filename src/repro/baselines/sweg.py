@@ -18,16 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
 from repro.baselines.common import FlatGroupingState
-from repro.core.shingles import (
-    dense_subnode_shingles,
-    make_hash_function,
-    sharded_shingles,
-)
-from repro.engine.execution import (
-    ExecutionConfig,
-    ProcessShardExecutor,
-    shard_bounds,
-)
+from repro.core.shingles import dense_subnode_shingles, make_hash_function
 from repro.engine.hooks import GraphResources, RunControl
 from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
@@ -67,7 +58,6 @@ class SwegConfig:
 def sweg_summarize(
     graph: Graph,
     config: Optional[SwegConfig] = None,
-    execution: Optional[ExecutionConfig] = None,
     control: Optional[RunControl] = None,
     resources: Optional[GraphResources] = None,
     **overrides,
@@ -78,55 +68,36 @@ def sweg_summarize(
     ``epsilon`` additionally drops corrections within the per-node error
     budget, reproducing SWeG's lossy variant.
 
-    ``execution`` shards the divide step's per-round shingle sweeps over
-    worker processes; the pool is either the caller's warm one
-    (``resources.shingle_executor``, shared across runs by the serving
-    layer) or a per-run fork.  Shingle values — and hence the summary —
-    are bit-identical for a fixed seed at any worker count.  ``control``
-    receives one progress event per iteration and its cancel token is
-    checked between iterations.
+    ``control`` receives one progress event per iteration and its
+    cancel token is checked between iterations.
     """
     if config is None:
         config = SwegConfig(**overrides)
     elif overrides:
         raise TypeError("pass either a config object or keyword overrides, not both")
     rng = ensure_rng(config.seed)
-    # Only the sharded divide step reads the frozen CSR; fetching it on
-    # serial runs would force an O(n+m) freeze nothing consumes.
-    wants_csr = (
-        resources is not None
-        and execution is not None
-        and execution.parallel
-        and graph.num_nodes >= execution.shingle_parallel_min_nodes
-    )
     state = FlatGroupingState(
-        graph,
-        dense=resources.dense() if resources is not None else None,
-        csr=resources.csr() if wants_csr else None,
+        graph, dense=resources.dense() if resources is not None else None
     )
 
-    shingler = _make_shingler(state, execution, resources)
-    try:
-        if graph.num_edges > 0:
-            for iteration in range(1, config.iterations + 1):
-                if control is not None:
-                    control.checkpoint()
-                threshold = config.threshold(iteration)
-                groups = _divide(state, config, rng, shingler)
-                merges = 0
-                for group in groups:
-                    merges += _merge_within_group(state, group, threshold, rng)
-                if control is not None:
-                    control.emit(
-                        "iteration",
-                        iteration=iteration,
-                        iterations=config.iterations,
-                        threshold=threshold,
-                        merges=merges,
-                        groups=len(state.members),
-                    )
-    finally:
-        shingler.close()
+    if graph.num_edges > 0:
+        for iteration in range(1, config.iterations + 1):
+            if control is not None:
+                control.checkpoint()
+            threshold = config.threshold(iteration)
+            groups = _divide(state, config, rng)
+            merges = 0
+            for group in groups:
+                merges += _merge_within_group(state, group, threshold, rng)
+            if control is not None:
+                control.emit(
+                    "iteration",
+                    iteration=iteration,
+                    iterations=config.iterations,
+                    threshold=threshold,
+                    merges=merges,
+                    groups=len(state.members),
+                )
 
     summary = state.to_summary()
     if config.epsilon > 0:
@@ -137,76 +108,8 @@ def sweg_summarize(
 # ----------------------------------------------------------------------
 # Dividing step
 # ----------------------------------------------------------------------
-class _SerialShingler:
-    """Per-round shingle sweeps computed inline (the reference path)."""
-
-    def __init__(self, state: FlatGroupingState) -> None:
-        self._dense = state.dense
-
-    def __call__(self, seed: int) -> List[int]:
-        return dense_subnode_shingles(self._dense, make_hash_function(seed))
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardedShingler:
-    """Per-round shingle sweeps sharded over a persistent forked pool.
-
-    The pool lives at least as long as the SWeG run: the adjacency never
-    changes, so the workers' forked CSR snapshot stays valid across all
-    rounds and only ``(seed, start, stop)`` payloads cross the process
-    boundary.  With a *borrowed* pool (the serving layer's per-graph warm
-    pool) even the fork is amortized across runs — ``close()`` then
-    leaves the pool to its owner.  Values are bit-identical to
-    :class:`_SerialShingler` — sharding only moves where the minima are
-    computed.
-    """
-
-    def __init__(
-        self,
-        state: FlatGroupingState,
-        execution: ExecutionConfig,
-        executor: Optional[ProcessShardExecutor] = None,
-    ) -> None:
-        self._bounds = shard_bounds(state.dense.num_nodes, execution.workers)
-        self._owned = executor is None
-        if executor is None:
-            csr = state.frozen_adjacency()
-            labels = state.index.labels()
-            executor = ProcessShardExecutor(execution.workers, context=(csr, labels))
-        self._executor = executor
-
-    def __call__(self, seed: int) -> List[int]:
-        return sharded_shingles(self._executor, self._bounds, seed)
-
-    def close(self) -> None:
-        if self._owned:
-            self._executor.close()
-
-
-def _make_shingler(
-    state: FlatGroupingState,
-    execution: Optional[ExecutionConfig],
-    resources: Optional[GraphResources] = None,
-):
-    """Pick the shingle backend for this run (serial unless it can pay off)."""
-    if (
-        execution is not None
-        and execution.parallel
-        and state.dense.num_nodes >= execution.shingle_parallel_min_nodes
-    ):
-        warm = resources.shingle_executor(execution) if resources is not None else None
-        return _ShardedShingler(state, execution, executor=warm)
-    return _SerialShingler(state)
-
-
-def _divide(
-    state: FlatGroupingState, config: SwegConfig, rng, shingler=None
-) -> List[List[int]]:
+def _divide(state: FlatGroupingState, config: SwegConfig, rng) -> List[List[int]]:
     """Split the current supernodes into shingle groups of bounded size."""
-    if shingler is None:
-        shingler = _SerialShingler(state)
     pending: List[List[int]] = [state.groups()]
     finished: List[List[int]] = []
     for _ in range(config.shingle_rounds):
@@ -217,7 +120,9 @@ def _divide(
             break
         # List-backed shingles over the dense substrate; group members are
         # node ids, so the min-aggregation below is pure list indexing.
-        node_shingles = shingler(rng.randrange(2**61))
+        node_shingles = dense_subnode_shingles(
+            state.dense, make_hash_function(rng.randrange(2**61))
+        )
         pending = []
         for group in oversized:
             buckets: Dict[int, List[int]] = {}

@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.add_argument(
         "--height-bound", type=int, default=None, help="optional bound H_b on hierarchy height"
     )
-    _add_workers_argument(summarize_parser)
     _add_progress_argument(summarize_parser)
     _add_cache_argument(summarize_parser)
     _add_telemetry_arguments(summarize_parser)
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarizer registry name to include (repeatable; default: the paper's suite; "
              "see the 'methods' subcommand)",
     )
-    _add_workers_argument(compare_parser)
     _add_progress_argument(compare_parser)
     _add_cache_argument(compare_parser)
     _add_telemetry_arguments(compare_parser)
@@ -152,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="container path (default: the input path with a .slg suffix)",
-    )
-    pack_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="parse the edge list over N forked shard workers (default 1)",
     )
     pack_parser.add_argument(
         "--with-summary", action="store_true",
@@ -281,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="gap code (unary, gamma, delta, rice2, rice4)")
     compress_parser.add_argument("--ordering", default="bfs",
                                  help="node ordering (natural, degree, bfs, shingle)")
-    _add_workers_argument(compress_parser)
 
     stream_parser = subparsers.add_parser(
         "stream", help="replay an edge stream through the online summarizer"
@@ -330,15 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser.add_argument("--iterations", type=int, default=10)
     export_parser.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for sharded edge-list ingest and SWeG's divide step "
-             "(default 1 = serial; SLUGGER itself always runs serially; output is "
-             "bit-identical for a fixed seed at any worker count)",
-    )
 
 
 def _add_progress_argument(parser: argparse.ArgumentParser) -> None:
@@ -405,13 +389,6 @@ def _write_telemetry(arguments, metrics, tracer, snapshot=None) -> None:
               f"({len(data)} metric families)")
 
 
-def _execution_config(arguments: argparse.Namespace):
-    workers = getattr(arguments, "workers", 1)
-    if workers <= 1:
-        return None
-    return engine.ExecutionConfig(workers=workers)
-
-
 def _format_progress(label: str, event: Dict[str, Any]) -> str:
     stage = event.get("stage", "progress")
     if stage == "iteration":
@@ -428,9 +405,7 @@ def _format_progress(label: str, event: Dict[str, Any]) -> str:
 
 def _load_graph(arguments: argparse.Namespace):
     if arguments.input:
-        return read_edge_list(
-            arguments.input, workers=getattr(arguments, "workers", 1)
-        )
+        return read_edge_list(arguments.input)
     return load_dataset(arguments.dataset, seed=arguments.seed)
 
 
@@ -451,8 +426,7 @@ def _load_graph_cached(arguments: argparse.Namespace):
         from repro.storage import GraphCache
 
         cached = GraphCache(cache_dir).fetch_edge_list(
-            arguments.input, workers=getattr(arguments, "workers", 1),
-            materialize=False,
+            arguments.input, materialize=False
         )
         origin = "cache hit (mmap)" if cached.hit else "parsed + packed"
         print(f"cache: {origin}  {cached.container_path}")
@@ -475,9 +449,7 @@ def _command_summarize(arguments: argparse.Namespace) -> int:
         if arguments.progress:
             on_progress = lambda event: print(_format_progress("slugger", event))  # noqa: E731
         control = RunControl(on_progress=on_progress, metrics=metrics, tracer=tracer)
-    result = Slugger(config, execution=_execution_config(arguments)).summarize(
-        graph, control=control, resources=resources
-    )
+    result = Slugger(config).summarize(graph, control=control, resources=resources)
     print(f"nodes={graph.num_nodes} edges={graph.num_edges}")
     print(
         f"cost={result.cost()} relative_size={result.relative_size(graph):.4f} "
@@ -501,7 +473,6 @@ def _command_compare(arguments: argparse.Namespace) -> int:
         on_progress = lambda name, event: print(_format_progress(name, event))  # noqa: E731
     metrics, tracer = _telemetry_from_args(arguments)
     results = compare_methods(graph, methods=methods, seed=arguments.seed,
-                              execution=_execution_config(arguments),
                               on_progress=on_progress, resources=resources,
                               metrics=metrics, tracer=tracer)
     rows = [
@@ -523,7 +494,7 @@ def _command_pack(arguments: argparse.Namespace) -> int:
     """Pack one edge list into a binary container."""
     from repro import storage
 
-    graph = read_edge_list(arguments.input, workers=arguments.workers)
+    graph = read_edge_list(arguments.input)
     output = arguments.output
     if output is None:
         output = arguments.input + storage.CONTAINER_SUFFIX
@@ -535,7 +506,7 @@ def _command_pack(arguments: argparse.Namespace) -> int:
         options = {"iterations": arguments.iterations}
         config_digest, config_json = storage.config_fingerprint("slugger", options)
         config = SluggerConfig(seed=arguments.seed, **options)
-        result = Slugger(config, execution=_execution_config(arguments)).summarize(graph)
+        result = Slugger(config).summarize(graph)
         meta = storage.SummaryMeta(
             kind="hierarchical", method="slugger", seed=arguments.seed,
             graph_digest=storage.container_digest(csr),
@@ -904,7 +875,7 @@ def _command_datasets(_arguments: argparse.Namespace) -> int:
 def _command_compress(arguments: argparse.Namespace) -> int:
     graph = _load_graph(arguments)
     config = SluggerConfig(iterations=arguments.iterations, seed=arguments.seed)
-    summary = Slugger(config, execution=_execution_config(arguments)).summarize(graph).summary
+    summary = Slugger(config).summarize(graph).summary
     report = compression_report(
         graph, summary, code=arguments.code, ordering=arguments.ordering, seed=arguments.seed
     )

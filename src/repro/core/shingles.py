@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
-from repro.graphs.dense import CSRAdjacency, DenseAdjacency
+from repro.graphs.dense import DenseAdjacency
 from repro.graphs.graph import Graph
 from repro.model.hierarchy import Hierarchy
 from repro.utils.rng import SeedLike, ensure_rng
@@ -44,14 +44,11 @@ from repro.utils.rng import SeedLike, ensure_rng
 __all__ = [
     "DenseShingleCache",
     "ShingleCache",
-    "csr_shingles_range",
     "dense_hash_values",
     "dense_shingles_from_values",
     "dense_subnode_shingles",
     "make_hash_function",
     "root_shingles",
-    "sharded_shingles",
-    "shingle_shard_worker",
     "subnode_shingles",
     "subnode_shingles_from_values",
 ]
@@ -232,70 +229,6 @@ def dense_shingles_from_values(dense: DenseAdjacency, values: List[int]) -> List
             append(best if best < own else own)
         else:
             append(own)
-    return shingles
-
-
-def csr_shingles_range(
-    csr: CSRAdjacency, values: List[int], start: int, stop: int
-) -> List[int]:
-    """Shingles of the contiguous id range ``[start, stop)`` on a CSR view.
-
-    The per-shard building block of sharded shingle sweeps: ``values``
-    holds the hash value of *every* node (a neighbor can lie outside the
-    shard), the minima are taken over the shard's closed neighborhoods
-    only.  Concatenating the shards in range order is bit-identical to
-    :func:`dense_shingles_from_values` over the thawed adjacency — the
-    CSR's sorted neighbor runs change the order minima are taken in, not
-    their value.
-    """
-    lookup = values.__getitem__
-    indptr, indices = csr.indptr, csr.indices
-    shingles: List[int] = []
-    append = shingles.append
-    for node in range(start, stop):
-        lo, hi = indptr[node], indptr[node + 1]
-        own = values[node]
-        if lo < hi:
-            best = min(map(lookup, indices[lo:hi]))
-            append(best if best < own else own)
-        else:
-            append(own)
-    return shingles
-
-
-def shingle_shard_worker(payload: "tuple[int, int, int]") -> List[int]:
-    """Executor worker: shingles of one id range for one hash-function seed.
-
-    ``payload`` is ``(seed, start, stop)``; the heavyweight inputs — the
-    frozen CSR view and the label list to hash — come from the installed
-    worker context (see :mod:`repro.engine.execution`), so a forked pool
-    inherits them without any pickling.  Every worker hashes the full
-    label list (the cheap ``n``-sized part, duplicating it beats a
-    synchronization round for the shared values) and then computes the
-    per-edge minima for its own range only.
-    """
-    from repro.engine.execution import worker_context
-
-    seed, start, stop = payload
-    csr, labels = worker_context()
-    hash_function = make_hash_function(seed)
-    values = [hash_function(label) for label in labels]
-    return csr_shingles_range(csr, values, start, stop)
-
-
-def sharded_shingles(executor, bounds, seed: int) -> List[int]:
-    """Full shingle list for one hash-function ``seed``, computed in shards.
-
-    ``executor`` must have ``(csr, labels)`` installed as its worker
-    context and ``bounds`` must partition ``range(num_nodes)`` (see
-    :func:`~repro.engine.execution.shard_bounds`); the concatenated
-    result is bit-identical to the unsharded sweep.  Used by SWeG's
-    sharded divide step.
-    """
-    payloads = [(seed, start, stop) for start, stop in bounds]
-    shingles: List[int] = []
-    for shard in executor.map_shards(shingle_shard_worker, payloads):
-        shingles.extend(shard)
     return shingles
 
 

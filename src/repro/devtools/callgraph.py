@@ -4,8 +4,7 @@ The fork-safety rules need to know which functions can run inside a
 forked :class:`~repro.engine.execution.ProcessShardExecutor` worker.
 Worker functions are registered in exactly one way in this codebase —
 passed as the function argument of an executor's ``map_shards(fn,
-shards)`` call (the shards themselves come from ``shard_bounds``), so
-the roots of the walk are precisely the resolved ``fn`` arguments of
+payloads)`` call, so the roots of the walk are precisely the resolved ``fn`` arguments of
 every ``map_shards`` call site in the analyzed tree.
 
 Resolution policy

@@ -104,8 +104,8 @@ class WorkerLockRule(Rule):
     """Worker-reachable code must not acquire locks or mutate globals.
 
     Reachability is a call-graph walk from every function registered as
-    a ``map_shards`` worker (the functions that run on forked
-    ``shard_bounds`` shards).  A forked child inherits parent locks in
+    a ``map_shards`` worker (the functions that run in forked pool
+    workers).  A forked child inherits parent locks in
     whatever state they were in at fork time — acquiring one that a
     parent thread held is an unrecoverable deadlock; mutating a module
     global only writes the child's copy-on-write page.  Intentional

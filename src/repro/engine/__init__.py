@@ -10,8 +10,8 @@
     result.summary.validate(graph)                   # lossless
     result.cost(), result.runtime_seconds            # shared bookkeeping
 
-    # Shard SWeG's divide step over 4 worker processes; the summary is
-    # bit-identical to the serial run for a fixed seed.
+    # Every method runs serially: an ExecutionConfig is echoed in
+    # result.details["execution"] and never changes the summary.
     engine.run("sweg", graph, seed=0, execution=ExecutionConfig(workers=4))
 
 New methods plug in by subclassing :class:`Summarizer` and decorating

@@ -45,8 +45,6 @@ class SluggerSummarizer(Summarizer):
 
     name = "slugger"
     iteration_controlled = True
-    # SLUGGER runs serially at any worker count (see repro.core.slugger).
-    supports_parallel = False
 
     def __init__(self, **options: Any) -> None:
         self.options = options
@@ -80,18 +78,12 @@ class SwegSummarizer(Summarizer):
 
     name = "sweg"
     iteration_controlled = True
-    supports_parallel = True
 
     def __init__(self, **options: Any) -> None:
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._run_with_execution(graph, seed, None)
-
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> RunOutput:
-        return self._dispatch(graph, seed, execution, None, None)
+        return self._dispatch(graph, seed, None, None, None)
 
     def _dispatch(
         self,
@@ -102,7 +94,7 @@ class SwegSummarizer(Summarizer):
         resources: Optional[GraphResources],
     ) -> RunOutput:
         summary = sweg_summarize(
-            graph, execution=execution, control=control, resources=resources,
+            graph, control=control, resources=resources,
             **{**self.options, "seed": seed},
         )
         return summary, [], {}

@@ -83,10 +83,6 @@ class Summarizer(ABC):
     name: ClassVar[str] = ""
     #: Whether the method exposes an ``iterations`` knob (SLUGGER, SWeG).
     iteration_controlled: ClassVar[bool] = False
-    #: Whether the method honors an :class:`ExecutionConfig` (its phases
-    #: can shard across worker processes).  Methods without the
-    #: capability silently run serially; output never depends on it.
-    supports_parallel: ClassVar[bool] = False
 
     def summarize(
         self,
@@ -98,10 +94,10 @@ class Summarizer(ABC):
     ) -> EngineResult:
         """Run the method on ``graph`` with shared timing bookkeeping.
 
-        ``execution`` is forwarded to parallel-capable methods (see
-        :attr:`supports_parallel`); for a fixed seed the summary is
-        bit-identical regardless of the execution configuration.
-        ``control`` (progress/cancel) and ``resources`` (shared
+        Every method runs serially; ``execution`` is accepted for the
+        callers that size a process-mode service's job pool with it and
+        is echoed in ``details["execution"]``, but it never changes the
+        summary.  ``control`` (progress/cancel) and ``resources`` (shared
         substrate views) are honored by methods that override
         :meth:`_dispatch` — SLUGGER and SWeG — and are inert no-ops for
         the rest; neither can change the summary.
@@ -114,10 +110,7 @@ class Summarizer(ABC):
         elapsed = time.perf_counter() - started
         if execution is not None:
             details = dict(details)
-            details["execution"] = {
-                "workers": execution.workers,
-                "parallel_capable": self.supports_parallel,
-            }
+            details["execution"] = {"workers": execution.workers}
         return EngineResult(
             method=self.name,
             summary=summary,
@@ -132,16 +125,6 @@ class Summarizer(ABC):
     ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
         """Produce ``(summary, history, details)`` for one graph."""
 
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Execution-aware hook; parallel-capable adapters override this.
-
-        The default ignores ``execution`` so simple methods only have to
-        implement :meth:`_run`.
-        """
-        return self._run(graph, seed)
-
     def _dispatch(
         self,
         graph: Graph,
@@ -152,14 +135,11 @@ class Summarizer(ABC):
     ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
         """Full-surface hook: execution + progress/cancel + shared substrate.
 
-        The default preserves the historical routing (``execution`` to
-        parallel-capable methods, everything else to :meth:`_run`) and
-        ignores ``control`` and ``resources``, so existing adapters and
-        user subclasses keep working unchanged.  Adapters that support
+        The default routes to :meth:`_run` and ignores ``execution``,
+        ``control`` and ``resources``, so simple adapters and user
+        subclasses only implement :meth:`_run`.  Adapters that support
         the service hooks override this method.
         """
-        if self.supports_parallel:
-            return self._run_with_execution(graph, seed, execution)
         return self._run(graph, seed)
 
     def __call__(self, graph: Graph, seed: SeedLike = None) -> AnySummary:

@@ -1,21 +1,20 @@
-"""Pluggable execution layer: the fork-based process-shard executor.
+"""Execution layer: the fork-based process-shard executor.
 
-The sharded phases of the stack (SWeG's divide-step shingle sweeps,
-sharded edge-list ingest, the serving layer's process-mode job pool)
-funnel through the same tiny abstraction defined here: an *executor*
-maps a worker function over a list of contiguous shard payloads and
-yields the results **in payload order**.
-:class:`ProcessShardExecutor` fans the shards out over a
-``concurrent.futures.ProcessPoolExecutor`` whose workers are created
-with the ``fork`` start method, so they inherit the caller's in-memory
-snapshot (graph, frozen CSR views, graph stores) as a cheap
-copy-on-write image instead of pickling it through a pipe.  SLUGGER
-itself runs serially at any worker count.
+Every summarization method runs serially at any worker count.  The one
+process pool left in the stack is the serving layer's process-mode job
+pool, which runs whole jobs in forked workers for isolation, not for
+speed.  It is built on the tiny abstraction defined here: an *executor*
+maps a worker function over a list of payloads and yields the results
+**in payload order**.  :class:`ProcessShardExecutor` fans the payloads
+out over a ``concurrent.futures.ProcessPoolExecutor`` whose workers are
+created with the ``fork`` start method, so they inherit the caller's
+in-memory snapshot (graph stores and their substrate views) as a cheap
+copy-on-write image instead of pickling it through a pipe.
 
 Context hand-off
 ----------------
-Shard payloads stay tiny (index ranges plus a seed); the heavyweight
-inputs travel through a *worker context*.  Each executor registers its
+Payloads stay small (a request record); the heavyweight inputs travel
+through a *worker context*.  Each executor registers its
 context under a unique token in a module-level registry; shards are
 dispatched through :func:`_run_shard`, which resolves the token against
 the registry and pins the context for the duration of the shard, where
@@ -28,9 +27,8 @@ is observed by the parent or by sibling workers.
 Determinism
 -----------
 Nothing in this module introduces ordering nondeterminism: results are
-yielded in payload order regardless of which worker computed them, so
-the phases built on top produce output bit-identical to their serial
-paths for a fixed seed no matter how many workers are configured.
+yielded in payload order regardless of which worker computed them, and
+a job run in a forked worker gives the summary it gives inline.
 
 Teardown guarantee
 ------------------
@@ -39,8 +37,8 @@ process pools are tracked in a module-level set with an ``atexit``
 sweep — an exception anywhere between pool creation and the normal
 ``close()`` call can no longer leak forked workers past interpreter
 shutdown.  The long-lived serving layer (:mod:`repro.service`) keeps
-warm pools open across requests and relies on the same hooks for clean
-shutdown and restart.
+its job pool open across requests and relies on the same hooks for
+clean shutdown and restart.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.exceptions import ConfigurationError, InvalidStateError
 from repro.utils.validation import require_int
@@ -65,7 +63,6 @@ __all__ = [
     "SERIAL_EXECUTION",
     "available_cpus",
     "process_execution_available",
-    "shard_bounds",
     "worker_context",
 ]
 
@@ -120,9 +117,9 @@ def worker_context() -> Any:
 def process_execution_available() -> bool:
     """Whether fork-based process sharding is usable on this platform.
 
-    The sharded executor relies on ``fork`` so workers inherit the
-    parent's state snapshot without pickling; platforms without it (e.g.
-    Windows) fall back to the serial paths.
+    The executor relies on ``fork`` so workers inherit the parent's
+    state snapshot without pickling; on platforms without it (e.g.
+    Windows) a process-mode service falls back to thread mode.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -137,36 +134,24 @@ def available_cpus() -> int:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a summarizer run distributes its sharded phases.
+    """The worker count of a run or a service.
 
-    SLUGGER runs serially at any worker count; ``workers`` drives SWeG's
-    divide step and sizes a process-mode service's job pool.
+    Every summarization method runs serially at any worker count, so
+    ``workers`` never changes a summary; its one effect is sizing a
+    process-mode service's job pool.
 
     Attributes
     ----------
     workers:
-        Number of worker processes for the sharded phases.  ``1`` (the
-        default) keeps everything on the serial path.  Output is
-        bit-identical for a fixed seed regardless of this value.
-    shingle_parallel_min_nodes:
-        Smallest graph (node count) for which SWeG's divide-step shingle
-        sweeps are sharded across processes; below it the pool dispatch
-        overhead exceeds the hashing work.
+        Number of worker processes.  ``1`` (the default) is serial.
     """
 
     workers: int = 1
-    shingle_parallel_min_nodes: int = 25000
 
     def __post_init__(self) -> None:
         require_int(self.workers, "workers")
-        require_int(self.shingle_parallel_min_nodes, "shingle_parallel_min_nodes")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.shingle_parallel_min_nodes < 0:
-            raise ConfigurationError(
-                f"shingle_parallel_min_nodes must be >= 0, "
-                f"got {self.shingle_parallel_min_nodes}"
-            )
 
     @property
     def parallel(self) -> bool:
@@ -176,23 +161,6 @@ class ExecutionConfig:
 
 #: The default configuration: everything on the serial reference path.
 SERIAL_EXECUTION = ExecutionConfig()
-
-
-def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into at most ``shards`` contiguous ranges.
-
-    Every range is non-empty and the concatenation covers ``0..total-1``
-    in order, so mapping a pure function over the shards and chaining the
-    results reproduces the unsharded computation exactly.
-    """
-    shards = max(1, min(shards, total))
-    bounds = []
-    for i in range(shards):
-        start = i * total // shards
-        stop = (i + 1) * total // shards
-        if stop > start:
-            bounds.append((start, stop))
-    return bounds
 
 
 #: Live process pools, swept at interpreter exit so forked workers never
@@ -225,7 +193,7 @@ class ProcessShardExecutor:
     The executor is a context manager; ``close()`` is idempotent, safe
     on every exception path, and additionally guaranteed by an atexit
     sweep over all live pools, so an error mid-run cannot leak forked
-    workers.  Long-lived owners (the serving layer's warm pools) may
+    workers.  Long-lived owners (the serving layer's job pool) may
     call :meth:`restart` to drop the forked snapshot and re-fork against
     fresh state on the next submission.
     """
@@ -239,7 +207,7 @@ class ProcessShardExecutor:
         self._token = _register_context(context) if context is not None else 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
-        # Warm executors are shared across service dispatcher threads;
+        # The job pool is shared across service dispatcher threads;
         # pool creation, submission, restart, and close serialize here so
         # two racing first-submissions cannot each fork a pool (orphaning
         # one) and a close cannot interleave with a submit.
@@ -288,7 +256,7 @@ class ProcessShardExecutor:
             except Exception:
                 # Tear the (possibly broken) pool down so no forked
                 # workers leak, but keep the executor usable: the next
-                # submission re-forks fresh.  Warm pools shared across
+                # submission re-forks fresh.  A job pool shared across
                 # requests must survive one transient failure.
                 self._shutdown_pool_locked()
                 raise
@@ -296,7 +264,7 @@ class ProcessShardExecutor:
     def restart(self) -> None:
         """Drop the forked worker snapshot; the next map re-forks fresh.
 
-        Used by warm-pool owners after the inherited state went stale
+        Used by the job-pool owner after the inherited state went stale
         (e.g. new graphs were interned into a serving store).
         """
         with self._sync:

@@ -7,8 +7,8 @@ running summarizer that the one-shot API never exposed:
 * **cancellation** — a token checked between iterations, so a queued or
   running job can be abandoned without killing the process;
 * **shared substrates** — prebuilt :class:`~repro.graphs.dense.DenseAdjacency`
-  / CSR views (and warm shingle pools) reused across runs on the same
-  graph instead of being rebuilt per call.
+  / CSR views reused across runs on the same graph instead of being
+  rebuilt per call.
 
 :class:`RunControl` carries the first two, :class:`GraphResources` the
 third.  Both are plain, dependency-free objects so the core drivers
@@ -146,12 +146,3 @@ class GraphResources:
         """A prebuilt frozen :class:`~repro.graphs.dense.CSRAdjacency`, or ``None``."""
         return None
 
-    def shingle_executor(self, execution) -> Optional[Any]:
-        """A warm executor for sharded shingle sweeps, or ``None``.
-
-        The executor's worker context must be ``(csr, labels)`` for this
-        graph.  Ownership stays with the resources object — borrowers
-        must *not* close it; the owner (e.g. a service graph store)
-        closes it on shutdown.
-        """
-        return None

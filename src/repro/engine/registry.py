@@ -139,9 +139,8 @@ def run(
     service instance directly (``submit`` / ``await summarize``);
     ``run`` stays as the convenient one-shot spelling.
 
-    ``execution`` configures the parallel executor layer for methods that
-    support it (``supports_parallel``); other methods run serially and
-    ignore it.  ``control`` optionally receives per-iteration progress
+    Every method runs serially; ``execution`` is echoed in the result's
+    ``details`` and never changes the summary.  ``control`` optionally receives per-iteration progress
     events and carries a cancel token.  ``resources`` injects prebuilt
     substrate views — e.g. a :class:`repro.storage.StoredGraph` whose
     memory-mapped CSR the run consumes zero-copy — and bypasses the

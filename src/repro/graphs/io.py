@@ -12,11 +12,11 @@ tab-separated columns with trailing payloads (edge weights, timestamps).
 All of these parse identically to the clean form: the BOM is stripped,
 ``\\r`` is whitespace, and columns past the first two are ignored.
 
-Scaling: ``read_edge_list(..., workers=N)`` delegates to the sharded
-parallel ingest of :mod:`repro.storage.ingest` — the file is split into
-byte-range shards on line boundaries and parsed by a forked worker pool,
-producing a graph **identical** to the serial parse (same node insertion
-order, same edge set).  For repeated loads of the same file, pack it
+A file that is not UTF-8 text fails with a
+:class:`~repro.exceptions.GraphFormatError` naming the first undecodable
+line (``path:line``), like any other malformed input.
+
+Scaling: parsing is serial.  For repeated loads of the same file, pack it
 into a binary container once (``repro-slugger pack`` /
 :func:`repro.storage.pack`) and memory-map it with
 :func:`repro.storage.load` instead of re-parsing text at all.
@@ -35,7 +35,7 @@ PathLike = Union[str, Path]
 __all__ = ["parse_edge_line", "read_edge_list", "write_edge_list"]
 
 
-def read_edge_list(path: PathLike, *, relabel: bool = False, workers: int = 1) -> Graph:
+def read_edge_list(path: PathLike, *, relabel: bool = False) -> Graph:
     """Read a graph from a whitespace-separated edge-list file.
 
     Parameters
@@ -50,40 +50,50 @@ def read_edge_list(path: PathLike, *, relabel: bool = False, workers: int = 1) -
     relabel:
         When ``True``, nodes are relabeled to the contiguous range
         ``0..n-1`` (useful before handing the graph to array-based code).
-    workers:
-        Parse the file in parallel over ``workers`` forked processes
-        (see :mod:`repro.storage.ingest`).  The result is identical to
-        the serial parse; platforms without ``fork`` — and files too
-        small to be worth a pool — fall back to serial automatically.
     """
     file_path = Path(path)
-    if workers > 1:
-        # Deferred import: graphs is a foundation layer; the storage
-        # subsystem builds on it and is only pulled in when the parallel
-        # path is actually requested.
-        from repro.storage.ingest import sharded_read_edge_list
+    graph = Graph()
+    # utf-8-sig strips a leading BOM; files without one are read as
+    # plain UTF-8.  ``strip()`` handles the ``\r`` of CRLF files.
+    # The error location is a closure formatted only on raise — a
+    # per-line f-string would cost ~30% of the parse loop.
+    line_number = 0
 
-        graph = sharded_read_edge_list(file_path, workers=workers)
-    else:
-        graph = Graph()
-        # utf-8-sig strips a leading BOM; files without one are read as
-        # plain UTF-8.  ``strip()`` handles the ``\r`` of CRLF files.
-        # The error location is a closure formatted only on raise — a
-        # per-line f-string would cost ~30% of the parse loop.
-        line_number = 0
+    def location() -> str:
+        return f"{file_path}:{line_number}"
 
-        def location() -> str:
-            return f"{file_path}:{line_number}"
-
+    try:
         with file_path.open("r", encoding="utf-8-sig") as handle:
             for raw_line in handle:
                 line_number += 1
                 edge = parse_edge_line(raw_line, location)
                 if edge is not None:
                     graph.add_edge(*edge)
+    except UnicodeDecodeError as error:
+        # Text mode decodes ahead in chunks, so ``line_number`` may lag
+        # the bad byte; find the line on this (cold) path instead.
+        raise GraphFormatError(
+            f"{file_path}:{_undecodable_line(file_path)}: "
+            f"not UTF-8 text ({error.reason})"
+        ) from None
     if relabel:
         graph, _ = graph.relabeled()
     return graph
+
+
+def _undecodable_line(file_path: Path) -> int:
+    """1-based number of the first line of ``file_path`` that is not UTF-8.
+
+    ``bytes.splitlines`` breaks on ``\\n``, ``\\r\\n`` and a lone ``\\r``,
+    exactly the universal-newlines rule the text-mode reader numbers
+    lines by.
+    """
+    for number, raw in enumerate(file_path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8-sig" if number == 1 else "utf-8")
+        except UnicodeDecodeError:
+            return number
+    return 0
 
 
 def parse_edge_line(raw_line: str, where) -> Optional[Tuple[object, object]]:
@@ -93,10 +103,8 @@ def parse_edge_line(raw_line: str, where) -> Optional[Tuple[object, object]]:
     comment, or a self-loop (dropped per the paper's preprocessing).
     ``where`` labels error messages — a string, or a zero-argument
     callable evaluated only when a line is malformed (``path:line`` for
-    the serial reader, ``path@byte N`` for shard workers), so the happy
-    path never pays for location formatting.  This is the one tokenizer
-    shared by the serial and sharded ingest paths, which is what keeps
-    their semantics identical by construction.
+    :func:`read_edge_list`), so the happy path never pays for location
+    formatting.
     """
     line = raw_line.strip()
     if not line or line.startswith("#") or line.startswith("%"):

@@ -25,7 +25,7 @@ from repro.utils.rng import SeedLike
 __all__ = ["SummaryRequest"]
 
 #: ExecutionConfig fields that travel through request serialization.
-_EXECUTION_FIELDS = ("workers", "shingle_parallel_min_nodes")
+_EXECUTION_FIELDS = ("workers",)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ progress events and cooperative cancellation.  Across requests the
 service shares what one-shot calls rebuild every time:
 
 * an interning :class:`~repro.service.store.GraphStore` — one
-  ``NodeIndex`` / ``DenseAdjacency`` / CSR build per graph, plus warm
-  per-graph forked shingle pools;
+  ``NodeIndex`` / ``DenseAdjacency`` / CSR build per graph;
 * in ``mode="process"``, a persistent fork-based worker pool that runs
   whole jobs, so many small requests share warm workers instead of
   paying per-call setup.
@@ -112,31 +111,6 @@ def _process_job_worker(payload: Tuple[Dict[str, Any], Optional[Graph]]) -> Engi
     request = SummaryRequest.from_dict(record, graph=graph)
     summarizer = create(request.method, **request.options)
     return summarizer.summarize(graph, seed=request.seed, resources=handle)
-
-
-class _SubstrateView(GraphResources):
-    """A handle view exposing the interned substrate but no warm pools.
-
-    One-shot shims (``engine.run``, ``compare_methods``) run through the
-    service for substrate interning, but must not leave per-graph forked
-    pools open after they return — a script looping over many long-lived
-    graphs would accumulate pools without a service lifecycle to close
-    them.  Inline runs therefore see this view: shared dense/CSR, but
-    any pool they need is created and closed within the run, exactly as
-    before the service layer existed.  Queued service jobs get the full
-    handle (warm pools included); the service's shutdown closes those.
-    """
-
-    __slots__ = ("_handle",)
-
-    def __init__(self, handle: GraphHandle) -> None:
-        self._handle = handle
-
-    def dense(self):
-        return self._handle.dense()
-
-    def csr(self):
-        return self._handle.csr()
 
 
 class SummaryService:
@@ -432,9 +406,7 @@ class SummaryService:
 
         This is the warm path behind ``engine.run``: no queue hop, and
         the graph store's interned substrate is shared with queued
-        traffic — but not its warm pools (see :class:`_SubstrateView`),
-        so a one-shot leaves no forked workers behind.  Bit-identical to
-        a queued job with the same request.
+        traffic.  Bit-identical to a queued job with the same request.
 
         ``resources`` optionally overrides the store's substrate views
         with caller-supplied ones — e.g. a
@@ -457,7 +429,7 @@ class SummaryService:
                 with self._lock:
                     self._stats["summary_cache_hits"] += 1
                 return cached
-        result = self._run_request(request, control, warm_pools=False, resources=resources)
+        result = self._run_request(request, control, resources=resources)
         if address is not None:
             self._persist_result(address, request, result)
         return result
@@ -785,7 +757,6 @@ class SummaryService:
         self,
         request: SummaryRequest,
         control: Optional[RunControl],
-        warm_pools: bool = True,
         resources: Optional[GraphResources] = None,
     ) -> EngineResult:
         if resources is not None and request.graph is not None:
@@ -795,7 +766,7 @@ class SummaryService:
         else:
             graph, handle = self._resolve(request)
             if resources is None:
-                resources = handle if warm_pools else _SubstrateView(handle)
+                resources = handle
         summarizer = (
             request.summarizer
             if request.summarizer is not None

@@ -1,13 +1,12 @@
 """Graph interning: one substrate build per graph, shared across requests.
 
 Every summarizer run needs the dense integer-id substrate
-(:class:`~repro.graphs.index.NodeIndex` + adjacency) and, for parallel
-shingle sweeps, a frozen CSR view and a forked worker pool.  A one-shot
-``engine.run`` call rebuilds all of that per invocation; a serving
-workload issuing many small requests against the same graphs should not.
-:class:`GraphStore` interns graphs by object identity and hands out
-:class:`GraphHandle` objects that memoize the substrate views lazily and
-keep per-graph warm shingle pools open across requests.
+(:class:`~repro.graphs.index.NodeIndex` + adjacency) and, for some
+consumers, a frozen CSR view.  A one-shot ``engine.run`` call rebuilds
+all of that per invocation; a serving workload issuing many small
+requests against the same graphs should not.  :class:`GraphStore`
+interns graphs by object identity and hands out :class:`GraphHandle`
+objects that memoize the substrate views lazily.
 
 Everything a handle shares is **read-only for summarizer runs** (the
 input adjacency never changes during a run), so one handle can serve any
@@ -28,7 +27,6 @@ import time
 import weakref
 from typing import Dict, Iterator, List, Optional
 
-from repro.engine.execution import ExecutionConfig, ProcessShardExecutor
 from repro.engine.hooks import GraphResources
 from repro.exceptions import ServiceError
 from repro.graphs.dense import CSRAdjacency, DenseAdjacency, LazyDenseAdjacency
@@ -39,7 +37,7 @@ __all__ = ["GraphHandle", "GraphStore"]
 
 
 class GraphHandle(GraphResources):
-    """Memoized substrate views (and warm pools) for one interned graph.
+    """Memoized substrate views for one interned graph.
 
     Implements the :class:`~repro.engine.hooks.GraphResources` protocol,
     so a handle can be passed straight into ``Summarizer.summarize`` as
@@ -81,7 +79,6 @@ class GraphHandle(GraphResources):
         #: Content digest memoized by the persistence lane after the
         #: first pack, so re-registrations skip the O(m) re-encode.
         self.content_digest: Optional[str] = None
-        self._pools: Dict[int, ProcessShardExecutor] = {}
         self._builds = 0
 
     @property
@@ -130,35 +127,6 @@ class GraphHandle(GraphResources):
                     self._csr = dense.freeze()
         return self._csr
 
-    def shingle_executor(self, execution: Optional[ExecutionConfig]):
-        """A warm per-graph shingle pool for ``execution``, or ``None``.
-
-        Mirrors the gating of SWeG's sharded divide step (parallel
-        configuration, graph clears the size floor); pools are keyed by
-        worker count and stay open across requests — their forked
-        workers inherited this handle's immutable ``(csr, labels)``
-        context, so every later request against the same graph skips both
-        the substrate build and the fork.  Closed by :meth:`close` when
-        the store drops the handle.
-        """
-        if (
-            execution is None
-            or not execution.parallel
-            or self.graph.num_nodes < execution.shingle_parallel_min_nodes
-        ):
-            return None
-        pool = self._pools.get(execution.workers)
-        if pool is None:
-            # Build the context before taking the lock: csr()/dense()
-            # acquire the same non-reentrant lock internally.
-            context = (self.csr(), self.dense().index.labels())
-            with self._lock:
-                pool = self._pools.get(execution.workers)
-                if pool is None:
-                    pool = ProcessShardExecutor(execution.workers, context=context)
-                    self._pools[execution.workers] = pool
-        return pool
-
     # -- lifecycle ------------------------------------------------------
     @property
     def stale(self) -> bool:
@@ -175,23 +143,9 @@ class GraphHandle(GraphResources):
         """Number of substrate builds this handle performed (0 or 1)."""
         return self._builds
 
-    def close(self) -> None:
-        """Shut down the handle's warm pools (idempotent)."""
-        with self._lock:
-            pools, self._pools = list(self._pools.values()), {}
-        for pool in pools:
-            pool.close()
-
     def __repr__(self) -> str:
         return (f"GraphHandle(key={self.key!r}, nodes={self.graph.num_nodes}, "
                 f"edges={self.graph.num_edges})")
-
-
-def _close_if_alive(handle_ref: "weakref.ref[GraphHandle]") -> None:
-    """Graph finalizer: close the handle's pools iff it is still alive."""
-    handle = handle_ref()
-    if handle is not None:
-        handle.close()
 
 
 class GraphStore:
@@ -269,20 +223,12 @@ class GraphStore:
             if handle is not None and not handle.stale:
                 self.hits += 1
                 return handle
-            if handle is not None:
-                handle.close()
             self.misses += 1
             self.generation += 1
             handle = GraphHandle(
                 graph, key=key, generation=self.generation, dense=dense, csr=csr
             )
             self._handles[graph] = handle
-            # If the graph is collected, the weak table drops the handle;
-            # the finalizer makes sure its warm pools go with it.  It
-            # must hold the handle weakly — a strong reference would pin
-            # every superseded (stale-replaced) handle, and its whole
-            # substrate, for the graph's lifetime.
-            weakref.finalize(graph, _close_if_alive, weakref.ref(handle))
             return handle
 
     def register(
@@ -420,8 +366,6 @@ class GraphStore:
                     del self._named[key]
                     self._pinned.pop(key, None)
                     self._key_generation.pop(key, None)
-        if handle is not None:
-            handle.close()
 
     def keys(self) -> List[str]:
         """Names of all registered graphs."""
@@ -456,13 +400,10 @@ class GraphStore:
             }
 
     def close(self) -> None:
-        """Close every handle's warm pools and forget all graphs."""
+        """Wait for prefetch lanes and forget all graphs."""
         self.drain_prefetch(timeout=30.0)
         with self._lock:
-            handles = list(self._handles.values())
             self._handles = weakref.WeakKeyDictionary()
             self._named.clear()
             self._pinned.clear()
             self._key_generation.clear()
-        for handle in handles:
-            handle.close()

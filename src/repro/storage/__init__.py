@@ -1,4 +1,4 @@
-"""Binary graph storage: packed CSR containers, mmap loads, parallel ingest.
+"""Binary graph storage: packed CSR containers, mmap loads, a content cache.
 
 This subsystem is the persistence layer between "dataset on disk" and
 "hot in-memory substrate":
@@ -9,8 +9,6 @@ This subsystem is the persistence layer between "dataset on disk" and
 * :mod:`repro.storage.mapped` — :class:`MappedCSR` /
   :class:`StoredGraph`, the zero-copy mmap-backed views that plug into
   the summarizers as prebuilt substrate ``resources``;
-* :mod:`repro.storage.ingest` — sharded parallel edge-list parsing
-  behind ``read_edge_list(..., workers=N)``;
 * :mod:`repro.storage.cache` — the content-addressed on-disk cache the
   CLI's ``--cache-dir`` and the serving layer's
   :class:`~repro.service.store.GraphStore` persistence use;
@@ -49,7 +47,6 @@ from repro.storage.format import (
     read_container_info,
     write_container,
 )
-from repro.storage.ingest import sharded_read_edge_list
 from repro.storage.mapped import MappedCSR, StoredGraph, load
 from repro.storage.summary_store import (
     CHECKPOINT_SUFFIX,
@@ -89,7 +86,6 @@ __all__ = [
     "pack",
     "read_container_info",
     "read_summary_meta",
-    "sharded_read_edge_list",
     "summary_fingerprint",
     "summary_key",
     "write_container",

@@ -160,17 +160,15 @@ class GraphCache:
     # ------------------------------------------------------------------
     # Edge-list front door
     # ------------------------------------------------------------------
-    def fetch_edge_list(
-        self, path: PathLike, workers: int = 1, materialize: bool = True
-    ) -> CachedEdgeList:
+    def fetch_edge_list(self, path: PathLike, materialize: bool = True) -> CachedEdgeList:
         """Load an edge-list file through the cache.
 
         Hit: memory-map the container keyed by the file's byte digest —
         no text parse; ``stored`` carries the zero-copy substrate.
-        Miss: parse the text (sharded when ``workers > 1``), pack the
-        result under the file digest, and memory-map the fresh container
-        — so ``stored`` is available either way and downstream consumers
-        (handle seeding, resource injection) never need a second pack.
+        Miss: parse the text, pack the result under the file digest, and
+        memory-map the fresh container — so ``stored`` is available either
+        way and downstream consumers (handle seeding, resource injection)
+        never need a second pack.
         An unreadable cached container (e.g. torn by an external
         process) is discarded and treated as a miss rather than failing
         the load.
@@ -202,7 +200,7 @@ class GraphCache:
                         container_path=self.container_path(digest),
                     )
         self._count("misses")
-        graph = read_edge_list(path, workers=workers)
+        graph = read_edge_list(path)
         dense = DenseAdjacency.from_graph(graph)
         _, container_path, _ = self.store_csr(dense.freeze(), digest=digest)
         try:

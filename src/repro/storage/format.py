@@ -519,6 +519,11 @@ def _parse_container(view, path: Optional[str]) -> ContainerInfo:
                 f"{where}: section {tag!r} [{offset}, {offset + length}) lies "
                 f"outside the {total}-byte file"
             )
+        if not tag.isascii():
+            raise ContainerFormatError(
+                f"{where}: section tag {tag!r} is not ASCII; the section table "
+                f"is corrupted"
+            )
         sections.append(SectionInfo(tag.decode("ascii"), offset, length, crc))
     info = ContainerInfo(
         path=path,

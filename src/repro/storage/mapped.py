@@ -8,8 +8,8 @@ and a ``NodeIndex``-compatible ``index`` — without materializing any
 per-node Python structure for the heavy ``2m``-sized part: ``indices``
 is a ``memoryview`` cast directly over the memory map, so the neighbor
 data stays in the page cache, loads in near-constant time, and is
-shared between processes mapping the same file (a forked shingle pool
-inherits the mapping for free).  Only the small ``O(n)`` parts — the
+shared between processes mapping the same file (a process-mode
+service's forked job workers inherit the mapping for free).  Only the small ``O(n)`` parts — the
 varint-decoded ``indptr`` and the label index — are materialized.
 
 :class:`StoredGraph` wraps a mapped view as a full
@@ -64,8 +64,7 @@ class MappedCSR:
     interface (``indptr``/``indices``/``index``/``num_nodes``/
     ``num_edges`` plus the query methods), so it can be injected
     anywhere a frozen CSR is consumed: ``SluggerState(csr=...)``, the
-    sharded shingle workers' ``(csr, labels)`` context, and the
-    baselines' frozen-adjacency path.  ``indices`` is a ``memoryview``
+    baselines' ``from_substrate`` path and the query kernels.  ``indices`` is a ``memoryview``
     cast over the map — slicing it (``indices[lo:hi]``) is zero-copy and
     iterating a slice yields plain ints, exactly like the ``array``
     slices of the in-memory view.

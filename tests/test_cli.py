@@ -60,20 +60,6 @@ class TestCommands:
         exit_code = main(["summarize", "--input", str(path), "--iterations", "2", "--no-prune"])
         assert exit_code == 0
 
-    def test_summarize_with_workers_matches_serial(self, edge_list_file, tmp_path, capsys):
-        path, graph = edge_list_file
-        outputs = []
-        for workers in ("1", "2"):
-            output = tmp_path / f"summary-{workers}.json"
-            exit_code = main([
-                "summarize", "--input", str(path), "--output", str(output),
-                "--iterations", "3", "--seed", "0", "--workers", workers,
-            ])
-            assert exit_code == 0
-            outputs.append(json.loads(output.read_text()))
-        assert outputs[0] == outputs[1]
-        load_hierarchical_summary(tmp_path / "summary-2.json").validate(graph)
-
     def test_compare_command(self, edge_list_file, capsys):
         path, _graph = edge_list_file
         exit_code = main(["compare", "--input", str(path), "--iterations", "2"])
@@ -109,6 +95,16 @@ class TestFailures:
         assert exit_code == 1
         assert "Traceback" not in captured.err
         assert captured.err.startswith("repro-slugger: error: ")
+
+    def test_non_utf8_input_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1 2\n3 \xff\xfe\n")
+        exit_code = main(["summarize", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"repro-slugger: error: {path}:2: not UTF-8")
+        assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("workers", ["2", 2.5, True])
     def test_serve_with_non_int_workers_is_one_line_error(

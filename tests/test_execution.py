@@ -1,34 +1,27 @@
 """Tests for the staged phase pipeline and the process-shard executor layer.
 
-The central guarantee exercised here: for a fixed seed, SLUGGER and SWeG
-summaries are **bit-identical across worker counts** — SLUGGER runs
-serially at any worker count (it never forks), and SWeG's sharded divide
-step reproduces its serial shingle sweeps exactly.  On top of that, the
-suite pins hard-coded fingerprints (so drift against the serial
-reference of earlier changes is caught), and unit-tests the executor
-primitives and the read-only state snapshot.
+The central guarantee exercised here: every method runs serially at any
+worker count — no summarizer ever creates a process pool — so SLUGGER
+and SWeG summaries are **bit-identical across worker counts** for a
+fixed seed.  On top of that, the suite pins hard-coded fingerprints (so
+drift against the serial reference of earlier changes is caught), and
+unit-tests the executor primitives and the read-only state snapshot.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
 
 from repro import ExecutionConfig, Slugger, SluggerConfig, engine
 from repro.analysis.comparison import compare_methods
-from repro.baselines.sweg import sweg_summarize
-from repro.core.shingles import (
-    csr_shingles_range,
-    dense_hash_values,
-    dense_subnode_shingles,
-    make_hash_function,
-)
 from repro.core.state import SluggerState, StateSnapshot
 from repro.engine import execution
-from repro.engine.execution import ProcessShardExecutor, shard_bounds
+from repro.engine.execution import ProcessShardExecutor
 from repro.exceptions import ConfigurationError, InvalidStateError
-from repro.graphs import DenseAdjacency, Graph, caveman_graph, erdos_renyi_graph
+from repro.graphs import Graph, caveman_graph, erdos_renyi_graph
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -72,11 +65,6 @@ def slugger_fingerprint(summary):
     )
 
 
-def parallel_config(workers: int) -> ExecutionConfig:
-    """An execution config that engages the pool even on small fixtures."""
-    return ExecutionConfig(workers=workers, shingle_parallel_min_nodes=0)
-
-
 # ----------------------------------------------------------------------
 # Executor primitives
 # ----------------------------------------------------------------------
@@ -84,18 +72,18 @@ class TestExecutionConfig:
     def test_defaults_are_serial(self):
         config = ExecutionConfig()
         assert config.workers == 1
-        assert config.shingle_parallel_min_nodes == 25000
         assert not config.parallel
 
     @pytest.mark.parametrize("bad", [
         dict(workers=0), dict(workers="2"), dict(workers=2.5), dict(workers=True),
-        dict(shingle_parallel_min_nodes=-1), dict(shingle_parallel_min_nodes=1.5),
-        dict(shingle_parallel_min_nodes=False), dict(workers=None),
-        dict(shingle_parallel_min_nodes="0"),
+        dict(workers=None),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             ExecutionConfig(**bad)
+
+    def test_workers_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(ExecutionConfig)] == ["workers"]
 
     def test_platforms_without_fork_fall_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(execution, "process_execution_available", lambda: False)
@@ -107,19 +95,6 @@ class TestExecutionConfig:
         fallback = Slugger(SluggerConfig(iterations=3, seed=0),
                            execution=config).summarize(graph)
         assert slugger_fingerprint(serial.summary) == slugger_fingerprint(fallback.summary)
-
-
-class TestShardBounds:
-    @pytest.mark.parametrize("total,shards", [(10, 3), (7, 7), (5, 16), (1, 4), (16, 4)])
-    def test_bounds_partition_the_range(self, total, shards):
-        bounds = shard_bounds(total, shards)
-        covered = [i for start, stop in bounds for i in range(start, stop)]
-        assert covered == list(range(total))
-        assert all(stop > start for start, stop in bounds)
-        assert len(bounds) <= max(1, min(shards, total))
-
-    def test_empty_total(self):
-        assert shard_bounds(0, 4) == []
 
 
 class TestExecutors:
@@ -183,29 +158,10 @@ class TestStateSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Batch shingles on the CSR view
-# ----------------------------------------------------------------------
-class TestCsrShingles:
-    def test_range_shingles_match_the_dense_sweep(self):
-        graph = caveman_graph(8, 6, 0.1, seed=9)
-        dense = DenseAdjacency.from_graph(graph)
-        csr = dense.freeze()
-        hash_function = make_hash_function(42)
-        expected = dense_subnode_shingles(dense, hash_function)
-        values = dense_hash_values(dense, hash_function)
-        n = dense.num_nodes
-        for shards in (1, 3, 5):
-            combined = []
-            for start, stop in shard_bounds(n, shards):
-                combined.extend(csr_shingles_range(csr, values, start, stop))
-            assert combined == expected
-
-
-# ----------------------------------------------------------------------
 # Worker-count determinism
 # ----------------------------------------------------------------------
 def _refuse_to_fork(*args, **kwargs):
-    raise AssertionError("SLUGGER must not create a process pool")
+    raise AssertionError("a summarizer must not create a process pool")
 
 
 class TestSluggerNeverForks:
@@ -220,19 +176,19 @@ class TestSluggerNeverForks:
         assert set(result.execution_stats) == {"groups", "replayed", "fallbacks"}
         assert result.execution_stats == serial.execution_stats
 
-    @pytest.mark.skipif(not execution.process_execution_available(),
-                        reason="process execution needs the fork start method")
-    def test_workers_still_drive_the_sweg_divide_step(self, monkeypatch):
-        # The same refusal that SLUGGER never trips is hit by SWeG, whose
-        # divide step still shards its shingle sweeps over worker processes.
+
+class TestNoMethodForks:
+    @pytest.mark.parametrize("method", sorted(engine.available_methods()))
+    def test_workers_two_runs_the_serial_path(self, method, monkeypatch):
+        graph = caveman_graph(6, 5, 0.05, seed=3)
+        summarizer = engine.create(method)
+        serial = summarizer.summarize(graph, seed=0)
         monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
-        with pytest.raises(AssertionError, match="process pool"):
-            sweg_summarize(int_fixture(), iterations=2, seed=0,
-                           execution=parallel_config(2))
+        result = summarizer.summarize(graph, seed=0, execution=ExecutionConfig(workers=2))
+        assert result.cost() == serial.cost()
+        assert result.details["execution"] == {"workers": 2}
 
 
-@pytest.mark.skipif(not execution.process_execution_available(),
-                    reason="process execution needs the fork start method")
 class TestWorkerCountDeterminism:
     @pytest.mark.parametrize("fixture,key", [
         (int_fixture, "caveman-int"),
@@ -244,7 +200,7 @@ class TestWorkerCountDeterminism:
         config = SluggerConfig(iterations=5, seed=0)
         fingerprints = {}
         for workers in WORKER_COUNTS:
-            executor = None if workers == 1 else parallel_config(workers)
+            executor = None if workers == 1 else ExecutionConfig(workers=workers)
             result = Slugger(config, execution=executor).summarize(graph)
             fingerprints[workers] = slugger_fingerprint(result.summary)
         assert len(set(fingerprints.values())) == 1
@@ -256,17 +212,9 @@ class TestWorkerCountDeterminism:
         config = SluggerConfig(iterations=4, seed=3, check_invariants=True,
                                validate_output=True)
         serial = Slugger(config).summarize(graph)
-        parallel = Slugger(config, execution=parallel_config(3)).summarize(graph)
+        parallel = Slugger(config, execution=ExecutionConfig(workers=3)).summarize(graph)
         assert slugger_fingerprint(serial.summary) == slugger_fingerprint(parallel.summary)
         assert serial.history == parallel.history
-
-    def test_default_heuristics_also_preserve_output(self):
-        # Default ExecutionConfig (size floor active): still bit-identical.
-        graph = int_fixture()
-        config = SluggerConfig(iterations=3, seed=0)
-        serial = Slugger(config).summarize(graph)
-        parallel = Slugger(config, execution=ExecutionConfig(workers=2)).summarize(graph)
-        assert slugger_fingerprint(serial.summary) == slugger_fingerprint(parallel.summary)
 
     @pytest.mark.parametrize("fixture,key", [
         (int_fixture, "caveman-int"),
@@ -276,9 +224,10 @@ class TestWorkerCountDeterminism:
     def test_sweg_is_bit_identical_across_worker_counts(self, fixture, key):
         graph = fixture()
         fingerprints = {}
+        sweg = engine.create("sweg", iterations=5)
         for workers in WORKER_COUNTS:
-            executor = None if workers == 1 else parallel_config(workers)
-            summary = sweg_summarize(graph, iterations=5, seed=0, execution=executor)
+            executor = None if workers == 1 else ExecutionConfig(workers=workers)
+            summary = sweg.summarize(graph, seed=0, execution=executor).summary
             summary.validate(graph)
             fingerprints[workers] = (
                 summary.cost_eq11(),
@@ -292,32 +241,22 @@ class TestWorkerCountDeterminism:
 
     def test_engine_threads_execution_through_the_registry(self):
         graph = int_fixture()
-        executor = parallel_config(2)
+        executor = ExecutionConfig(workers=2)
         serial = engine.run("slugger", graph, seed=0, iterations=4)
         parallel = engine.run("slugger", graph, seed=0, iterations=4, execution=executor)
         assert parallel.cost() == serial.cost()
-        assert parallel.details["execution"] == {"workers": 2, "parallel_capable": False}
+        assert parallel.details["execution"] == {"workers": 2}
         assert parallel.details["execution_stats"]["replayed"] == 0
         assert parallel.details["execution_stats"]["fallbacks"] == 0
-        # Methods without the capability ignore the executor but report it.
+        # Every method ignores the executor but reports it.
         flat = engine.run("randomized", graph, seed=0, execution=executor)
-        assert flat.details["execution"]["parallel_capable"] is False
+        assert flat.details["execution"] == {"workers": 2}
         assert flat.cost() == engine.run("randomized", graph, seed=0).cost()
-
-    def test_supports_parallel_capability_flags(self):
-        capabilities = {
-            name: type(engine.create(name)).supports_parallel
-            for name in engine.available_methods()
-        }
-        assert capabilities["slugger"] is False
-        assert capabilities["sweg"] is True
-        assert capabilities["mosso"] is False
-        assert capabilities["greedy"] is False
 
     def test_compare_methods_accepts_an_execution_config(self):
         graph = caveman_graph(8, 6, 0.05, seed=2)
         serial = compare_methods(graph, methods=["slugger", "sweg"], seed=0)
         parallel = compare_methods(graph, methods=["slugger", "sweg"], seed=0,
-                                   execution=parallel_config(2))
+                                   execution=ExecutionConfig(workers=2))
         assert {r.method: r.report["cost"] for r in serial} == \
             {r.method: r.report["cost"] for r in parallel}

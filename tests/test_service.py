@@ -1,4 +1,4 @@
-"""Tests for the service layer: sessions, jobs, warm pools, determinism.
+"""Tests for the service layer: sessions, jobs, the job pool, determinism.
 
 The load-bearing guarantee: for a fixed seed a request's summary is
 **bit-identical** whether it runs via one-shot ``engine.run``, a single
@@ -6,7 +6,7 @@ warm-service job, a process-mode worker, or eight concurrent mixed-method
 submissions.  On top of that the suite covers the job lifecycle (FIFO
 ordering, cancellation before and mid-run, progress-event monotonicity),
 graph-store interning, request validation/serialization, the bounded
-queue, and the executor-teardown guarantee the warm pools rely on.
+queue, and the executor-teardown guarantee the job pool relies on.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class TestSummaryRequest:
 
     @pytest.mark.parametrize("execution", [
         {"workers": "2"}, {"workers": 2.5}, {"workers": True},
-        {"workers": 2, "shingle_parallel_min_nodes": 1.5},
+        {"workers": 2.0},
     ])
     def test_from_dict_rejects_non_int_execution_values(self, execution):
         with pytest.raises(ConfigurationError, match="must be an int"):
@@ -218,11 +218,11 @@ class TestGraphStore:
         old.dense()
         old_ref = weakref_module.ref(old)
         graph.add_edge("x", "y")
-        store.intern(graph)  # stale: closes and replaces the old handle
+        store.intern(graph)  # stale: replaces the old handle
         del old
         gc.collect()
-        # The graph's finalizer must not pin the superseded handle (and
-        # its whole substrate) for the graph's lifetime.
+        # Nothing may pin the superseded handle (and its whole
+        # substrate) for the graph's lifetime.
         assert old_ref() is None
         store.close()
 
@@ -264,22 +264,6 @@ class TestGraphStore:
         store.register("cave", caveman_fixture())  # no caller-side reference
         gc.collect()
         assert store.get("cave").graph.num_nodes == 200
-        store.close()
-
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_warm_shingle_pool_creation_does_not_self_deadlock(self):
-        # Regression: shingle_executor built its (csr, labels) context
-        # while holding the handle lock that csr()/dense() also take.
-        from repro.engine.execution import ExecutionConfig
-
-        store = GraphStore()
-        graph = caveman_fixture()
-        handle = store.intern(graph)
-        execution = ExecutionConfig(workers=2, shingle_parallel_min_nodes=1)
-        pool = handle.shingle_executor(execution)
-        assert pool is not None
-        assert handle.shingle_executor(execution) is pool  # cached per width
         store.close()
 
     def test_named_registration(self):
@@ -711,7 +695,7 @@ class TestExecutorTeardown:
                         reason="no fork on this platform")
     def test_submit_failure_recycles_but_does_not_brick_the_pool(self):
         # A transient submission failure (e.g. a broken pool) tears the
-        # forked workers down but leaves the executor usable — warm pools
+        # forked workers down but leaves the executor usable — a job pool
         # shared across requests must survive one bad submission.
         class _BrokenPool:
             def map(self, fn, payloads):

@@ -11,9 +11,10 @@ The central guarantees exercised here:
   payload bytes, and bogus section tables all raise
   ``ContainerFormatError`` (a ``GraphFormatError``), never a garbage
   graph.
-* **Ingest equivalence** — the sharded parallel edge-list parser builds
-  a graph identical to the serial reader, including the messy-input
-  edge cases (BOM, CRLF, tabs, comments, duplicates, self-loops).
+* **Ingest quirks** — the edge-list reader parses messy input (BOM,
+  CRLF, lone ``\r``, tabs, comments, duplicates, self-loops) to pinned
+  graphs and maps malformed or non-UTF-8 lines to ``GraphFormatError``
+  with their ``path:line``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 
 from repro import engine, storage
 from repro.core import Slugger, SluggerConfig
-from repro.engine.execution import process_execution_available
 from repro.exceptions import ContainerFormatError, GraphFormatError
 from repro.graphs import (
     DenseAdjacency,
@@ -43,15 +43,12 @@ from repro.storage.format import (
     encode_varint,
     index_width_for,
 )
-from repro.storage.ingest import byte_shards, sharded_read_edge_list
 from repro.storage.mapped import MappedCSR
 
 #: Hash randomization changes ``hash(str)`` and therefore shingle values
 #: of string-labelled graphs; string pins were captured under
 #: PYTHONHASHSEED=0 (the CI determinism step).
 HASHSEED_PINNED = sys.flags.hash_randomization == 0
-
-FORK = process_execution_available()
 
 
 def int_fixture() -> Graph:
@@ -432,10 +429,10 @@ class TestStorageDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Sharded ingest
+# Edge-list ingest quirks
 # ----------------------------------------------------------------------
 MESSY_EDGE_LIST = (
-    "﻿# a BOM-prefixed comment\r\n"
+    "\ufeff# a BOM-prefixed comment\r\n"
     "1 2\r\n"
     "% another comment style\n"
     "2\t3\t0.75\n"
@@ -446,76 +443,52 @@ MESSY_EDGE_LIST = (
     "alpha beta\n"
     "beta 1\n"
 )
+#: What the reader makes of ``MESSY_EDGE_LIST``: first-seen node order,
+#: the self-loop and the duplicate dropped, trailing columns ignored.
+MESSY_NODES = [1, 2, 3, 4, "alpha", "beta"]
+MESSY_EDGES = {(1, 2), (2, 3), (3, 4), ("alpha", "beta"), ("beta", 1)}
 
 
-class TestShardedIngest:
-    def test_byte_shards_cover_and_partition(self):
-        bounds = byte_shards(1000, 7, min_shard_bytes=1)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 1000
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start
-
-    def test_byte_shards_respect_min_size(self):
-        assert len(byte_shards(100, 8, min_shard_bytes=64)) == 1
-        assert byte_shards(0, 4, min_shard_bytes=1) == []
-
-    @pytest.mark.skipif(not FORK, reason="sharded ingest needs fork")
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_sharded_equals_serial(self, tmp_path, workers):
-        path = tmp_path / "g.txt"
-        write_edge_list(er_fixture(), path)
-        serial = read_edge_list(path)
-        sharded = sharded_read_edge_list(path, workers=workers, min_shard_bytes=1)
-        assert sharded.edge_set() == serial.edge_set()
-        assert sharded.nodes() == serial.nodes()
-
-    @pytest.mark.skipif(not FORK, reason="sharded ingest needs fork")
-    def test_sharded_handles_messy_input(self, tmp_path):
+class TestEdgeListIngest:
+    def test_messy_input_parses_to_the_pinned_graph(self, tmp_path):
         path = tmp_path / "messy.txt"
         path.write_bytes(MESSY_EDGE_LIST.encode("utf-8"))
-        serial = read_edge_list(path)
-        sharded = sharded_read_edge_list(path, workers=4, min_shard_bytes=1)
-        assert sharded.edge_set() == serial.edge_set()
-        assert sharded.nodes() == serial.nodes()
-        assert sharded.has_edge("alpha", "beta")
-        assert sharded.has_edge(2, 3)
-        assert not sharded.has_node("﻿1")
+        graph = read_edge_list(path)
+        assert graph.nodes() == MESSY_NODES
+        assert graph.edge_set() == MESSY_EDGES
+        assert not graph.has_node("\ufeff1")
 
-    @pytest.mark.skipif(not FORK, reason="sharded ingest needs fork")
-    def test_sharded_handles_lone_carriage_returns(self, tmp_path):
-        # The serial reader's universal-newlines mode treats a lone \r
-        # as a line break; the shard workers must agree.
+    def test_lone_carriage_returns_break_lines(self, tmp_path):
+        # Universal-newlines mode treats a lone \r as a line break.
         path = tmp_path / "mac.txt"
         path.write_bytes(b"1 2\r3 4\r5 6\n7 8\r\n9 10\r11 12")
-        serial = read_edge_list(path)
-        sharded = sharded_read_edge_list(path, workers=3, min_shard_bytes=1)
-        assert serial.edge_set() == {(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)}
-        assert sharded.edge_set() == serial.edge_set()
-        assert sharded.nodes() == serial.nodes()
+        graph = read_edge_list(path)
+        assert graph.edge_set() == {(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)}
+        assert graph.nodes() == list(range(1, 13))
 
-    @pytest.mark.skipif(not FORK, reason="sharded ingest needs fork")
-    def test_sharded_malformed_line_raises(self, tmp_path):
+    def test_malformed_line_mid_file_raises_with_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n" * 50 + "just-one-column\n" + "3 4\n" * 50)
-        with pytest.raises(GraphFormatError, match="two columns"):
-            sharded_read_edge_list(path, workers=3, min_shard_bytes=1)
-
-    def test_small_file_falls_back_to_serial(self, tmp_path):
-        path = tmp_path / "tiny.txt"
-        path.write_text("1 2\n2 3\n")
-        graph = read_edge_list(path, workers=8)
-        assert graph.edge_set() == {(1, 2), (2, 3)}
-
-    @pytest.mark.skipif(not FORK, reason="needs fork")
-    def test_read_edge_list_workers_flag(self, tmp_path):
-        path = tmp_path / "g.txt"
-        write_edge_list(int_fixture(), path)
-        assert read_edge_list(path, workers=2).edge_set() == \
-            read_edge_list(path).edge_set()
+        with pytest.raises(GraphFormatError, match=f"{path}:51: expected at least two"):
+            read_edge_list(path)
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises((GraphFormatError, OSError)):
-            sharded_read_edge_list(tmp_path / "absent.txt", workers=2)
+        with pytest.raises(FileNotFoundError):
+            read_edge_list(tmp_path / "absent.txt")
+
+    def test_non_utf8_line_raises_graph_format_error(self, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1 2\n3 \xff\xfe\n")
+        with pytest.raises(GraphFormatError, match=f"{path}:2: not UTF-8"):
+            read_edge_list(path)
+
+    def test_non_utf8_line_is_located_past_the_decode_chunk(self, tmp_path):
+        # Text mode decodes ahead in 8 KiB chunks; the reported line must
+        # still be the undecodable one, with lone \r counted as a break.
+        path = tmp_path / "late.txt"
+        path.write_bytes(b"1 2\r\n" * 3000 + b"5 6\r" + b"7 \xe9\n" + b"3 4\n")
+        with pytest.raises(GraphFormatError, match=f"{path}:3002: not UTF-8"):
+            read_edge_list(path)
 
 
 # ----------------------------------------------------------------------
@@ -706,24 +679,9 @@ class TestStorePrefetch:
 
 
 # ----------------------------------------------------------------------
-# Mapped CSR as executor / compare-harness substrate
+# Mapped CSR as compare-harness substrate
 # ----------------------------------------------------------------------
 class TestMappedConsumers:
-    def test_csr_shingles_on_mapped_view(self, tmp_path):
-        from repro.core.shingles import csr_shingles_range, make_hash_function
-
-        graph = int_fixture()
-        dense = DenseAdjacency.from_graph(graph)
-        reference = dense.freeze()
-        path = tmp_path / "g.slg"
-        storage.pack(graph, path)
-        with storage.load(path) as stored:
-            mapped = stored.csr()
-            hash_function = make_hash_function(42)
-            values = [hash_function(label) for label in mapped.index.labels()]
-            assert csr_shingles_range(mapped, values, 0, mapped.num_nodes) == \
-                csr_shingles_range(reference, values, 0, reference.num_nodes)
-
     def test_compare_methods_accepts_stored_resources(self, tmp_path):
         from repro.analysis.comparison import compare_methods
 
@@ -737,18 +695,19 @@ class TestMappedConsumers:
         assert [(r.method, fingerprint(r.summary)) for r in results] == \
             [(r.method, fingerprint(r.summary)) for r in reference]
 
-    @pytest.mark.skipif(not FORK, reason="sharded shingle phase needs fork")
-    def test_mapped_view_survives_forked_shingle_workers(self, tmp_path):
-        """Forked shingle shards inherit the mmap-backed CSR context."""
+    @pytest.mark.parametrize("method", ["slugger", "sweg"])
+    def test_mapped_view_runs_serially_at_any_worker_count(self, tmp_path, method):
+        """A worker count changes nothing on the mmap-backed substrate."""
         from repro import ExecutionConfig
 
         graph = er_fixture()
         path = tmp_path / "g.slg"
         storage.pack(graph, path)
-        execution = ExecutionConfig(workers=2, shingle_parallel_min_nodes=10)
-        reference = Slugger(SluggerConfig(iterations=3, seed=0)).summarize(graph)
+        summarizer = engine.create(method, iterations=3)
+        reference = summarizer.summarize(graph, seed=0)
         with storage.load(path) as stored:
-            result = Slugger(
-                SluggerConfig(iterations=3, seed=0), execution=execution
-            ).summarize(stored.graph(), resources=stored)
+            result = summarizer.summarize(
+                stored.graph(), seed=0, execution=ExecutionConfig(workers=2),
+                resources=stored,
+            )
         assert fingerprint(result.summary) == fingerprint(reference.summary)

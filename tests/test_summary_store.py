@@ -346,6 +346,42 @@ class TestCorruption:
         with pytest.raises(ContainerFormatError):
             load_summary(path)
 
+    def _container_with_loaders(self, tmp_path, kind, verify):
+        """A fresh container of ``kind`` and every loader that opens it."""
+        graph = int_fixture()
+        if kind == "SLGRPH":
+            path = tmp_path / "plain.slg"
+            storage.pack(graph, path)
+            return path, [lambda: storage.load(path, verify=verify),
+                          lambda: read_container_info(path, verify=verify)]
+        if kind == "SUMM":
+            path, _, _, _ = write_summary(tmp_path, graph)
+            return path, [lambda: load_summary(path, verify=verify),
+                          lambda: storage.load(path, verify=verify)]
+        path, _ = self._checkpoint_path(tmp_path, graph)
+        return path, [lambda: storage.load(path, verify=verify),
+                      lambda: load_checkpoint(path, list(graph.nodes()))]
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("kind", ["SLGRPH", "SUMM", "CKPT"])
+    def test_non_ascii_section_tag_is_a_format_error(self, tmp_path, kind, verify,
+                                                     position):
+        # Setting the high bit of one byte of one section tag must fail
+        # every loader with ContainerFormatError, never UnicodeDecodeError.
+        path, loaders = self._container_with_loaders(tmp_path, kind, verify)
+        pristine = path.read_bytes()
+        sections = read_container_info(path).sections
+        for entry in sections:
+            where = pristine.index(entry.tag.encode("ascii"))
+            assert where < min(section.offset for section in sections)
+            blob = bytearray(pristine)
+            blob[where + position] ^= 0x80
+            path.write_bytes(bytes(blob))
+            for loader in loaders:
+                with pytest.raises(ContainerFormatError, match="not ASCII"):
+                    loader()
+
     def test_truncated_container_fails_the_load(self, tmp_path):
         graph = int_fixture()
         path, _, _, _ = write_summary(tmp_path, graph)
