@@ -121,6 +121,10 @@ def process_candidate_set(
 ) -> int:
     """Run Algorithm 2 on one candidate root set; returns the number of merges.
 
+    ``threshold`` (θ(t) of Eq. 9) is handed to :func:`best_partner`, which
+    then skips every candidate that cannot reach it; a root with no such
+    partner gets ``(-inf, -1)`` back and stays unmerged.
+
     A position map (root id → queue slot) mirrors the queue so replacing a
     merged partner is O(1) instead of an O(n) ``list.index`` scan, and a
     partner that is unexpectedly absent raises a clear invariant error
@@ -143,7 +147,7 @@ def process_candidate_set(
             queue[index] = last
             position[last] = index
         value, root_b = best_partner(
-            state, root_a, queue, height_bound=config.height_bound
+            state, root_a, queue, height_bound=config.height_bound, threshold=threshold
         )
         if root_b < 0 or value < threshold:
             continue

@@ -11,21 +11,30 @@ blanket p-edge plus corrections), which can be read off the per-root
 counters.  The exact local search is then run only for pairs that are
 actually merged.
 
-Partner search (:func:`best_partner`) scores every candidate ``B`` of one
-root ``A``, so ``A``'s side of the estimate is priced once per search in a
-:class:`PartnerProfile`: ``A``'s per-neighbor (subedges, p/n-edges) counts
-and the sum of the terms ``A``'s neighbors contribute on their own,
-memoized per merged size.  Each candidate then costs one walk over ``B``'s
-adjacency (:func:`estimate_merged_cost`), O(deg B) instead of
-O(deg A + deg B).  Lemma 1 (merging roots at distance 3 or more never
-saves) is applied per candidate as "adjacent to ``A``, or the two adjacency
-key sets intersect", which needs no two-hop set.  All arithmetic is on
-integers, so every shortcut returns exactly what a full walk would.
+Partner search (:func:`best_partner`) estimates as few candidates as it
+can.  Alg. 2 merges ``A`` with its best partner only when the saving
+reaches the iteration's threshold θ(t) (Eq. 9), so the search takes θ(t)
+as its starting "best so far".  Before estimating a candidate ``B`` it
+bounds ``Cost_{A∪B}`` from below by :func:`merged_cost_floor` — the
+hierarchy edges of both trees plus one for every root the merged tree
+touches — and skips ``B`` when even that floor cannot reach the best so
+far.  Lemma 1 (merging roots at distance 3 or more never saves) is
+applied per candidate as "adjacent to ``A``, or the two adjacency key sets
+intersect", which needs no two-hop set.
+
+A candidate that survives is estimated against ``A``'s
+:class:`PartnerProfile`, priced once per search: ``A``'s per-neighbor
+(subedges, p/n-edges) counts and the sum of the terms ``A``'s neighbors
+contribute on their own, memoized per merged size.  Each estimate then
+costs one walk over ``B``'s adjacency (:func:`estimate_merged_cost`).  All
+arithmetic is on integers and every skip is against a bound, so Alg. 2
+merges exactly the partner that scoring every candidate would pick.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import math
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.state import SluggerState
 
@@ -33,6 +42,7 @@ __all__ = [
     "PartnerProfile",
     "best_partner",
     "estimate_merged_cost",
+    "merged_cost_floor",
     "pair_cost_estimate",
     "pair_denominator",
     "saving",
@@ -242,13 +252,45 @@ def two_hop_roots(state: SluggerState, root: int) -> set:
     return reachable
 
 
+def merged_cost_floor(
+    adj_a: Mapping[int, int], adj_b: Mapping[int, int], root_a: int, root_b: int,
+    h_a: int, h_b: int,
+) -> int:
+    """A lower bound on :func:`estimate_merged_cost` from counts alone.
+
+    ``adj_a`` and ``adj_b`` are the two roots' ``root_adj`` maps and
+    ``h_a``/``h_b`` their ``tree_h``.  The estimate is a sum of
+    non-negative terms, and:
+
+    * the merged tree keeps both trees' h-edges plus two new ones;
+    * every root ``C ∉ {A, B}`` in either adjacency map has at least one
+      subedge to the merged tree, and its term is a min of the subedge
+      count, the dense block ``1 + m·|C| − s`` and the current p/n-edge
+      count, each of which is then ≥ 1;
+    * when intra subedges exist (A–A, B–B or A–B, i.e. ``A`` or ``B`` is in
+      the key union), the intra term is ≥ 1: the self-loop alternative is
+      ``1 + (possible − subedges)``, and keeping the intra encodings costs at
+      least one p-edge because a lossless encoding covers every subedge.
+    """
+    touched = adj_a.keys() | adj_b.keys()
+    floor = h_a + h_b + 2 + len(touched)
+    intra_a = root_a in touched
+    intra_b = root_b in touched
+    # A and B are not outside roots, but either one present means the
+    # intra term is paid: count it once.
+    return floor - intra_a - intra_b + (intra_a or intra_b)
+
+
 def best_partner(
-    state: SluggerState, root: int, candidates, height_bound=None
+    state: SluggerState, root: int, candidates, height_bound=None, threshold=None
 ) -> Tuple[float, int]:
     """The candidate with the largest saving when merged with ``root``.
 
     Returns ``(saving, partner)``; ``partner`` is ``-1`` when no candidate
-    is admissible (e.g. all would exceed the height bound).
+    is admissible (e.g. all would exceed the height bound).  With a
+    ``threshold`` (θ(t) of Eq. 9) only candidates whose saving reaches it
+    count: the result is the same as without it when the best saving is
+    ``≥ threshold``, and ``(-inf, -1)`` otherwise.
 
     The search prices ``root``'s side once and each candidate ``B`` by a
     walk over ``B``'s neighbors only; every shortcut is exact:
@@ -258,12 +300,16 @@ def best_partner(
       neighbor with it (``root_adj`` is symmetric, so a non-empty
       intersection of the two adjacency key sets is exactly membership in
       :func:`two_hop_roots`); no two-hop set is built.
-    * **Lower bound.**  ``Cost_{A∪B} ≥ Cost^H_A + Cost^H_B + 2`` (the merged
-      tree keeps both trees' h-edges plus two new ones), so a candidate
-      whose saving cannot beat the best so far even at that bound is
-      skipped without an estimate.  ``Cost_A`` is computed once.
+    * **θ cutoff.**  The best so far starts just below ``threshold``, so a
+      candidate must reach θ(t) to be estimated or returned.
+    * **Lower bound.**  :func:`merged_cost_floor` bounds ``Cost_{A∪B}``
+      from below by ``Cost^H_A + Cost^H_B + 2`` plus one per root the
+      merged tree touches, so a candidate whose saving cannot beat the
+      best so far even at that bound is skipped without an estimate.  The
+      skip is ``<=`` and the update a strict ``>``, so ties still go to
+      the first candidate scanned.  ``Cost_A`` is computed once.
     * **A-profile.**  ``root``'s :class:`PartnerProfile` is built when the
-      first candidate survives both checks, then shared by every
+      first candidate survives every check, then shared by every
       :func:`estimate_merged_cost` call, which walks only ``root_adj[B]``.
     """
     root_adj = state.root_adj
@@ -274,12 +320,16 @@ def best_partner(
     cost_root = state.cost_of(root)
     h_root = tree_h[root]
     profile = None
-    best_value = float("-inf")
+    if threshold is None:
+        best_value = float("-inf")
+    else:
+        best_value = math.nextafter(threshold, -math.inf)
     best_root = -1
     for other in candidates:
         if other == root:
             continue
-        if other not in direct and direct_keys.isdisjoint(root_adj[other]):
+        adj_other = root_adj[other]
+        if other not in direct and direct_keys.isdisjoint(adj_other):
             continue
         if height_bound is not None:
             new_height = 1 + max(tree_height[root], tree_height[other])
@@ -288,7 +338,8 @@ def best_partner(
         denominator = pair_denominator(state, root, other, cost_root)
         if denominator <= 0:
             continue
-        if 1.0 - (h_root + tree_h[other] + 2) / denominator <= best_value:
+        floor = merged_cost_floor(direct, adj_other, root, other, h_root, tree_h[other])
+        if 1.0 - floor / denominator <= best_value:
             # Even the cheapest conceivable merged cost cannot strictly
             # improve on the current best; skip the expensive estimate.
             continue
@@ -298,4 +349,6 @@ def best_partner(
         if value > best_value:
             best_value = value
             best_root = other
+    if best_root < 0:
+        return float("-inf"), -1
     return best_value, best_root

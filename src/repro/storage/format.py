@@ -195,6 +195,12 @@ def _encode_indptr(indptr: Sequence[int], num_nodes: int) -> bytes:
 
 def decode_indptr(data: bytes, num_nodes: int, num_edges: int) -> "array":
     """Decode a delta/varint ``IPTR`` payload back into a flat offset array."""
+    # Every entry takes at least one varint byte: check the header's node
+    # count against the payload before allocating from it.
+    if num_nodes + 1 > len(data):
+        raise ContainerFormatError(
+            f"IPTR section holds {len(data)} bytes, too few for {num_nodes + 1} offsets"
+        )
     indptr = array("q", bytes(8 * (num_nodes + 1)))
     position = 0
     total = 0

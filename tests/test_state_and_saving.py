@@ -16,6 +16,7 @@ from repro.core.saving import (
     PartnerProfile,
     best_partner,
     estimate_merged_cost,
+    merged_cost_floor,
     pair_cost_estimate,
     pair_denominator,
     saving,
@@ -353,13 +354,16 @@ class TestIncrementalEstimate:
     @pytest.mark.parametrize("height_bound", [None, 2])
     @pytest.mark.parametrize("graph", [
         erdos_renyi_graph(150, 0.05, seed=3),
-        caveman_graph(8, 6, 0.1, seed=2),
+        caveman_graph(10, 8, 0.1, seed=2),
     ], ids=["er", "caveman"])
     def test_every_scored_pair_matches_full_walk(self, graph, height_bound):
-        config = SluggerConfig(iterations=8, seed=1, height_bound=height_bound,
-                               check_invariants=True)
+        # The paper schedule's θ cutoff leaves few pairs to estimate; the
+        # zero schedule estimates every pair that can beat the best so far.
         with checked_estimates() as scored:
-            Slugger(config).summarize(graph)
+            for schedule in ("paper", "zero"):
+                config = SluggerConfig(iterations=8, seed=1, height_bound=height_bound,
+                                       threshold_schedule=schedule, check_invariants=True)
+                Slugger(config).summarize(graph)
         assert len(scored) > 100
 
     def test_dense_block_alternative_fires_on_caveman(self):
@@ -406,3 +410,51 @@ class TestIncrementalEstimate:
                 if root_b != root_a:
                     assert estimate_merged_cost(state, root_a, root_b, profile) == \
                         reference_estimate(state, root_a, root_b)
+
+
+# θ(t) = 1/(1+t) of Eq. 9 for t = 1..19, the θ = 0 of the last iteration
+# and the constant schedules' values.
+THRESHOLDS = [0.0, *(1.0 / (1 + t) for t in range(1, 20)), 0.25, 1.0]
+
+
+class TestThresholdCutoff:
+    @pytest.mark.parametrize("height_bound", [None, 2])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(state=merged_dense_states())
+    def test_cutoff_matches_reference(self, state, height_bound):
+        roots = sorted(state.roots)
+        for root in roots:
+            candidates = [other for other in roots if other != root]
+            expected = reference_best_partner(state, root, candidates, height_bound)
+            for threshold in THRESHOLDS:
+                got = best_partner(state, root, candidates,
+                                   height_bound=height_bound, threshold=threshold)
+                if expected[0] >= threshold:
+                    assert got == expected, (root, threshold)
+                else:
+                    assert got == (float("-inf"), -1), (root, threshold)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(state=merged_dense_states())
+    def test_floor_never_exceeds_estimate(self, state):
+        root_adj = state.root_adj
+        tree_h = state.tree_h
+        for root_a in state.roots:
+            for root_b in state.roots:
+                if root_b == root_a:
+                    continue
+                floor = merged_cost_floor(root_adj[root_a], root_adj[root_b], root_a, root_b,
+                                          tree_h[root_a], tree_h[root_b])
+                assert floor <= reference_estimate(state, root_a, root_b), (root_a, root_b)
+
+    def test_cutoff_returns_nothing_below_threshold(self):
+        # Two disjoint edges: every merge costs more than it saves, so no
+        # candidate reaches θ = 0 and none is even estimated.
+        state = SluggerState(Graph(edges=[(0, 1), (2, 3)]))
+        roots = sorted(state.roots)
+        assert best_partner(state, roots[0], roots[1:])[1] >= 0
+        with checked_estimates() as scored:
+            assert best_partner(state, roots[0], roots[1:], threshold=0.0) == (float("-inf"), -1)
+        assert scored == []

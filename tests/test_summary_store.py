@@ -382,6 +382,29 @@ class TestCorruption:
                 with pytest.raises(ContainerFormatError, match="not ASCII"):
                     loader()
 
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("kind", ["SLGRPH", "SUMM"])
+    @pytest.mark.parametrize("num_nodes", [2 ** 31, 2 ** 40, 2 ** 63])
+    def test_huge_header_node_count_is_a_format_error(self, tmp_path, kind, verify,
+                                                      num_nodes):
+        # The header's node count must be checked against the IPTR payload
+        # before it sizes an allocation: a flipped high byte is a format
+        # error, never a MemoryError.
+        if kind == "SLGRPH":
+            path = tmp_path / "plain.slg"
+            storage.pack(int_fixture(), path)
+            loaders = [storage.load]
+        else:
+            path, _, _, _ = write_summary(tmp_path, int_fixture())
+            loaders = [storage.load, load_summary]
+        blob = bytearray(path.read_bytes())
+        # Header: 6-byte magic, u16 version, u16 flags, then u64 num_nodes.
+        blob[10:18] = num_nodes.to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        for loader in loaders:
+            with pytest.raises(ContainerFormatError, match="too few"):
+                loader(path, verify=verify)
+
     def test_truncated_container_fails_the_load(self, tmp_path):
         graph = int_fixture()
         path, _, _, _ = write_summary(tmp_path, graph)
