@@ -14,9 +14,9 @@ integer-graph layer:
 * an *end-to-end* comparison: the full SLUGGER driver built from the
   seed replicas versus the current implementation (same seeds, costs
   cross-checked equal);
-* a *representation* comparison: dict-of-sets adjacency versus
-  :class:`DenseAdjacency` versus the frozen CSR view, in both shingle
-  sweep time and approximate memory.
+* a *representation* comparison: the dense shingle sweep SLUGGER runs,
+  and the approximate memory of dict-of-sets adjacency versus
+  :class:`DenseAdjacency` versus the frozen CSR view.
 
 Run directly::
 
@@ -76,12 +76,7 @@ from repro.engine.execution import available_cpus, process_execution_available
 from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.pruning import prune
 from repro.core.saving import saving, two_hop_roots
-from repro.core.shingles import (
-    ShingleCache,
-    dense_subnode_shingles,
-    make_hash_function,
-    subnode_shingles,
-)
+from repro.core.shingles import dense_shingles, make_hash_function
 from repro.core.state import SluggerState
 from repro.graphs import caveman_graph, erdos_renyi_graph
 from repro.graphs.dense import DenseAdjacency, graph_adjacency_bytes
@@ -193,10 +188,6 @@ def seed_best_partner(state: SluggerState, root: int, candidates, height_bound=N
 class SeedState(SluggerState):
     """State with the seed's O(|pn_edges|) bucket scan on every merge."""
 
-    def __init__(self, graph: Graph) -> None:
-        # The seed had no dense substrate; exercise the label paths.
-        super().__init__(graph, build_dense=False)
-
     def _rekey_pn_edges(self, root_a: int, root_b: int, merged: int) -> None:
         affected = [pair for pair in self.pn_edges if root_a in pair or root_b in pair]
         for pair in affected:
@@ -247,12 +238,23 @@ def best_of(repeats: int, callback: Callable[[], object]) -> float:
 
 
 def bench_shingles(graph: Graph, repeats: int) -> Dict[str, float]:
+    """Seed label-keyed shingles versus the dense sweep SLUGGER runs.
+
+    The dense substrate is built once per run by the state, so it is
+    built outside the timed call here too.
+    """
+    dense = DenseAdjacency.from_graph(graph)
     before = best_of(repeats, lambda: seed_subnode_shingles(graph, make_hash_function(42)))
-    after = best_of(repeats, lambda: subnode_shingles(graph, make_hash_function(42)))
-    assert subnode_shingles(graph, make_hash_function(42)) == seed_subnode_shingles(
-        graph, make_hash_function(42)
-    )
+    after = best_of(repeats, lambda: dense_shingles(dense, make_hash_function(42)))
+    assert_dense_shingles_match_seed(graph, dense)
     return {"before": before, "after": after}
+
+
+def assert_dense_shingles_match_seed(graph: Graph, dense: DenseAdjacency) -> None:
+    """The dense sweep must give the seed's shingle of every label."""
+    by_label = seed_subnode_shingles(graph, make_hash_function(42))
+    by_id = dense_shingles(dense, make_hash_function(42))
+    assert by_id == [by_label[label] for label in dense.index.labels()]
 
 
 def bench_candidates(graph: Graph, repeats: int) -> Dict[str, float]:
@@ -260,9 +262,10 @@ def bench_candidates(graph: Graph, repeats: int) -> Dict[str, float]:
     hierarchy = state.summary.hierarchy
     roots = sorted(state.roots)
     config = SluggerConfig(seed=0)
+    dense = state.dense
     before = best_of(repeats, lambda: seed_generate_candidate_sets(graph, hierarchy, roots, config, seed=1))
-    after = best_of(repeats, lambda: generate_candidate_sets(graph, hierarchy, roots, config, seed=1))
-    assert generate_candidate_sets(graph, hierarchy, roots, config, seed=1) == \
+    after = best_of(repeats, lambda: generate_candidate_sets(dense, hierarchy, roots, config, seed=1))
+    assert generate_candidate_sets(dense, hierarchy, roots, config, seed=1) == \
         seed_generate_candidate_sets(graph, hierarchy, roots, config, seed=1)
     return {"before": before, "after": after}
 
@@ -281,7 +284,8 @@ def bench_merge_sweep(graph: Graph) -> Dict[str, float]:
         rng = ensure_rng(7)
         state = state_class(graph)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=rng.randrange(2**61)
+            state.dense, state.summary.hierarchy, sorted(state.roots), config,
+            seed=rng.randrange(2**61),
         )
         merges = 0
         started = time.perf_counter()
@@ -309,8 +313,8 @@ def seed_full_run(graph: Graph, config: SluggerConfig) -> int:
     """The full SLUGGER driver built from the seed replicas; returns the cost.
 
     Candidate generation, partner search, and the state bookkeeping are
-    the seed's (eager rehash, no short-circuits, bucket scans, label
-    adjacency); the merge re-encoding itself is shared with the current
+    the seed's (eager label-keyed rehash, no short-circuits, bucket
+    scans); the merge re-encoding itself is shared with the current
     implementation, so the measured end-to-end speedup is conservative.
     The RNG protocol matches ``Slugger.summarize`` exactly, so the final
     cost must equal the current implementation's.
@@ -351,20 +355,14 @@ def bench_substrate(graph: Graph, repeats: int) -> Dict[str, float]:
     """Adjacency-representation comparison: dict-of-sets vs dense vs CSR.
 
     Times a whole-graph shingle sweep (the canonical read-only pass) on
-    the label substrate and on the dense substrate, and reports the
-    approximate adjacency memory of all three representations.
+    the dense substrate SLUGGER runs, and reports the approximate
+    adjacency memory of all three representations.
     """
     dense = DenseAdjacency.from_graph(graph)
     csr = dense.freeze()
-    label_time = best_of(repeats, lambda: subnode_shingles(graph, make_hash_function(42)))
-    dense_time = best_of(repeats, lambda: dense_subnode_shingles(dense, make_hash_function(42)))
-    # Cross-check: identical shingle values, just list- instead of dict-keyed.
-    labels = dense.index.labels()
-    dense_values = dense_subnode_shingles(dense, make_hash_function(42))
-    label_values = subnode_shingles(graph, make_hash_function(42))
-    assert all(label_values[labels[i]] == dense_values[i] for i in range(len(labels)))
+    dense_time = best_of(repeats, lambda: dense_shingles(dense, make_hash_function(42)))
+    assert_dense_shingles_match_seed(graph, dense)
     return {
-        "label_sweep_seconds": label_time,
         "dense_sweep_seconds": dense_time,
         "dict_bytes": float(graph_adjacency_bytes(graph)),
         "dense_bytes": float(dense.approx_bytes()),
@@ -870,8 +868,7 @@ def main(argv: Sequence[str] = None) -> int:
         memory_reductions[name] = 1.0 - substrate["csr_bytes"] / substrate["dict_bytes"]
         substrate["csr_memory_reduction"] = memory_reductions[name]
         graph_record["substrate"] = substrate
-        print(f"  substrate sweep        label={substrate['label_sweep_seconds']:8.3f}s  "
-              f"dense={substrate['dense_sweep_seconds']:8.3f}s")
+        print(f"  substrate sweep        dense={substrate['dense_sweep_seconds']:8.3f}s")
         print(f"  adjacency memory       dict={substrate['dict_bytes']/1024:.0f}KiB  "
               f"dense={substrate['dense_bytes']/1024:.0f}KiB  "
               f"csr={substrate['csr_bytes']/1024:.0f}KiB  "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
 from repro.baselines.common import FlatGroupingState
-from repro.core.shingles import dense_subnode_shingles, make_hash_function
+from repro.core.shingles import dense_shingles, make_hash_function
 from repro.engine.hooks import GraphResources, RunControl
 from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
@@ -120,7 +120,7 @@ def _divide(state: FlatGroupingState, config: SwegConfig, rng) -> List[List[int]
             break
         # List-backed shingles over the dense substrate; group members are
         # node ids, so the min-aggregation below is pure list indexing.
-        node_shingles = dense_subnode_shingles(
+        node_shingles = dense_shingles(
             state.dense, make_hash_function(rng.randrange(2**61))
         )
         pending = []

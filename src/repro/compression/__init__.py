@@ -17,14 +17,10 @@ from repro.compression.codes import (
     decode_gamma,
     decode_rice,
     decode_unary,
-    decode_varint,
-    decode_varint_sequence,
     encode_delta,
     encode_gamma,
     encode_rice,
     encode_unary,
-    encode_varint,
-    encode_varint_sequence,
     get_code,
     zigzag_decode,
     zigzag_encode,
@@ -72,10 +68,6 @@ __all__ = [
     "decode_delta",
     "encode_rice",
     "decode_rice",
-    "encode_varint",
-    "decode_varint",
-    "encode_varint_sequence",
-    "decode_varint_sequence",
     "zigzag_encode",
     "zigzag_decode",
     "available_orderings",

@@ -10,18 +10,18 @@ codes the literature uses most:
 ``delta``        Elias δ: γ-coded length prefix + binary remainder
 ``rice(k)``      Golomb-Rice with power-of-two divisor, good for skewed
                  but not tiny gaps
-``varint``       byte-aligned LEB128, the format used by the byte-level
-                 payload serializer
 
 All codes operate on *non-negative* integers; signed values go through
-:func:`zigzag_encode` first.  Every encoder has a matching decoder and the
+:func:`zigzag_encode` first (the one zig-zag mapping of the library; the
+byte-aligned varint of the binary containers lives in
+:mod:`repro.storage.format`).  Every encoder has a matching decoder and the
 property-based tests round-trip random values through each pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.compression.bits import BitReader, BitWriter
 from repro.exceptions import CompressionError
@@ -33,14 +33,10 @@ __all__ = [
     "decode_gamma",
     "decode_rice",
     "decode_unary",
-    "decode_varint",
-    "decode_varint_sequence",
     "encode_delta",
     "encode_gamma",
     "encode_rice",
     "encode_unary",
-    "encode_varint",
-    "encode_varint_sequence",
     "get_code",
     "zigzag_decode",
     "zigzag_encode",
@@ -59,10 +55,14 @@ def _require_non_negative(value: int, name: str = "value") -> int:
 # Zig-zag mapping for signed values
 # ----------------------------------------------------------------------
 def zigzag_encode(value: int) -> int:
-    """Map a signed integer to an unsigned one (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...)."""
+    """Map a signed integer to an unsigned one (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...).
+
+    Injective on every Python int, however large: non-negative values map
+    to the even numbers, negative values to the odd ones.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise CompressionError(f"value must be an int, got {type(value).__name__}")
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def zigzag_decode(value: int) -> int:
@@ -144,60 +144,6 @@ def decode_rice(reader: BitReader, k: int) -> int:
     quotient = reader.read_unary()
     remainder = reader.read_bits(k)
     return (quotient << k) | remainder
-
-
-# ----------------------------------------------------------------------
-# Byte-aligned varint (LEB128)
-# ----------------------------------------------------------------------
-def encode_varint(value: int) -> bytes:
-    """Encode a non-negative integer as LEB128 bytes."""
-    _require_non_negative(value)
-    output = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            output.append(byte | 0x80)
-        else:
-            output.append(byte)
-            return bytes(output)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode one LEB128 value starting at ``offset``; return ``(value, next_offset)``."""
-    value = 0
-    shift = 0
-    position = offset
-    while True:
-        if position >= len(data):
-            raise CompressionError("truncated varint")
-        byte = data[position]
-        position += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, position
-        shift += 7
-        if shift > 63:
-            raise CompressionError("varint is too long (more than 64 bits)")
-
-
-def encode_varint_sequence(values: Iterable[int]) -> bytes:
-    """Encode a sequence of non-negative integers as concatenated varints."""
-    output = bytearray()
-    for value in values:
-        output.extend(encode_varint(value))
-    return bytes(output)
-
-
-def decode_varint_sequence(data: bytes, count: int, offset: int = 0) -> Tuple[List[int], int]:
-    """Decode ``count`` varints starting at ``offset``; return ``(values, next_offset)``."""
-    _require_non_negative(count, "count")
-    values: List[int] = []
-    position = offset
-    for _ in range(count):
-        value, position = decode_varint(data, position)
-        values.append(value)
-    return values, position
 
 
 # ----------------------------------------------------------------------

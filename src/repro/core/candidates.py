@@ -7,29 +7,31 @@ within distance 2 of each other — merging more distant pairs never helps,
 Lemma 1), splits oversized groups with further shingle rounds, and
 finally splits any group still above the cap at random.
 
-Lazy, cached shingle rounds
----------------------------
+Lazy, cached shingle rounds on dense ids
+----------------------------------------
 Each shingle round only has to split the groups that are still above the
 candidate-size cap, so shingles are computed *lazily* per oversized
-group: one :class:`~repro.core.shingles.ShingleCache` is created per
-round (for the round's hash-function seed), and only the leaf sets of
-the roots that still need splitting are hashed.  The first round typically covers the whole graph
-— the cache then bulk-hashes every node once up front so the per-edge
-minimum runs at C speed — while later rounds touch only the shrinking
-oversized remainder instead of rehashing all of ``graph.nodes()`` as the
-seed implementation did.  The produced candidate sets are bit-identical
-to the eager scheme for a fixed seed: laziness changes where the hashing
-work happens, not which shingle values are computed.
+group: one :class:`~repro.core.shingles.LazyShingles` is created per
+round (for the round's hash-function seed), and only the leaf ids of the
+roots that still need splitting are hashed.  The first round typically
+covers the whole graph — the cache then bulk-hashes every node once up
+front so the per-edge minimum runs at C speed — while later rounds touch
+only the shrinking oversized remainder.  The produced candidate sets are
+bit-identical to the eager scheme for a fixed seed: laziness changes
+where the hashing work happens, not which shingle values are computed.
+
+Everything runs on the dense integer-id substrate: a leaf root *is* its
+dense node id, and an internal root aggregates over the hierarchy's
+memoized leaf-id tuple.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.config import SluggerConfig
-from repro.core.shingles import DenseShingleCache, ShingleCache
+from repro.core.shingles import LazyShingles
 from repro.graphs.dense import DenseAdjacency
-from repro.graphs.graph import Graph
 from repro.model.hierarchy import Hierarchy
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -37,12 +39,11 @@ __all__ = ["generate_candidate_sets"]
 
 
 def generate_candidate_sets(
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     roots: Sequence[int],
     config: SluggerConfig,
     seed: SeedLike = None,
-    dense: Optional[DenseAdjacency] = None,
 ) -> List[List[int]]:
     """Split ``roots`` into candidate sets of at most ``config.max_candidate_size``.
 
@@ -51,23 +52,18 @@ def generate_candidate_sets(
     offer nothing to merge.  A different ``seed`` per iteration varies the
     grouping so more root pairs get considered over time (Sect. III-B2).
 
-    With ``dense`` supplied (the driver passes the state's substrate),
-    the shingle rounds run entirely on integer ids: a leaf root *is* its
-    dense node id, internal roots aggregate over the hierarchy's memoized
-    leaf-id tuples, and per-node storage is list-backed.  The produced
-    candidate sets are bit-identical to the label path for a fixed seed.
+    ``dense`` is the state's substrate, whose node ids are the leaf
+    supernode ids of ``hierarchy``.
     """
     rng = ensure_rng(seed)
     groups: List[List[int]] = [list(roots)]
     finished: List[List[int]] = []
-    use_dense = dense is not None
-    # Leaf lists per root, shared by every round of this call (roots do
-    # not change while candidate sets are being generated).  Leaf roots —
-    # the entire first iteration, and stragglers later — resolve through
-    # a single probe instead.
-    root_leaves: Dict[int, Sequence] = {}
+    # Leaf-id tuples per root, shared by every round of this call (roots
+    # do not change while candidate sets are being generated).  Leaf
+    # roots — the entire first iteration, and stragglers later — resolve
+    # through a single probe instead.
+    root_leaves: Dict[int, Sequence[int]] = {}
     leaf_map = hierarchy.leaf_subnode_map()
-    missing = object()
 
     for _ in range(config.shingle_rounds):
         oversized = [group for group in groups if len(group) > config.max_candidate_size]
@@ -78,8 +74,7 @@ def generate_candidate_sets(
         # Every round draws a fresh hash-function seed; all groups split
         # within the round share its lazily-filled cache.
         round_seed = rng.randrange(2**61)
-        cache = (DenseShingleCache(dense, round_seed) if use_dense
-                 else ShingleCache(graph, round_seed))
+        cache = LazyShingles(dense, round_seed)
         if 2 * sum(len(group) for group in oversized) >= len(roots):
             # The round still covers most of the roots (always true for the
             # first round), so its closed neighborhoods touch most of the
@@ -92,23 +87,13 @@ def generate_candidate_sets(
         for group in oversized:
             buckets: Dict[int, List[int]] = {}
             for root in group:
-                if use_dense:
-                    if root in leaf_map:  # A leaf root is its own dense id.
-                        value = shingle_of(root)
-                    else:
-                        leaves = root_leaves.get(root)
-                        if leaves is None:
-                            leaves = root_leaves[root] = hierarchy.leaf_id_view(root)
-                        value = min(map(shingle_of, leaves))
+                if root in leaf_map:  # A leaf root is its own dense id.
+                    value = shingle_of(root)
                 else:
-                    subnode = leaf_map.get(root, missing)
-                    if subnode is not missing:
-                        value = shingle_of(subnode)
-                    else:
-                        leaves = root_leaves.get(root)
-                        if leaves is None:
-                            leaves = root_leaves[root] = hierarchy.leaf_subnodes(root)
-                        value = min(map(shingle_of, leaves))
+                    leaves = root_leaves.get(root)
+                    if leaves is None:
+                        leaves = root_leaves[root] = hierarchy.leaf_id_view(root)
+                    value = min(map(shingle_of, leaves))
                 buckets.setdefault(value, []).append(root)
             if len(buckets) == 1:
                 # The shingle could not separate the group; keep it whole and

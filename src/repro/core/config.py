@@ -57,13 +57,11 @@ class SluggerConfig:
         after every iteration, verifying the incremental indices (superedge
         counters, adjacency counters, leaf-set cache) against the summary.
         O(|summary|) per iteration — for tests and debugging only.
-    use_dense_substrate:
-        When ``True`` (default) shingle rounds, candidate generation, and
-        the local encoder run on the dense integer-id substrate
-        (:class:`~repro.graphs.dense.DenseAdjacency`) instead of the
-        label-keyed adjacency.  Output is bit-identical either way; the
-        flag exists for the substrate benchmark and as a debugging
-        fallback.
+
+    Shingle rounds, candidate generation and the local encoder always run
+    on the dense integer-id substrate
+    (:class:`~repro.graphs.dense.DenseAdjacency`); there is no label-keyed
+    fallback to configure.
     """
 
     iterations: int = 20
@@ -77,7 +75,6 @@ class SluggerConfig:
     seed: Optional[int] = None
     validate_output: bool = False
     check_invariants: bool = False
-    use_dense_substrate: bool = True
 
     def __post_init__(self) -> None:
         for name in ("iterations", "max_candidate_size", "shingle_rounds", "prune_rounds"):

@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.dense import DenseAdjacency
-from repro.graphs.graph import Graph
 from repro.model.hierarchy import Hierarchy
 
 __all__ = [
@@ -33,18 +32,10 @@ __all__ = [
     "Panel",
     "apply_cross_plan",
     "apply_intra_plan",
-    "count_edges_between",
-    "count_edges_within",
     "memo_table_sizes",
-    "missing_pairs_between",
-    "missing_pairs_within",
     "plan_cross_encoding",
     "plan_intra_encoding",
-    "present_pairs_between",
-    "present_pairs_within",
 ]
-
-Subnode = Hashable
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -328,17 +319,14 @@ def _heuristic_intra_table(
 
 
 # ----------------------------------------------------------------------
-# Block statistics — dense integer-id fast paths
+# Block statistics on dense ids
 # ----------------------------------------------------------------------
 # On the dense substrate a supernode's leaf ids double as node ids, so
 # block statistics reduce to set intersections between int-id neighbor
-# sets and memoized leaf-id tuples — no per-neighbor ancestor walks
-# (``contains_subnode``) and no label→leaf resolution on the way back.
-# The produced counts and (unordered) pair sets are identical to the
-# label path; only the representation of the work changes.
+# sets and memoized leaf-id tuples, and the listed pairs are already the
+# leaf supernodes the corrections go on.
 
-def _dense_count_between(dense: DenseAdjacency, hierarchy: Hierarchy,
-                         first: int, second: int) -> int:
+def _count_between(dense: DenseAdjacency, hierarchy: Hierarchy, first: int, second: int) -> int:
     """Subedges between two disjoint supernodes, by leaf-id intersection."""
     leaves_first = hierarchy.leaf_id_view(first)
     leaves_second = hierarchy.leaf_id_view(second)
@@ -352,7 +340,7 @@ def _dense_count_between(dense: DenseAdjacency, hierarchy: Hierarchy,
     return count
 
 
-def _dense_count_within(dense: DenseAdjacency, hierarchy: Hierarchy, supernode: int) -> int:
+def _count_within(dense: DenseAdjacency, hierarchy: Hierarchy, supernode: int) -> int:
     """Subedges inside one supernode, by leaf-id intersection."""
     members = hierarchy.leaf_id_view(supernode)
     member_set = set(members)
@@ -363,7 +351,7 @@ def _dense_count_within(dense: DenseAdjacency, hierarchy: Hierarchy, supernode: 
     return count // 2
 
 
-def _dense_present_pairs_between(
+def _edge_pairs_between(
     dense: DenseAdjacency, hierarchy: Hierarchy, first: int, second: int
 ) -> List[Tuple[int, int]]:
     """Actual subedges between two disjoint supernodes as leaf-id pairs."""
@@ -381,7 +369,7 @@ def _dense_present_pairs_between(
     return pairs
 
 
-def _dense_missing_pairs_between(
+def _nonedge_pairs_between(
     dense: DenseAdjacency, hierarchy: Hierarchy, first: int, second: int
 ) -> List[Tuple[int, int]]:
     """Non-adjacent leaf-id pairs between two disjoint supernodes."""
@@ -396,7 +384,7 @@ def _dense_missing_pairs_between(
     return pairs
 
 
-def _dense_present_pairs_within(
+def _edge_pairs_within(
     dense: DenseAdjacency, hierarchy: Hierarchy, supernode: int
 ) -> List[Tuple[int, int]]:
     """Subedges inside one supernode as leaf-id pairs (each listed once)."""
@@ -411,7 +399,7 @@ def _dense_present_pairs_within(
     return pairs
 
 
-def _dense_missing_pairs_within(
+def _nonedge_pairs_within(
     dense: DenseAdjacency, hierarchy: Hierarchy, supernode: int
 ) -> List[Tuple[int, int]]:
     """Non-adjacent leaf-id pairs inside one supernode."""
@@ -427,80 +415,28 @@ def _dense_missing_pairs_within(
 
 
 # ----------------------------------------------------------------------
-# Block statistics — label paths
-# ----------------------------------------------------------------------
-def count_edges_between(graph: Graph, hierarchy: Hierarchy, first: int, second: int) -> int:
-    """Number of subedges between the leaf sets of two disjoint supernodes."""
-    if hierarchy.size(first) > hierarchy.size(second):
-        first, second = second, first
-    count = 0
-    for subnode in hierarchy.leaf_subnodes(first):
-        for neighbor in graph.neighbor_set(subnode):
-            if hierarchy.contains_subnode(second, neighbor):
-                count += 1
-    return count
-
-
-def present_pairs_between(
-    graph: Graph, hierarchy: Hierarchy, first: int, second: int
-) -> List[Tuple[Subnode, Subnode]]:
-    """Actual subedges between the leaf sets of two disjoint supernodes."""
-    swapped = hierarchy.size(first) > hierarchy.size(second)
-    if swapped:
-        first, second = second, first
-    pairs: List[Tuple[Subnode, Subnode]] = []
-    for subnode in hierarchy.leaf_subnodes(first):
-        for neighbor in graph.neighbor_set(subnode):
-            if hierarchy.contains_subnode(second, neighbor):
-                pairs.append((neighbor, subnode) if swapped else (subnode, neighbor))
-    return pairs
-
-
-def missing_pairs_between(
-    graph: Graph, hierarchy: Hierarchy, first: int, second: int
-) -> List[Tuple[Subnode, Subnode]]:
-    """Non-adjacent subnode pairs between the leaf sets of two disjoint supernodes."""
-    pairs: List[Tuple[Subnode, Subnode]] = []
-    second_leaves = hierarchy.leaf_subnodes(second)
-    for u in hierarchy.leaf_subnodes(first):
-        neighbor_set = graph.neighbor_set(u)
-        for v in second_leaves:
-            if v not in neighbor_set:
-                pairs.append((u, v))
-    return pairs
-
-
-# ----------------------------------------------------------------------
 # Planner
 # ----------------------------------------------------------------------
 def plan_cross_encoding(
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     panel_a: Panel,
     panel_b: Panel,
     *,
     use_memo: bool = True,
-    dense: Optional[DenseAdjacency] = None,
 ) -> EncodingPlan:
     """Best local encoding of the subedges between two disjoint panels.
 
     The returned plan exactly reproduces the adjacency between the leaf
     sets of ``panel_a.top`` and ``panel_b.top`` when applied to a summary
     from which all existing superedges between the two trees have been
-    removed.  With ``dense`` supplied, block statistics run on leaf-id
-    set intersections instead of per-neighbor ancestor walks.
+    removed.  Block statistics run on leaf-id set intersections over
+    ``dense``, whose node ids are the leaf ids of ``hierarchy``.
     """
-    if dense is not None:
-        present = [
-            [_dense_count_between(dense, hierarchy, part_a, part_b)
-             for part_b in panel_b.parts]
-            for part_a in panel_a.parts
-        ]
-    else:
-        present = [
-            [count_edges_between(graph, hierarchy, part_a, part_b) for part_b in panel_b.parts]
-            for part_a in panel_a.parts
-        ]
+    present = [
+        [_count_between(dense, hierarchy, part_a, part_b) for part_b in panel_b.parts]
+        for part_a in panel_a.parts
+    ]
     totals = [
         [size_a * size_b for size_b in panel_b.sizes]
         for size_a in panel_a.sizes
@@ -573,38 +509,28 @@ def plan_cross_encoding(
 
 def apply_cross_plan(
     plan: EncodingPlan,
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     panel_a: Panel,
     panel_b: Panel,
     add_superedge,
-    dense: Optional[DenseAdjacency] = None,
 ) -> None:
     """Materialize ``plan`` by calling ``add_superedge(x, y, sign)``.
 
     Blanket edges come first, then the per-block leaf corrections.  The
     caller is responsible for having removed every pre-existing superedge
-    between the two trees.  On the dense path the correction pairs are
-    already leaf ids, so no label→leaf resolution happens here.
+    between the two trees.  The correction pairs are already leaf ids.
     """
     for x, y, sign in plan.superedges:
         add_superedge(x, y, sign)
-    if dense is not None:
-        for row, col in plan.positive_blocks:
-            for u, v in _dense_present_pairs_between(
-                    dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-                add_superedge(u, v, POSITIVE)
-        for row, col in plan.negative_blocks:
-            for u, v in _dense_missing_pairs_between(
-                    dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-                add_superedge(u, v, NEGATIVE)
-        return
     for row, col in plan.positive_blocks:
-        for u, v in present_pairs_between(graph, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-            add_superedge(hierarchy.leaf_of(u), hierarchy.leaf_of(v), POSITIVE)
+        for u, v in _edge_pairs_between(
+                dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
+            add_superedge(u, v, POSITIVE)
     for row, col in plan.negative_blocks:
-        for u, v in missing_pairs_between(graph, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-            add_superedge(hierarchy.leaf_of(u), hierarchy.leaf_of(v), NEGATIVE)
+        for u, v in _nonedge_pairs_between(
+                dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
+            add_superedge(u, v, NEGATIVE)
 
 
 # ----------------------------------------------------------------------
@@ -673,50 +599,6 @@ def _intra_pattern_entries(num_parts: int) -> List[IntraEntry]:
     return _enrich_intra_entries(_intra_pattern_table(num_parts))
 
 
-def count_edges_within(graph: Graph, hierarchy: Hierarchy, supernode: int) -> int:
-    """Number of subedges with both endpoints inside one supernode."""
-    members = hierarchy.leaf_subnodes(supernode)
-    member_set = set(members)
-    count = 0
-    for u in members:
-        for neighbor in graph.neighbor_set(u):
-            if neighbor in member_set:
-                count += 1
-    return count // 2
-
-
-def present_pairs_within(
-    graph: Graph, hierarchy: Hierarchy, supernode: int
-) -> List[Tuple[Subnode, Subnode]]:
-    """Subedges with both endpoints inside one supernode (each listed once)."""
-    members = hierarchy.leaf_subnodes(supernode)
-    member_set = set(members)
-    pairs: List[Tuple[Subnode, Subnode]] = []
-    seen: set = set()
-    for u in members:
-        for neighbor in graph.neighbor_set(u):
-            if neighbor in member_set:
-                key = (u, neighbor) if repr(u) <= repr(neighbor) else (neighbor, u)
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
-    return pairs
-
-
-def missing_pairs_within(
-    graph: Graph, hierarchy: Hierarchy, supernode: int
-) -> List[Tuple[Subnode, Subnode]]:
-    """Non-adjacent subnode pairs inside one supernode."""
-    members = hierarchy.leaf_subnodes(supernode)
-    pairs: List[Tuple[Subnode, Subnode]] = []
-    for i in range(len(members)):
-        neighbor_set = graph.neighbor_set(members[i])
-        for j in range(i + 1, len(members)):
-            if members[j] not in neighbor_set:
-                pairs.append((members[i], members[j]))
-    return pairs
-
-
 @dataclass
 class IntraEncodingPlan:
     """Plan for re-encoding every subedge inside one merged supernode.
@@ -734,13 +616,12 @@ class IntraEncodingPlan:
 
 
 def plan_intra_encoding(
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     merged: int,
     panel: Panel,
     *,
     use_memo: bool = True,
-    dense: Optional[DenseAdjacency] = None,
 ) -> IntraEncodingPlan:
     """Best wholesale re-encoding of the subedges inside ``merged``.
 
@@ -756,16 +637,10 @@ def plan_intra_encoding(
     for i, j in blocks:
         if i == j:
             size = panel.sizes[i]
-            if dense is not None:
-                present[(i, j)] = _dense_count_within(dense, hierarchy, parts[i])
-            else:
-                present[(i, j)] = count_edges_within(graph, hierarchy, parts[i])
+            present[(i, j)] = _count_within(dense, hierarchy, parts[i])
             totals[(i, j)] = size * (size - 1) // 2
         else:
-            if dense is not None:
-                present[(i, j)] = _dense_count_between(dense, hierarchy, parts[i], parts[j])
-            else:
-                present[(i, j)] = count_edges_between(graph, hierarchy, parts[i], parts[j])
+            present[(i, j)] = _count_between(dense, hierarchy, parts[i], parts[j])
             totals[(i, j)] = panel.sizes[i] * panel.sizes[j]
 
     if 1 + len(blocks) > _MAX_EXACT_SLOTS:
@@ -815,47 +690,28 @@ def plan_intra_encoding(
 
 def apply_intra_plan(
     plan: IntraEncodingPlan,
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     panel: Panel,
     add_superedge,
-    dense: Optional[DenseAdjacency] = None,
 ) -> None:
     """Materialize an intra-supernode plan via ``add_superedge(x, y, sign)``."""
     for x, y, sign in plan.superedges:
         add_superedge(x, y, sign)
-    if dense is not None:
-        for i, j in plan.positive_blocks:
-            if i == j:
-                id_pairs = _dense_present_pairs_within(dense, hierarchy, panel.parts[i])
-            else:
-                id_pairs = _dense_present_pairs_between(
-                    dense, hierarchy, panel.parts[i], panel.parts[j])
-            for u, v in id_pairs:
-                add_superedge(u, v, POSITIVE)
-        for i, j in plan.negative_blocks:
-            if i == j:
-                id_pairs = _dense_missing_pairs_within(dense, hierarchy, panel.parts[i])
-            else:
-                id_pairs = _dense_missing_pairs_between(
-                    dense, hierarchy, panel.parts[i], panel.parts[j])
-            for u, v in id_pairs:
-                add_superedge(u, v, NEGATIVE)
-        return
     for i, j in plan.positive_blocks:
         if i == j:
-            pairs = present_pairs_within(graph, hierarchy, panel.parts[i])
+            pairs = _edge_pairs_within(dense, hierarchy, panel.parts[i])
         else:
-            pairs = present_pairs_between(graph, hierarchy, panel.parts[i], panel.parts[j])
+            pairs = _edge_pairs_between(dense, hierarchy, panel.parts[i], panel.parts[j])
         for u, v in pairs:
-            add_superedge(hierarchy.leaf_of(u), hierarchy.leaf_of(v), POSITIVE)
+            add_superedge(u, v, POSITIVE)
     for i, j in plan.negative_blocks:
         if i == j:
-            pairs = missing_pairs_within(graph, hierarchy, panel.parts[i])
+            pairs = _nonedge_pairs_within(dense, hierarchy, panel.parts[i])
         else:
-            pairs = missing_pairs_between(graph, hierarchy, panel.parts[i], panel.parts[j])
+            pairs = _nonedge_pairs_between(dense, hierarchy, panel.parts[i], panel.parts[j])
         for u, v in pairs:
-            add_superedge(hierarchy.leaf_of(u), hierarchy.leaf_of(v), NEGATIVE)
+            add_superedge(u, v, NEGATIVE)
 
 
 def memo_table_sizes() -> Dict[str, int]:

@@ -47,7 +47,6 @@ def merge_and_update(
     every re-encoding removes all superedges between the affected trees
     and replaces them with a plan that reproduces the same subedges.
     """
-    graph = state.graph
     hierarchy = state.summary.hierarchy
     use_memo = config.use_memoized_encoder
     dense = state.dense
@@ -60,14 +59,12 @@ def merge_and_update(
     if cross_current > 0:
         panel_a = Panel(hierarchy, root_a)
         panel_b = Panel(hierarchy, root_b)
-        plan = plan_cross_encoding(graph, hierarchy, panel_a, panel_b,
-                                   use_memo=use_memo, dense=dense)
+        plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=use_memo)
         if plan.cost < cross_current:
             state.remove_all_between(root_a, root_b)
             apply_cross_plan(
-                plan, graph, hierarchy, panel_a, panel_b,
+                plan, dense, hierarchy, panel_a, panel_b,
                 lambda x, y, sign: state.add_superedge(root_a, root_b, x, y, sign),
-                dense=dense,
             )
 
     merged = state.merge_roots(root_a, root_b)
@@ -79,14 +76,13 @@ def merge_and_update(
     if intra_current > 1:
         panel_merged = Panel(hierarchy, merged)
         intra_plan = plan_intra_encoding(
-            graph, hierarchy, merged, panel_merged, use_memo=use_memo, dense=dense
+            dense, hierarchy, merged, panel_merged, use_memo=use_memo
         )
         if intra_plan.cost < intra_current:
             state.remove_all_between(merged, merged)
             apply_intra_plan(
-                intra_plan, graph, hierarchy, panel_merged,
+                intra_plan, dense, hierarchy, panel_merged,
                 lambda x, y, sign: state.add_superedge(merged, merged, x, y, sign),
-                dense=dense,
             )
 
     # Case 2: the new root can now act as a blanket endpoint towards every
@@ -100,14 +96,13 @@ def merge_and_update(
             # A pair already encoded with a single superedge cannot improve.
             continue
         panel_other = Panel(hierarchy, other)
-        plan = plan_cross_encoding(graph, hierarchy, panel_merged, panel_other,
-                                   use_memo=use_memo, dense=dense)
+        plan = plan_cross_encoding(dense, hierarchy, panel_merged, panel_other,
+                                   use_memo=use_memo)
         if plan.cost < current:
             state.remove_all_between(merged, other)
             apply_cross_plan(
-                plan, graph, hierarchy, panel_merged, panel_other,
+                plan, dense, hierarchy, panel_merged, panel_other,
                 lambda x, y, sign: state.add_superedge(merged, other, x, y, sign),
-                dense=dense,
             )
     return merged
 

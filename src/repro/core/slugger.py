@@ -112,7 +112,6 @@ class IterationContext:
     which keeps every phase independently testable and replaceable.
     """
 
-    graph: Graph
     state: SluggerState
     config: SluggerConfig
     rng: object  # random.Random: the run's single RNG stream
@@ -156,12 +155,11 @@ class GroupPhase:
         rng = ctx.rng
         candidate_seed = rng.randrange(2**61)
         ctx.candidate_sets = generate_candidate_sets(
-            ctx.graph,
+            state.dense,
             state.summary.hierarchy,
             sorted(state.roots),
             ctx.config,
             seed=candidate_seed,
-            dense=state.dense,
         )
         ctx.merge_seeds = [rng.randrange(2**61) for _ in ctx.candidate_sets]
 
@@ -289,12 +287,10 @@ class Slugger:
         tracer = control.tracer if control is not None else NULL_TRACER
         telemetry = metrics.enabled or tracer.enabled
 
-        use_resources = resources is not None and config.use_dense_substrate
         state = SluggerState(
             graph,
-            build_dense=config.use_dense_substrate,
-            dense=resources.dense() if use_resources else None,
-            csr=resources.csr() if use_resources else None,
+            dense=resources.dense() if resources is not None else None,
+            csr=resources.csr() if resources is not None else None,
         )
         history: List[Dict[str, float]] = []
         phase_seconds: Dict[str, float] = {}
@@ -310,7 +306,6 @@ class Slugger:
 
         if graph.num_edges > 0:
             ctx = IterationContext(
-                graph=graph,
                 state=state,
                 config=config,
                 rng=rng,

@@ -91,8 +91,8 @@ class StateSnapshot:
 class SluggerState:
     """All mutable data SLUGGER needs while merging root supernodes.
 
-    With ``build_dense=True`` (default) the state also mirrors the input
-    graph onto the dense integer-id substrate.  Because
+    The state mirrors the input graph onto the dense integer-id
+    substrate (built here, or injected as ``dense``).  Because
     :meth:`HierarchicalSummary.from_graph` numbers leaf supernodes
     ``0..n-1`` in graph order — the same order
     :meth:`DenseAdjacency.from_graph` assigns node ids — *dense node id
@@ -103,7 +103,6 @@ class SluggerState:
     def __init__(
         self,
         graph: Graph,
-        build_dense: bool = True,
         dense: Optional[DenseAdjacency] = None,
         csr: Optional[CSRAdjacency] = None,
         summary: Optional[HierarchicalSummary] = None,
@@ -115,10 +114,8 @@ class SluggerState:
         # A prebuilt substrate (service graph-store interning) is used as
         # is; its construction is deterministic in the graph, so injected
         # and self-built runs are bit-identical.
-        self.dense: Optional[DenseAdjacency] = (
-            dense if dense is not None
-            else DenseAdjacency.from_graph(graph) if build_dense
-            else None
+        self.dense: DenseAdjacency = (
+            dense if dense is not None else DenseAdjacency.from_graph(graph)
         )
 
         self.roots: Set[int] = set(hierarchy.roots())
@@ -132,18 +129,11 @@ class SluggerState:
         self.tree_h: Dict[int, int] = {root: 0 for root in self.roots}
         self.tree_height: Dict[int, int] = {root: 0 for root in self.roots}
 
-        if self.dense is not None:
-            # Node id == leaf id, so the initial superedges and adjacency
-            # counters can be registered without any label resolution.
-            for leaf_u, leaf_v in self.dense.edge_ids():
-                self._bump_adj(leaf_u, leaf_v, 1)
-                self._register_superedge(leaf_u, leaf_v, leaf_u, leaf_v, 1, delta=1)
-        else:
-            for u, v in graph.edges():
-                leaf_u = hierarchy.leaf_of(u)
-                leaf_v = hierarchy.leaf_of(v)
-                self._bump_adj(leaf_u, leaf_v, 1)
-                self._register_superedge(leaf_u, leaf_v, leaf_u, leaf_v, 1, delta=1)
+        # Node id == leaf id, so the initial superedges and adjacency
+        # counters are registered without any label resolution.
+        for leaf_u, leaf_v in self.dense.edge_ids():
+            self._bump_adj(leaf_u, leaf_v, 1)
+            self._register_superedge(leaf_u, leaf_v, leaf_u, leaf_v, 1, delta=1)
 
     @classmethod
     def from_substrate(cls, index, csr) -> "SluggerState":
@@ -198,15 +188,10 @@ class SluggerState:
         for root in sorted(self.roots):
             for leaf in hierarchy.leaf_id_view(root):
                 leaf_root[leaf] = root
-        if self.dense is not None:
-            # Node id == leaf id on the dense substrate (both follow
-            # graph insertion order), so edges map straight to roots.
-            for leaf_u, leaf_v in self.dense.edge_ids():
-                self._bump_adj(leaf_root[leaf_u], leaf_root[leaf_v], 1)
-        else:
-            leaf_of = hierarchy.leaf_of
-            for u, v in self.graph.edges():
-                self._bump_adj(leaf_root[leaf_of(u)], leaf_root[leaf_of(v)], 1)
+        # Node id == leaf id on the dense substrate (both follow graph
+        # insertion order), so edges map straight to roots.
+        for leaf_u, leaf_v in self.dense.edge_ids():
+            self._bump_adj(leaf_root[leaf_u], leaf_root[leaf_v], 1)
         for edges, sign in ((sorted(summary.p_edges()), 1), (sorted(summary.n_edges()), -1)):
             for x, y in edges:
                 self._register_superedge(
@@ -476,11 +461,10 @@ class SluggerState:
         hierarchy.verify_leaf_cache()
         if self.roots != set(hierarchy.roots()):
             raise SummaryInvariantError("the root index disagrees with the hierarchy")
-        if self.dense is not None:
-            if self.dense.num_edges != self.graph.num_edges:
-                raise SummaryInvariantError("dense substrate edge count drifted from the graph")
-            for node_id, label in enumerate(self.dense.index.labels()):
-                if hierarchy.leaf_of(label) != node_id:
-                    raise SummaryInvariantError(
-                        f"dense id {node_id} (label {label!r}) does not match its leaf id"
-                    )
+        if self.dense.num_edges != self.graph.num_edges:
+            raise SummaryInvariantError("dense substrate edge count drifted from the graph")
+        for node_id, label in enumerate(self.dense.index.labels()):
+            if hierarchy.leaf_of(label) != node_id:
+                raise SummaryInvariantError(
+                    f"dense id {node_id} (label {label!r}) does not match its leaf id"
+                )

@@ -413,13 +413,6 @@ class Hierarchy:
                     f"but it has {len(cached)} leaves"
                 )
 
-    def contains_subnode(self, supernode: int, subnode: Subnode) -> bool:
-        """Whether ``subnode`` belongs to ``supernode`` (walks up from the leaf)."""
-        leaf = self._leaf_of_subnode.get(subnode)
-        if leaf is None:
-            return False
-        return self.is_ancestor(supernode, leaf)
-
     # ------------------------------------------------------------------
     # Tree-shape statistics (Tables IV and V)
     # ------------------------------------------------------------------

@@ -40,7 +40,8 @@ Neighbor runs are sorted ascending (inherited from
 payloads, so :func:`container_digest` is a usable content address.
 
 Every malformed input — bad magic, unsupported version, truncation,
-out-of-range sections, checksum mismatch — raises
+out-of-range sections, checksum mismatch, and (on a verified load) a
+neighbor id outside the node range — raises
 :class:`~repro.exceptions.ContainerFormatError` (a
 :class:`~repro.exceptions.GraphFormatError`); a corrupted container can
 never deserialize into a silently wrong graph.
@@ -59,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.compression.codes import zigzag_decode, zigzag_encode
 from repro.exceptions import ContainerFormatError, GraphFormatError
 
 __all__ = [
@@ -70,6 +72,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "SectionInfo",
+    "check_indices",
     "container_digest",
     "decode_indptr",
     "decode_labels",
@@ -127,7 +130,8 @@ _WIDTH_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 # ----------------------------------------------------------------------
-# Varint primitives (unsigned LEB128 + zigzag for signed labels)
+# Varint primitives (unsigned LEB128; signed labels are zigzag-mapped
+# first).  Unbounded: Python ints of any size round-trip.
 # ----------------------------------------------------------------------
 def encode_varint(value: int, out: bytearray) -> None:
     """Append the unsigned LEB128 encoding of ``value`` to ``out``."""
@@ -157,15 +161,6 @@ def decode_varint(data: bytes, position: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return value, position
         shift += 7
-
-
-def _zigzag_encode(value: int) -> int:
-    """Map a signed integer to an unsigned one (small magnitudes stay small)."""
-    return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def _zigzag_decode(value: int) -> int:
-    return value >> 1 if not value & 1 else -((value + 1) >> 1)
 
 
 def index_width_for(num_nodes: int) -> int:
@@ -228,13 +223,42 @@ def _encode_indices(csr, width: int) -> bytes:
     return packed.tobytes()
 
 
+def check_indices(data: bytes, num_nodes: int, width: int) -> None:
+    """Raise unless every fixed-width ``INDX`` entry is a node id below ``num_nodes``.
+
+    Runs on the little-endian bytes at C speed: an entry whose most
+    significant byte exceeds that of ``num_nodes - 1`` is out of range,
+    and only entries whose top byte *equals* it need a full compare.
+    """
+    if not data:
+        return
+    limit = num_nodes - 1
+    shift = 8 * (width - 1)
+    high = limit >> shift
+    if high > 0xFF:  # Every ``width``-byte value addresses a node.
+        return
+    error = ContainerFormatError(f"INDX section holds a node id outside [0, {num_nodes})")
+    tops = data[width - 1::width]
+    if limit < 0 or tops.translate(None, bytes(range(high + 1))):
+        raise error
+    low_mask = (1 << shift) - 1
+    if limit & low_mask == low_mask:  # A top byte of ``high`` is never too large.
+        return
+    position = tops.find(high)
+    while position >= 0:
+        start = position * width
+        if int.from_bytes(data[start:start + width], "little") > limit:
+            raise error
+        position = tops.find(high, position + 1)
+
+
 def _encode_labels(labels: Sequence) -> bytes:
     """Encode the id → label dictionary (int and str labels only)."""
     out = bytearray()
     for label in labels:
         if type(label) is int:
             out.append(_LABEL_INT)
-            encode_varint(_zigzag_encode(label), out)
+            encode_varint(zigzag_encode(label), out)
         elif type(label) is str:
             encoded = label.encode("utf-8")
             out.append(_LABEL_STR)
@@ -259,7 +283,7 @@ def decode_labels(data: bytes, num_nodes: int) -> List:
         position += 1
         if kind == _LABEL_INT:
             value, position = decode_varint(data, position)
-            labels.append(_zigzag_decode(value))
+            labels.append(zigzag_decode(value))
         elif kind == _LABEL_STR:
             length, position = decode_varint(data, position)
             if position + length > len(data):

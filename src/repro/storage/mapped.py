@@ -46,6 +46,7 @@ from repro.storage.format import (
     TAG_INDPTR,
     TAG_LABELS,
     ContainerInfo,
+    check_indices,
     decode_indptr,
     decode_labels,
     typecode_for_width,
@@ -102,8 +103,14 @@ class MappedCSR:
                         f"summary checkpoint artifact); load it through "
                         f"repro.storage.summary_store instead"
                     )
+                indices_entry = info.section(TAG_INDICES)
                 if verify:
                     verify_sections(view, info)
+                    check_indices(
+                        bytes(view[indices_entry.offset:
+                                   indices_entry.offset + indices_entry.length]),
+                        info.num_nodes, info.index_width,
+                    )
                 indptr_entry = info.section(TAG_INDPTR)
                 indptr_bytes = bytes(
                     view[indptr_entry.offset:indptr_entry.offset + indptr_entry.length]
@@ -130,7 +137,6 @@ class MappedCSR:
                     )
             else:
                 self.index = NodeIndex(range(info.num_nodes))
-            indices_entry = info.section(TAG_INDICES)
             typecode = typecode_for_width(info.index_width)
             if sys.byteorder == "little":
                 # The zero-copy path: the cast view reads the map in place.
@@ -354,8 +360,9 @@ class StoredGraph(GraphResources):
 def load(path: PathLike, verify: bool = True) -> StoredGraph:
     """Open a container as a :class:`StoredGraph` (mmap; near-instant).
 
-    ``verify=True`` (default) checksums every section before use; a
-    corrupted or truncated container raises
+    ``verify=True`` (default) checksums every section and range-checks
+    every neighbor id before use; a corrupted or truncated container
+    raises
     :class:`~repro.exceptions.ContainerFormatError` instead of producing
     a garbage graph.
     """

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.compression.codes import zigzag_decode, zigzag_encode
 from repro.exceptions import ContainerFormatError, SummaryInvariantError
 from repro.graphs.graph import canonical_edge
 from repro.model.flat import FlatSummary
@@ -74,8 +75,6 @@ from repro.storage.format import (
     FLAG_SUMMARY,
     ContainerInfo,
     SectionInfo,
-    _zigzag_decode,
-    _zigzag_encode,
     decode_varint,
     encode_container,
     encode_image,
@@ -241,7 +240,7 @@ def _encode_meta(meta: SummaryMeta) -> bytes:
         out.append(0)
     else:
         out.append(1)
-        encode_varint(_zigzag_encode(meta.seed), out)
+        encode_varint(zigzag_encode(meta.seed), out)
     out += bytes.fromhex(meta.graph_digest or "0" * 64)
     out += bytes.fromhex(meta.config_digest or "0" * 64)
     _encode_blob(meta.config_json.encode("utf-8"), out)
@@ -271,24 +270,26 @@ def _decode_meta(data: bytes) -> SummaryMeta:
     seed: Optional[int] = None
     if seed_flag:
         raw, pos = decode_varint(data, pos)
-        seed = _zigzag_decode(raw)
+        seed = zigzag_decode(raw)
     graph_digest, pos = _read_digest(data, pos)
     config_digest, pos = _read_digest(data, pos)
     config_bytes, pos = _read_blob(data, pos)
     extra_bytes, pos = _read_blob(data, pos)
     if pos != len(data):
         raise ContainerFormatError("trailing bytes after summary metadata")
-    try:
+    try:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors.
+        method = method_bytes.decode("utf-8")
+        config_json = config_bytes.decode("utf-8")
         extra = json.loads(extra_bytes.decode("utf-8")) if extra_bytes else {}
     except ValueError as error:
-        raise ContainerFormatError(f"corrupt summary metadata JSON: {error}") from None
+        raise ContainerFormatError(f"corrupt summary metadata: {error}") from None
     return SummaryMeta(
         kind="hierarchical" if kind_byte == _KIND_HIERARCHICAL else "flat",
-        method=method_bytes.decode("utf-8"),
+        method=method,
         seed=seed,
         graph_digest=graph_digest,
         config_digest=config_digest,
-        config_json=config_bytes.decode("utf-8"),
+        config_json=config_json,
         extra=extra,
     )
 

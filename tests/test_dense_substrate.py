@@ -5,11 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.shingles import (
-    DenseShingleCache,
-    ShingleCache,
-    dense_subnode_shingles,
+    LazyShingles,
+    dense_shingles,
     make_hash_function,
-    subnode_shingles,
 )
 from repro.core.state import SluggerState
 from repro.exceptions import InvalidGraphError
@@ -64,7 +62,7 @@ class TestDenseAdjacency:
         dense = DenseAdjacency.from_graph(graph)
         for neighbors in dense.neighbors:
             assert all(type(v) is int for v in neighbors)
-        shingles = dense_subnode_shingles(dense, make_hash_function(3))
+        shingles = dense_shingles(dense, make_hash_function(3))
         assert len(shingles) == 3
 
     def test_mirrors_graph_with_arbitrary_labels(self):
@@ -143,21 +141,28 @@ class TestCSRAdjacency:
         assert csr.approx_bytes() < 0.7 * graph_adjacency_bytes(graph)
 
 
+def label_shingle(graph, hash_function, label):
+    """Brute-force oracle: min hash over the closed neighbourhood of ``label``."""
+    return min(hash_function(x) for x in [label, *graph.neighbor_set(label)])
+
+
 class TestDenseShingles:
     def test_dense_shingles_match_label_shingles(self):
-        graph = caveman_graph(5, 6, 0.1, seed=9)
+        # String labels: dense shingles must hash the labels, not the ids.
+        base = caveman_graph(5, 6, 0.1, seed=9)
+        graph = Graph(nodes=[f"n{node}" for node in base.nodes()],
+                      edges=[(f"n{u}", f"n{v}") for u, v in base.edges()])
         dense = DenseAdjacency.from_graph(graph)
         labels = dense.index.labels()
         hash_function = make_hash_function(123)
-        by_label = subnode_shingles(graph, make_hash_function(123))
-        by_id = dense_subnode_shingles(dense, hash_function)
-        assert all(by_label[labels[i]] == by_id[i] for i in range(len(labels)))
+        by_id = dense_shingles(dense, hash_function)
+        assert by_id == [label_shingle(graph, hash_function, label) for label in labels]
 
     def test_dense_cache_lazy_matches_bulk(self):
         graph = caveman_graph(4, 5, 0.1, seed=2)
         dense = DenseAdjacency.from_graph(graph)
-        lazy = DenseShingleCache(dense, seed=7)
-        bulk = DenseShingleCache(dense, seed=7)
+        lazy = LazyShingles(dense, seed=7)
+        bulk = LazyShingles(dense, seed=7)
         full = bulk.ensure_shingles()
         assert [lazy.shingle(i) for i in range(dense.num_nodes)] == list(full)
 
@@ -165,10 +170,10 @@ class TestDenseShingles:
         graph = Graph(edges=[("x", "y"), ("y", "z"), ("x", "w")])
         dense = DenseAdjacency.from_graph(graph)
         labels = dense.index.labels()
-        label_cache = ShingleCache(graph, seed=11)
-        dense_cache = DenseShingleCache(dense, seed=11)
+        hash_function = make_hash_function(11)
+        dense_cache = LazyShingles(dense, seed=11)
         for node_id, label in enumerate(labels):
-            assert dense_cache.shingle(node_id) == label_cache.shingle(label)
+            assert dense_cache.shingle(node_id) == label_shingle(graph, hash_function, label)
 
 
 class TestStateSubstrate:
@@ -177,9 +182,3 @@ class TestStateSubstrate:
         state = SluggerState(graph)
         assert state.dense is not None
         state.check_consistency()  # includes the dense id == leaf id check
-
-    def test_label_fallback_state_has_no_dense(self):
-        graph = caveman_graph(2, 4, seed=0)
-        state = SluggerState(graph, build_dense=False)
-        assert state.dense is None
-        state.check_consistency()

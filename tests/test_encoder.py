@@ -6,24 +6,39 @@ import pytest
 
 from repro.core.encoder import (
     Panel,
+    _count_between,
+    _count_within,
+    _edge_pairs_between,
+    _edge_pairs_within,
+    _nonedge_pairs_between,
+    _nonedge_pairs_within,
     apply_cross_plan,
     apply_intra_plan,
-    count_edges_between,
-    count_edges_within,
     memo_table_sizes,
-    missing_pairs_between,
-    missing_pairs_within,
     plan_cross_encoding,
     plan_intra_encoding,
-    present_pairs_between,
-    present_pairs_within,
 )
-from repro.graphs import Graph, complete_bipartite_graph, complete_graph
+from repro.graphs import DenseAdjacency, Graph, complete_bipartite_graph, complete_graph
 from repro.model import Hierarchy, HierarchicalSummary
 
 
+def _string_labelled(graph):
+    """A copy of ``graph`` whose node ``x`` is relabelled ``"n<x>"``."""
+    return Graph(nodes=[f"n{node}" for node in graph.nodes()],
+                 edges=[(f"n{u}", f"n{v}") for u, v in graph.edges()])
+
+
+def _named_pairs(hierarchy, pairs):
+    """Leaf-id pairs mapped back to their subnode labels."""
+    return {(hierarchy.subnode_of_leaf(u), hierarchy.subnode_of_leaf(v)) for u, v in pairs}
+
+
 def _two_group_hierarchy(graph, left, right):
-    """Build a hierarchy with two root supernodes over the given node sets."""
+    """Build a hierarchy with two root supernodes over the given node sets.
+
+    Leaves are added in graph order, so leaf ids are the dense ids of
+    ``DenseAdjacency.from_graph(graph)``.
+    """
     hierarchy = Hierarchy()
     leaves = {node: hierarchy.add_leaf(node) for node in graph.nodes()}
     root_left = hierarchy.create_parent([leaves[node] for node in left]) if len(left) > 1 else leaves[left[0]]
@@ -32,30 +47,55 @@ def _two_group_hierarchy(graph, left, right):
 
 
 class TestBlockCounting:
+    """Dense block statistics against brute-force ``graph.has_edge`` oracles."""
+
     def test_count_edges_between(self):
-        graph = complete_bipartite_graph(2, 3)
-        hierarchy, left, right = _two_group_hierarchy(graph, [0, 1], [2, 3, 4])
-        assert count_edges_between(graph, hierarchy, left, right) == 6
-        assert len(present_pairs_between(graph, hierarchy, left, right)) == 6
-        assert missing_pairs_between(graph, hierarchy, left, right) == []
+        base = complete_bipartite_graph(3, 4)
+        base.remove_edge(0, 4)
+        base.add_edge(3, 5)  # An edge inside one side must not be counted.
+        graph = _string_labelled(base)
+        left, right = ["n0", "n1", "n2"], ["n3", "n4", "n5", "n6"]
+        hierarchy, root_left, root_right = _two_group_hierarchy(graph, left, right)
+        dense = DenseAdjacency.from_graph(graph)
+        present = {(u, v) for u in left for v in right if graph.has_edge(u, v)}
+        missing = {(u, v) for u in left for v in right if not graph.has_edge(u, v)}
+        assert _count_between(dense, hierarchy, root_left, root_right) == len(present) == 11
+        assert _count_between(dense, hierarchy, root_right, root_left) == len(present)
+        pairs = _edge_pairs_between(dense, hierarchy, root_left, root_right)
+        assert len(pairs) == len(present)
+        assert _named_pairs(hierarchy, pairs) == present
+        pairs = _nonedge_pairs_between(dense, hierarchy, root_left, root_right)
+        assert len(pairs) == len(missing)
+        assert _named_pairs(hierarchy, pairs) == missing
 
     def test_count_edges_within(self):
-        graph = complete_graph(4)
-        graph.remove_edge(0, 1)
+        base = complete_graph(5)
+        base.remove_edge(0, 1)
+        base.remove_edge(2, 4)
+        graph = _string_labelled(base)
         hierarchy = Hierarchy()
         leaves = [hierarchy.add_leaf(node) for node in graph.nodes()]
-        root = hierarchy.create_parent(leaves)
-        assert count_edges_within(graph, hierarchy, root) == 5
-        assert len(present_pairs_within(graph, hierarchy, root)) == 5
-        missing = missing_pairs_within(graph, hierarchy, root)
-        assert [frozenset(pair) for pair in missing] == [frozenset({0, 1})]
+        root = hierarchy.create_parent(leaves[:4])
+        dense = DenseAdjacency.from_graph(graph)
+        members = ["n0", "n1", "n2", "n3"]
+        pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+        present = {frozenset(pair) for pair in pairs if graph.has_edge(*pair)}
+        missing = {frozenset(pair) for pair in pairs if not graph.has_edge(*pair)}
+        assert _count_within(dense, hierarchy, root) == len(present) == 5
+        found = _edge_pairs_within(dense, hierarchy, root)
+        assert len(found) == len(present)
+        assert {frozenset(pair) for pair in _named_pairs(hierarchy, found)} == present
+        found = _nonedge_pairs_within(dense, hierarchy, root)
+        assert {frozenset(pair) for pair in _named_pairs(hierarchy, found)} == missing
+        assert missing == {frozenset({"n0", "n1"})}
 
 
 class TestCrossPlans:
     def test_complete_bipartite_uses_single_blanket(self):
         graph = complete_bipartite_graph(3, 4)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5, 6])
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost == 1
         assert len(plan.superedges) == 1
         assert plan.superedges[0][2] == 1
@@ -65,7 +105,8 @@ class TestCrossPlans:
         graph.add_edge(0, 1)
         graph.add_edge(2, 3)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1], [2, 3])
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost == 0
         assert plan.superedges == []
 
@@ -73,7 +114,8 @@ class TestCrossPlans:
         graph = Graph(nodes=[0, 1, 2, 3])
         graph.add_edge(0, 2)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1], [2, 3])
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost == 1
         assert plan.superedges == []
         assert plan.positive_blocks  # The present pair is listed at leaf level.
@@ -83,9 +125,10 @@ class TestCrossPlans:
         graph.remove_edge(0, 5)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5])
         panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
-        plan = plan_cross_encoding(graph, hierarchy, panel_a, panel_b)
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b)
         summary = HierarchicalSummary(hierarchy)
-        apply_cross_plan(plan, graph, hierarchy, panel_a, panel_b, summary.add_edge)
+        apply_cross_plan(plan, dense, hierarchy, panel_a, panel_b, summary.add_edge)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 
@@ -94,8 +137,9 @@ class TestCrossPlans:
         graph.remove_edge(0, 4)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5, 6])
         panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
-        with_memo = plan_cross_encoding(graph, hierarchy, panel_a, panel_b, use_memo=True)
-        without_memo = plan_cross_encoding(graph, hierarchy, panel_a, panel_b, use_memo=False)
+        dense = DenseAdjacency.from_graph(graph)
+        with_memo = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=True)
+        without_memo = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=False)
         assert with_memo.cost == without_memo.cost
 
     def test_memo_statistics_exposed(self):
@@ -116,7 +160,8 @@ class TestIntraPlans:
     def test_clique_becomes_self_loop(self):
         graph = complete_graph(6)
         hierarchy, merged = self._merged_panel(graph, [0, 1, 2], [3, 4, 5])
-        plan = plan_intra_encoding(graph, hierarchy, merged, Panel(hierarchy, merged))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
         assert plan.cost == 1
         assert plan.superedges == [(merged, merged, 1)]
 
@@ -124,7 +169,8 @@ class TestIntraPlans:
         graph = complete_graph(6)
         graph.remove_edge(0, 3)
         hierarchy, merged = self._merged_panel(graph, [0, 1, 2], [3, 4, 5])
-        plan = plan_intra_encoding(graph, hierarchy, merged, Panel(hierarchy, merged))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
         assert plan.cost == 2  # Self-loop plus one negative leaf correction.
 
     def test_intra_plan_application_is_lossless(self):
@@ -133,9 +179,10 @@ class TestIntraPlans:
         graph.remove_edge(2, 5)
         hierarchy, merged = self._merged_panel(graph, [0, 1, 2], [3, 4, 5])
         panel = Panel(hierarchy, merged)
-        plan = plan_intra_encoding(graph, hierarchy, merged, panel)
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, panel)
         summary = HierarchicalSummary(hierarchy)
-        apply_intra_plan(plan, graph, hierarchy, panel, summary.add_edge)
+        apply_intra_plan(plan, dense, hierarchy, panel, summary.add_edge)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 
@@ -144,7 +191,8 @@ class TestIntraPlans:
         # encoding is a single blanket between the two child parts.
         graph = complete_bipartite_graph(3, 3)
         hierarchy, merged = self._merged_panel(graph, [0, 1, 2], [3, 4, 5])
-        plan = plan_intra_encoding(graph, hierarchy, merged, Panel(hierarchy, merged))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
         assert plan.cost == 1
         assert len(plan.superedges) == 1
         x, y, sign = plan.superedges[0]
@@ -156,9 +204,10 @@ class TestIntraPlans:
         graph.remove_edge(0, 3)
         hierarchy, merged = self._merged_panel(graph, [0, 1, 2], [3, 4, 5])
         panel = Panel(hierarchy, merged)
+        dense = DenseAdjacency.from_graph(graph)
         assert (
-            plan_intra_encoding(graph, hierarchy, merged, panel, use_memo=True).cost
-            == plan_intra_encoding(graph, hierarchy, merged, panel, use_memo=False).cost
+            plan_intra_encoding(dense, hierarchy, merged, panel, use_memo=True).cost
+            == plan_intra_encoding(dense, hierarchy, merged, panel, use_memo=False).cost
         )
 
 

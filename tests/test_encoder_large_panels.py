@@ -21,7 +21,13 @@ from repro.core.encoder import (
     plan_cross_encoding,
     plan_intra_encoding,
 )
-from repro.graphs import Graph, complete_bipartite_graph, complete_graph, erdos_renyi_graph
+from repro.graphs import (
+    DenseAdjacency,
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    erdos_renyi_graph,
+)
 from repro.model import Hierarchy, HierarchicalSummary
 
 
@@ -61,7 +67,8 @@ class TestCrossFallback:
         left_groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         right_groups = [[9, 10], [11, 12], [13, 14], [15, 16]]
         hierarchy, left, right = _wide_two_panel_hierarchy(graph, left_groups, right_groups)
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost == 1
         assert len(plan.superedges) == 1
 
@@ -72,7 +79,8 @@ class TestCrossFallback:
         left_groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         right_groups = [[9, 10], [11, 12], [13, 14], [15, 16]]
         hierarchy, left, right = _wide_two_panel_hierarchy(graph, left_groups, right_groups)
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost == 0
         assert plan.superedges == []
 
@@ -90,9 +98,10 @@ class TestCrossFallback:
                 graph.add_edge(u, v)
         hierarchy, left, right = _wide_two_panel_hierarchy(graph, left_groups, right_groups)
         panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
-        plan = plan_cross_encoding(graph, hierarchy, panel_a, panel_b)
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b)
         summary = HierarchicalSummary(hierarchy)
-        apply_cross_plan(plan, graph, hierarchy, panel_a, panel_b, summary.add_edge)
+        apply_cross_plan(plan, dense, hierarchy, panel_a, panel_b, summary.add_edge)
         summary.validate(graph)
 
     def test_fallback_never_worse_than_listing_all_edges(self):
@@ -102,7 +111,8 @@ class TestCrossFallback:
         left_groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         right_groups = [[9, 10], [11, 12], [13, 14], [15, 16]]
         hierarchy, left, right = _wide_two_panel_hierarchy(graph, left_groups, right_groups)
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert plan.cost <= graph.num_edges
         assert plan.cost <= 1 + 2  # blanket plus the two negative corrections
 
@@ -112,7 +122,8 @@ class TestCrossFallback:
         right_groups = [[12, 13, 14], [15, 16, 17], [18, 19, 20], [21, 22, 23]]
         hierarchy, left, right = _wide_two_panel_hierarchy(graph, left_groups, right_groups)
         started = time.perf_counter()
-        plan = plan_cross_encoding(graph, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
         assert time.perf_counter() - started < 2.0
         assert plan.cost == 1
 
@@ -122,7 +133,8 @@ class TestIntraFallback:
         graph = complete_graph(15)
         groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]]
         hierarchy, merged = _wide_merged_hierarchy(graph, groups)
-        plan = plan_intra_encoding(graph, hierarchy, merged, Panel(hierarchy, merged))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
         assert plan.cost == 1
         assert plan.superedges == [(merged, merged, 1)]
 
@@ -133,9 +145,10 @@ class TestIntraFallback:
         groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]]
         hierarchy, merged = _wide_merged_hierarchy(graph, groups)
         panel = Panel(hierarchy, merged)
-        plan = plan_intra_encoding(graph, hierarchy, merged, panel)
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, panel)
         summary = HierarchicalSummary(hierarchy)
-        apply_intra_plan(plan, graph, hierarchy, panel, summary.add_edge)
+        apply_intra_plan(plan, dense, hierarchy, panel, summary.add_edge)
         summary.validate(graph)
         assert plan.cost <= 3  # self-loop plus the two negative corrections
 
@@ -145,6 +158,7 @@ class TestIntraFallback:
         graph.add_edge(6, 9)
         groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]]
         hierarchy, merged = _wide_merged_hierarchy(graph, groups)
-        plan = plan_intra_encoding(graph, hierarchy, merged, Panel(hierarchy, merged))
+        dense = DenseAdjacency.from_graph(graph)
+        plan = plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
         assert plan.cost == 2
         assert plan.superedges == [] or all(sign == 1 for _, _, sign in plan.superedges)

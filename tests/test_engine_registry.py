@@ -121,18 +121,6 @@ class TestEquivalence:
         assert result.cost() == FINGERPRINTS[fixture][method]
         assert result.runtime_seconds >= 0.0
 
-    @pytest.mark.parametrize("fixture", ["caveman", "nested"])
-    def test_dense_substrate_swap_is_bit_identical(self, fixture):
-        graph = fixture_graphs()[fixture]
-        costs = {}
-        for dense in (True, False):
-            config = SluggerConfig(iterations=5, seed=0, use_dense_substrate=dense,
-                                   check_invariants=True, validate_output=True)
-            result = Slugger(config).summarize(graph)
-            costs[dense] = (result.cost(), result.summary.num_p_edges,
-                            result.summary.num_n_edges, result.summary.num_h_edges)
-        assert costs[True] == costs[False]
-
     def test_summarizer_is_callable_with_legacy_signature(self):
         graph = fixture_graphs()["caveman"]
         summarizer = engine.create("sweg", iterations=5)

@@ -85,15 +85,6 @@ class TestQueries:
         assert two_level.is_ancestor(leaf, leaf)
         assert not two_level.is_ancestor(leaf, root)
 
-    def test_contains_subnode(self, two_level):
-        root = two_level.roots()[0]
-        assert two_level.contains_subnode(root, "b")
-        left = two_level.children(root)[0]
-        members = set(two_level.leaf_subnodes(left))
-        for name in "abcd":
-            assert two_level.contains_subnode(left, name) == (name in members)
-        assert not two_level.contains_subnode(left, "zzz")
-
     def test_descendants(self, two_level):
         root = two_level.roots()[0]
         descendants = set(two_level.descendants(root))

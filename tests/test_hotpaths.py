@@ -17,12 +17,24 @@ from repro.core import Slugger, SluggerConfig, summarize
 from repro.core.candidates import generate_candidate_sets
 from repro.core.merging import merge_and_update
 from repro.core.saving import best_partner, saving, two_hop_roots
-from repro.core.shingles import make_hash_function, root_shingles, subnode_shingles
+from repro.core.shingles import make_hash_function
 from repro.core.state import SluggerState
 from repro.exceptions import SummaryInvariantError
 from repro.graphs import caveman_graph, erdos_renyi_graph
 from repro.model.hierarchy import Hierarchy
 from repro.utils.rng import ensure_rng
+
+
+def subnode_shingles(graph, hash_function):
+    """Shingle of every subnode: min hash over its closed neighbourhood."""
+    return {node: min(hash_function(x) for x in [node, *graph.neighbor_set(node)])
+            for node in graph.nodes()}
+
+
+def root_shingles(roots, hierarchy, node_shingles):
+    """Shingle of each root supernode: min over its subnodes' shingles."""
+    return {root: min(node_shingles[leaf] for leaf in hierarchy.leaf_subnodes(root))
+            for root in roots}
 
 
 def eager_generate_candidate_sets(graph, hierarchy, roots, config, seed=None):
@@ -68,7 +80,8 @@ class TestLazyCandidatesEquivalence:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         roots = sorted(state.roots)
-        lazy = generate_candidate_sets(graph, state.summary.hierarchy, roots, config, seed=seed)
+        lazy = generate_candidate_sets(state.dense, state.summary.hierarchy, roots, config,
+                                       seed=seed)
         eager = eager_generate_candidate_sets(graph, state.summary.hierarchy, roots, config, seed=seed)
         assert lazy == eager
 
@@ -82,7 +95,7 @@ class TestLazyCandidatesEquivalence:
         config = SluggerConfig(max_candidate_size=4, seed=0)
         roots = sorted(state.roots)
         for seed in (3, 11):
-            lazy = generate_candidate_sets(graph, hierarchy, roots, config, seed=seed)
+            lazy = generate_candidate_sets(state.dense, hierarchy, roots, config, seed=seed)
             eager = eager_generate_candidate_sets(graph, hierarchy, roots, config, seed=seed)
             assert lazy == eager
 

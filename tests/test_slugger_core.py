@@ -9,14 +9,14 @@ from repro.core.candidates import generate_candidate_sets
 from repro.core.config import SluggerConfig as Config
 from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.shingles import (
-    ShingleCache,
+    LazyShingles,
+    dense_shingles,
     make_hash_function,
-    root_shingles,
-    subnode_shingles,
 )
 from repro.core.state import SluggerState
 from repro.exceptions import ConfigurationError
 from repro.graphs import (
+    DenseAdjacency,
     Graph,
     caveman_graph,
     complete_bipartite_graph,
@@ -78,6 +78,11 @@ class TestConfig:
             config.threshold(4)
 
 
+def oracle_shingle(graph, hash_function, node):
+    """Min hash over the closed neighbourhood of ``node``, straight off the graph."""
+    return min(hash_function(x) for x in [node, *graph.neighbor_set(node)])
+
+
 class TestShingles:
     def test_hash_function_deterministic(self):
         first = make_hash_function(3)
@@ -86,18 +91,20 @@ class TestShingles:
 
     def test_subnode_shingles_reflect_neighborhoods(self):
         graph = complete_bipartite_graph(2, 4)
-        shingles = subnode_shingles(graph, make_hash_function(1))
-        # Nodes 0 and 1 share the same (closed-ish) neighborhood {2,3,4,5}.
-        assert shingles[0] == min(shingles[0], shingles[1]) or shingles[1] == shingles[0]
+        hash_function = make_hash_function(1)
+        shingles = dense_shingles(DenseAdjacency.from_graph(graph), hash_function)
+        # Labels are 0..5 in insertion order, so dense id == label.
+        assert shingles == [oracle_shingle(graph, hash_function, node) for node in range(6)]
 
     def test_root_shingles_take_minimum(self):
         graph = complete_graph(4)
         state = SluggerState(graph)
         hierarchy = state.summary.hierarchy
-        node_shingles = subnode_shingles(graph, make_hash_function(2))
+        node_shingles = dense_shingles(state.dense, make_hash_function(2))
         merged = state.merge_roots(hierarchy.leaf_of(0), hierarchy.leaf_of(1))
-        values = root_shingles([merged], hierarchy, node_shingles)
-        assert values[merged] == min(node_shingles[0], node_shingles[1])
+        # Candidate generation's root shingle: the minimum over the leaf ids.
+        value = min(node_shingles[leaf] for leaf in hierarchy.leaf_id_view(merged))
+        assert value == min(node_shingles[0], node_shingles[1])
 
     def test_hash_function_distinguishes_ids_near_mask_boundary(self):
         # Regression: the old 61-bit pre-mask collided x with x + 2**61 and
@@ -112,29 +119,36 @@ class TestShingles:
 
     def test_shingle_cache_matches_eager_computation(self):
         graph = erdos_renyi_graph(50, 0.15, seed=9)
-        eager = subnode_shingles(graph, make_hash_function(13))
-        lazy = ShingleCache(graph, 13)
-        assert all(lazy.shingle(node) == eager[node] for node in graph.nodes())
-        bulk = ShingleCache(graph, 13)
+        dense = DenseAdjacency.from_graph(graph)
+        labels = dense.index.labels()
+        hash_function = make_hash_function(13)
+        eager = dense_shingles(dense, hash_function)
+        assert eager == [oracle_shingle(graph, hash_function, label) for label in labels]
+        lazy = LazyShingles(dense, 13)
+        assert [lazy.shingle(node) for node in range(dense.num_nodes)] == eager
+        bulk = LazyShingles(dense, 13)
         assert bulk.ensure_shingles() == eager
 
     def test_shingle_cache_is_lazy(self):
         graph = erdos_renyi_graph(50, 0.1, seed=9)
-        cache = ShingleCache(graph, 13)
-        node = graph.nodes()[0]
-        cache.shingle(node)
+        dense = DenseAdjacency.from_graph(graph)
+        cache = LazyShingles(dense, 13)
+        cache.shingle(0)
         # Only the requested closed neighborhood was hashed.
-        assert len(cache._values) <= graph.degree(node) + 1
+        hashed = sum(value is not None for value in cache._values)
+        assert hashed <= dense.degree(0) + 1
 
     def test_shingle_cache_agrees_with_root_shingles_on_merged_roots(self):
-        graph = complete_graph(4)
+        graph = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
         state = SluggerState(graph)
         hierarchy = state.summary.hierarchy
-        merged = state.merge_roots(hierarchy.leaf_of(2), hierarchy.leaf_of(3))
-        cache = ShingleCache(graph, 2)
-        eager = root_shingles([merged], hierarchy, subnode_shingles(graph, make_hash_function(2)))
-        lazy = min(cache.shingle(subnode) for subnode in hierarchy.leaf_subnodes(merged))
-        assert lazy == eager[merged]
+        merged = state.merge_roots(hierarchy.leaf_of("c"), hierarchy.leaf_of("d"))
+        cache = LazyShingles(state.dense, 2)
+        lazy = min(cache.shingle(leaf) for leaf in hierarchy.leaf_id_view(merged))
+        hash_function = make_hash_function(2)
+        eager = min(oracle_shingle(graph, hash_function, label)
+                    for label in hierarchy.leaf_subnodes(merged))
+        assert lazy == eager
 
 
 class TestCandidates:
@@ -143,7 +157,7 @@ class TestCandidates:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=1
+            state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=1
         )
         seen = [root for candidate_set in candidate_sets for root in candidate_set]
         assert len(seen) == len(set(seen))
@@ -156,7 +170,7 @@ class TestCandidates:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=2
+            state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=2
         )
         assert len(candidate_sets) == 1
         assert len(candidate_sets[0]) == 5
@@ -165,8 +179,8 @@ class TestCandidates:
         graph = erdos_renyi_graph(50, 0.1, seed=3)
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=8, seed=0)
-        first = generate_candidate_sets(graph, state.summary.hierarchy, sorted(state.roots), config, seed=7)
-        second = generate_candidate_sets(graph, state.summary.hierarchy, sorted(state.roots), config, seed=7)
+        first = generate_candidate_sets(state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=7)
+        second = generate_candidate_sets(state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=7)
         assert first == second
 
 

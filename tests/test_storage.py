@@ -22,6 +22,8 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine, storage
 from repro.core import Slugger, SluggerConfig
@@ -38,6 +40,7 @@ from repro.service import SummaryService
 from repro.service.store import GraphStore
 from repro.storage.cache import GraphCache, file_digest
 from repro.storage.format import (
+    check_indices,
     container_digest,
     decode_varint,
     encode_varint,
@@ -117,6 +120,49 @@ class TestFormatPrimitives:
         decoded, position = decode_varint(bytes(out), 0)
         assert decoded == value
         assert position == len(out)
+
+    def test_varint_single_byte_values(self):
+        for value, encoded in ((0, b"\x00"), (127, b"\x7f")):
+            out = bytearray()
+            encode_varint(value, out)
+            assert bytes(out) == encoded
+
+    def test_varint_multi_byte_value(self):
+        out = bytearray()
+        encode_varint(300, out)
+        assert len(out) == 2
+        assert decode_varint(bytes(out), 0) == (300, 2)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**80), max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_varint_sequence_round_trip(self, values):
+        out = bytearray()
+        for value in values:
+            encode_varint(value, out)
+        position, decoded = 0, []
+        for _ in values:
+            value, position = decode_varint(bytes(out), position)
+            decoded.append(value)
+        assert decoded == values
+        assert position == len(out)
+
+    @pytest.mark.parametrize("width,num_nodes", [
+        (width, num_nodes)
+        for width in (1, 2, 4, 8)
+        for num_nodes in (1, 2, 256, 257, 300, 1050, 65536)
+        if num_nodes - 1 < 1 << (8 * width)
+    ])
+    def test_check_indices_accepts_ids_below_num_nodes_only(self, width, num_nodes):
+        def payload(ids):
+            return b"".join(i.to_bytes(width, "little") for i in ids)
+
+        check_indices(payload([0, num_nodes - 1, num_nodes // 2]), num_nodes, width)
+        check_indices(b"", num_nodes, width)
+        for bad in (num_nodes, num_nodes + 255, (1 << (8 * width)) - 1):
+            if bad >= 1 << (8 * width) or bad < num_nodes:
+                continue
+            with pytest.raises(ContainerFormatError, match="INDX"):
+                check_indices(payload([0, bad, 1 % num_nodes]), num_nodes, width)
 
     def test_varint_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -221,7 +267,8 @@ class TestRoundTrip:
             assert stored.csr().index.labels() == string_fixture().nodes()
 
     def test_mixed_and_negative_labels(self, tmp_path):
-        graph = Graph(edges=[(1, "two"), ("two", -3), (-3, 1), (10**15, -3)])
+        graph = Graph(edges=[(1, "two"), ("two", -3), (-3, 1), (10**15, -3),
+                             (2**64, -(2**63) - 1), (2**80 + 3, 1)])
         path = tmp_path / "g.slg"
         storage.pack(graph, path)
         with storage.load(path) as stored:

@@ -222,6 +222,17 @@ class TestSummaryRoundTrip:
             assert decompressed.num_edges == graph.num_edges
             assert sorted(decompressed.edges()) == sorted(graph.edges())
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -(2**63) - 1])
+    def test_seed_past_64_bits_round_trips(self, tmp_path, seed):
+        graph = int_fixture()
+        csr = frozen_csr(graph)
+        result = summarize(graph, iterations=2, seed=0)
+        meta = meta_for(graph, csr, result, iterations=2, seed=seed)
+        path = tmp_path / "summary.slg"
+        write_container_image(path, encode_summary_container(csr, result.summary, meta))
+        with load_summary(path) as stored:
+            assert stored.meta.seed == seed
+
     def test_canonical_reencode_is_byte_identical(self, tmp_path):
         # Equal summaries ⇒ byte-identical sections is what makes the
         # store content-addressable; re-encoding a decoded summary must
