@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 from repro import engine
 from repro.analysis.metrics import compression_report
 from repro.engine.base import AnySummary, EngineResult, Summarizer
-from repro.engine.execution import ExecutionConfig
 from repro.engine.hooks import RunControl
 from repro.graphs.graph import Graph
 
@@ -76,7 +75,6 @@ def _run_spec(
     spec: MethodSpec,
     graph: Graph,
     seed: int,
-    execution: Optional[ExecutionConfig] = None,
     service=None,
     on_progress: Optional[ProgressCallback] = None,
     resources=None,
@@ -94,7 +92,6 @@ def _run_spec(
             summarizer=spec if isinstance(spec, Summarizer) else None,
             graph=graph,
             seed=seed,
-            execution=execution,
         )
         control = None
         if on_progress is not None or metrics is not None or tracer is not None:
@@ -125,7 +122,6 @@ def compare_methods(
     methods: Optional[Union[Mapping[str, MethodSpec], Sequence[str]]] = None,
     seed: int = 0,
     validate: bool = True,
-    execution: Optional[ExecutionConfig] = None,
     service=None,
     on_progress: Optional[ProgressCallback] = None,
     resources=None,
@@ -136,9 +132,7 @@ def compare_methods(
 
     ``methods`` may be a mapping of display name → method spec, a
     sequence of registry names, or ``None`` for the paper's default
-    suite.  ``execution`` rides along on every request; every method
-    runs serially, so it changes no result.
-    Results are ordered by ascending relative size (best compression
+    suite.  Results are ordered by ascending relative size (best compression
     first), which makes the winner immediately visible in reports.
 
     The harness is a thin shim over the service layer: runs go through
@@ -160,7 +154,7 @@ def compare_methods(
     resolved = _resolve(methods)
     results: List[MethodResult] = []
     for name, spec in resolved.items():
-        outcome = _run_spec(name, spec, graph, seed, execution, service,
+        outcome = _run_spec(name, spec, graph, seed, service,
                             on_progress, resources, metrics, tracer)
         if validate:
             outcome.summary.validate(graph)

@@ -735,9 +735,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
             key = dataset if dataset is not None else input_path
-            workers = record.pop("workers", None)
-            if workers is not None and "execution" not in record:
-                record["execution"] = {"workers": workers}
             if key not in graphs:
                 if input_path is not None and cache is not None:
                     # Through the container cache: a hit memory-maps the

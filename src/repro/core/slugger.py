@@ -1,9 +1,8 @@
-"""The SLUGGER driver (Algorithm 1) as a staged phase pipeline.
+"""The SLUGGER driver (Algorithm 1).
 
-``Slugger.summarize`` runs ``T`` iterations, each an explicit pipeline of
-three phases over the shared :class:`IterationContext`:
-
-``group → merge → recost``
+``Slugger.summarize`` runs ``T`` iterations; each is one pass of three
+phases, traced as ``group``, ``merge`` and ``recost`` spans inside an
+``iteration`` span:
 
 * **group** draws the iteration's candidate seed, forms the candidate
   root sets (Sect. III-B2) and draws one merge seed per set;
@@ -13,11 +12,11 @@ three phases over the shared :class:`IterationContext`:
   the incremental indices.
 
 SLUGGER is a sequential greedy heuristic and this driver runs it
-serially at any worker count: measured on two CPUs, process-parallel
-decide strategies (optimistic replay, colored sweeps) and sharded
-pruning did not beat this loop.  Every random draw of a run comes from
-the single ``ensure_rng(seed)`` stream, so the output is bit-identical
-for a fixed seed.
+serially: measured on two CPUs, process-parallel decide strategies
+(optimistic replay, colored sweeps) and sharded pruning did not beat
+this loop.  Every random draw of a run comes from the single
+``ensure_rng(seed)`` stream, so the output is bit-identical for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -39,17 +38,7 @@ from repro.model.summary import HierarchicalSummary
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_type
 
-__all__ = [
-    "GroupPhase",
-    "IterationContext",
-    "IterationPipeline",
-    "MergePhase",
-    "PHASE_NAMES",
-    "RecostPhase",
-    "Slugger",
-    "SluggerResult",
-    "summarize",
-]
+__all__ = ["PHASE_NAMES", "Slugger", "SluggerResult", "summarize"]
 
 PHASE_NAMES = ("group", "merge", "recost")
 
@@ -103,131 +92,11 @@ class SluggerResult:
         return self.summary.relative_size(graph)
 
 
-@dataclass
-class IterationContext:
-    """Everything one pipeline iteration reads and produces.
-
-    The driver creates one context per run and resets the per-iteration
-    slots before each pass; phases communicate exclusively through it,
-    which keeps every phase independently testable and replaceable.
-    """
-
-    state: SluggerState
-    config: SluggerConfig
-    rng: object  # random.Random: the run's single RNG stream
-    phase_seconds: Dict[str, float]
-    stats: Dict[str, int]
-    history: List[Dict[str, float]] = field(default_factory=list)
-    # Per-iteration slots, reset by the driver:
-    iteration: int = 0
-    threshold: float = 0.0
-    candidate_sets: List[List[int]] = field(default_factory=list)
-    merge_seeds: List[int] = field(default_factory=list)
-    merges: int = 0
-    # Telemetry sinks (null objects by default — observation only, the
-    # pipeline's decisions never read them).
-    metrics: object = NULL_METRICS
-    tracer: object = NULL_TRACER
-
-    def begin_iteration(self, iteration: int) -> None:
-        self.iteration = iteration
-        self.threshold = self.config.threshold(iteration)
-        self.candidate_sets = []
-        self.merge_seeds = []
-        self.merges = 0
-
-
-# ----------------------------------------------------------------------
-# Pipeline phases
-# ----------------------------------------------------------------------
-class GroupPhase:
-    """Form candidate root sets and draw one merge seed per set.
-
-    The candidate seed is drawn first, then one merge seed per set in
-    canonical set order, so the run's RNG stream does not depend on how
-    the merge phase consumes the seeds.
-    """
-
-    name = "group"
-
-    def run(self, ctx: IterationContext) -> None:
-        state = ctx.state
-        rng = ctx.rng
-        candidate_seed = rng.randrange(2**61)
-        ctx.candidate_sets = generate_candidate_sets(
-            state.dense,
-            state.summary.hierarchy,
-            sorted(state.roots),
-            ctx.config,
-            seed=candidate_seed,
-        )
-        ctx.merge_seeds = [rng.randrange(2**61) for _ in ctx.candidate_sets]
-
-
-class MergePhase:
-    """Run Algorithm 2 on every candidate set, in canonical group order."""
-
-    name = "merge"
-
-    def run(self, ctx: IterationContext) -> None:
-        state = ctx.state
-        config = ctx.config
-        threshold = ctx.threshold
-        merges = 0
-        for members, seed in zip(ctx.candidate_sets, ctx.merge_seeds):
-            merges += process_candidate_set(state, members, threshold, config, seed=seed)
-        ctx.merges = merges
-        ctx.stats["groups"] += len(ctx.candidate_sets)
-
-
-class RecostPhase:
-    """Record the iteration history entry; optionally verify invariants."""
-
-    name = "recost"
-
-    def run(self, ctx: IterationContext) -> None:
-        history_entry = {
-            "iteration": float(ctx.iteration),
-            "threshold": ctx.threshold,
-            "merges": float(ctx.merges),
-            "roots": float(len(ctx.state.roots)),
-            "cost": float(ctx.state.summary.cost()),
-        }
-        ctx.history.append(history_entry)
-        if ctx.config.check_invariants:
-            ctx.state.check_consistency()
-
-
-class IterationPipeline:
-    """The staged per-iteration pipeline SLUGGER's driver runs.
-
-    Phases execute in order against a shared :class:`IterationContext`;
-    each phase runs inside one tracer span and its duration accumulates
-    into ``ctx.phase_seconds`` — the span *is* the measurement, so the
-    per-phase numbers in :class:`SluggerResult`, the progress events,
-    and the trace file can never drift apart.  (The null tracer's spans
-    still self-time, so the disabled path measures identically.)
-    """
-
-    def __init__(self) -> None:
-        self.phases = (GroupPhase(), MergePhase(), RecostPhase())
-
-    def run_iteration(self, ctx: IterationContext, iteration: int) -> None:
-        ctx.begin_iteration(iteration)
-        for phase in self.phases:
-            with ctx.tracer.span(phase.name, iteration=iteration) as span:
-                phase.run(ctx)
-            ctx.phase_seconds[phase.name] = (
-                ctx.phase_seconds.get(phase.name, 0.0) + span.duration
-            )
-
-
 class Slugger:
     """Scalable lossless summarization of graphs with hierarchy.
 
-    ``execution`` is accepted for a uniform engine API and kept on the
-    instance, but SLUGGER runs serially at any worker count, so it
-    changes neither the summary nor where the work runs.
+    ``execution`` is accepted and ignored: SLUGGER runs serially, so a
+    worker count changes neither the summary nor where the work runs.
 
     Examples
     --------
@@ -250,8 +119,6 @@ class Slugger:
         elif overrides:
             raise TypeError("pass either a config object or keyword overrides, not both")
         self.config = config
-        self.execution = execution
-        self.pipeline = IterationPipeline()
 
     def summarize(
         self,
@@ -305,41 +172,57 @@ class Slugger:
             start_iteration = min(int(resume["iteration"]), config.iterations)
 
         if graph.num_edges > 0:
-            ctx = IterationContext(
-                state=state,
-                config=config,
-                rng=rng,
-                phase_seconds=phase_seconds,
-                stats=stats,
-                history=history,
-                metrics=metrics,
-                tracer=tracer,
-            )
             for iteration in range(start_iteration + 1, config.iterations + 1):
                 if control is not None:
                     control.checkpoint()
-                phase_before = dict(phase_seconds) if telemetry else None
+                threshold = config.threshold(iteration)
                 with tracer.span("iteration", number=iteration):
-                    self.pipeline.run_iteration(ctx, iteration)
+                    # The candidate seed is drawn first, then one merge
+                    # seed per set in canonical set order: that order is
+                    # what makes a fixed-seed (or resumed) run bit-identical.
+                    with tracer.span("group", iteration=iteration) as group_span:
+                        candidate_sets = generate_candidate_sets(
+                            state.dense,
+                            state.summary.hierarchy,
+                            sorted(state.roots),
+                            config,
+                            seed=rng.randrange(2**61),
+                        )
+                        merge_seeds = [rng.randrange(2**61) for _ in candidate_sets]
+                    with tracer.span("merge", iteration=iteration) as merge_span:
+                        merges = 0
+                        for members, merge_seed in zip(candidate_sets, merge_seeds):
+                            merges += process_candidate_set(
+                                state, members, threshold, config, seed=merge_seed
+                            )
+                    with tracer.span("recost", iteration=iteration) as recost_span:
+                        history.append({
+                            "iteration": float(iteration),
+                            "threshold": threshold,
+                            "merges": float(merges),
+                            "roots": float(len(state.roots)),
+                            "cost": float(state.summary.cost()),
+                        })
+                        if config.check_invariants:
+                            state.check_consistency()
+                stats["groups"] += len(candidate_sets)
+                # One measurement source: the span durations feed
+                # ``SluggerResult.phase_seconds``, the metrics and the
+                # ``phases`` event alike (null spans still self-time).
+                seconds = dict(zip(PHASE_NAMES, (
+                    group_span.duration, merge_span.duration, recost_span.duration,
+                )))
+                for name, value in seconds.items():
+                    phase_seconds[name] = phase_seconds.get(name, 0.0) + value
                 if telemetry:
-                    # One measurement source: the per-phase numbers
-                    # below are the span durations run_iteration just
-                    # accumulated, so events/metrics cannot drift
-                    # from ``SluggerResult.phase_seconds``.
-                    deltas = {
-                        name: phase_seconds.get(name, 0.0)
-                              - phase_before.get(name, 0.0)
-                        for name in PHASE_NAMES
-                    }
-                    for name in PHASE_NAMES:
+                    for name, value in seconds.items():
                         metrics.histogram(
                             "slugger_phase_seconds", phase=name
-                        ).observe(deltas[name])
+                        ).observe(value)
                     metrics.counter("slugger_iterations_total").inc()
-                    metrics.counter("slugger_merges_total").inc(ctx.merges)
+                    metrics.counter("slugger_merges_total").inc(merges)
                     if control is not None:
-                        control.emit("phases", iteration=iteration,
-                                     seconds=deltas)
+                        control.emit("phases", iteration=iteration, seconds=seconds)
                 if control is not None:
                     entry = history[-1]
                     control.emit(
@@ -403,12 +286,11 @@ class Slugger:
 def summarize(
     graph: Graph,
     config: Optional[SluggerConfig] = None,
-    execution: Optional[ExecutionConfig] = None,
     control: Optional[RunControl] = None,
     resources: Optional[GraphResources] = None,
     **overrides,
 ) -> SluggerResult:
-    """Convenience wrapper: ``Slugger(config, execution, **overrides).summarize(graph)``."""
-    return Slugger(config, execution=execution, **overrides).summarize(
+    """Convenience wrapper: ``Slugger(config, **overrides).summarize(graph)``."""
+    return Slugger(config, **overrides).summarize(
         graph, control=control, resources=resources
     )

@@ -23,8 +23,7 @@ index against a fresh traversal along with the superedge counters.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import CSRAdjacency, DenseAdjacency
@@ -32,7 +31,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.staleness import ensure_fresh_views
 from repro.model.summary import HierarchicalSummary
 
-__all__ = ["SluggerState", "StateSnapshot"]
+__all__ = ["SluggerState"]
 
 Subnode = Hashable
 RootPair = Tuple[int, int]
@@ -40,52 +39,6 @@ RootPair = Tuple[int, int]
 
 def _pair(a: int, b: int) -> RootPair:
     return (a, b) if a <= b else (b, a)
-
-
-class StateSnapshot:
-    """Cheap read-only view over a :class:`SluggerState`.
-
-    The snapshot exposes the per-root counters through immutable mapping
-    proxies (zero copies except the root set, which is frozen at
-    construction), so read-only consumers — diagnostics, tests, future
-    read-only phases — can be handed a view that cannot rebind or
-    replace any index.  It is a *view*, not a deep freeze: the proxied
-    mappings track the underlying state, and the inner per-root counter
-    dictionaries stay shared.
-    """
-
-    __slots__ = ("roots", "root_adj", "pn_count", "pn_total",
-                 "tree_h", "tree_height", "num_edges")
-
-    def __init__(self, state: "SluggerState") -> None:
-        assign = object.__setattr__
-        assign(self, "roots", frozenset(state.roots))
-        assign(self, "root_adj", MappingProxyType(state.root_adj))
-        assign(self, "pn_count", MappingProxyType(state.pn_count))
-        assign(self, "pn_total", MappingProxyType(state.pn_total))
-        assign(self, "tree_h", MappingProxyType(state.tree_h))
-        assign(self, "tree_height", MappingProxyType(state.tree_height))
-        assign(self, "num_edges", state.graph.num_edges)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"StateSnapshot is read-only (cannot set {name!r})")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"StateSnapshot is read-only (cannot delete {name!r})")
-
-    def group_footprint(self, members: Iterable[int]) -> Set[int]:
-        """Roots whose state processing ``members`` as one candidate group
-        may read or write: the members plus every root adjacent to one of
-        them through a subedge or a p/n-edge.  Merging within the group
-        can only touch state of roots in this set — merges combine member
-        trees, and re-encodings only rewrite superedges between the merged
-        tree and its direct neighbors.
-        """
-        footprint: Set[int] = set(members)
-        for member in members:
-            footprint.update(self.root_adj[member])
-            footprint.update(self.pn_count[member])
-        return footprint
 
 
 class SluggerState:
@@ -294,10 +247,6 @@ class SluggerState:
     def leaf_subnodes(self, root: int) -> List[Subnode]:
         """Subnodes of ``root``'s tree, served from the hierarchy's leaf index."""
         return self.summary.hierarchy.leaf_subnodes(root)
-
-    def snapshot(self) -> StateSnapshot:
-        """A read-only view of the per-root indices (see :class:`StateSnapshot`)."""
-        return StateSnapshot(self)
 
     # ------------------------------------------------------------------
     # Merging

@@ -3,16 +3,14 @@
 ``repro.engine`` gives every summarization method one API::
 
     from repro import engine
-    from repro.engine import ExecutionConfig
 
     engine.available_methods()                       # registry contents
     result = engine.run("sweg", graph, seed=0, iterations=10)
     result.summary.validate(graph)                   # lossless
     result.cost(), result.runtime_seconds            # shared bookkeeping
 
-    # Every method runs serially: an ExecutionConfig is echoed in
-    # result.details["execution"] and never changes the summary.
-    engine.run("sweg", graph, seed=0, execution=ExecutionConfig(workers=4))
+Every method runs serially; the one process pool left is a process-mode
+service's job pool (see :mod:`repro.service`).
 
 New methods plug in by subclassing :class:`Summarizer` and decorating
 with :func:`register`; the CLI, the comparison harness, and the
@@ -32,7 +30,6 @@ should use the service layer directly (see :mod:`repro.service`).
 
 from repro.engine.base import AnySummary, EngineResult, Summarizer
 from repro.engine.execution import (
-    SERIAL_EXECUTION,
     ExecutionConfig,
     ProcessShardExecutor,
     process_execution_available,
@@ -54,7 +51,6 @@ __all__ = [
     "RunControl",
     "Summarizer",
     "DEFAULT_SUITE",
-    "SERIAL_EXECUTION",
     "ExecutionConfig",
     "ProcessShardExecutor",
     "available_methods",

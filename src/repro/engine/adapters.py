@@ -21,7 +21,6 @@ from repro.baselines.sweg import sweg_summarize
 from repro.core.config import SluggerConfig
 from repro.core.slugger import Slugger
 from repro.engine.base import AnySummary, Summarizer
-from repro.engine.execution import ExecutionConfig
 from repro.engine.hooks import GraphResources, RunControl
 from repro.engine.registry import register
 from repro.graphs.graph import Graph
@@ -50,18 +49,17 @@ class SluggerSummarizer(Summarizer):
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None, None)
+        return self._dispatch(graph, seed, None, None)
 
     def _dispatch(
         self,
         graph: Graph,
         seed: SeedLike,
-        execution: Optional[ExecutionConfig],
         control: Optional[RunControl],
         resources: Optional[GraphResources],
     ) -> RunOutput:
         config = SluggerConfig(**{**self.options, "seed": seed})
-        result = Slugger(config, execution=execution).summarize(
+        result = Slugger(config).summarize(
             graph, control=control, resources=resources
         )
         return result.summary, result.history, {
@@ -83,13 +81,12 @@ class SwegSummarizer(Summarizer):
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None, None)
+        return self._dispatch(graph, seed, None, None)
 
     def _dispatch(
         self,
         graph: Graph,
         seed: SeedLike,
-        execution: Optional[ExecutionConfig],
         control: Optional[RunControl],
         resources: Optional[GraphResources],
     ) -> RunOutput:
@@ -124,10 +121,9 @@ class RandomizedSummarizer(Summarizer):
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = randomized_summarize(graph, seed=seed, **self.options)
-        return summary, [], {}
+        return self._dispatch(graph, seed, None, None)
 
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
         summary = randomized_summarize(
             graph, seed=seed, resources=resources, **self.options
         )
@@ -144,10 +140,9 @@ class SagsSummarizer(Summarizer):
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = sags_summarize(graph, **{**self.options, "seed": seed})
-        return summary, [], {}
+        return self._dispatch(graph, seed, None, None)
 
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
         summary = sags_summarize(
             graph, resources=resources, **{**self.options, "seed": seed}
         )
@@ -164,9 +159,8 @@ class GreedySummarizer(Summarizer):
         self.options = options
 
     def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = greedy_summarize(graph, **self.options)
-        return summary, [], {}
+        return self._dispatch(graph, seed, None, None)
 
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
         summary = greedy_summarize(graph, resources=resources, **self.options)
         return summary, [], {}

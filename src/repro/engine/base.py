@@ -17,7 +17,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
-from repro.engine.execution import ExecutionConfig
 from repro.engine.hooks import GraphResources, RunControl
 from repro.graphs.graph import Graph
 from repro.model.flat import FlatSummary
@@ -88,29 +87,20 @@ class Summarizer(ABC):
         self,
         graph: Graph,
         seed: SeedLike = None,
-        execution: Optional[ExecutionConfig] = None,
         control: Optional[RunControl] = None,
         resources: Optional[GraphResources] = None,
     ) -> EngineResult:
         """Run the method on ``graph`` with shared timing bookkeeping.
 
-        Every method runs serially; ``execution`` is accepted for the
-        callers that size a process-mode service's job pool with it and
-        is echoed in ``details["execution"]``, but it never changes the
-        summary.  ``control`` (progress/cancel) and ``resources`` (shared
-        substrate views) are honored by methods that override
-        :meth:`_dispatch` — SLUGGER and SWeG — and are inert no-ops for
-        the rest; neither can change the summary.
+        ``control`` (progress/cancel) is honored by SLUGGER and SWeG and
+        ``resources`` (shared substrate views) by the methods that
+        override :meth:`_dispatch`; both are inert no-ops for the rest,
+        and neither can change the summary.
         """
         require_type(graph, Graph, "graph")
         started = time.perf_counter()
-        summary, history, details = self._dispatch(
-            graph, seed, execution, control, resources
-        )
+        summary, history, details = self._dispatch(graph, seed, control, resources)
         elapsed = time.perf_counter() - started
-        if execution is not None:
-            details = dict(details)
-            details["execution"] = {"workers": execution.workers}
         return EngineResult(
             method=self.name,
             summary=summary,
@@ -129,16 +119,15 @@ class Summarizer(ABC):
         self,
         graph: Graph,
         seed: SeedLike,
-        execution: Optional[ExecutionConfig],
         control: Optional[RunControl],
         resources: Optional[GraphResources],
     ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Full-surface hook: execution + progress/cancel + shared substrate.
+        """Full-surface hook: progress/cancel + shared substrate.
 
-        The default routes to :meth:`_run` and ignores ``execution``,
-        ``control`` and ``resources``, so simple adapters and user
-        subclasses only implement :meth:`_run`.  Adapters that support
-        the service hooks override this method.
+        The default routes to :meth:`_run` and ignores ``control`` and
+        ``resources``, so simple adapters and user subclasses only
+        implement :meth:`_run`.  Adapters that support the service hooks
+        override this method.
         """
         return self._run(graph, seed)
 

@@ -60,7 +60,6 @@ from repro.utils.validation import require_int
 __all__ = [
     "ExecutionConfig",
     "ProcessShardExecutor",
-    "SERIAL_EXECUTION",
     "available_cpus",
     "process_execution_available",
     "worker_context",
@@ -134,11 +133,12 @@ def available_cpus() -> int:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The worker count of a run or a service.
+    """A worker count that sizes nothing.
 
-    Every summarization method runs serially at any worker count, so
-    ``workers`` never changes a summary; its one effect is sizing a
-    process-mode service's job pool.
+    Every summarization method runs serially, and a service's job pool
+    is sized by ``SummaryService(max_inflight=...)``.  The class stays
+    only because :class:`~repro.core.slugger.Slugger` still accepts (and
+    ignores) an ``execution`` argument for callers that pass one.
 
     Attributes
     ----------
@@ -157,10 +157,6 @@ class ExecutionConfig:
     def parallel(self) -> bool:
         """Whether this configuration can use process sharding at all."""
         return self.workers > 1 and process_execution_available()
-
-
-#: The default configuration: everything on the serial reference path.
-SERIAL_EXECUTION = ExecutionConfig()
 
 
 #: Live process pools, swept at interpreter exit so forked workers never

@@ -19,7 +19,6 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Type
 
 from repro.engine.base import EngineResult, Summarizer
-from repro.engine.execution import ExecutionConfig
 from repro.engine.hooks import GraphResources, RunControl
 from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
@@ -122,7 +121,6 @@ def run(
     method: str,
     graph: Graph,
     seed: SeedLike = None,
-    execution: Optional["ExecutionConfig"] = None,
     control: Optional[RunControl] = None,
     resources: Optional[GraphResources] = None,
     **options: Any,
@@ -139,19 +137,16 @@ def run(
     service instance directly (``submit`` / ``await summarize``);
     ``run`` stays as the convenient one-shot spelling.
 
-    Every method runs serially; ``execution`` is echoed in the result's
-    ``details`` and never changes the summary.  ``control`` optionally receives per-iteration progress
-    events and carries a cancel token.  ``resources`` injects prebuilt
-    substrate views — e.g. a :class:`repro.storage.StoredGraph` whose
+    ``control`` optionally receives per-iteration progress events and
+    carries a cancel token.  ``resources`` injects prebuilt substrate
+    views — e.g. a :class:`repro.storage.StoredGraph` whose
     memory-mapped CSR the run consumes zero-copy — and bypasses the
     default service's interning for the call; output is bit-identical
     either way.
     """
     from repro.service import SummaryRequest, default_service
 
-    request = SummaryRequest(
-        method=method, graph=graph, seed=seed, options=options, execution=execution
-    )
+    request = SummaryRequest(method=method, graph=graph, seed=seed, options=options)
     return default_service().run(request, control=control, resources=resources)
 
 

@@ -2,30 +2,27 @@
 
 A :class:`SummaryRequest` bundles everything a service needs to run one
 summarization: the registry method name, the graph (either inline or as
-a name resolved against the service's graph store), the seed, the
-method-specific options (``iterations``, ``epsilon``, ...), and the
-:class:`~repro.engine.execution.ExecutionConfig`.  It is validated at
-construction — a malformed request fails at submit time, not minutes
-later on a worker — and everything except the inline graph round-trips
-through :meth:`to_dict` / :meth:`from_dict`, which is what the CLI's
-batch-serving mode and the process-mode payloads use.
+a name resolved against the service's graph store), the seed, and the
+method-specific options (``iterations``, ``epsilon``, ...).  It is
+validated at construction — a malformed request (a bad seed included)
+fails at submit time, not minutes later on a worker — and everything
+except the inline graph round-trips through :meth:`to_dict` /
+:meth:`from_dict`, which is what the CLI's batch-serving mode and the
+process-mode payloads use.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.engine.base import Summarizer
-from repro.engine.execution import ExecutionConfig
 from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike
 
 __all__ = ["SummaryRequest"]
-
-#: ExecutionConfig fields that travel through request serialization.
-_EXECUTION_FIELDS = ("workers",)
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,10 @@ class SummaryRequest:
         :class:`~repro.service.store.GraphStore` — the serializable way
         to reference a shared graph.
     seed:
-        Per-run random seed (the request is deterministic in it).
+        Per-run random seed: ``None``, an ``int`` (the request is
+        deterministic in it) or a :class:`random.Random`.
     options:
         Method-specific constructor options (e.g. ``iterations``).
-    execution:
-        Parallel-execution configuration forwarded to capable methods.
     tag:
         Free-form caller correlation id, echoed on the job.
     summarizer:
@@ -63,7 +59,6 @@ class SummaryRequest:
     graph_key: Optional[str] = None
     seed: SeedLike = None
     options: Mapping[str, Any] = field(default_factory=dict)
-    execution: Optional[ExecutionConfig] = None
     tag: Optional[str] = None
     summarizer: Optional[Summarizer] = field(default=None, compare=False)
 
@@ -86,10 +81,14 @@ class SummaryRequest:
             raise ConfigurationError(
                 f"graph must be a Graph, got {type(self.graph).__name__}"
             )
-        if self.execution is not None and not isinstance(self.execution, ExecutionConfig):
+        if not (
+            self.seed is None
+            or isinstance(self.seed, random.Random)
+            or (isinstance(self.seed, int) and not isinstance(self.seed, bool))
+        ):
             raise ConfigurationError(
-                f"execution must be an ExecutionConfig, got "
-                f"{type(self.execution).__name__}"
+                f"seed must be None, an int, or random.Random, got "
+                f"{type(self.seed).__name__} {self.seed!r}"
             )
         if not isinstance(self.options, Mapping):
             raise ConfigurationError(
@@ -120,10 +119,6 @@ class SummaryRequest:
             record["seed"] = self.seed
         if self.options:
             record["options"] = dict(self.options)
-        if self.execution is not None:
-            record["execution"] = {
-                name: getattr(self.execution, name) for name in _EXECUTION_FIELDS
-            }
         if self.tag is not None:
             record["tag"] = self.tag
         return record
@@ -140,7 +135,7 @@ class SummaryRequest:
         ``options``) silently running with defaults is exactly the batch
         -file mistake this guards against.
         """
-        known = {"method", "graph_key", "seed", "options", "execution", "tag"}
+        known = {"method", "graph_key", "seed", "options", "tag"}
         unknown = set(record) - known
         if unknown:
             raise ConfigurationError(
@@ -148,21 +143,12 @@ class SummaryRequest:
                 f"(method options belong under 'options'; known fields: "
                 f"{sorted(known)})"
             )
-        execution = record.get("execution")
-        if isinstance(execution, Mapping):
-            unknown = set(execution) - set(_EXECUTION_FIELDS)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown execution fields in request: {sorted(unknown)}"
-                )
-            execution = ExecutionConfig(**execution)
         return cls(
             method=record.get("method", ""),
             graph=graph,
             graph_key=None if graph is not None else record.get("graph_key"),
             seed=record.get("seed"),
             options=record.get("options", {}),
-            execution=execution,
             tag=record.get("tag"),
         )
 

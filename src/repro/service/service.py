@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.base import EngineResult
 from repro.engine.execution import (
-    ExecutionConfig,
     ProcessShardExecutor,
     available_cpus,
     process_execution_available,
@@ -118,10 +117,6 @@ class SummaryService:
 
     Parameters
     ----------
-    execution:
-        Default :class:`~repro.engine.execution.ExecutionConfig` for
-        requests that do not carry their own (``workers`` is a shorthand
-        for ``ExecutionConfig(workers=...)``).
     mode:
         ``"thread"`` (default) runs jobs on ``max_inflight`` dispatcher
         threads in this process — full progress streams and mid-run
@@ -131,8 +126,9 @@ class SummaryService:
         applies to queued jobs.  Falls back to ``"thread"`` where
         ``fork`` is unavailable.
     max_inflight:
-        Number of jobs executed concurrently (dispatcher threads).
-        Defaults to 1 (strict FIFO) in thread mode and to the pool width
+        Number of jobs executed concurrently (dispatcher threads), which
+        is also the width of the process-mode job pool.  Defaults to 1
+        (strict FIFO) in thread mode and to the number of available CPUs
         in process mode.
     max_pending:
         Bound of the FIFO queue; a full queue raises
@@ -178,8 +174,6 @@ class SummaryService:
     def __init__(
         self,
         *,
-        execution: Optional[ExecutionConfig] = None,
-        workers: Optional[int] = None,
         mode: str = "thread",
         max_inflight: Optional[int] = None,
         max_pending: int = 256,
@@ -192,24 +186,18 @@ class SummaryService:
     ) -> None:
         if mode not in ("thread", "process"):
             raise ConfigurationError(f"mode must be 'thread' or 'process', got {mode!r}")
-        if execution is not None and workers is not None:
-            raise ConfigurationError("pass either execution or workers, not both")
         if graph_store is not None and cache_dir is not None:
             raise ConfigurationError(
                 "pass either graph_store or cache_dir, not both; configure the "
                 "cache on the shared store instead"
             )
-        if workers is not None:
-            execution = ExecutionConfig(workers=workers) if workers > 1 else None
         if max_pending < 1:
             raise ConfigurationError(f"max_pending must be >= 1, got {max_pending}")
         if mode == "process" and not process_execution_available():
             mode = "thread"
         self.mode = mode
-        self.execution = execution
-        pool_width = min(available_cpus(), execution.workers if execution else available_cpus())
         if max_inflight is None:
-            max_inflight = max(1, pool_width) if mode == "process" else 1
+            max_inflight = available_cpus() if mode == "process" else 1
         if max_inflight < 1:
             raise ConfigurationError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
@@ -309,16 +297,15 @@ class SummaryService:
         graph: Optional[Graph],
         graph_key: Optional[str],
         seed: SeedLike,
-        execution: Optional[ExecutionConfig],
         options: Optional[Mapping[str, Any]],
         tag: Optional[str],
     ) -> SummaryRequest:
         if request is not None:
             if any(value is not None for value in
-                   (method, graph, graph_key, seed, execution, options, tag)):
+                   (method, graph, graph_key, seed, options, tag)):
                 raise ConfigurationError(
                     "pass either a SummaryRequest or request fields "
-                    "(method/graph/graph_key/seed/execution/options/tag), "
+                    "(method/graph/graph_key/seed/options/tag), "
                     "not both — field overrides on a prepared request are "
                     "not applied"
                 )
@@ -329,7 +316,6 @@ class SummaryService:
             graph_key=graph_key,
             seed=seed,
             options=options or {},
-            execution=execution if execution is not None else self.execution,
             tag=tag,
         )
 
@@ -341,7 +327,6 @@ class SummaryService:
         graph: Optional[Graph] = None,
         graph_key: Optional[str] = None,
         seed: SeedLike = None,
-        execution: Optional[ExecutionConfig] = None,
         options: Optional[Mapping[str, Any]] = None,
         tag: Optional[str] = None,
         block: bool = False,
@@ -353,7 +338,7 @@ class SummaryService:
         when the bounded queue is full (unless ``block=True``).
         """
         request = self._make_request(
-            request, method, graph, graph_key, seed, execution, options, tag
+            request, method, graph, graph_key, seed, options, tag
         )
         with self._lock:
             if self._closed:
@@ -445,7 +430,6 @@ class SummaryService:
         request: Optional[SummaryRequest] = None,
         graph_key: Optional[str] = None,
         seed: SeedLike = None,
-        execution: Optional[ExecutionConfig] = None,
         options: Optional[Mapping[str, Any]] = None,
         tag: Optional[str] = None,
     ) -> EngineResult:
@@ -456,7 +440,7 @@ class SummaryService:
         """
         job = self.submit(
             request=request, method=method, graph=graph, graph_key=graph_key,
-            seed=seed, execution=execution, options=options, tag=tag, block=False,
+            seed=seed, options=options, tag=tag, block=False,
         )
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[EngineResult]" = loop.create_future()
@@ -530,17 +514,20 @@ class SummaryService:
                 self._stats["cancelled"] += 1
             self._job_settled(job, method, started_perf, "cancelled")
             return
-        address = self._summary_address(job.request)
-        if address is not None:
-            cached = self._cached_result(address, job.request)
-            if cached is not None:
-                job._record("cache", summary_cache="hit", summary_key=address["key"])
-                job._finish(cached)
-                with self._lock:
-                    self._stats["completed"] += 1
-                    self._stats["summary_cache_hits"] += 1
-                self._job_settled(job, method, started_perf, "cache_hit")
-                return
+        try:
+            address = self._summary_address(job.request)
+            cached = None if address is None else self._cached_result(address, job.request)
+        except BaseException as error:  # noqa: BLE001 - settled on the job
+            self._job_settled(job, method, started_perf, self._fail_job(job, error))
+            return
+        if cached is not None:
+            job._record("cache", summary_cache="hit", summary_key=address["key"])
+            job._finish(cached)
+            with self._lock:
+                self._stats["completed"] += 1
+                self._stats["summary_cache_hits"] += 1
+            self._job_settled(job, method, started_perf, "cache_hit")
+            return
         span = self.tracer.span("job", lane=f"job-{job.id}", method=method,
                                 job_id=job.id)
         outcome = "completed"
@@ -572,10 +559,7 @@ class SummaryService:
                             self._stats["summary_resumes"] += 1
                     result = self._run_request(job.request, control)
         except BaseException as error:  # noqa: BLE001 - settled on the job
-            job._fail(error)
-            with self._lock:
-                outcome = "cancelled" if job.cancelled() else "failed"
-                self._stats[outcome] += 1
+            outcome = self._fail_job(job, error)
         else:
             if address is not None:
                 self._persist_result(address, job.request, result)
@@ -584,6 +568,14 @@ class SummaryService:
                 self._stats["completed"] += 1
         span.annotate(outcome=outcome)
         self._job_settled(job, method, started_perf, outcome)
+
+    def _fail_job(self, job: SummaryJob, error: BaseException) -> str:
+        """Settle ``job`` with ``error``; returns its outcome label."""
+        job._fail(error)
+        with self._lock:
+            outcome = "cancelled" if job.cancelled() else "failed"
+            self._stats[outcome] += 1
+        return outcome
 
     def _job_settled(self, job: SummaryJob, method: str, started_perf: float,
                      outcome: str) -> None:
@@ -607,13 +599,12 @@ class SummaryService:
     def _summary_address(self, request: SummaryRequest) -> Optional[Dict[str, Any]]:
         """Resolve a request to its summary-cache address, or ``None``.
 
-        Uncacheable requests — no cache configured, no seed (the result
-        is not reproducible), or an opaque pre-configured summarizer —
-        return ``None`` and follow the historical path untouched.  The
-        execution config is deliberately *not* part of the address:
-        results are bit-identical at any worker count.
+        Uncacheable requests — no cache configured, no ``int`` seed (a
+        ``None`` or :class:`random.Random` seed is not a reproducible
+        content address), or an opaque pre-configured summarizer —
+        return ``None`` and follow the historical path untouched.
         """
-        if self.summary_cache is None or request.seed is None:
+        if self.summary_cache is None or not isinstance(request.seed, int):
             return None
         if request.summarizer is not None:
             return None
@@ -773,11 +764,7 @@ class SummaryService:
             else create(request.method, **request.options)
         )
         return summarizer.summarize(
-            graph,
-            seed=request.seed,
-            execution=request.execution,
-            control=control,
-            resources=resources,
+            graph, seed=request.seed, control=control, resources=resources
         )
 
     def _run_in_pool(self, request: SummaryRequest) -> EngineResult:

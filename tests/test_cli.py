@@ -121,5 +121,5 @@ class TestFailures:
         assert exit_code == 1
         assert "Traceback" not in captured.err
         assert captured.err.startswith("repro-slugger: error: ")
-        assert "workers must be an int" in captured.err
+        assert "unknown request fields: ['workers']" in captured.err
         assert len(captured.err.strip().splitlines()) == 1

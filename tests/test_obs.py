@@ -374,6 +374,35 @@ class TestEngineTelemetry:
         assert set(result.phase_seconds) == set(PHASE_NAMES) | {"prune"}
         assert all(value >= 0.0 for value in result.phase_seconds.values())
 
+    def test_iteration_spans_pin_the_driver_contract(self):
+        """Each ``iteration`` span parents exactly ``group``, ``merge``
+        and ``recost``, in order; ``phase_seconds`` sums those spans; and
+        every ``iteration`` event carries its history entry."""
+        from repro.core.slugger import PHASE_NAMES
+
+        events = []
+        tracer = Tracer()
+        control = RunControl(on_progress=events.append, tracer=tracer)
+        result = Slugger(SluggerConfig(**self.CONFIG)).summarize(
+            self.GRAPH(), control=control
+        )
+        spans = tracer.sorted_spans()
+        iterations = [span for span in spans if span.name == "iteration"]
+        assert len(iterations) == self.CONFIG["iterations"]
+        for iteration in iterations:
+            children = [span.name for span in spans
+                        if span.parent_id == iteration.span_id]
+            assert children == list(PHASE_NAMES)
+        for name in (*PHASE_NAMES, "prune"):
+            assert result.phase_seconds[name] == sum(
+                span.duration for span in spans if span.name == name
+            )
+        iteration_events = [event for event in events
+                            if event["stage"] == "iteration"]
+        assert len(iteration_events) == len(result.history)
+        for event, entry in zip(iteration_events, result.history):
+            assert {key: float(event[key]) for key in entry} == entry
+
     def test_worker_count_does_not_change_the_span_tree(self):
         names = {}
         for workers in worker_counts():

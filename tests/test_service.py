@@ -118,8 +118,7 @@ class TestSummaryRequest:
     def test_serialization_round_trip(self):
         request = SummaryRequest(
             method="sweg", graph_key="cave", seed=3,
-            options={"iterations": 7},
-            execution=engine.ExecutionConfig(workers=2), tag="t",
+            options={"iterations": 7}, tag="t",
         )
         record = request.to_dict()
         rebuilt = SummaryRequest.from_dict(record)
@@ -127,7 +126,6 @@ class TestSummaryRequest:
         assert rebuilt.graph_key == "cave"
         assert rebuilt.seed == 3
         assert rebuilt.options == {"iterations": 7}
-        assert rebuilt.execution == request.execution
         assert rebuilt.tag == "t"
 
     def test_summarizer_requests_are_not_serializable(self):
@@ -140,28 +138,25 @@ class TestSummaryRequest:
             request.to_dict()
 
     def test_from_dict_rejects_unknown_execution_fields(self):
-        with pytest.raises(ConfigurationError):
+        # ``execution`` is no longer a request field at all.
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown request fields: \['execution'\]"):
             SummaryRequest.from_dict(
                 {"method": "slugger", "graph_key": "g",
                  "execution": {"workers": 2, "bogus": 1}}
             )
 
-    @pytest.mark.parametrize("execution", [
-        {"workers": "2"}, {"workers": 2.5}, {"workers": True},
-        {"workers": 2.0},
-    ])
-    def test_from_dict_rejects_non_int_execution_values(self, execution):
-        with pytest.raises(ConfigurationError, match="must be an int"):
-            SummaryRequest.from_dict(
-                {"method": "slugger", "graph_key": "g", "execution": execution}
-            )
-
-    def test_from_dict_rejects_removed_execution_fields(self):
-        with pytest.raises(ConfigurationError, match="unknown execution fields"):
-            SummaryRequest.from_dict(
-                {"method": "slugger", "graph_key": "g",
-                 "execution": {"workers": 2, "chunks_per_worker": 4}}
-            )
+    @pytest.mark.parametrize("seed", ["x", 1.5, True])
+    def test_malformed_seed_is_rejected_when_the_request_is_built(self, seed):
+        graph = caveman_fixture()
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            SummaryRequest(method="slugger", graph=graph, seed=seed)
+        with SummaryService() as service:
+            with pytest.raises(ConfigurationError, match="seed must be"):
+                service.submit(method="slugger", graph=graph, seed=seed)
+            assert service.stats()["submitted"] == 0
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            engine.run("slugger", graph, seed=seed, iterations=1)
 
     def test_from_dict_rejects_unknown_record_fields(self):
         # A top-level 'iterations' (belongs under 'options') must fail
@@ -456,6 +451,31 @@ class TestServiceLifecycle:
                 service.submit(request, options={"iterations": 20})
             service.submit(request).result(timeout=120)  # plain request is fine
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_unknown_graph_key_fails_the_job(self, tmp_path, cached):
+        cache_dir = tmp_path / "summ" if cached else None
+        with SummaryService(summary_cache_dir=cache_dir) as service:
+            job = service.submit(method="slugger", graph_key="nope", seed=0)
+            with pytest.raises(ServiceError, match="nope"):
+                job.result(timeout=5)
+            assert job.state is JobState.FAILED
+            assert service.stats()["failed"] == 1
+
+    def test_random_seed_skips_the_summary_cache(self, tmp_path):
+        import random
+
+        graph = caveman_fixture()
+        with SummaryService(summary_cache_dir=tmp_path / "summ") as service:
+            job = service.submit(method="slugger", graph=graph,
+                                 seed=random.Random(0), options=SLUGGER_OPTIONS)
+            summary = job.result(timeout=60).summary
+            stats = service.stats()
+        # ``Random(0)`` is the stream ``seed=0`` draws from.
+        assert fingerprint(summary)[:4] == CAVEMAN_SLUGGER_PIN
+        assert stats["completed"] == 1
+        assert stats["summary_cache_stores"] == 0
+        assert stats["summary_cache_hits"] == 0
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             SummaryService(mode="fiber")
@@ -463,8 +483,6 @@ class TestServiceLifecycle:
             SummaryService(max_pending=0)
         with pytest.raises(ConfigurationError):
             SummaryService(max_inflight=0)
-        with pytest.raises(ConfigurationError):
-            SummaryService(workers=2, execution=engine.ExecutionConfig(workers=2))
 
 
 # ----------------------------------------------------------------------
