@@ -2,7 +2,9 @@
 
 The central guarantee exercised here: SLUGGER accepts and ignores an
 ``execution`` argument, never creates a process pool, and so gives
-**bit-identical summaries at any worker count** for a fixed seed.  On
+**bit-identical summaries at any worker count** for a fixed seed; no
+other method forks either, and every other run entry point rejects
+``execution`` with a ``TypeError``.  On
 top of that, the suite pins hard-coded SLUGGER and SWeG fingerprints (so
 drift against the serial reference of earlier changes is caught), and
 unit-tests the executor primitives.
@@ -15,7 +17,8 @@ import sys
 
 import pytest
 
-from repro import ExecutionConfig, Slugger, SluggerConfig, engine
+from repro import ExecutionConfig, Slugger, SluggerConfig, SummaryService, engine
+from repro.analysis.comparison import compare_methods
 from repro.engine import execution
 from repro.engine.execution import ProcessShardExecutor
 from repro.exceptions import ConfigurationError, InvalidStateError
@@ -135,6 +138,47 @@ class TestSluggerNeverForks:
         assert slugger_fingerprint(result.summary) == slugger_fingerprint(serial.summary)
         assert set(result.execution_stats) == {"groups", "replayed", "fallbacks"}
         assert result.execution_stats == serial.execution_stats
+
+
+class TestNoMethodForks:
+    @pytest.mark.parametrize("method", sorted(engine.available_methods()))
+    def test_every_method_runs_in_process(self, method, monkeypatch):
+        graph = caveman_graph(6, 5, 0.05, seed=3)
+        summarizer = engine.create(method)
+        monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
+        result = summarizer.summarize(graph, seed=0)
+        result.summary.validate(graph)
+        assert result.cost() == engine.run(method, graph, seed=0).cost()
+        assert "execution" not in result.details
+
+
+class TestExecutionIsNotARunParameter:
+    """Only ``Slugger(config, execution=)`` still accepts (and ignores)
+    an execution config; every other run entry point rejects it."""
+
+    GRAPH = staticmethod(lambda: caveman_graph(4, 5, 0.05, seed=3))
+    CALLS = {
+        "summarizer-summarize": lambda graph, config: engine.create("sweg").summarize(
+            graph, seed=0, execution=config),
+        "engine-run": lambda graph, config: engine.run(
+            "slugger", graph, seed=0, execution=config),
+        "compare-methods": lambda graph, config: compare_methods(
+            graph, methods=["slugger"], seed=0, execution=config),
+        "service-workers": lambda graph, config: SummaryService(workers=2),
+        "service-execution": lambda graph, config: SummaryService(execution=config),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_execution_keyword_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="execution|workers"):
+            self.CALLS[call](self.GRAPH(), ExecutionConfig(workers=2))
+
+    def test_submit_rejects_execution_before_queueing(self):
+        with SummaryService() as service:
+            with pytest.raises(TypeError, match="execution"):
+                service.submit(method="slugger", graph=self.GRAPH(), seed=0,
+                               execution=ExecutionConfig(workers=2))
+            assert service.stats()["submitted"] == 0
 
 
 class TestWorkerCountDeterminism:
