@@ -18,6 +18,7 @@ from repro.algorithms.cores import core_numbers
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.traversal import bfs_sweep
 from repro.algorithms.triangles import count_triangles, local_triangle_counts
+from repro.exceptions import ConfigurationError
 
 __all__ = ["QUERY_KINDS", "QueryResult", "run_query"]
 
@@ -64,7 +65,24 @@ def run_query(
         entries; ``None`` keeps everything.
     damping / iterations:
         PageRank parameters (ignored by the other kinds).
+
+    Arguments are checked before any work is done: an unknown ``kind``,
+    a negative ``top``, ``iterations < 1``, ``damping`` outside [0, 1]
+    or a ``bfs`` query without a ``source`` raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
+    if kind not in QUERY_KINDS:
+        raise ConfigurationError(
+            f"unknown query kind {kind!r}; expected one of {', '.join(QUERY_KINDS)}"
+        )
+    if top is not None and top < 0:
+        raise ConfigurationError(f"top must be non-negative, got {top}")
+    if iterations < 1:
+        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
+    if not 0.0 <= damping <= 1.0:
+        raise ConfigurationError(f"damping must be in [0, 1], got {damping}")
+    if kind == "bfs" and source is None:
+        raise ConfigurationError("bfs query requires a source node")
     if kind == "pagerank":
         scores = pagerank(provider, damping=damping, iterations=iterations)
         return QueryResult(kind, {
@@ -72,8 +90,6 @@ def run_query(
             "ranking": _ranked(scores.items(), top),
         })
     if kind == "bfs":
-        if source is None:
-            raise ValueError("bfs query requires a source node")
         order, eccentricity = bfs_sweep(provider, source)
         return QueryResult(kind, {
             "source": source,
@@ -95,12 +111,8 @@ def run_query(
             "triangles": count_triangles(provider),
             "ranking": _ranked(counts.items(), top),
         })
-    if kind == "cores":
-        cores = core_numbers(provider)
-        return QueryResult(kind, {
-            "degeneracy": max(cores.values()) if cores else 0,
-            "ranking": _ranked(cores.items(), top),
-        })
-    raise ValueError(
-        f"unknown query kind {kind!r}; expected one of {', '.join(QUERY_KINDS)}"
-    )
+    cores = core_numbers(provider)
+    return QueryResult(kind, {
+        "degeneracy": max(cores.values()) if cores else 0,
+        "ranking": _ranked(cores.items(), top),
+    })

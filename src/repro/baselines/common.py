@@ -65,22 +65,6 @@ class FlatGroupingState:
         for u, v in self.dense.edge_ids():
             self._bump(u, v, 1)
 
-    @classmethod
-    def from_substrate(cls, index, csr) -> "FlatGroupingState":
-        """Initialize straight from an ``(index, csr)`` substrate pair.
-
-        Mirrors :meth:`repro.core.state.SluggerState.from_substrate`: the
-        graph facade is a read-only
-        :class:`~repro.graphs.view.CSRGraphView` and the dense mirror a
-        :class:`~repro.graphs.dense.LazyDenseAdjacency`, so a cached
-        container feeds the flat baselines without materializing a
-        label-keyed graph (counters stream off ``csr.edge_ids()``).
-        """
-        from repro.graphs.dense import LazyDenseAdjacency
-        from repro.graphs.view import CSRGraphView
-
-        return cls(CSRGraphView(csr, index), dense=LazyDenseAdjacency(csr))
-
     def _bump(self, group_a: int, group_b: int, delta: int) -> None:
         adj_a = self.group_adj[group_a]
         adj_a[group_b] = adj_a.get(group_b, 0) + delta

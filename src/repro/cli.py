@@ -417,9 +417,9 @@ def _load_graph_cached(arguments: argparse.Namespace):
     then consumes the memory-mapped substrate zero-copy) and ``None``
     otherwise.  Hits skip the label-graph materialization entirely:
     ``graph`` is then the read-only ``CSRGraphView`` facade, which the
-    summarizers initialize from directly (``from_substrate`` semantics —
-    leaf numbering and substrate ids coincide, so output is
-    bit-identical to a run over the parsed graph).
+    summarizers initialize from directly (leaf numbering and substrate
+    ids coincide, so output is bit-identical to a run over the parsed
+    graph).
     """
     cache_dir = getattr(arguments, "cache_dir", None)
     if arguments.input and cache_dir:

@@ -3,35 +3,43 @@
 When SLUGGER merges root supernodes, the p-edges and n-edges between the
 affected trees are re-encoded locally (Sect. III-B3).  Each side of the
 re-encoding is viewed as a two-level *panel*: the root supernode plus its
-direct children (the paper's ``S_X``).  A candidate encoding places
-"blanket" p/n-edges on pairs of panel members such that every
-bottom-level block (pair of child supernodes) ends up with a net coverage
-of 0 or 1 — the restriction the paper also imposes — and the remaining
+direct children (the paper's ``S_X``).  The merging step always creates
+a supernode with exactly two children, so until pruning every panel is a
+leaf or a binary root.
+
+A panel pair is laid out as flat *blocks* (pairs of parts: one part from
+each side for a cross plan, every unordered part pair — diagonal
+included — for an intra plan) and blanket *slots* (pairs of panel
+members, each covering some blocks).  A candidate encoding places signed
+blankets on slots such that every block ends up with a net coverage of
+0 or 1 — the restriction the paper also imposes — and the remaining
 discrepancies are fixed with p/n-edges between singleton leaves.
 
-The optimal blanket realisation of a given 0/1 block-coverage pattern
-depends only on the panel *shapes*, not on the graph, so it is memoized
-process-wide exactly like the paper's pre-computed lookup table; the
-per-merge work is then just counting edges per block and picking the
-pattern with the least total cost.
+The optimal blanket realisation of every 0/1 block pattern depends only
+on the layout, not on the graph, so it is memoized process-wide exactly
+like the paper's pre-computed lookup table; the per-merge work is then
+just counting edges per block and picking the pattern with the least
+total cost.  The exact table enumerates ``3**slots`` assignments, so a
+panel pair with more than ``_MAX_EXACT_SLOTS`` slots — which SLUGGER
+never builds — is rejected.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
+from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import DenseAdjacency
 from repro.model.hierarchy import Hierarchy
 
 __all__ = [
     "EncodingPlan",
-    "IntraEncodingPlan",
     "Panel",
-    "apply_cross_plan",
-    "apply_intra_plan",
+    "apply_plan",
     "memo_table_sizes",
     "plan_cross_encoding",
     "plan_intra_encoding",
@@ -40,18 +48,25 @@ __all__ = [
 POSITIVE = 1
 NEGATIVE = -1
 
-# A blanket slot assignment: (endpoint index on side A, endpoint index on
-# side B, sign).  Endpoint index 0 is the panel top when the top is
-# distinct from its parts, otherwise endpoints are the parts themselves.
-SlotAssignment = Tuple[Tuple[int, int, int], ...]
+# Per slot, the flat indices of the blocks a blanket on it covers.
+Coverage = Tuple[Tuple[int, ...], ...]
+# A blanket assignment: (slot index, sign) per used slot, in slot order.
+Assignment = Tuple[Tuple[int, int], ...]
+# A table entry: (slot cost, assignment, flat indices of the 1-blocks,
+# flat indices of the 0-blocks).  The index tuples are part of the memo
+# so the per-merge cost evaluation is a flat-list walk.
+Entry = Tuple[int, Assignment, Tuple[int, ...], Tuple[int, ...]]
 
-# The exhaustive pattern search enumerates 3**num_slots sign assignments,
-# so it is only used while that stays small (3**12 ≈ 5·10^5, well under a
-# second and computed once per panel shape).  Larger panels — which the
-# SLUGGER driver itself never produces, since merged roots always have two
-# children, but which library users may build directly — fall back to a
-# structured heuristic search over a constant family of coverage patterns.
+# The exact table enumerates 3**slots sign assignments; 3**12 ≈ 5·10^5 is
+# computed once per layout.  A binary×binary cross plan has 9 slots and a
+# binary intra plan 4, so only hand-built wide roots can exceed this.
 _MAX_EXACT_SLOTS = 12
+
+
+def _endpoint_coverage(num_parts: int, has_distinct_top: bool) -> List[Tuple[int, ...]]:
+    """Which part indices each panel endpoint covers, top (if distinct) first."""
+    singles = [(index,) for index in range(num_parts)]
+    return [tuple(range(num_parts))] + singles if has_distinct_top else singles
 
 
 class Panel:
@@ -77,10 +92,7 @@ class Panel:
 
     def endpoint_coverage(self) -> List[Tuple[int, ...]]:
         """Which part indices each endpoint covers (aligned with :meth:`endpoints`)."""
-        part_indices = tuple(range(len(self.parts)))
-        if self.has_distinct_top:
-            return [part_indices] + [(index,) for index in range(len(self.parts))]
-        return [(index,) for index in range(len(self.parts))]
+        return _endpoint_coverage(*self.shape)
 
 
 @dataclass
@@ -89,10 +101,11 @@ class EncodingPlan:
 
     ``cost`` is the total number of superedges the plan will create
     (blankets plus leaf-level corrections).  ``superedges`` are the
-    blanket edges between panel members; ``positive_blocks`` are blocks
-    whose present subedges must be added as leaf p-edges (net coverage 0);
-    ``negative_blocks`` are blocks whose missing subedges must be added as
-    leaf n-edges (net coverage 1).
+    blanket edges between panel members.  Blocks are part-id pairs, and
+    ``(x, x)`` is the inside of part ``x``: ``positive_blocks`` are
+    blocks whose present subedges must be added as leaf p-edges (net
+    coverage 0); ``negative_blocks`` are blocks whose missing subedges
+    must be added as leaf n-edges (net coverage 1).
     """
 
     cost: int
@@ -102,220 +115,102 @@ class EncodingPlan:
 
 
 # ----------------------------------------------------------------------
-# Memoized blanket-pattern solver
+# Exact blanket-pattern solver
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _pattern_table(
-    coverage_a: Tuple[Tuple[int, ...], ...],
-    coverage_b: Tuple[Tuple[int, ...], ...],
-    num_parts_a: int,
-    num_parts_b: int,
-) -> Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]]:
-    """Optimal blanket assignments for every achievable 0/1 coverage pattern.
+def _solve_table(coverage: Coverage, num_blocks: int) -> List[Entry]:
+    """Optimal blanket assignments for every achievable 0/1 block pattern.
 
-    The table maps a target block matrix (rows = parts of side A, columns
-    = parts of side B, entries in {0, 1}) to the minimum number of blanket
-    edges realising it and one optimal assignment.  This is the
-    graph-independent part of the paper's memoization: it is computed once
-    per panel *shape* and reused for every merge and every input graph.
+    Each entry pairs one target pattern (every block's net coverage in
+    {0, 1}) with the minimum number of blankets realising it and the
+    first such assignment in enumeration order.  This is the
+    graph-independent part of the paper's memoization.
     """
-    return _solve_pattern_table(coverage_a, coverage_b, num_parts_a, num_parts_b)
-
-
-# A flattened cross-table entry: (targets, slot cost, assignment, flat
-# indices of the 1-blocks, flat indices of the 0-blocks).  The index
-# tuples are part of the per-shape memo so the per-merge cost evaluation
-# is a flat-list walk instead of a nested row/column scan.
-CrossEntry = Tuple[Tuple[Tuple[int, ...], ...], int, SlotAssignment,
-                   Tuple[int, ...], Tuple[int, ...]]
-
-
-def _enrich_cross_entries(
-    table: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]],
-    num_parts_b: int,
-) -> List[CrossEntry]:
-    """Flatten a cross-pattern table for the per-merge cost evaluation."""
-    entries: List[CrossEntry] = []
-    for targets, (slot_cost, assignment) in table.items():
-        ones: List[int] = []
-        zeros: List[int] = []
-        for row_index, row in enumerate(targets):
-            base = row_index * num_parts_b
-            for col_index, value in enumerate(row):
-                (ones if value == 1 else zeros).append(base + col_index)
-        entries.append((targets, slot_cost, assignment, tuple(ones), tuple(zeros)))
-    return entries
-
-
-@lru_cache(maxsize=None)
-def _pattern_entries(
-    coverage_a: Tuple[Tuple[int, ...], ...],
-    coverage_b: Tuple[Tuple[int, ...], ...],
-    num_parts_a: int,
-    num_parts_b: int,
-) -> List[CrossEntry]:
-    """Memoized flattened view of :func:`_pattern_table` for one panel shape."""
-    table = _pattern_table(coverage_a, coverage_b, num_parts_a, num_parts_b)
-    return _enrich_cross_entries(table, num_parts_b)
-
-
-def _solve_pattern_table(
-    coverage_a: Sequence[Tuple[int, ...]],
-    coverage_b: Sequence[Tuple[int, ...]],
-    num_parts_a: int,
-    num_parts_b: int,
-) -> Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]]:
-    slots = [
-        (endpoint_a, endpoint_b)
-        for endpoint_a in range(len(coverage_a))
-        for endpoint_b in range(len(coverage_b))
-    ]
-    table: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]] = {}
-    for values in itertools.product((NEGATIVE, 0, POSITIVE), repeat=len(slots)):
-        net = [[0] * num_parts_b for _ in range(num_parts_a)]
-        used: List[Tuple[int, int, int]] = []
-        for slot_index, sign in enumerate(values):
+    table: Dict[Tuple[int, ...], Tuple[int, Assignment]] = {}
+    for values in itertools.product((NEGATIVE, 0, POSITIVE), repeat=len(coverage)):
+        net = [0] * num_blocks
+        used: List[Tuple[int, int]] = []
+        for slot, sign in enumerate(values):
             if sign == 0:
                 continue
-            endpoint_a, endpoint_b = slots[slot_index]
-            used.append((endpoint_a, endpoint_b, sign))
-            for row in coverage_a[endpoint_a]:
-                for col in coverage_b[endpoint_b]:
-                    net[row][col] += sign
-        if any(entry not in (0, 1) for row in net for entry in row):
+            used.append((slot, sign))
+            for block in coverage[slot]:
+                net[block] += sign
+        if any(value not in (0, 1) for value in net):
             continue
-        targets = tuple(tuple(row) for row in net)
-        cost = len(used)
+        targets = tuple(net)
         existing = table.get(targets)
-        if existing is None or cost < existing[0]:
-            table[targets] = (cost, tuple(used))
-    return table
-
-
-# ----------------------------------------------------------------------
-# Heuristic pattern family for large panels
-# ----------------------------------------------------------------------
-def _realize_cross_pattern(
-    targets: Sequence[Sequence[int]],
-    panel_a: "Panel",
-    panel_b: "Panel",
-) -> Tuple[int, SlotAssignment]:
-    """A valid (not necessarily optimal) blanket realization of one 0/1 pattern.
-
-    Allowed blanket endpoints are the panel tops (covering every part) and
-    the individual parts, so the candidate realizations are cell-wise
-    edges, a full blanket with cell-wise negations, and row/column-wise
-    blankets with cell-wise fixes; the cheapest of those is returned.
-    """
-    num_a, num_b = len(panel_a.parts), len(panel_b.parts)
-
-    def row_endpoint(index: int) -> int:
-        return index + 1 if panel_a.has_distinct_top else index
-
-    def col_endpoint(index: int) -> int:
-        return index + 1 if panel_b.has_distinct_top else index
-
-    all_a = 0  # Endpoint 0 always covers every part of its panel.
-    all_b = 0
-    ones = [(i, j) for i in range(num_a) for j in range(num_b) if targets[i][j] == 1]
-    zeros = [(i, j) for i in range(num_a) for j in range(num_b) if targets[i][j] == 0]
-
-    candidates: List[List[Tuple[int, int, int]]] = []
-    # Cell-wise positive blankets on every 1-block.
-    candidates.append([(row_endpoint(i), col_endpoint(j), POSITIVE) for i, j in ones])
-    # One full blanket plus cell-wise negations of every 0-block.
-    candidates.append(
-        [(all_a, all_b, POSITIVE)] + [(row_endpoint(i), col_endpoint(j), NEGATIVE) for i, j in zeros]
-    )
-    # Row-wise: blanket dense rows, list sparse rows cell by cell.
-    row_plan: List[Tuple[int, int, int]] = []
-    for i in range(num_a):
-        row_ones = [j for j in range(num_b) if targets[i][j] == 1]
-        row_zeros = [j for j in range(num_b) if targets[i][j] == 0]
-        if len(row_ones) > 1 + len(row_zeros):
-            row_plan.append((row_endpoint(i), all_b, POSITIVE))
-            row_plan.extend((row_endpoint(i), col_endpoint(j), NEGATIVE) for j in row_zeros)
-        else:
-            row_plan.extend((row_endpoint(i), col_endpoint(j), POSITIVE) for j in row_ones)
-    candidates.append(row_plan)
-    # Column-wise, symmetric to the row-wise plan.
-    col_plan: List[Tuple[int, int, int]] = []
-    for j in range(num_b):
-        col_ones = [i for i in range(num_a) if targets[i][j] == 1]
-        col_zeros = [i for i in range(num_a) if targets[i][j] == 0]
-        if len(col_ones) > 1 + len(col_zeros):
-            col_plan.append((all_a, col_endpoint(j), POSITIVE))
-            col_plan.extend((row_endpoint(i), col_endpoint(j), NEGATIVE) for i in col_zeros)
-        else:
-            col_plan.extend((row_endpoint(i), col_endpoint(j), POSITIVE) for i in col_ones)
-    candidates.append(col_plan)
-
-    best = min(candidates, key=len)
-    return len(best), tuple(best)
-
-
-def _heuristic_cross_table(
-    panel_a: "Panel",
-    panel_b: "Panel",
-    present: Sequence[Sequence[int]],
-    totals: Sequence[Sequence[int]],
-) -> Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]]:
-    """Candidate coverage patterns (with realizations) for oversized panels.
-
-    Instead of every achievable 0/1 pattern, only a structured family is
-    considered: all-zero, all-one, and the per-block majority pattern.
-    Every candidate is valid (corrections repair any block exactly), so
-    losslessness is unaffected — only local optimality is relaxed, in the
-    same spirit as the paper's own locality restriction.
-    """
-    num_a, num_b = len(panel_a.parts), len(panel_b.parts)
-    zero = tuple(tuple(0 for _ in range(num_b)) for _ in range(num_a))
-    ones = tuple(tuple(1 for _ in range(num_b)) for _ in range(num_a))
-    majority = tuple(
-        tuple(
-            1 if totals[i][j] - present[i][j] < present[i][j] else 0
-            for j in range(num_b)
+        if existing is None or len(used) < existing[0]:
+            table[targets] = (len(used), tuple(used))
+    return [
+        (
+            slot_cost,
+            assignment,
+            tuple(index for index, value in enumerate(targets) if value == 1),
+            tuple(index for index, value in enumerate(targets) if value != 1),
         )
-        for i in range(num_a)
+        for targets, (slot_cost, assignment) in table.items()
+    ]
+
+
+# Computed once per layout and reused for every merge and every input
+# graph; ``use_memo=False`` re-solves it on every call (the ablation).
+_memo_table = lru_cache(maxsize=None)(_solve_table)
+
+
+@lru_cache(maxsize=None)
+def _cross_coverage(shape_a: Tuple[int, bool], shape_b: Tuple[int, bool]) -> Coverage:
+    """Slot coverage of a cross layout: blocks ``parts_a × parts_b`` row-major."""
+    num_parts_b = shape_b[0]
+    return tuple(
+        tuple(row * num_parts_b + col for row in rows for col in cols)
+        for rows in _endpoint_coverage(*shape_a)
+        for cols in _endpoint_coverage(*shape_b)
     )
-    table: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, SlotAssignment]] = {}
-    for pattern in (zero, ones, majority):
-        if pattern in table:
-            continue
-        table[pattern] = _realize_cross_pattern(pattern, panel_a, panel_b)
-    return table
 
 
-def _realize_intra_pattern(
-    targets: Sequence[int], num_blocks: int
-) -> Tuple[int, SlotAssignment]:
-    """A valid realization of one intra-panel 0/1 pattern (full blanket or per-block edges)."""
-    ones = [index for index in range(num_blocks) if targets[index] == 1]
-    zeros = [index for index in range(num_blocks) if targets[index] == 0]
-    cellwise = [(index + 1, 0, POSITIVE) for index in ones]
-    full = [(0, 0, POSITIVE)] + [(index + 1, 0, NEGATIVE) for index in zeros]
-    best = cellwise if len(cellwise) <= len(full) else full
-    return len(best), tuple(best)
+@lru_cache(maxsize=None)
+def _intra_coverage(num_blocks: int) -> Coverage:
+    """Slot coverage of an intra layout: the self-loop, then each block."""
+    return (tuple(range(num_blocks)),) + tuple((block,) for block in range(num_blocks))
 
 
-def _heuristic_intra_table(
-    blocks: Sequence[Tuple[int, int]],
-    present: Dict[Tuple[int, int], int],
-    totals: Dict[Tuple[int, int], int],
-) -> Dict[Tuple[int, ...], Tuple[int, SlotAssignment]]:
-    """Candidate intra-panel patterns for merged supernodes with many parts."""
-    num_blocks = len(blocks)
-    zero = tuple(0 for _ in range(num_blocks))
-    ones = tuple(1 for _ in range(num_blocks))
-    majority = tuple(
-        1 if totals[block] - present[block] < present[block] else 0 for block in blocks
+def _require_exact(num_slots: int) -> None:
+    if num_slots > _MAX_EXACT_SLOTS:
+        raise SummaryInvariantError(
+            f"panel pair has {num_slots} blanket slots; the exact local encoder "
+            f"handles at most {_MAX_EXACT_SLOTS} (merge trees are binary until pruning)"
+        )
+
+
+def _best_plan(
+    coverage: Coverage,
+    slots: List[Tuple[int, int]],
+    blocks: List[Tuple[int, int]],
+    present: List[int],
+    totals: List[int],
+    use_memo: bool,
+) -> EncodingPlan:
+    """The cheapest table entry for these block statistics, as a plan."""
+    entries = (_memo_table if use_memo else _solve_table)(coverage, len(blocks))
+    # The all-zero pattern is always in the table, so entries is non-empty.
+    best_entry = entries[0]
+    best_cost = math.inf
+    for entry in entries:
+        cost = entry[0]
+        for index in entry[2]:
+            cost += totals[index] - present[index]
+        for index in entry[3]:
+            cost += present[index]
+        if cost < best_cost:
+            best_entry = entry
+            best_cost = cost
+    _slot_cost, assignment, ones, zeros = best_entry
+    return EncodingPlan(
+        cost=best_cost,
+        superedges=[(*slots[slot], sign) for slot, sign in assignment],
+        positive_blocks=[blocks[index] for index in zeros if present[index] > 0],
+        negative_blocks=[blocks[index] for index in ones if totals[index] > present[index]],
     )
-    table: Dict[Tuple[int, ...], Tuple[int, SlotAssignment]] = {}
-    for pattern in (zero, ones, majority):
-        if pattern in table:
-            continue
-        table[pattern] = _realize_intra_pattern(pattern, num_blocks)
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -433,186 +328,17 @@ def plan_cross_encoding(
     removed.  Block statistics run on leaf-id set intersections over
     ``dense``, whose node ids are the leaf ids of ``hierarchy``.
     """
-    present = [
-        [_count_between(dense, hierarchy, part_a, part_b) for part_b in panel_b.parts]
-        for part_a in panel_a.parts
-    ]
-    totals = [
-        [size_a * size_b for size_b in panel_b.sizes]
-        for size_a in panel_a.sizes
-    ]
-    coverage_a = tuple(panel_a.endpoint_coverage())
-    coverage_b = tuple(panel_b.endpoint_coverage())
-    num_parts_b = len(panel_b.parts)
-    num_slots = len(coverage_a) * len(coverage_b)
-    if num_slots > _MAX_EXACT_SLOTS:
-        # Too many blanket slots for the exhaustive search; fall back to the
-        # structured candidate family (valid but possibly sub-optimal).
-        entries = _enrich_cross_entries(
-            _heuristic_cross_table(panel_a, panel_b, present, totals), num_parts_b
-        )
-    elif use_memo:
-        entries = _pattern_entries(
-            coverage_a, coverage_b, len(panel_a.parts), num_parts_b
-        )
-    else:
-        entries = _enrich_cross_entries(
-            _solve_pattern_table(coverage_a, coverage_b, len(panel_a.parts), num_parts_b),
-            num_parts_b,
-        )
-
-    present_flat = [value for row in present for value in row]
-    totals_flat = [value for row in totals for value in row]
-    best_entry: Optional[CrossEntry] = None
-    best_cost = 0
-    for entry in entries:
-        cost = entry[1]
-        for index in entry[3]:
-            cost += totals_flat[index] - present_flat[index]
-        for index in entry[4]:
-            cost += present_flat[index]
-        if best_entry is None or cost < best_cost:
-            best_entry = entry
-            best_cost = cost
-    if best_entry is None:
-        # The all-zero pattern is always in the table, so this cannot happen;
-        # kept as a defensive fallback for exotic panel shapes.
-        return EncodingPlan(
-            cost=sum(present_flat),
-            positive_blocks=[
-                (index // num_parts_b, index % num_parts_b)
-                for index, value in enumerate(present_flat)
-                if value > 0
-            ],
-        )
     endpoints_a = panel_a.endpoints()
     endpoints_b = panel_b.endpoints()
-    _targets, _slot_cost, assignment, ones_idx, zeros_idx = best_entry
-    return EncodingPlan(
-        cost=best_cost,
-        superedges=[
-            (endpoints_a[endpoint_a], endpoints_b[endpoint_b], sign)
-            for endpoint_a, endpoint_b, sign in assignment
-        ],
-        positive_blocks=[
-            (index // num_parts_b, index % num_parts_b)
-            for index in zeros_idx
-            if present_flat[index] > 0
-        ],
-        negative_blocks=[
-            (index // num_parts_b, index % num_parts_b)
-            for index in ones_idx
-            if totals_flat[index] > present_flat[index]
-        ],
+    _require_exact(len(endpoints_a) * len(endpoints_b))
+    blocks = [(part_a, part_b) for part_a in panel_a.parts for part_b in panel_b.parts]
+    present = [_count_between(dense, hierarchy, part_a, part_b) for part_a, part_b in blocks]
+    totals = [size_a * size_b for size_a in panel_a.sizes for size_b in panel_b.sizes]
+    return _best_plan(
+        _cross_coverage(panel_a.shape, panel_b.shape),
+        [(x, y) for x in endpoints_a for y in endpoints_b],
+        blocks, present, totals, use_memo,
     )
-
-
-def apply_cross_plan(
-    plan: EncodingPlan,
-    dense: DenseAdjacency,
-    hierarchy: Hierarchy,
-    panel_a: Panel,
-    panel_b: Panel,
-    add_superedge,
-) -> None:
-    """Materialize ``plan`` by calling ``add_superedge(x, y, sign)``.
-
-    Blanket edges come first, then the per-block leaf corrections.  The
-    caller is responsible for having removed every pre-existing superedge
-    between the two trees.  The correction pairs are already leaf ids.
-    """
-    for x, y, sign in plan.superedges:
-        add_superedge(x, y, sign)
-    for row, col in plan.positive_blocks:
-        for u, v in _edge_pairs_between(
-                dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-            add_superedge(u, v, POSITIVE)
-    for row, col in plan.negative_blocks:
-        for u, v in _nonedge_pairs_between(
-                dense, hierarchy, panel_a.parts[row], panel_b.parts[col]):
-            add_superedge(u, v, NEGATIVE)
-
-
-# ----------------------------------------------------------------------
-# Intra-tree (within one merged supernode) encoding
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _intra_pattern_table(
-    num_parts: int,
-) -> Dict[Tuple[int, ...], Tuple[int, SlotAssignment]]:
-    """Optimal blanket assignments for intra-supernode coverage patterns.
-
-    The merged supernode ``M`` with parts ``p_0 .. p_{k-1}`` has blocks
-    for every unordered part pair (including the diagonal).  Endpoint 0
-    is the self-loop on ``M`` (covering every block); the remaining
-    endpoints are the part pairs themselves.  Targets are flattened in
-    the order produced by :func:`_intra_blocks`.
-    """
-    blocks = _intra_blocks(num_parts)
-    endpoints: List[Tuple[Tuple[int, int], ...]] = [tuple(blocks)]
-    endpoints.extend((block,) for block in blocks)
-    table: Dict[Tuple[int, ...], Tuple[int, SlotAssignment]] = {}
-    for values in itertools.product((NEGATIVE, 0, POSITIVE), repeat=len(endpoints)):
-        net = {block: 0 for block in blocks}
-        used: List[Tuple[int, int, int]] = []
-        for endpoint_index, sign in enumerate(values):
-            if sign == 0:
-                continue
-            used.append((endpoint_index, 0, sign))
-            for block in endpoints[endpoint_index]:
-                net[block] += sign
-        if any(value not in (0, 1) for value in net.values()):
-            continue
-        targets = tuple(net[block] for block in blocks)
-        cost = len(used)
-        existing = table.get(targets)
-        if existing is None or cost < existing[0]:
-            table[targets] = (cost, tuple(used))
-    return table
-
-
-def _intra_blocks(num_parts: int) -> List[Tuple[int, int]]:
-    """Unordered part pairs (diagonal included) in a fixed order."""
-    return [(i, j) for i in range(num_parts) for j in range(i, num_parts)]
-
-
-# A flattened intra-table entry: (slot cost, assignment, indices of the
-# 1-blocks, indices of the 0-blocks) over the :func:`_intra_blocks` order.
-IntraEntry = Tuple[int, SlotAssignment, Tuple[int, ...], Tuple[int, ...]]
-
-
-def _enrich_intra_entries(
-    table: Dict[Tuple[int, ...], Tuple[int, SlotAssignment]]
-) -> List[IntraEntry]:
-    """Flatten an intra-pattern table for the per-merge cost evaluation."""
-    entries: List[IntraEntry] = []
-    for targets, (slot_cost, assignment) in table.items():
-        ones = tuple(index for index, value in enumerate(targets) if value == 1)
-        zeros = tuple(index for index, value in enumerate(targets) if value != 1)
-        entries.append((slot_cost, assignment, ones, zeros))
-    return entries
-
-
-@lru_cache(maxsize=None)
-def _intra_pattern_entries(num_parts: int) -> List[IntraEntry]:
-    """Memoized flattened view of :func:`_intra_pattern_table`."""
-    return _enrich_intra_entries(_intra_pattern_table(num_parts))
-
-
-@dataclass
-class IntraEncodingPlan:
-    """Plan for re-encoding every subedge inside one merged supernode.
-
-    ``superedges`` reference the merged supernode (self-loop) and/or its
-    parts; ``positive_blocks``/``negative_blocks`` are part pairs
-    (diagonal included) whose present/missing subedges must be added as
-    leaf p/n-edges.
-    """
-
-    cost: int
-    superedges: List[Tuple[int, int, int]] = field(default_factory=list)
-    positive_blocks: List[Tuple[int, int]] = field(default_factory=list)
-    negative_blocks: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def plan_intra_encoding(
@@ -622,107 +348,68 @@ def plan_intra_encoding(
     panel: Panel,
     *,
     use_memo: bool = True,
-) -> IntraEncodingPlan:
+) -> EncodingPlan:
     """Best wholesale re-encoding of the subedges inside ``merged``.
 
     Unlike :func:`plan_cross_encoding`, this plan replaces the intra-tree
     encodings of the parts as well — it is what turns a merged clique or
     dense community into a single self-loop p-edge plus a few negative
-    corrections.
+    corrections.  Slot 0 is the self-loop on ``merged`` (covering every
+    block); the others are the part pairs themselves.
     """
     parts = panel.parts
-    blocks = _intra_blocks(len(parts))
-    present: Dict[Tuple[int, int], int] = {}
-    totals: Dict[Tuple[int, int], int] = {}
-    for i, j in blocks:
-        if i == j:
-            size = panel.sizes[i]
-            present[(i, j)] = _count_within(dense, hierarchy, parts[i])
-            totals[(i, j)] = size * (size - 1) // 2
-        else:
-            present[(i, j)] = _count_between(dense, hierarchy, parts[i], parts[j])
-            totals[(i, j)] = panel.sizes[i] * panel.sizes[j]
-
-    if 1 + len(blocks) > _MAX_EXACT_SLOTS:
-        # Merged supernodes with many direct children have too many block
-        # endpoints for the exhaustive table; use the candidate family.
-        entries = _enrich_intra_entries(_heuristic_intra_table(blocks, present, totals))
-    elif use_memo:
-        entries = _intra_pattern_entries(len(parts))
-    else:
-        entries = _enrich_intra_entries(_intra_pattern_table.__wrapped__(len(parts)))
-
-    present_flat = [present[block] for block in blocks]
-    totals_flat = [totals[block] for block in blocks]
-    best_entry: Optional[IntraEntry] = None
-    best_cost = 0
-    for entry in entries:
-        cost = entry[0]
-        for index in entry[2]:
-            cost += totals_flat[index] - present_flat[index]
-        for index in entry[3]:
-            cost += present_flat[index]
-        if best_entry is None or cost < best_cost:
-            best_entry = entry
-            best_cost = cost
-    if best_entry is None:
-        return IntraEncodingPlan(cost=sum(present_flat),
-                                 positive_blocks=[b for b in blocks if present[b] > 0])
-
-    endpoints: List[Tuple[int, int]] = [(merged, merged)]
-    for i, j in blocks:
-        endpoints.append((parts[i], parts[j]))
-    _slot_cost, assignment, ones_idx, zeros_idx = best_entry
-    return IntraEncodingPlan(
-        cost=best_cost,
-        superedges=[
-            (endpoints[endpoint_index][0], endpoints[endpoint_index][1], sign)
-            for endpoint_index, _unused, sign in assignment
-        ],
-        positive_blocks=[
-            blocks[index] for index in zeros_idx if present_flat[index] > 0
-        ],
-        negative_blocks=[
-            blocks[index] for index in ones_idx if totals_flat[index] > present_flat[index]
-        ],
+    sizes = panel.sizes
+    _require_exact(1 + len(parts) * (len(parts) + 1) // 2)
+    blocks: List[Tuple[int, int]] = []
+    present: List[int] = []
+    totals: List[int] = []
+    for i in range(len(parts)):
+        for j in range(i, len(parts)):
+            blocks.append((parts[i], parts[j]))
+            if i == j:
+                present.append(_count_within(dense, hierarchy, parts[i]))
+                totals.append(sizes[i] * (sizes[i] - 1) // 2)
+            else:
+                present.append(_count_between(dense, hierarchy, parts[i], parts[j]))
+                totals.append(sizes[i] * sizes[j])
+    return _best_plan(
+        _intra_coverage(len(blocks)), [(merged, merged)] + blocks,
+        blocks, present, totals, use_memo,
     )
 
 
-def apply_intra_plan(
-    plan: IntraEncodingPlan,
+def apply_plan(
+    plan: EncodingPlan,
     dense: DenseAdjacency,
     hierarchy: Hierarchy,
-    panel: Panel,
     add_superedge,
 ) -> None:
-    """Materialize an intra-supernode plan via ``add_superedge(x, y, sign)``."""
+    """Materialize ``plan`` by calling ``add_superedge(x, y, sign)``.
+
+    Blanket edges come first, then the positive and negative leaf
+    corrections block by block.  The caller is responsible for having
+    removed every pre-existing superedge the plan replaces.  The
+    correction pairs are already leaf ids.
+    """
     for x, y, sign in plan.superedges:
         add_superedge(x, y, sign)
-    for i, j in plan.positive_blocks:
-        if i == j:
-            pairs = _edge_pairs_within(dense, hierarchy, panel.parts[i])
+    for x, y in plan.positive_blocks:
+        if x == y:
+            pairs = _edge_pairs_within(dense, hierarchy, x)
         else:
-            pairs = _edge_pairs_between(dense, hierarchy, panel.parts[i], panel.parts[j])
+            pairs = _edge_pairs_between(dense, hierarchy, x, y)
         for u, v in pairs:
             add_superedge(u, v, POSITIVE)
-    for i, j in plan.negative_blocks:
-        if i == j:
-            pairs = _nonedge_pairs_within(dense, hierarchy, panel.parts[i])
+    for x, y in plan.negative_blocks:
+        if x == y:
+            pairs = _nonedge_pairs_within(dense, hierarchy, x)
         else:
-            pairs = _nonedge_pairs_between(dense, hierarchy, panel.parts[i], panel.parts[j])
+            pairs = _nonedge_pairs_between(dense, hierarchy, x, y)
         for u, v in pairs:
             add_superedge(u, v, NEGATIVE)
 
 
 def memo_table_sizes() -> Dict[str, int]:
     """Statistics of the memoized pattern tables (diagnostics/tests)."""
-    cross_info = _pattern_table.cache_info()
-    intra_info = _intra_pattern_table.cache_info()
-    return {
-        "cross_entries": cross_info.currsize,
-        "cross_hits": cross_info.hits,
-        "cross_misses": cross_info.misses,
-        "intra_entries": intra_info.currsize,
-        "intra_hits": intra_info.hits,
-        "intra_misses": intra_info.misses,
-    }
+    info = _memo_table.cache_info()
+    return {"tables": info.currsize, "hits": info.hits, "misses": info.misses}

@@ -11,8 +11,10 @@ re-encodes the superedges they are involved in:
   merged tree and ``C`` are re-encoded over ``{A∪B, A, B} × {C,
   children(C)}`` whenever that lowers the cost.
 
-Both cases use the memoized local encoder and therefore cost O(1) pattern
-search plus the work of counting/listing the affected subedges.
+Both cases use the memoized local encoder (one exact table per panel
+shape; merge trees stay binary until pruning, so panels are leaves or
+binary roots) and therefore cost O(1) pattern search plus the work of
+counting/listing the affected subedges.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import Dict, Iterable, List
 from repro.core.config import SluggerConfig
 from repro.core.encoder import (
     Panel,
-    apply_cross_plan,
-    apply_intra_plan,
+    apply_plan,
     plan_cross_encoding,
     plan_intra_encoding,
 )
@@ -62,8 +63,8 @@ def merge_and_update(
         plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=use_memo)
         if plan.cost < cross_current:
             state.remove_all_between(root_a, root_b)
-            apply_cross_plan(
-                plan, dense, hierarchy, panel_a, panel_b,
+            apply_plan(
+                plan, dense, hierarchy,
                 lambda x, y, sign: state.add_superedge(root_a, root_b, x, y, sign),
             )
 
@@ -80,8 +81,8 @@ def merge_and_update(
         )
         if intra_plan.cost < intra_current:
             state.remove_all_between(merged, merged)
-            apply_intra_plan(
-                intra_plan, dense, hierarchy, panel_merged,
+            apply_plan(
+                intra_plan, dense, hierarchy,
                 lambda x, y, sign: state.add_superedge(merged, merged, x, y, sign),
             )
 
@@ -100,8 +101,8 @@ def merge_and_update(
                                    use_memo=use_memo)
         if plan.cost < current:
             state.remove_all_between(merged, other)
-            apply_cross_plan(
-                plan, dense, hierarchy, panel_merged, panel_other,
+            apply_plan(
+                plan, dense, hierarchy,
                 lambda x, y, sign: state.add_superedge(merged, other, x, y, sign),
             )
     return merged

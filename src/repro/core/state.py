@@ -58,10 +58,9 @@ class SluggerState:
         graph: Graph,
         dense: Optional[DenseAdjacency] = None,
         csr: Optional[CSRAdjacency] = None,
-        summary: Optional[HierarchicalSummary] = None,
     ) -> None:
         self.graph = graph
-        self.summary = summary if summary is not None else HierarchicalSummary.from_graph(graph)
+        self.summary = HierarchicalSummary.from_graph(graph)
         hierarchy = self.summary.hierarchy
         ensure_fresh_views(graph.num_edges, dense=dense, csr=csr)
         # A prebuilt substrate (service graph-store interning) is used as
@@ -87,32 +86,6 @@ class SluggerState:
         for leaf_u, leaf_v in self.dense.edge_ids():
             self._bump_adj(leaf_u, leaf_v, 1)
             self._register_superedge(leaf_u, leaf_v, leaf_u, leaf_v, 1, delta=1)
-
-    @classmethod
-    def from_substrate(cls, index, csr) -> "SluggerState":
-        """Initialize straight from an ``(index, csr)`` substrate pair.
-
-        This is the ``--cache-dir`` hit path: the graph facade is a
-        read-only :class:`~repro.graphs.view.CSRGraphView` (per-row thaw
-        on demand), the dense mirror is a
-        :class:`~repro.graphs.dense.LazyDenseAdjacency` over the same
-        CSR, and the initial summary comes from
-        :meth:`HierarchicalSummary.from_substrate` — so no label-keyed
-        graph is materialized and no dense row is thawed to build the
-        state.  Results are bit-identical to a run over the equivalent
-        materialized graph because ids, edge order, and leaf numbering
-        all follow the index order either way.
-        """
-        from repro.graphs.dense import LazyDenseAdjacency
-        from repro.graphs.view import CSRGraphView
-
-        graph = CSRGraphView(csr, index)
-        return cls(
-            graph,
-            dense=LazyDenseAdjacency(csr),
-            csr=csr,
-            summary=HierarchicalSummary.from_substrate(index, csr),
-        )
 
     def restore_summary(self, summary: HierarchicalSummary) -> None:
         """Adopt a checkpointed summary, rebuilding every per-root index.

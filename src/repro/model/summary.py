@@ -72,25 +72,6 @@ class HierarchicalSummary:
             summary.add_p_edge(summary.hierarchy.leaf_of(u), summary.hierarchy.leaf_of(v))
         return summary
 
-    @classmethod
-    def from_substrate(cls, index, csr) -> "HierarchicalSummary":
-        """The trivial summary, built straight from ``(index, csr)``.
-
-        Leaves are added in id order (``index.labels()``), so leaf
-        supernode ids coincide with the dense node ids by construction,
-        and p-edges stream off :meth:`csr.edge_ids` — no label-keyed
-        :class:`~repro.graphs.graph.Graph` is ever materialized and no
-        dense rows are thawed.  Content-identical to
-        :meth:`from_graph` over the equivalent graph.
-        """
-        summary = cls()
-        add_leaf = summary.hierarchy.add_leaf
-        for label in index.labels():
-            add_leaf(label)
-        for u, v in csr.edge_ids():
-            summary.add_p_edge(u, v)
-        return summary
-
     # ------------------------------------------------------------------
     # Superedge mutation
     # ------------------------------------------------------------------

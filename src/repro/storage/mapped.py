@@ -64,8 +64,8 @@ class MappedCSR:
     Satisfies the :class:`~repro.graphs.dense.CSRAdjacency` view
     interface (``indptr``/``indices``/``index``/``num_nodes``/
     ``num_edges`` plus the query methods), so it can be injected
-    anywhere a frozen CSR is consumed: ``SluggerState(csr=...)``, the
-    baselines' ``from_substrate`` path and the query kernels.  ``indices`` is a ``memoryview``
+    anywhere a frozen CSR is consumed: ``SluggerState(csr=...)`` and
+    the query kernels.  ``indices`` is a ``memoryview``
     cast over the map — slicing it (``indices[lo:hi]``) is zero-copy and
     iterating a slice yields plain ints, exactly like the ``array``
     slices of the in-memory view.

@@ -64,7 +64,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.compression.codes import zigzag_decode, zigzag_encode
-from repro.exceptions import ContainerFormatError, SummaryInvariantError
+from repro.exceptions import (
+    ConfigurationError,
+    ContainerFormatError,
+    SummaryInvariantError,
+)
 from repro.graphs.graph import canonical_edge
 from repro.model.flat import FlatSummary
 from repro.model.hierarchy import Hierarchy
@@ -762,7 +766,11 @@ def load_checkpoint(path: PathLike, subnodes: Sequence,
     ``subnodes`` must be the graph's nodes in insertion order (the order
     the original run numbered its leaves); ``graph_digest``, when given,
     is checked against the checkpoint's ``SMET`` digest so a checkpoint
-    can never silently resume onto a different graph.
+    can never silently resume onto a different graph.  Checkpoints are
+    taken before pruning, where every merge tree is binary, so a
+    hierarchy with an internal supernode that does not have exactly two
+    children is rejected as corrupt (the local encoder relies on binary
+    trees when the run resumes).
     """
     info = read_container_info(path, verify=False)
     if not info.has_summary or info.maybe_section(TAG_CHECKPOINT) is None:
@@ -771,6 +779,13 @@ def load_checkpoint(path: PathLike, subnodes: Sequence,
     meta, summary = decode_summary_sections(payloads, list(subnodes))
     if meta.kind != "hierarchical":
         raise ContainerFormatError(f"{path}: checkpoints are hierarchical-only")
+    hierarchy = summary.hierarchy
+    for node in hierarchy.supernodes():
+        if not hierarchy.is_leaf(node) and len(hierarchy.children(node)) != 2:
+            raise ContainerFormatError(
+                f"{path}: checkpoint supernode {node} has "
+                f"{len(hierarchy.children(node))} children; merge trees are binary"
+            )
     if graph_digest is not None and meta.graph_digest != graph_digest:
         raise ContainerFormatError(
             f"{path}: checkpoint was taken on graph {meta.graph_digest[:12]}..., "
@@ -829,10 +844,12 @@ class SummaryCache:
     """
 
     def __init__(self, directory: PathLike, budget_bytes: Optional[int] = None) -> None:
+        if budget_bytes is not None and budget_bytes < 0:
+            raise ConfigurationError(
+                f"cache budget must be non-negative, got {budget_bytes}"
+            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        if budget_bytes is not None and budget_bytes < 0:
-            raise ValueError(f"cache budget must be non-negative, got {budget_bytes}")
         self.budget_bytes = budget_bytes
         self.counters: Dict[str, int] = {
             "hits": 0, "misses": 0, "stores": 0, "corrupt": 0,

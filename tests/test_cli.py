@@ -106,6 +106,36 @@ class TestFailures:
         assert captured.err.startswith(f"repro-slugger: error: {path}:2: not UTF-8")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("arguments, message", [
+        (["--top", "-3"], "top must be non-negative"),
+        (["--iterations", "0"], "iterations must be >= 1"),
+        (["--damping", "1.5"], "damping must be in [0, 1]"),
+    ])
+    def test_bad_pagerank_argument_is_one_line_error(self, capsys, arguments, message):
+        exit_code = main(["query", "pagerank", "--dataset", "PR", *arguments])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"repro-slugger: error: {message}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_bfs_without_source_is_one_line_error(self, capsys):
+        exit_code = main(["query", "bfs", "--dataset", "PR"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == "repro-slugger: error: bfs query requires a source node\n"
+
+    @pytest.mark.parametrize("action", ["stats", "gc"])
+    def test_negative_cache_budget_is_one_line_error(self, tmp_path, capsys, action):
+        exit_code = main(["cache", action, "--dir", str(tmp_path / "cache"),
+                          "--budget", "-5"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == (
+            "repro-slugger: error: cache budget must be non-negative, got -5\n"
+        )
+
     @pytest.mark.parametrize("workers", ["2", 2.5, True])
     def test_serve_with_non_int_workers_is_one_line_error(
         self, edge_list_file, tmp_path, capsys, workers

@@ -1,6 +1,13 @@
-"""Unit tests for the memoized local encoder used by SLUGGER's merging step."""
+"""Unit tests for the memoized local encoder used by SLUGGER's merging step.
+
+Panels are built the way the merging step builds them — leaves or binary
+roots — and every plan goes through the one exact table and
+:func:`apply_plan`; a panel pair wider than the exact table raises.
+"""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -12,12 +19,12 @@ from repro.core.encoder import (
     _edge_pairs_within,
     _nonedge_pairs_between,
     _nonedge_pairs_within,
-    apply_cross_plan,
-    apply_intra_plan,
+    apply_plan,
     memo_table_sizes,
     plan_cross_encoding,
     plan_intra_encoding,
 )
+from repro.exceptions import SummaryInvariantError
 from repro.graphs import DenseAdjacency, Graph, complete_bipartite_graph, complete_graph
 from repro.model import Hierarchy, HierarchicalSummary
 
@@ -33,16 +40,26 @@ def _named_pairs(hierarchy, pairs):
     return {(hierarchy.subnode_of_leaf(u), hierarchy.subnode_of_leaf(v)) for u, v in pairs}
 
 
+def _binary_tree(hierarchy, leaves):
+    """A binary tree over ``leaves`` (split in halves), as merging builds them."""
+    if len(leaves) == 1:
+        return leaves[0]
+    middle = len(leaves) // 2
+    return hierarchy.create_parent(
+        [_binary_tree(hierarchy, leaves[:middle]), _binary_tree(hierarchy, leaves[middle:])]
+    )
+
+
 def _two_group_hierarchy(graph, left, right):
-    """Build a hierarchy with two root supernodes over the given node sets.
+    """Build a hierarchy with two binary root trees over the given node sets.
 
     Leaves are added in graph order, so leaf ids are the dense ids of
     ``DenseAdjacency.from_graph(graph)``.
     """
     hierarchy = Hierarchy()
     leaves = {node: hierarchy.add_leaf(node) for node in graph.nodes()}
-    root_left = hierarchy.create_parent([leaves[node] for node in left]) if len(left) > 1 else leaves[left[0]]
-    root_right = hierarchy.create_parent([leaves[node] for node in right]) if len(right) > 1 else leaves[right[0]]
+    root_left = _binary_tree(hierarchy, [leaves[node] for node in left])
+    root_right = _binary_tree(hierarchy, [leaves[node] for node in right])
     return hierarchy, root_left, root_right
 
 
@@ -94,11 +111,13 @@ class TestCrossPlans:
     def test_complete_bipartite_uses_single_blanket(self):
         graph = complete_bipartite_graph(3, 4)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5, 6])
+        panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
+        assert panel_a.shape == panel_b.shape == (2, True)
         dense = DenseAdjacency.from_graph(graph)
-        plan = plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b)
         assert plan.cost == 1
-        assert len(plan.superedges) == 1
-        assert plan.superedges[0][2] == 1
+        assert plan.superedges == [(left, right, 1)]
+        assert plan.positive_blocks == plan.negative_blocks == []
 
     def test_empty_cross_costs_nothing(self):
         graph = Graph(nodes=[0, 1, 2, 3])
@@ -125,10 +144,12 @@ class TestCrossPlans:
         graph.remove_edge(0, 5)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5])
         panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
+        assert panel_a.shape == panel_b.shape == (2, True)
         dense = DenseAdjacency.from_graph(graph)
         plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b)
+        assert plan.cost == 2  # The top-to-top blanket plus one leaf n-edge.
         summary = HierarchicalSummary(hierarchy)
-        apply_cross_plan(plan, dense, hierarchy, panel_a, panel_b, summary.add_edge)
+        apply_plan(plan, dense, hierarchy, summary.add_edge)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 
@@ -137,15 +158,23 @@ class TestCrossPlans:
         graph.remove_edge(0, 4)
         hierarchy, left, right = _two_group_hierarchy(graph, [0, 1, 2], [3, 4, 5, 6])
         panel_a, panel_b = Panel(hierarchy, left), Panel(hierarchy, right)
+        assert panel_a.shape == panel_b.shape == (2, True)
         dense = DenseAdjacency.from_graph(graph)
         with_memo = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=True)
         without_memo = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=False)
-        assert with_memo.cost == without_memo.cost
+        assert with_memo == without_memo
 
     def test_memo_statistics_exposed(self):
-        statistics = memo_table_sizes()
-        assert statistics["cross_entries"] >= 0
-        assert "intra_entries" in statistics
+        graph = complete_bipartite_graph(2, 2)
+        hierarchy, left, right = _two_group_hierarchy(graph, [0, 1], [2, 3])
+        dense = DenseAdjacency.from_graph(graph)
+        plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        before = memo_table_sizes()
+        plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        after = memo_table_sizes()
+        assert after["tables"] == before["tables"] >= 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
 
 
 class TestIntraPlans:
@@ -182,7 +211,7 @@ class TestIntraPlans:
         dense = DenseAdjacency.from_graph(graph)
         plan = plan_intra_encoding(dense, hierarchy, merged, panel)
         summary = HierarchicalSummary(hierarchy)
-        apply_intra_plan(plan, dense, hierarchy, panel, summary.add_edge)
+        apply_plan(plan, dense, hierarchy, summary.add_edge)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 
@@ -209,6 +238,32 @@ class TestIntraPlans:
             plan_intra_encoding(dense, hierarchy, merged, panel, use_memo=True).cost
             == plan_intra_encoding(dense, hierarchy, merged, panel, use_memo=False).cost
         )
+
+
+class TestOversizedPanels:
+    """Panel pairs beyond the exact table raise instead of being searched."""
+
+    def test_oversized_cross_panel_raises(self):
+        graph = complete_bipartite_graph(4, 3)
+        hierarchy = Hierarchy()
+        leaves = [hierarchy.add_leaf(node) for node in graph.nodes()]
+        left, right = hierarchy.create_parent(leaves[:4]), hierarchy.create_parent(leaves[4:])
+        dense = DenseAdjacency.from_graph(graph)
+        started = time.perf_counter()
+        with pytest.raises(SummaryInvariantError, match="20 blanket slots"):
+            plan_cross_encoding(dense, hierarchy, Panel(hierarchy, left), Panel(hierarchy, right))
+        assert time.perf_counter() - started < 1.0
+
+    def test_oversized_intra_panel_raises(self):
+        graph = complete_graph(5)
+        hierarchy = Hierarchy()
+        leaves = [hierarchy.add_leaf(node) for node in graph.nodes()]
+        merged = hierarchy.create_parent(leaves)
+        dense = DenseAdjacency.from_graph(graph)
+        started = time.perf_counter()
+        with pytest.raises(SummaryInvariantError, match="16 blanket slots"):
+            plan_intra_encoding(dense, hierarchy, merged, Panel(hierarchy, merged))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestPanel:

@@ -47,11 +47,11 @@ from repro.baselines.common import FlatGroupingState
 from repro.cli import main
 from repro.core import Slugger, SluggerConfig
 from repro.core.state import SluggerState
+from repro.exceptions import ConfigurationError
 from repro.graphs import CSRGraphView, Graph, caveman_graph, erdos_renyi_graph
 from repro.graphs.dense import DenseAdjacency
 from repro.graphs.io import write_edge_list
 from repro.model.flat import FlatSummary
-from repro.model.summary import HierarchicalSummary
 from repro.service import SummaryService
 from repro.storage import GraphCache
 from repro.utils.rng import ensure_rng
@@ -522,17 +522,9 @@ class TestZeroMaterialization:
 
 
 # ----------------------------------------------------------------------
-# from_substrate initialization
+# Initialization over a stored substrate
 # ----------------------------------------------------------------------
 class TestFromSubstrate:
-    def test_summary_from_substrate_matches_from_graph(self, pinned_graph):
-        csr = DenseAdjacency.from_graph(pinned_graph).freeze()
-        from_graph = HierarchicalSummary.from_graph(pinned_graph)
-        from_substrate = HierarchicalSummary.from_substrate(csr.index, csr)
-        assert from_substrate.hierarchy.subnodes() == from_graph.hierarchy.subnodes()
-        assert set(from_substrate.p_edges()) == set(from_graph.p_edges())
-        assert from_substrate.cost() == from_graph.cost()
-
     def test_summary_neighbor_ids_partial_decompression(self, pinned_graph):
         summary = Slugger(SluggerConfig(iterations=4, seed=0)).summarize(pinned_graph).summary
         index = resolve_id_adjacency(pinned_graph).index
@@ -548,8 +540,8 @@ class TestFromSubstrate:
         container = tmp_path / "graph.slg"
         storage.pack(graph, container)
         stored = storage.load(container)
-        csr = stored.csr()
-        state = SluggerState.from_substrate(csr.index, csr)
+        # The constructor call a run over a stored graph makes.
+        state = SluggerState(stored.view(), dense=stored.dense(), csr=stored.csr())
         state.check_consistency()
         assert state.dense.thawed_nodes == 0
         assert state.graph.thawed_rows == 0
@@ -563,8 +555,8 @@ class TestFromSubstrate:
         container = tmp_path / "graph.slg"
         storage.pack(graph, container)
         stored = storage.load(container)
-        csr = stored.csr()
-        state = FlatGroupingState.from_substrate(csr.index, csr)
+        # The constructor call a flat baseline run over a stored graph makes.
+        state = FlatGroupingState(stored.view(), dense=stored.dense())
         reference = FlatGroupingState(graph)
         assert state.total_cost() == reference.total_cost()
         assert state.group_of == reference.group_of
@@ -591,10 +583,24 @@ class TestFromSubstrate:
 class TestQueryServing:
     def test_run_query_validates(self):
         graph = _bridged_caveman()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown query kind"):
             run_query(graph, "nonsense")
-        with pytest.raises(ValueError):
-            run_query(graph, "bfs")  # bfs requires a source
+        with pytest.raises(ConfigurationError, match="requires a source"):
+            run_query(graph, "bfs")
+
+    @pytest.mark.parametrize("kind", ["pagerank", "bfs", "cores"])
+    def test_run_query_rejects_negative_top(self, kind):
+        with pytest.raises(ConfigurationError, match="top must be non-negative"):
+            run_query(_bridged_caveman(), kind, source=0, top=-3)
+
+    def test_run_query_rejects_iterations_below_one(self):
+        with pytest.raises(ConfigurationError, match="iterations must be >= 1"):
+            run_query(_bridged_caveman(), "pagerank", iterations=0)
+
+    @pytest.mark.parametrize("damping", [-0.1, 1.5, float("nan")])
+    def test_run_query_rejects_damping_outside_unit_interval(self, damping):
+        with pytest.raises(ConfigurationError, match="damping must be in"):
+            run_query(_bridged_caveman(), "pagerank", damping=damping)
 
     def test_cli_query_container(self, tmp_path, capsys):
         graph = _bridged_caveman()

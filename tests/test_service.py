@@ -617,6 +617,57 @@ class TestServingDeterminism:
                                     options=SLUGGER_OPTIONS).result(timeout=300)
         assert fingerprint(first.summary) == fingerprint(second.summary)
 
+    def test_warm_restart_is_a_noop_in_thread_mode(self):
+        graph = caveman_fixture()
+        with SummaryService(mode="thread") as service:
+            service.register_graph("cave", graph)
+            service.warm_restart()
+            assert service._job_pool is None
+            result = service.submit(method="slugger", graph_key="cave", seed=0,
+                                    options=SLUGGER_OPTIONS).result(timeout=300)
+            assert service._job_pool is None
+            assert service.stats()["pool_jobs"] == 0
+        assert fingerprint(result.summary) == fingerprint(
+            engine.run("slugger", graph, seed=0, iterations=5).summary
+        )
+
+    @pytest.mark.skipif(not process_execution_available(),
+                        reason="no fork on this platform")
+    def test_warm_restart_is_a_noop_before_the_pool_exists(self):
+        with SummaryService(mode="process", max_inflight=1) as service:
+            service.register_graph("cave", caveman_fixture())
+            service.warm_restart()
+            assert service._job_pool is None
+            assert service._job_pool_generation == -1
+
+    @pytest.mark.skipif(not process_execution_available(),
+                        reason="no fork on this platform")
+    def test_warm_restart_reforks_with_late_registered_keys(self):
+        # A key registered after the pool forked is not in the workers'
+        # snapshot; warm_restart re-forks so the next job on that key
+        # resolves it from the snapshot instead of shipping the graph.
+        early, late = caveman_fixture(), erdos_renyi_graph(150, 0.05, seed=9)
+        with SummaryService(mode="process", max_inflight=1) as service:
+            service.register_graph("early", early)
+            service.submit(method="slugger", graph_key="early", seed=0,
+                           options=SLUGGER_OPTIONS).result(timeout=300)
+            pool = service._job_pool
+            forked = pool._pool
+            assert forked is not None
+            service.register_graph("late", late)
+            assert service.store.key_generation("late") > service._job_pool_generation
+            service.warm_restart()
+            assert service._job_pool is pool
+            assert pool._pool is None
+            assert service.store.key_generation("late") <= service._job_pool_generation
+            result = service.submit(method="slugger", graph_key="late", seed=3,
+                                    options=SLUGGER_OPTIONS).result(timeout=300)
+            assert pool._pool is not None and pool._pool is not forked
+            assert service.stats()["pool_jobs"] == 2
+        assert fingerprint(result.summary) == fingerprint(
+            engine.run("slugger", late, seed=3, iterations=5).summary
+        )
+
     def test_graph_key_and_inline_requests_agree(self):
         graph = caveman_fixture()
         with SummaryService() as service:

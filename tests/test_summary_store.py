@@ -24,6 +24,7 @@ The central guarantees exercised here:
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.algorithms.kernels import components_ids
 from repro.algorithms.providers import resolve_id_adjacency
 from repro.core import Slugger, SluggerConfig
 from repro.engine.hooks import RunControl
-from repro.exceptions import ContainerFormatError, JobCancelled
+from repro.exceptions import ConfigurationError, ContainerFormatError, JobCancelled
 from repro.graphs import (
     DenseAdjacency,
     Graph,
@@ -136,6 +137,15 @@ def checkpoint_images(graph, csr, iterations: int = 8, seed: int = 0):
         graph, control=control
     )
     return result, images, meta
+
+
+def wide_checkpoint_image(graph, meta: SummaryMeta) -> bytes:
+    """A checkpoint whose hierarchy has a 3-child root, which merging never builds."""
+    summary = HierarchicalSummary.from_graph(graph)
+    summary.hierarchy.create_parent([0, 1, 2])
+    return encode_checkpoint_container(
+        summary, meta, 1, random.Random(0).getstate(), []
+    )
 
 
 def write_summary(tmp_path, graph, iterations: int = 8, seed: int = 0):
@@ -344,6 +354,14 @@ class TestCorruption:
         path, _ = self._checkpoint_path(tmp_path, graph)
         with pytest.raises(ContainerFormatError, match="refusing to resume"):
             load_checkpoint(path, list(graph.nodes()), graph_digest="f" * 64)
+
+    def test_load_checkpoint_rejects_non_binary_hierarchy(self, tmp_path):
+        graph = int_fixture()
+        _, _, meta = checkpoint_images(graph, frozen_csr(graph))
+        path = tmp_path / "wide.ckpt.slg"
+        write_container_image(path, wide_checkpoint_image(graph, meta))
+        with pytest.raises(ContainerFormatError, match="has 3 children"):
+            load_checkpoint(path, list(graph.nodes()))
 
     def test_flipped_payload_byte_fails_the_load(self, tmp_path):
         graph = int_fixture()
@@ -569,8 +587,12 @@ class TestSummaryCache:
         assert stats["budget_bytes"] == 10_000_000
 
     def test_negative_budget_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-negative"):
-            SummaryCache(tmp_path / "cache", budget_bytes=-1)
+        directory = tmp_path / "cache"
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            SummaryCache(directory, budget_bytes=-1)
+        assert not directory.exists()
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            SummaryService(summary_cache_dir=directory, summary_cache_budget=-1)
 
 
 # ======================================================================
@@ -769,6 +791,23 @@ class TestServiceWarmStart:
         assert ("resume", 2) in stages
         assert summary_fingerprint(resumed.summary) == reference_fingerprint
         assert resumed.history == reference.history
+
+    def test_non_binary_checkpoint_is_discarded_and_the_job_runs_fresh(self, tmp_path):
+        graph = int_fixture()
+        reference, _, meta = checkpoint_images(graph, frozen_csr(graph), iterations=6)
+        SummaryCache(tmp_path / "cache").store_checkpoint(
+            meta.key, wide_checkpoint_image(graph, meta)
+        )
+        with SummaryService(mode="thread", summary_cache_dir=tmp_path / "cache") as service:
+            fresh = service.submit(
+                method="slugger", graph=graph, seed=0,
+                options={"iterations": 6},
+            ).result()
+            assert service.stats()["summary_resumes"] == 0
+        assert summary_fingerprint(fresh.summary) == summary_fingerprint(
+            reference.summary
+        )
+        assert fresh.history == reference.history
 
     def test_preseeded_checkpoint_resumes_in_a_fresh_service(self, tmp_path):
         # The checkpoint file is a plain container: parking one in the
