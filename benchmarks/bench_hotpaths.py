@@ -332,7 +332,7 @@ def seed_full_run(graph: Graph, config: SluggerConfig) -> int:
                 state, candidate_set, threshold, config, seed=rng.randrange(2**61)
             )
     if config.prune:
-        prune(graph, state.summary, rounds=config.prune_rounds)
+        prune(state.dense, state.summary, rounds=config.prune_rounds)
     return state.summary.cost()
 
 

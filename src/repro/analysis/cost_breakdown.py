@@ -28,11 +28,6 @@ __all__ = [
 RootPair = Tuple[int, int]
 
 
-def _root_of_supernode(summary: HierarchicalSummary) -> Dict[int, int]:
-    hierarchy = summary.hierarchy
-    return {supernode: hierarchy.root_of(supernode) for supernode in hierarchy.supernodes()}
-
-
 def hierarchy_cost_per_root(summary: HierarchicalSummary) -> Dict[int, int]:
     """``Cost_H^A`` for every root ``A``: h-edges inside A's hierarchy tree (Eq. 3)."""
     hierarchy = summary.hierarchy
@@ -46,7 +41,7 @@ def hierarchy_cost_per_root(summary: HierarchicalSummary) -> Dict[int, int]:
 
 def superedge_cost_per_root_pair(summary: HierarchicalSummary) -> Dict[RootPair, int]:
     """``Cost_P_{A,B}`` for every unordered root pair with at least one superedge (Eq. 4)."""
-    root_of = _root_of_supernode(summary)
+    root_of = summary.hierarchy.root_array()
     costs: Dict[RootPair, int] = {}
     for edges in (summary.p_edges(), summary.n_edges()):
         for a, b in edges:

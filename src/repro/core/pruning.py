@@ -22,9 +22,11 @@ losslessness; the latter is exercised by the property-based tests.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.graphs.graph import Graph
+from repro.exceptions import SummaryInvariantError
+from repro.graphs.dense import DenseAdjacency
 from repro.model.summary import NEGATIVE, POSITIVE, HierarchicalSummary
 
 __all__ = [
@@ -33,15 +35,6 @@ __all__ = [
     "prune_single_edge_roots",
     "reencode_root_pairs_flat",
 ]
-
-Subnode = Hashable
-RootPair = Tuple[int, int]
-
-#: The verdict for one root pair: ``None`` (keep the hierarchical
-#: encoding) or a plan — ``("blanket", n_edge_leaf_pairs)`` for the
-#: superedge-plus-corrections form, ``("leaves", p_edge_leaf_pairs)``
-#: for the individual-subedge form.
-FlatPlan = Tuple[str, List[Tuple[int, int]]]
 
 
 def _fresh_profile() -> Dict[str, Any]:
@@ -56,13 +49,15 @@ def _fresh_profile() -> Dict[str, Any]:
 
 
 def prune(
-    graph: Graph,
+    dense: DenseAdjacency,
     summary: HierarchicalSummary,
     rounds: int = 2,
     profile: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, int]:
     """Run the pruning substeps in place; returns per-substep change counters.
 
+    ``dense`` is the input graph on dense ids; leaf ``i`` of the summary
+    must wrap its node ``i`` (:class:`SummaryInvariantError` otherwise).
     ``rounds`` bounds how many times the three substeps are repeated; the
     loop stops early once a full round changes nothing.
 
@@ -70,6 +65,7 @@ def prune(
     times and pair counters (see
     :func:`repro.analysis.cost_breakdown.pruning_profile`).
     """
+    _require_dense_leaves(dense, summary.hierarchy)
     totals = {"substep1": 0, "substep2": 0, "substep3": 0}
     timings = _fresh_profile()
     for _ in range(max(rounds, 0)):
@@ -81,7 +77,7 @@ def prune(
         removed_single = prune_single_edge_roots(summary)
         ended = time.perf_counter()
         timings["single_edge_seconds"] += ended - mid
-        reencoded = reencode_root_pairs_flat(graph, summary, profile=timings)
+        reencoded = reencode_root_pairs_flat(dense, summary, profile=timings)
         totals["substep1"] += removed_silent
         totals["substep2"] += removed_single
         totals["substep3"] += reencoded
@@ -160,64 +156,8 @@ def prune_single_edge_roots(summary: HierarchicalSummary) -> int:
 # ----------------------------------------------------------------------
 # Substep 3
 # ----------------------------------------------------------------------
-def _flat_plan(
-    graph: Graph,
-    hierarchy,
-    pair: RootPair,
-    current: Sequence[Tuple[int, int, int]],
-    present: Sequence[Tuple[Subnode, Subnode]],
-) -> Optional[FlatPlan]:
-    """The flat re-encode plan for one root pair, or ``None`` to keep it.
-
-    Pure function of the (immutable during substep 3) graph and
-    hierarchy plus the pair's index entries.
-    """
-    root_a, root_b = pair
-    num_present = len(present)
-    current_cost = len(current)
-    if root_a == root_b:
-        size = hierarchy.size(root_a)
-        possible = size * (size - 1) // 2
-    else:
-        possible = hierarchy.size(root_a) * hierarchy.size(root_b)
-    if num_present == 0:
-        flat_cost = 0
-    else:
-        flat_cost = min(num_present, 1 + possible - num_present)
-    if flat_cost >= current_cost:
-        return None
-    leaf_of = hierarchy.leaf_of
-    if num_present and 1 + possible - num_present < num_present:
-        corrections = [
-            (leaf_of(u), leaf_of(v))
-            for u, v in _missing_pairs(graph, hierarchy, root_a, root_b)
-        ]
-        return ("blanket", corrections)
-    return ("leaves", [(leaf_of(u), leaf_of(v)) for u, v in present])
-
-
-def _apply_plan(
-    summary: HierarchicalSummary,
-    pair: RootPair,
-    current: Sequence[Tuple[int, int, int]],
-    plan: FlatPlan,
-) -> None:
-    """Replace one pair's hierarchical encoding with its flat plan."""
-    for x, y, sign in current:
-        summary.remove_edge(x, y, sign)
-    kind, edges = plan
-    if kind == "blanket":
-        root_a, root_b = pair
-        summary.add_p_edge(root_a, root_b)
-        for x, y in edges:
-            summary.add_n_edge(x, y)
-    else:
-        for x, y in edges:
-            summary.add_p_edge(x, y)
-
-
 def reencode_root_pairs_flat(
-    graph: Graph,
+    dense: DenseAdjacency,
     summary: HierarchicalSummary,
     profile: Optional[Dict[str, Any]] = None,
 ) -> int:
@@ -229,86 +169,95 @@ def reencode_root_pairs_flat(
     cheaper is compared against the current hierarchical encoding of the
     pair and substituted when it wins.  Pairs are visited in canonical
     (sorted) order.  Returns the number of re-encoded root pairs.
+
+    ``dense`` is the input graph on dense ids, and leaf ``i`` of the
+    summary must wrap its node ``i``.  The decision needs only per-pair
+    counts: subedges from ``dense.edge_ids()`` and p/n-edges from the
+    summary, keyed by the int ``a * stride + b`` of the root pair
+    ``a <= b``.  Only the pairs that re-encode read superedges and
+    ``dense`` rows.
     """
     started = time.perf_counter()
     hierarchy = summary.hierarchy
-    pair_edges = _superedges_by_root_pair(summary)
-    pair_subedges = _subedges_by_root_pair(graph, summary)
-    pairs = sorted(set(pair_edges) | set(pair_subedges))
-    changed = 0
-    for pair in pairs:
-        current = pair_edges.get(pair, ())
-        plan = _flat_plan(graph, hierarchy, pair, current, pair_subedges.get(pair, ()))
-        if plan is not None:
-            _apply_plan(summary, pair, current, plan)
-            changed += 1
-    if profile is not None:
-        for key, value in _fresh_profile().items():
-            profile.setdefault(key, value)
-        profile["pairs_scanned"] += len(pairs)
-        profile["pairs_reencoded"] += changed
-        profile["reencode_seconds"] += time.perf_counter() - started
-    return changed
+    _require_dense_leaves(dense, hierarchy)
+    root_of = hierarchy.root_array()
+    stride = len(root_of)
 
-
-def _superedges_by_root_pair(
-    summary: HierarchicalSummary,
-) -> Dict[RootPair, List[Tuple[int, int, int]]]:
-    """Index all p/n-edges by the (canonical) pair of root trees they connect."""
-    hierarchy = summary.hierarchy
-    root_cache: Dict[int, int] = {}
-
-    def root_of(node: int) -> int:
-        cached = root_cache.get(node)
-        if cached is None:
-            cached = hierarchy.root_of(node)
-            root_cache[node] = cached
-        return cached
-
-    index: Dict[RootPair, List[Tuple[int, int, int]]] = {}
-    for edges, sign in ((summary.p_edges(), POSITIVE), (summary.n_edges(), NEGATIVE)):
+    def pair_counts(edges) -> Dict[int, int]:
+        counts: Dict[int, int] = {}
         for x, y in edges:
-            pair = _ordered(root_of(x), root_of(y))
-            index.setdefault(pair, []).append((x, y, sign))
-    return index
+            a, b = root_of[x], root_of[y]
+            key = a * stride + b if a <= b else b * stride + a
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    subedges = pair_counts(dense.edge_ids())
+    superedges = pair_counts(chain(summary.p_edges(), summary.n_edges()))
+    pairs = sorted(subedges.keys() | superedges.keys())
+    size = hierarchy.size
+    # Re-encoded pair key -> whether it takes the blanket form.
+    blankets: Dict[int, bool] = {}
+    for key in pairs:
+        root_a, root_b = divmod(key, stride)
+        present = subedges.get(key, 0)
+        if root_a == root_b:
+            possible = size(root_a) * (size(root_a) - 1) // 2
+        else:
+            possible = size(root_a) * size(root_b)
+        blanket_cost = 1 + possible - present
+        flat_cost = min(present, blanket_cost) if present else 0
+        if flat_cost < superedges.get(key, 0):
+            blankets[key] = blanket_cost < present
+
+    if blankets:
+        current: Dict[int, List[Tuple[int, int, int]]] = {key: [] for key in blankets}
+        for edges, sign in ((summary.p_edges(), POSITIVE), (summary.n_edges(), NEGATIVE)):
+            for x, y in edges:
+                a, b = root_of[x], root_of[y]
+                records = current.get(a * stride + b if a <= b else b * stride + a)
+                if records is not None:
+                    records.append((x, y, sign))
+        for key, blanket in blankets.items():
+            for x, y, sign in current[key]:
+                summary.remove_edge(x, y, sign)
+            root_a, root_b = divmod(key, stride)
+            leaves_b = hierarchy.leaf_id_view(root_b)
+            if blanket:
+                summary.add_p_edge(root_a, root_b)
+            for i, u in enumerate(hierarchy.leaf_id_view(root_a)):
+                row = dense.neighbors[u]
+                if blanket:
+                    others = leaves_b[i + 1:] if root_a == root_b else leaves_b
+                    for v in others:
+                        if v not in row:
+                            summary.add_n_edge(u, v)
+                else:
+                    for v in row:
+                        if root_of[v] == root_b and (root_a != root_b or u < v):
+                            summary.add_p_edge(u, v)
+
+    if profile is not None:
+        for name, value in _fresh_profile().items():
+            profile.setdefault(name, value)
+        profile["pairs_scanned"] += len(pairs)
+        profile["pairs_reencoded"] += len(blankets)
+        profile["reencode_seconds"] += time.perf_counter() - started
+    return len(blankets)
 
 
-def _subedges_by_root_pair(
-    graph: Graph, summary: HierarchicalSummary
-) -> Dict[RootPair, List[Tuple[Subnode, Subnode]]]:
-    """Index all input subedges by the (canonical) pair of root trees they connect."""
-    hierarchy = summary.hierarchy
-    root_of_subnode: Dict[Subnode, int] = {}
-    for subnode in hierarchy.subnodes():
-        root_of_subnode[subnode] = hierarchy.root_of(hierarchy.leaf_of(subnode))
-    index: Dict[RootPair, List[Tuple[Subnode, Subnode]]] = {}
-    for u, v in graph.edges():
-        pair = _ordered(root_of_subnode[u], root_of_subnode[v])
-        index.setdefault(pair, []).append((u, v))
-    return index
+def _require_dense_leaves(dense: DenseAdjacency, hierarchy) -> None:
+    """Raise unless leaf ``i`` of ``hierarchy`` wraps ``dense`` node ``i``.
 
-
-def _missing_pairs(
-    graph: Graph, hierarchy, root_a: int, root_b: int
-) -> List[Tuple[Subnode, Subnode]]:
-    """Non-adjacent subnode pairs between (or within) the given root trees."""
-    pairs: List[Tuple[Subnode, Subnode]] = []
-    if root_a == root_b:
-        members = hierarchy.leaf_subnodes(root_a)
-        for i in range(len(members)):
-            neighbor_set = graph.neighbor_set(members[i])
-            for j in range(i + 1, len(members)):
-                if members[j] not in neighbor_set:
-                    pairs.append((members[i], members[j]))
-        return pairs
-    members_b = hierarchy.leaf_subnodes(root_b)
-    for u in hierarchy.leaf_subnodes(root_a):
-        neighbor_set = graph.neighbor_set(u)
-        for v in members_b:
-            if v not in neighbor_set:
-                pairs.append((u, v))
-    return pairs
-
-
-def _ordered(a: int, b: int) -> RootPair:
-    return (a, b) if a <= b else (b, a)
+    Substep 3 maps subedges to trees by id, so a summary whose leaves
+    were interleaved with parents, or built over another substrate,
+    would be re-encoded with the wrong leaves.
+    """
+    if not (
+        hierarchy.leaf_ids_are_dense()
+        and hierarchy.num_subnodes == dense.num_nodes
+        and hierarchy.subnodes() == dense.index.labels()
+    ):
+        raise SummaryInvariantError(
+            "pruning needs leaf i to wrap dense node i "
+            "(build the summary with HierarchicalSummary.from_dense)"
+        )

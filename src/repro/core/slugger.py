@@ -11,6 +11,10 @@ phases, traced as ``group``, ``merge`` and ``recost`` spans inside an
 * **recost** records the iteration history entry and optionally verifies
   the incremental indices.
 
+The ``state`` span before the first iteration covers the trivial
+summary and its per-root indices; the ``prune`` span after the last
+covers Algorithm 3.
+
 SLUGGER is a sequential greedy heuristic and this driver runs it
 serially: measured on two CPUs, process-parallel decide strategies
 (optimistic replay, colored sweeps) and sharded pruning did not beat
@@ -67,7 +71,8 @@ class SluggerResult:
         Wall-clock duration of the whole run (monotonic clock).
     phase_seconds:
         Wall-clock seconds spent in each pipeline phase, accumulated
-        over all iterations (plus the final ``prune`` step).
+        over all iterations, plus the ``state`` build before the first
+        iteration and the final ``prune`` step.
     execution_stats:
         ``groups`` counts the candidate groups processed; ``replayed``
         and ``fallbacks`` are always 0 (SLUGGER runs serially) and stay
@@ -154,13 +159,18 @@ class Slugger:
         tracer = control.tracer if control is not None else NULL_TRACER
         telemetry = metrics.enabled or tracer.enabled
 
-        state = SluggerState(
-            graph,
-            dense=resources.dense() if resources is not None else None,
-            csr=resources.csr() if resources is not None else None,
-        )
+        with tracer.span("state") as state_span:
+            state = SluggerState(
+                graph,
+                dense=resources.dense() if resources is not None else None,
+                csr=resources.csr() if resources is not None else None,
+            )
         history: List[Dict[str, float]] = []
-        phase_seconds: Dict[str, float] = {}
+        phase_seconds: Dict[str, float] = {"state": state_span.duration}
+        if telemetry:
+            metrics.histogram("slugger_phase_seconds", phase="state").observe(
+                state_span.duration
+            )
         stats: Dict[str, int] = {"groups": 0, "replayed": 0, "fallbacks": 0}
 
         start_iteration = 0
@@ -248,7 +258,7 @@ class Slugger:
                 control.checkpoint()
             with tracer.span("prune") as prune_span:
                 prune_stats = prune(
-                    graph, state.summary, rounds=config.prune_rounds,
+                    state.dense, state.summary, rounds=config.prune_rounds,
                     profile=prune_profile,
                 )
             phase_seconds["prune"] = prune_span.duration

@@ -45,12 +45,12 @@ class SluggerState:
     """All mutable data SLUGGER needs while merging root supernodes.
 
     The state mirrors the input graph onto the dense integer-id
-    substrate (built here, or injected as ``dense``).  Because
-    :meth:`HierarchicalSummary.from_graph` numbers leaf supernodes
-    ``0..n-1`` in graph order — the same order
-    :meth:`DenseAdjacency.from_graph` assigns node ids — *dense node id
-    == leaf supernode id*, so shingle rounds, candidate generation, and
-    the local encoder work directly on leaf ids with no label lookups.
+    substrate (built here, or injected as ``dense``) and builds the
+    trivial summary from it: :meth:`HierarchicalSummary.from_dense`
+    numbers leaf supernodes ``0..n-1`` in ``dense.index`` order, so
+    *dense node id == leaf supernode id*, and shingle rounds, candidate
+    generation, the local encoder and pruning work directly on leaf ids
+    with no label lookups.
     """
 
     def __init__(
@@ -60,8 +60,6 @@ class SluggerState:
         csr: Optional[CSRAdjacency] = None,
     ) -> None:
         self.graph = graph
-        self.summary = HierarchicalSummary.from_graph(graph)
-        hierarchy = self.summary.hierarchy
         ensure_fresh_views(graph.num_edges, dense=dense, csr=csr)
         # A prebuilt substrate (service graph-store interning) is used as
         # is; its construction is deterministic in the graph, so injected
@@ -69,23 +67,31 @@ class SluggerState:
         self.dense: DenseAdjacency = (
             dense if dense is not None else DenseAdjacency.from_graph(graph)
         )
+        self.summary = HierarchicalSummary.from_dense(self.dense)
 
-        self.roots: Set[int] = set(hierarchy.roots())
+        self.roots: Set[int] = set(self.summary.hierarchy.roots())
         self.root_adj: Dict[int, Dict[int, int]] = {root: {} for root in self.roots}
         self.pn_count: Dict[int, Dict[int, int]] = {root: {} for root in self.roots}
         # Incrementally maintained Cost^P_A per root (the sum of the
         # root's pn_count map), so saving evaluation reads it in O(1)
-        # instead of re-summing a dict per candidate pair.
-        self.pn_total: Dict[int, int] = {root: 0 for root in self.roots}
+        # instead of re-summing a dict per candidate pair.  Every root is
+        # a leaf with one p-edge per incident subedge: its degree.
+        degrees = self.dense.degrees
+        self.pn_total: Dict[int, int] = {root: degrees[root] for root in self.roots}
         self.pn_edges: Dict[RootPair, Set[Tuple[int, int, int]]] = {}
         self.tree_h: Dict[int, int] = {root: 0 for root in self.roots}
         self.tree_height: Dict[int, int] = {root: 0 for root in self.roots}
 
-        # Node id == leaf id, so the initial superedges and adjacency
-        # counters are registered without any label resolution.
-        for leaf_u, leaf_v in self.dense.edge_ids():
-            self._bump_adj(leaf_u, leaf_v, 1)
-            self._register_superedge(leaf_u, leaf_v, leaf_u, leaf_v, 1, delta=1)
+        # Root id == leaf id == node id and every edge is met once, so
+        # each subedge is one unit subedge count, one unit p-edge count
+        # and one singleton superedge bucket between its two leaves.
+        root_adj, pn_count, pn_edges = self.root_adj, self.pn_count, self.pn_edges
+        for u, v in self.dense.edge_ids():
+            root_adj[u][v] = 1
+            root_adj[v][u] = 1
+            pn_edges[(u, v)] = {(u, v, 1)}
+            pn_count[u][v] = 1
+            pn_count[v][u] = 1
 
     def restore_summary(self, summary: HierarchicalSummary) -> None:
         """Adopt a checkpointed summary, rebuilding every per-root index.
@@ -110,19 +116,14 @@ class SluggerState:
         self.pn_count = {root: {} for root in sorted(self.roots)}
         self.pn_total = {root: 0 for root in sorted(self.roots)}
         self.pn_edges = {}
-        leaf_root = [0] * hierarchy.num_subnodes
-        for root in sorted(self.roots):
-            for leaf in hierarchy.leaf_id_view(root):
-                leaf_root[leaf] = root
+        root_of = hierarchy.root_array()
         # Node id == leaf id on the dense substrate (both follow graph
         # insertion order), so edges map straight to roots.
         for leaf_u, leaf_v in self.dense.edge_ids():
-            self._bump_adj(leaf_root[leaf_u], leaf_root[leaf_v], 1)
+            self._bump_adj(root_of[leaf_u], root_of[leaf_v], 1)
         for edges, sign in ((sorted(summary.p_edges()), 1), (sorted(summary.n_edges()), -1)):
             for x, y in edges:
-                self._register_superedge(
-                    hierarchy.root_of(x), hierarchy.root_of(y), x, y, sign, delta=1,
-                )
+                self._register_superedge(root_of[x], root_of[y], x, y, sign, delta=1)
         self.tree_h = {}
         self.tree_height = {}
         for root in sorted(self.roots):
@@ -319,10 +320,11 @@ class SluggerState:
         the ground truth; this is O(|summary|) and meant for small graphs.
         """
         hierarchy = self.summary.hierarchy
+        root_of = hierarchy.root_array()
         expected_pn: Dict[RootPair, int] = {}
-        for edges, sign in ((self.summary.p_edges(), 1), (self.summary.n_edges(), -1)):
+        for edges in (self.summary.p_edges(), self.summary.n_edges()):
             for x, y in edges:
-                pair = _pair(hierarchy.root_of(x), hierarchy.root_of(y))
+                pair = _pair(root_of[x], root_of[y])
                 expected_pn[pair] = expected_pn.get(pair, 0) + 1
         for pair, count in expected_pn.items():
             stored = self.pn_count[pair[0]].get(pair[1], 0)
@@ -345,10 +347,8 @@ class SluggerState:
         if set(self.pn_total) != set(self.pn_count):
             raise SummaryInvariantError("pn_total keys drifted from pn_count keys")
         expected_adj: Dict[RootPair, int] = {}
-        for u, v in self.graph.edges():
-            pair = _pair(
-                hierarchy.root_of(hierarchy.leaf_of(u)), hierarchy.root_of(hierarchy.leaf_of(v))
-            )
+        for u, v in self.dense.edge_ids():
+            pair = _pair(root_of[u], root_of[v])
             expected_adj[pair] = expected_adj.get(pair, 0) + 1
         for pair, count in expected_adj.items():
             stored = self.root_adj[pair[0]].get(pair[1], 0)
@@ -369,7 +369,7 @@ class SluggerState:
             if not records:
                 raise SummaryInvariantError(f"empty superedge bucket kept for root pair {pair}")
             for x, y, _sign in records:
-                actual = _pair(hierarchy.root_of(x), hierarchy.root_of(y))
+                actual = _pair(root_of[x], root_of[y])
                 if actual != pair:
                     raise SummaryInvariantError(
                         f"superedge ({x}, {y}) filed under root pair {pair}, belongs to {actual}"

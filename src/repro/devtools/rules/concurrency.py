@@ -18,7 +18,7 @@ back:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.callgraph import build_call_graph
 from repro.devtools.framework import (
@@ -31,7 +31,6 @@ from repro.devtools.framework import (
 
 __all__ = [
     "ForkUnderLockRule",
-    "SnapshotMutationRule",
     "WorkerLockRule",
 ]
 
@@ -147,133 +146,6 @@ class WorkerLockRule(Rule):
                 )
 
 
-#: Methods of ``SluggerState`` that mutate summarization state.  A
-#: ``StateSnapshot`` exposes the read-only face of the same object; a
-#:  worker calling any of these on a snapshot-typed receiver is writing
-#: to state the apply phase believes frozen.
-_STATE_MUTATORS = {
-    "_bump_adj",
-    "_register_superedge",
-    "_rekey_pn_edges",
-    "merge",
-    "apply_merge_trace",
-    "absorb",
-    "splice_out",
-    "create_parent",
-    "set_threshold",
-    "prune",
-}
-
-
-@register_rule
-class SnapshotMutationRule(Rule):
-    """Phase workers must not call mutating methods on ``StateSnapshot``.
-
-    The snapshot is the read-only copy-on-write view workers simulate
-    against; the runtime guard (``__setattr__`` raising) only catches
-    attribute writes, not mutating *method* calls reached through the
-    proxied mappings.  Receivers are recognized by a ``StateSnapshot``
-    annotation, construction from ``StateSnapshot(...)``, or a name
-    containing ``snapshot``.
-    """
-
-    id = "snapshot-mutation"
-    category = "concurrency"
-    rationale = (
-        "StateSnapshot is the workers' read-only view; calling SluggerState "
-        "mutators on it writes to state the apply phase assumes frozen"
-    )
-
-    def check(self, module: SourceModule, project: Project) -> Iterator[Finding]:
-        for func in _functions(module.tree):
-            snapshot_vars = _snapshot_receivers(func)
-            if not snapshot_vars:
-                continue
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in snapshot_vars
-                    and node.func.attr in _STATE_MUTATORS
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"mutating call .{node.func.attr}() on StateSnapshot "
-                        f"receiver {node.func.value.id!r}; snapshots are read-only",
-                    )
-                if (
-                    isinstance(node, (ast.Assign, ast.AugAssign))
-                    and _assigns_snapshot_attr(node, snapshot_vars)
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "attribute assignment on a StateSnapshot receiver; "
-                        "snapshots are read-only",
-                    )
-
-
-def _assigns_snapshot_attr(node: ast.stmt, snapshot_vars: Set[str]) -> bool:
-    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-    for target in targets:
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id in snapshot_vars
-        ):
-            return True
-    return False
-
-
-def _snapshot_receivers(func: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    args = getattr(func, "args", None)
-    if args is not None:
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            annotation = arg.annotation
-            text = None
-            if isinstance(annotation, ast.Name):
-                text = annotation.id
-            elif isinstance(annotation, ast.Attribute):
-                text = annotation.attr
-            elif isinstance(annotation, ast.Constant) and isinstance(
-                annotation.value, str
-            ):
-                text = annotation.value.split(".")[-1]
-            if text == "StateSnapshot":
-                names.add(arg.arg)
-            elif "snapshot" in arg.arg.lower():
-                names.add(arg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = node.value.func
-            callee_name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else callee.attr
-                if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if callee_name == "StateSnapshot":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            annotation = node.annotation
-            text = (
-                annotation.id
-                if isinstance(annotation, ast.Name)
-                else annotation.attr
-                if isinstance(annotation, ast.Attribute)
-                else None
-            )
-            if text == "StateSnapshot":
-                names.add(node.target.id)
-    return names
-
-
 #: Call names that create forked children (or force a pool to fork).
 _FORKING_CALLS = {"prestart", "map_shards", "fork", "ProcessPoolExecutor"}
 
@@ -322,8 +194,3 @@ class ForkUnderLockRule(Rule):
                         "held lock deadlocks the children",
                     )
 
-
-def _functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

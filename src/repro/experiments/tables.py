@@ -13,6 +13,7 @@ from repro.core.pruning import (
 )
 from repro.experiments.runner import ExperimentRecord
 from repro.graphs.datasets import load_dataset
+from repro.graphs.dense import DenseAdjacency
 
 __all__ = ["height_sweep", "iteration_sweep", "pruning_ablation"]
 
@@ -70,7 +71,7 @@ def pruning_ablation(
         stages[1] = compression_report(staged, graph)
         prune_single_edge_roots(staged)
         stages[2] = compression_report(staged, graph)
-        reencode_root_pairs_flat(graph, staged)
+        reencode_root_pairs_flat(DenseAdjacency.from_graph(graph), staged)
         # Substep 3 can expose new edgeless supernodes; clean them up the
         # same way the packaged pruning loop does.
         prune_edgeless_supernodes(staged)

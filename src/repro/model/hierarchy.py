@@ -310,6 +310,24 @@ class Hierarchy:
             node = self._parent[node]
         return node
 
+    def root_array(self) -> List[int]:
+        """``roots[s]`` is the root of supernode ``s``'s tree, for every live id.
+
+        Built top-down in one walk per tree, so whole-summary passes
+        (pruning, index rebuilds, consistency checks) resolve any leaf or
+        superedge endpoint with a list index instead of a parent walk.
+        Ids of removed supernodes hold ``-1``.
+        """
+        roots = [-1] * self._next_id
+        children = self._children
+        for root in self.roots():
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                roots[node] = root
+                stack.extend(children[node])
+        return roots
+
     def ancestors(self, supernode: int, include_self: bool = True) -> List[int]:
         """Ancestors of ``supernode`` from itself (optional) up to its root."""
         chain: List[int] = []

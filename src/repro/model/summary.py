@@ -16,6 +16,7 @@ from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
+from repro.graphs.dense import DenseAdjacency
 from repro.graphs.graph import Graph
 from repro.model.hierarchy import Hierarchy
 
@@ -59,18 +60,30 @@ class HierarchicalSummary:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: Graph) -> "HierarchicalSummary":
+    def from_dense(cls, dense: DenseAdjacency) -> "HierarchicalSummary":
         """The trivial summary: every subnode is a singleton root supernode
         and every subedge becomes a p-edge between two singletons.
 
         This is the initial state of SLUGGER (Algorithm 1, lines 1-4).
+        Leaves are added in ``dense.index`` order, so leaf id == dense
+        node id, and the p-edges come straight from the id pairs.
         """
         summary = cls()
-        for node in graph.nodes():
-            summary.hierarchy.add_leaf(node)
-        for u, v in graph.edges():
-            summary.add_p_edge(summary.hierarchy.leaf_of(u), summary.hierarchy.leaf_of(v))
+        add_leaf = summary.hierarchy.add_leaf
+        for label in dense.index.labels():
+            add_leaf(label)
+        p_edges = summary._p_edges
+        incident = summary._incident
+        for u, v in dense.edge_ids():
+            p_edges.add((u, v))
+            incident.setdefault(u, set()).add((v, POSITIVE))
+            incident.setdefault(v, set()).add((u, POSITIVE))
         return summary
+
+    @classmethod
+    def from_graph(cls, graph: Graph) -> "HierarchicalSummary":
+        """The trivial summary of ``graph`` (see :meth:`from_dense`)."""
+        return cls.from_dense(DenseAdjacency.from_graph(graph))
 
     # ------------------------------------------------------------------
     # Superedge mutation

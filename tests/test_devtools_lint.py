@@ -253,31 +253,6 @@ class TestWorkerLockRule:
         assert chain[-1] == "pkg.work:_helper"
 
 
-class TestSnapshotMutationRule:
-    def test_flags_mutating_calls_on_snapshot_receivers(self, tmp_path):
-        report = lint_tree(tmp_path, {
-            "mod.py": """
-                def simulate(snapshot, a, b):
-                    snapshot.merge(a, b)
-                    return snapshot.roots
-
-                def annotated(view: "StateSnapshot"):
-                    view.prune()
-            """,
-        }, rules=["snapshot-mutation"])
-        assert finding_rules(report) == ["snapshot-mutation"] * 2
-
-    def test_reads_are_fine(self, tmp_path):
-        report = lint_tree(tmp_path, {
-            "mod.py": """
-                def simulate(snapshot, a, b):
-                    footprint = snapshot.group_footprint([a, b])
-                    return snapshot.pn_total, footprint
-            """,
-        }, rules=["snapshot-mutation"])
-        assert report.clean
-
-
 class TestForkUnderLockRule:
     def test_flags_forking_inside_lock_body(self, tmp_path):
         report = lint_tree(tmp_path, {

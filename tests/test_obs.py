@@ -362,7 +362,7 @@ class TestEngineTelemetry:
         snapshot = metrics.snapshot()
         assert snapshot["slugger_groups_total"]["series"][0]["value"] > 0
         names = {span.name for span in tracer.sorted_spans()}
-        assert {"iteration", "group", "merge", "recost", "prune"} <= names
+        assert {"state", "iteration", "group", "merge", "recost", "prune"} <= names
         events = tracer.chrome_trace_events()
         json.dumps(events)
         assert any(e["ph"] == "X" and e["name"] == "merge" for e in events)
@@ -371,7 +371,7 @@ class TestEngineTelemetry:
         from repro.core.slugger import PHASE_NAMES
 
         result = self.run(workers=1)
-        assert set(result.phase_seconds) == set(PHASE_NAMES) | {"prune"}
+        assert set(result.phase_seconds) == set(PHASE_NAMES) | {"state", "prune"}
         assert all(value >= 0.0 for value in result.phase_seconds.values())
 
     def test_iteration_spans_pin_the_driver_contract(self):
@@ -393,7 +393,7 @@ class TestEngineTelemetry:
             children = [span.name for span in spans
                         if span.parent_id == iteration.span_id]
             assert children == list(PHASE_NAMES)
-        for name in (*PHASE_NAMES, "prune"):
+        for name in (*PHASE_NAMES, "state", "prune"):
             assert result.phase_seconds[name] == sum(
                 span.duration for span in spans if span.name == name
             )

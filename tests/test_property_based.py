@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.baselines import mosso_summarize, randomized_summarize, sags_summarize, sweg_summarize
 from repro.core import Slugger, SluggerConfig
-from repro.core.pruning import prune
+from repro.core.pruning import prune, reencode_root_pairs_flat
 from repro.graphs import Graph
-from repro.model import FlatSummary, HierarchicalSummary, flat_to_hierarchical
+from repro.graphs.dense import DenseAdjacency
+from repro.model import FlatSummary, Hierarchy, HierarchicalSummary, flat_to_hierarchical
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +45,45 @@ def random_groupings(draw, graph: Graph):
     for node, group in assignment.items():
         groups.setdefault(group, []).append(node)
     return list(groups.values())
+
+
+@st.composite
+def leaf_encoded_communities(draw):
+    """Near-cliques and dense bipartite blocks, left leaf-encoded.
+
+    A near-clique is one root tree over a clique missing a few edges; a
+    bipartite block is two root trees joined by a complete bipartite
+    graph missing a few edges.  Fewer than half the possible pairs (less
+    one) are dropped, so the flat blanket form is cheaper than the leaf
+    p-edges for every community.  All leaves are added before any
+    parent, so leaf ``i`` wraps dense node ``i``.
+    """
+    shapes = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(2, 4), st.integers(2, 4)),
+        min_size=1, max_size=4,
+    ))
+    sides, edges, start = [], [], 0
+    for bipartite, left, right in shapes:
+        nodes = list(range(start, start + left + right))
+        start += left + right
+        if bipartite:
+            groups = [nodes[:left], nodes[left:]]
+            pairs = [(u, v) for u in groups[0] for v in groups[1]]
+        else:
+            groups = [nodes]
+            pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        dropped = draw(st.sets(st.sampled_from(pairs), max_size=(len(pairs) - 2) // 2))
+        sides.extend(groups)
+        edges.extend(pair for pair in pairs if pair not in dropped)
+    graph = Graph(nodes=range(start), edges=edges)
+    hierarchy = Hierarchy()
+    leaves = {node: hierarchy.add_leaf(node) for node in graph.nodes()}
+    for side in sides:
+        hierarchy.create_parent([leaves[node] for node in side])
+    summary = HierarchicalSummary(hierarchy)
+    for u, v in graph.edges():
+        summary.add_p_edge(leaves[u], leaves[v])
+    return graph, summary
 
 
 _SETTINGS = settings(
@@ -113,9 +153,21 @@ def test_pruning_preserves_representation_and_cost(graph, seed):
     result = Slugger(SluggerConfig(iterations=3, seed=seed, prune=False)).summarize(graph)
     summary = result.summary
     cost_before = summary.cost()
-    prune(graph, summary, rounds=2)
+    prune(DenseAdjacency.from_graph(graph), summary, rounds=2)
     summary.validate(graph)
     assert summary.cost() <= cost_before
+
+
+@_SETTINGS
+@given(case=leaf_encoded_communities())
+def test_flat_reencode_collapses_leaf_encoded_communities(case):
+    graph, summary = case
+    cost_before = summary.cost()
+    profile = {}
+    reencode_root_pairs_flat(DenseAdjacency.from_graph(graph), summary, profile=profile)
+    summary.validate(graph)
+    assert summary.cost() <= cost_before
+    assert profile["pairs_reencoded"] > 0
 
 
 @_SETTINGS

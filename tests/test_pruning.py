@@ -1,8 +1,9 @@
 """Tests for the three pruning substeps (Sect. III-B4).
 
-Besides the per-substep unit tests, the last section checks the prune
-profile and that a SLUGGER run configured with worker processes prunes
-to the same summary as the serial run.
+Besides the per-substep unit tests, the last section checks that
+pruning is deterministic, that it fills its profile, and that a run
+handed ``ExecutionConfig(workers=2)`` (which SLUGGER ignores) prunes to
+the same summary as the default run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from repro.core.pruning import (
     reencode_root_pairs_flat,
 )
 from repro.engine.execution import ExecutionConfig
+from repro.exceptions import SummaryInvariantError
 from repro.graphs import Graph, caveman_graph, complete_graph, nested_partition_graph
+from repro.graphs.dense import DenseAdjacency
 from repro.model import Hierarchy, HierarchicalSummary
 
 
@@ -125,22 +128,65 @@ class TestSubstep3:
         summary = HierarchicalSummary(hierarchy)
         for u, v in graph.edges():
             summary.add_p_edge(hierarchy.leaf_of(u), hierarchy.leaf_of(v))
-        assert reencode_root_pairs_flat(graph, summary) == 1
+        assert reencode_root_pairs_flat(DenseAdjacency.from_graph(graph), summary) == 1
         summary.validate(graph)
         assert summary.has_p_edge(root, root)
         assert summary.num_p_edges == 1
 
+    def test_near_clique_reencoded_with_blanket_and_correction(self):
+        # K5 minus one edge, left leaf-encoded under one root: the blanket
+        # self-loop plus one n-edge for the missing pair costs 2, not 9.
+        graph = complete_graph(5)
+        graph.remove_edge(0, 1)
+        hierarchy = Hierarchy()
+        leaves = [hierarchy.add_leaf(node) for node in graph.nodes()]
+        root = hierarchy.create_parent(leaves)
+        summary = HierarchicalSummary(hierarchy)
+        for u, v in graph.edges():
+            summary.add_p_edge(hierarchy.leaf_of(u), hierarchy.leaf_of(v))
+        assert reencode_root_pairs_flat(DenseAdjacency.from_graph(graph), summary) == 1
+        summary.validate(graph)
+        assert sorted(summary.p_edges()) == [(root, root)]
+        assert sorted(summary.n_edges()) == [(hierarchy.leaf_of(0), hierarchy.leaf_of(1))]
+        assert summary.num_p_edges + summary.num_n_edges == 2
+
     def test_sparse_pairs_left_alone(self):
         graph = Graph(edges=[(0, 1)])
         summary = HierarchicalSummary.from_graph(graph)
-        assert reencode_root_pairs_flat(graph, summary) == 0
+        assert reencode_root_pairs_flat(DenseAdjacency.from_graph(graph), summary) == 0
         summary.validate(graph)
+
+    @pytest.mark.parametrize("layout", ["interleaved", "relabelled", "missing leaf"])
+    def test_leaves_not_matching_the_substrate_are_rejected(self, layout):
+        # Substep 3 maps subedges to trees by id: a summary whose leaf i
+        # does not wrap dense node i would be re-encoded with the wrong
+        # leaves, so both entry points refuse it and change nothing.
+        graph = complete_graph(4)
+        hierarchy = Hierarchy()
+        if layout == "interleaved":
+            hierarchy.create_parent([hierarchy.add_leaf(0), hierarchy.add_leaf(1)])
+            nodes = [2, 3]
+        else:
+            nodes = {"relabelled": [1, 0, 2, 3], "missing leaf": [0, 1, 2]}[layout]
+        for node in nodes:
+            hierarchy.add_leaf(node)
+        summary = HierarchicalSummary(hierarchy)
+        for u, v in graph.edges():
+            if u in hierarchy.subnodes() and v in hierarchy.subnodes():
+                summary.add_p_edge(hierarchy.leaf_of(u), hierarchy.leaf_of(v))
+        before = _summary_fingerprint(summary)
+        dense = DenseAdjacency.from_graph(graph)
+        with pytest.raises(SummaryInvariantError, match="leaf i to wrap dense node i"):
+            reencode_root_pairs_flat(dense, summary)
+        with pytest.raises(SummaryInvariantError, match="leaf i to wrap dense node i"):
+            prune(dense, summary)
+        assert _summary_fingerprint(summary) == before
 
 
 class TestFullPruning:
     def test_prune_never_breaks_losslessness(self, any_small_graph):
         summary = _unpruned_summary(any_small_graph)
-        stats = prune(any_small_graph, summary, rounds=3)
+        stats = prune(DenseAdjacency.from_graph(any_small_graph), summary, rounds=3)
         summary.validate(any_small_graph)
         assert set(stats) == {"substep1", "substep2", "substep3"}
 
@@ -148,7 +194,7 @@ class TestFullPruning:
         for graph in (small_caveman, small_hierarchical, small_random):
             summary = _unpruned_summary(graph)
             cost_before = summary.cost()
-            prune(graph, summary)
+            prune(DenseAdjacency.from_graph(graph), summary)
             assert summary.cost() <= cost_before
 
     def test_prune_reduces_height_statistics(self):
@@ -156,14 +202,14 @@ class TestFullPruning:
         summary = _unpruned_summary(graph, iterations=8)
         height_before = summary.hierarchy.max_height()
         depth_before = summary.hierarchy.average_leaf_depth()
-        prune(graph, summary)
+        prune(DenseAdjacency.from_graph(graph), summary)
         assert summary.hierarchy.max_height() <= height_before
         assert summary.hierarchy.average_leaf_depth() <= depth_before + 1e-9
 
     def test_zero_rounds_is_noop(self, small_caveman):
         summary = _unpruned_summary(small_caveman)
         cost_before = summary.cost()
-        stats = prune(small_caveman, summary, rounds=0)
+        stats = prune(DenseAdjacency.from_graph(small_caveman), summary, rounds=0)
         assert summary.cost() == cost_before
         assert stats == {"substep1": 0, "substep2": 0, "substep3": 0}
 
@@ -186,9 +232,14 @@ def _summary_fingerprint(summary):
 
 
 def _leaf_encoded_cliques(communities=12, size=5):
-    """Disjoint cliques left leaf-encoded: every pair re-encodes flat."""
+    """Disjoint cliques left leaf-encoded: every pair re-encodes flat.
+
+    Every leaf is added before the community parents, so leaf ``i``
+    wraps dense node ``i`` as pruning requires.
+    """
     graph = Graph()
     hierarchy = Hierarchy()
+    members = []
     for community in range(communities):
         nodes = [community * size + offset for offset in range(size)]
         for node in nodes:
@@ -196,7 +247,9 @@ def _leaf_encoded_cliques(communities=12, size=5):
         for i in range(size):
             for j in range(i + 1, size):
                 graph.add_edge(nodes[i], nodes[j])
-        hierarchy.create_parent([hierarchy.add_leaf(node) for node in nodes])
+        members.append([hierarchy.add_leaf(node) for node in nodes])
+    for leaves in members:
+        hierarchy.create_parent(leaves)
     summary = HierarchicalSummary(hierarchy)
     for u, v in graph.edges():
         summary.add_p_edge(hierarchy.leaf_of(u), hierarchy.leaf_of(v))
@@ -214,7 +267,7 @@ class TestPruneDeterminism:
         runs = []
         for _ in range(2):
             summary = base.copy()
-            stats = prune(graph, summary, rounds=2)
+            stats = prune(DenseAdjacency.from_graph(graph), summary, rounds=2)
             summary.validate(graph)
             runs.append((stats, _summary_fingerprint(summary)))
         assert runs[0] == runs[1]
@@ -223,7 +276,8 @@ class TestPruneDeterminism:
         graph, summary = _leaf_encoded_cliques()
         hierarchy = summary.hierarchy
         profile = {}
-        assert reencode_root_pairs_flat(graph, summary, profile=profile) == 12
+        dense = DenseAdjacency.from_graph(graph)
+        assert reencode_root_pairs_flat(dense, summary, profile=profile) == 12
         summary.validate(graph)
         assert profile["pairs_scanned"] == 12
         assert profile["pairs_reencoded"] == 12
@@ -235,7 +289,7 @@ class TestPruneDeterminism:
     def test_profile_reports_substep_timings(self, small_caveman):
         summary = _unpruned_summary(small_caveman)
         profile = {}
-        prune(small_caveman, summary, rounds=2, profile=profile)
+        prune(DenseAdjacency.from_graph(small_caveman), summary, rounds=2, profile=profile)
         assert profile["rounds"] >= 1
         assert set(profile) == {
             "rounds", "pairs_scanned", "pairs_reencoded",
