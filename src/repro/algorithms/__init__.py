@@ -23,7 +23,6 @@ from repro.algorithms.providers import (
     CSRIdAdjacency,
     GraphIdAdjacency,
     LabelIdAdjacency,
-    SummaryIdAdjacency,
     repr_rank,
     resolve_id_adjacency,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CSRIdAdjacency",
     "GraphIdAdjacency",
     "LabelIdAdjacency",
-    "SummaryIdAdjacency",
     "repr_rank",
     "resolve_id_adjacency",
     "bfs_order",

@@ -8,10 +8,12 @@ Vigna, WWW'04) — integer ids and flat arrays are the serving substrate,
 labels are a presentation-layer concern handled by the shims in the
 sibling modules.  None of the kernels builds a per-node Python set or
 dict: state lives in flat lists/bytearrays indexed by id, so they run
-unchanged (and without materializing anything) over an in-memory
+unchanged over an in-memory
 :class:`~repro.graphs.dense.CSRAdjacency`, a zero-copy
-:class:`~repro.storage.mapped.MappedCSR`, or the summary-native
-partial-decompression adjacency.
+:class:`~repro.storage.mapped.MappedCSR`, or a hierarchical summary's
+memoized row table
+(:meth:`~repro.model.summary.HierarchicalSummary.row_table`: partial
+decompression runs once per summary, not once per query).
 
 Every kernel is bit-identical to the label-keyed implementation it
 replaced; where the legacy code depended on an iteration order (the
@@ -22,7 +24,7 @@ the shim.
 The adjacency argument ``adj`` is anything with ``num_nodes`` and sorted
 ascending neighbor runs: either flat ``indptr``/``indices`` arrays (the
 fast path — row reads are zero-copy slices) or a ``neighbor_ids(u)``
-method (the summary provider).
+method (the flat-summary provider).
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ def bfs_sweep_ids(
     The order is :func:`bfs_order_ids`'s; the eccentricity is the hop
     distance of the last level reached (0 for an isolated source), the
     maximum :func:`bfs_distances_ids` would report.  Each reached row is
-    read exactly once, which matters when rows come from partial
-    decompression rather than flat arrays.
+    read exactly once, which matters when rows are rebuilt per call
+    (the flat summary's label bridge) rather than read from flat arrays.
     """
     _check_source(adj, source)
     row = row_reader(adj)

@@ -12,15 +12,16 @@ those runs from every representation the library serves queries on:
   :class:`~repro.graphs.dense.LazyDenseAdjacency` — served as-is,
 - a ``GraphResources`` carrier (:class:`~repro.storage.mapped.StoredGraph`,
   the service's ``GraphHandle``) via its interned ``csr()``,
-- a :class:`~repro.model.summary.HierarchicalSummary`, answered by
-  partial decompression on ids (:meth:`HierarchicalSummary.neighbor_ids`)
-  — no materialization, no label resolution,
+- a :class:`~repro.model.summary.HierarchicalSummary`, served from its
+  memoized row table (:meth:`HierarchicalSummary.row_table`): partial
+  decompression on ids runs once per leaf on the first query, and every
+  later query reads flat CSR slices until the summary is mutated,
 - a :class:`~repro.model.flat.FlatSummary`, bridged through its
   label-keyed partial decompression.
 
 :func:`resolve_id_adjacency` returns an object with ``num_nodes``, an
 ``index`` (labels ↔ ids), and sorted neighbor runs (flat
-``indptr``/``indices`` where available, ``neighbor_ids`` otherwise);
+``indptr``/``indices``, or ``neighbor_ids`` for the flat summary);
 the algorithm shims map labels to ids at this boundary and hand the
 rest to the kernels.
 """
@@ -42,7 +43,6 @@ __all__ = [
     "CSRIdAdjacency",
     "GraphIdAdjacency",
     "LabelIdAdjacency",
-    "SummaryIdAdjacency",
     "repr_rank",
     "resolve_id_adjacency",
 ]
@@ -111,49 +111,6 @@ class GraphIdAdjacency(CSRIdAdjacency):
         super().__init__(_FlatCSR(indptr, indices, num_nodes), index=index)
 
 
-class SummaryIdAdjacency:
-    """Id adjacency answered by the summary's partial decompression.
-
-    Leaf supernode ids normally coincide with dense node ids (both
-    number the subnodes in graph order), so :meth:`neighbor_ids` is
-    simply :meth:`HierarchicalSummary.neighbor_ids` — superedges
-    incident to the queried leaf's ancestors, net p-minus-n coverage,
-    sorted ids out.  Nothing is materialized up front, and the index is
-    the hierarchy's memoized
-    :meth:`~repro.model.hierarchy.Hierarchy.subnode_index`, shared by
-    every query on the summary.
-
-    A hierarchy whose leaves were not all added before its first
-    internal supernode (e.g. one rebuilt by
-    :mod:`repro.compression.pipeline`) has gaps in its leaf ids; rows
-    are then translated through the leaf order, which is monotone in
-    leaf id, so they stay sorted.
-    """
-
-    __slots__ = ("summary", "num_nodes", "index", "neighbor_ids")
-
-    def __init__(self, summary: HierarchicalSummary) -> None:
-        hierarchy = summary.hierarchy
-        self.summary = summary
-        self.num_nodes = hierarchy.num_subnodes
-        self.index = hierarchy.subnode_index()
-        if hierarchy.leaf_ids_are_dense():
-            # Bound once so kernels call the summary method directly.
-            self.neighbor_ids = summary.neighbor_ids
-            return
-        leaves = list(hierarchy.leaf_subnode_map())
-        position = {leaf: u for u, leaf in enumerate(leaves)}
-        rows = summary.neighbor_ids
-
-        def neighbor_ids(u: int) -> List[int]:
-            return [position[leaf] for leaf in rows(leaves[u])]
-
-        self.neighbor_ids = neighbor_ids
-
-    def __repr__(self) -> str:
-        return f"SummaryIdAdjacency(num_nodes={self.num_nodes})"
-
-
 class LabelIdAdjacency:
     """Id adjacency bridged through a label-keyed neighbor function.
 
@@ -196,7 +153,11 @@ def resolve_id_adjacency(provider):
     if isinstance(provider, Graph):
         return GraphIdAdjacency(provider)
     if isinstance(provider, HierarchicalSummary):
-        return SummaryIdAdjacency(provider)
+        indptr, indices = provider.row_table()
+        return CSRIdAdjacency(
+            _FlatCSR(indptr, indices, len(indptr) - 1),
+            index=provider.hierarchy.subnode_index(),
+        )
     if isinstance(provider, FlatSummary):
         index = NodeIndex(provider.group_of)
         return LabelIdAdjacency(provider.neighbors, index)

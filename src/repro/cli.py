@@ -584,14 +584,14 @@ def _command_query(arguments: argparse.Namespace) -> int:
         if info.has_summary and info.has_csr:
             # A summary-bearing container: queries still run zero-copy
             # off the mmap CSR, and ``components`` is served straight
-            # from the decoded summary (superedge-level shortcut) —
-            # the stored graph is never materialized either way.
+            # from the decoded summary (its row table) — the stored
+            # graph is never materialized either way.
             opened = storage.load_summary(arguments.container)
             stored = opened.stored
             provider: Any = opened.summary if arguments.kind == "components" else stored
             summary_note = (f"summary: kind={opened.meta.kind} "
                             f"method={opened.meta.method} seed={opened.meta.seed}"
-                            + ("  (superedge components shortcut)"
+                            + ("  (components from its row table)"
                                if arguments.kind == "components" else ""))
         else:
             stored = storage.load(arguments.container)

@@ -55,6 +55,9 @@ class Hierarchy:
         # whether it is current.  Two threads racing to rebuild it build
         # equal indexes, so the memo needs no lock.
         self._subnode_index: Optional[NodeIndex] = None
+        # Bumped by every structural change (add_leaf, create_parent,
+        # splice_out); the summary keys its memoized row table on it.
+        self._mutations = 0
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -72,6 +75,7 @@ class Hierarchy:
         self._leaf_of_subnode[subnode] = node_id
         self._size[node_id] = 1
         self._leaf_cache[node_id] = (node_id,)
+        self._mutations += 1
         return node_id
 
     def create_parent(self, children: Iterable[int]) -> int:
@@ -106,6 +110,7 @@ class Hierarchy:
             for cached in child_caches:
                 combined.extend(cached)  # type: ignore[arg-type]
             self._leaf_cache[node_id] = tuple(combined)
+        self._mutations += 1
         return node_id
 
     @classmethod
@@ -199,10 +204,23 @@ class Hierarchy:
         # keep their subtrees and the parent keeps the same leaves); only
         # the removed supernode's cache entry must go.
         self._leaf_cache.pop(supernode, None)
+        self._mutations += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def mutation_count(self) -> int:
+        """Monotonic counter of structural changes to the forest.
+
+        Bumped by every :meth:`add_leaf` that registered a new subnode,
+        every :meth:`create_parent` and every :meth:`splice_out` — the
+        signal a memoized view derived from the forest reads through
+        :func:`repro.graphs.staleness.mutation_stamp` to detect that it
+        went stale.
+        """
+        return self._mutations
+
     @property
     def num_supernodes(self) -> int:
         """Total number of supernodes currently in the forest."""
@@ -357,7 +375,7 @@ class Hierarchy:
 
     def leaf_ids(self, supernode: int) -> List[int]:
         """Leaf supernode ids contained in ``supernode``'s subtree (memoized)."""
-        return list(self._cached_leaf_ids(supernode))
+        return list(self.leaf_id_view(supernode))
 
     def leaf_id_view(self, supernode: int) -> Tuple[int, ...]:
         """The memoized leaf-id tuple of ``supernode`` (not copied).
@@ -367,12 +385,9 @@ class Hierarchy:
         ids coincide with the dense node ids of a
         :class:`~repro.graphs.index.NodeIndex` built from the same graph,
         so this view is what the int-id fast paths iterate instead of
-        resolving subnode labels.
+        resolving subnode labels.  A missing entry is filled in lazily
+        from the child caches.
         """
-        return self._cached_leaf_ids(supernode)
-
-    def _cached_leaf_ids(self, supernode: int) -> Tuple[int, ...]:
-        """Leaf-id tuple of one supernode, filled in lazily from child caches."""
         cached = self._leaf_cache.get(supernode)
         if cached is not None:
             return cached
@@ -399,7 +414,7 @@ class Hierarchy:
     def leaf_subnodes(self, supernode: int) -> List[Subnode]:
         """Subnodes contained in ``supernode``'s subtree."""
         leaf_subnode = self._leaf_subnode
-        return [leaf_subnode[leaf] for leaf in self._cached_leaf_ids(supernode)]
+        return [leaf_subnode[leaf] for leaf in self.leaf_id_view(supernode)]
 
     def verify_leaf_cache(self) -> None:
         """Check every memoized leaf set against a fresh tree walk.

@@ -12,12 +12,14 @@ endpoint supernode contains ``u`` and the other contains ``v``
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import DenseAdjacency
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, canonical_edge
+from repro.graphs.staleness import mutation_stamp
 from repro.model.hierarchy import Hierarchy
 
 __all__ = ["HierarchicalSummary"]
@@ -55,6 +57,12 @@ class HierarchicalSummary:
         self._p_edges: Set[SuperEdge] = set()
         self._n_edges: Set[SuperEdge] = set()
         self._incident: Dict[int, Set[Tuple[int, int]]] = {}
+        # Bumped by every superedge add/remove that changed P+ or P-.
+        self._mutations = 0
+        # Memoized row table (see row_table): the key it was built under,
+        # ``(self._mutations, hierarchy, mutation_stamp(hierarchy))``, and
+        # the ``(indptr, indices)`` arrays, stored as one tuple.
+        self._rows: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -109,6 +117,7 @@ class HierarchicalSummary:
         self._p_edges.add(edge)
         self._incident.setdefault(edge[0], set()).add((edge[1], POSITIVE))
         self._incident.setdefault(edge[1], set()).add((edge[0], POSITIVE))
+        self._mutations += 1
         return True
 
     def add_n_edge(self, a: int, b: int) -> bool:
@@ -123,6 +132,7 @@ class HierarchicalSummary:
         self._n_edges.add(edge)
         self._incident.setdefault(edge[0], set()).add((edge[1], NEGATIVE))
         self._incident.setdefault(edge[1], set()).add((edge[0], NEGATIVE))
+        self._mutations += 1
         return True
 
     def add_edge(self, a: int, b: int, sign: int) -> bool:
@@ -160,6 +170,7 @@ class HierarchicalSummary:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
     def _discard_incident(self, edge: SuperEdge, sign: int) -> None:
+        self._mutations += 1
         a, b = edge
         incident_a = self._incident.get(a)
         if incident_a is not None:
@@ -319,10 +330,9 @@ class HierarchicalSummary:
         Alg. 4 on dense ids: walks the superedges incident to the leaf's
         ancestors and keeps the far leaves whose net p-minus-n coverage
         is positive.  Leaf ids coincide with the node ids of an index
-        built from the same graph, so no subnode labels are resolved;
-        this is the neighbor query the substrate-native kernels
-        (:mod:`repro.algorithms.kernels`) run on when serving analytics
-        off the summary.
+        built from the same graph, so no subnode labels are resolved.
+        Analytics served off the summary (:mod:`repro.algorithms.kernels`)
+        read the same rows from :meth:`row_table`, built once per summary.
         """
         if not self.hierarchy.is_leaf(node_id):
             # repro-lint: disable=raise-taxonomy (documented mapping-style lookup contract)
@@ -348,8 +358,8 @@ class HierarchicalSummary:
         negative: List[int] = []
         for level, ancestor in enumerate(chain):
             for other, sign in incident.get(ancestor, ()):
-                other_level = height.get(other)
-                if other_level is not None and other_level < level:
+                # Nothing on the chain lies below the leaf itself (level 0).
+                if level and height.get(other, level) < level:
                     continue
                 (positive if sign == POSITIVE else negative).extend(leaf_ids(other))
         if negative:
@@ -360,11 +370,57 @@ class HierarchicalSummary:
         kept.discard(node_id)
         return kept
 
+    def row_table(self) -> Tuple[array, array]:
+        """Every leaf's sorted neighbor row as CSR ``(indptr, indices)`` arrays.
+
+        Row ``u`` belongs to the ``u``-th subnode of
+        :meth:`~repro.model.hierarchy.Hierarchy.subnode_index` and holds
+        that index's ids, so ``indices[indptr[u]:indptr[u + 1]]`` is what
+        :meth:`neighbor_ids` returns for its leaf.  Partial decompression
+        (Alg. 4) runs once per leaf to build the table; every query on
+        the summary then reads flat slices.  A hierarchy with gapped leaf
+        ids (e.g. one rebuilt by :mod:`repro.compression.pipeline`) has
+        its rows translated through the leaf order, which is monotone in
+        leaf id, so they stay sorted.
+
+        Memoized (do not mutate the arrays) until a superedge is added or
+        removed, the hierarchy changes
+        (:attr:`~repro.model.hierarchy.Hierarchy.mutation_count`), or
+        :attr:`hierarchy` is reassigned.  Racing threads build equal
+        tables and the memo is one attribute store, so it needs no lock.
+        """
+        hierarchy = self.hierarchy
+        key = (self._mutations, hierarchy, mutation_stamp(hierarchy))
+        memo = self._rows
+        # Hierarchy has no __eq__, so the key compares the forest by identity.
+        if memo is not None and memo[:3] == key:
+            return memo[3]
+        leaves = hierarchy.leaf_subnode_map()
+        position = None
+        if not hierarchy.leaf_ids_are_dense():
+            position = {leaf: u for u, leaf in enumerate(leaves)}
+        indptr = array("q", [0])
+        indices = array("q")
+        for leaf in leaves:
+            row = self._neighbor_leaves(leaf)
+            if position is not None:
+                row = [position[other] for other in row]
+            indices.extend(sorted(row))
+            indptr.append(len(indices))
+        table = (indptr, indices)
+        self._rows = key + (table,)
+        return table
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self, graph: Graph) -> None:
-        """Raise :class:`SummaryInvariantError` unless the summary represents ``graph`` exactly."""
+        """Raise :class:`SummaryInvariantError` unless the summary represents ``graph`` exactly.
+
+        Compares every row of :meth:`row_table` with the graph's neighbor
+        set of the same subnode, so nothing is decompressed into a
+        :class:`Graph`.
+        """
         summary_nodes = set(self.hierarchy.subnodes())
         graph_nodes = set(graph.nodes())
         if summary_nodes != graph_nodes:
@@ -374,12 +430,26 @@ class HierarchicalSummary:
                 f"subnode mismatch: missing={sorted(map(repr, missing))[:5]} "
                 f"extra={sorted(map(repr, extra))[:5]}"
             )
-        reconstructed = self.decompress()
-        original_edges = graph.edge_set()
-        rebuilt_edges = reconstructed.edge_set()
-        if original_edges != rebuilt_edges:
-            lost = original_edges - rebuilt_edges
-            spurious = rebuilt_edges - original_edges
+        indptr, indices = self.row_table()
+        index = self.hierarchy.subnode_index()
+        labels, ids = index.labels(), index.ids()
+        adjacency = graph.adjacency()
+        lost: Set[Tuple[Subnode, Subnode]] = set()
+        spurious: Set[Tuple[Subnode, Subnode]] = set()
+        for u, label in enumerate(labels):
+            row = indices[indptr[u]:indptr[u + 1]]
+            expected = adjacency[label]
+            # Rows hold no repeats, so equal lengths plus containment is equality.
+            if len(row) == len(expected) and expected.issuperset(map(labels.__getitem__, row)):
+                continue
+            # Both sides are symmetric, so a wrong pair shows in both rows;
+            # it is recorded from its lower id only.
+            rebuilt = {labels[v] for v in row}
+            lost.update(canonical_edge(label, other)
+                        for other in expected - rebuilt if ids[other] > u)
+            spurious.update(canonical_edge(label, other)
+                            for other in rebuilt - expected if ids[other] > u)
+        if lost or spurious:
             raise SummaryInvariantError(
                 f"summary is not lossless: {len(lost)} edges lost "
                 f"(e.g. {sorted(map(repr, lost))[:3]}), {len(spurious)} spurious "

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core import summarize
 from repro.exceptions import SummaryInvariantError
-from repro.graphs import Graph, complete_graph
+from repro.graphs import Graph, complete_graph, erdos_renyi_graph
 from repro.model import Hierarchy, HierarchicalSummary
 
 
@@ -140,6 +143,56 @@ class TestValidation:
             summary.hierarchy.leaf_of(0), summary.hierarchy.leaf_of(1)
         )
         with pytest.raises(SummaryInvariantError):
+            summary.validate(graph)
+
+    def test_error_names_lost_and_spurious_edges(self, fig2_like):
+        graph, summary = fig2_like
+        leaf_of = summary.hierarchy.leaf_of
+        summary.remove_p_edge(leaf_of(0), leaf_of(1))
+        inner = summary.hierarchy.parent(leaf_of(2))
+        summary.remove_n_edge(inner, leaf_of(5))
+        with pytest.raises(SummaryInvariantError) as raised:
+            summary.validate(graph)
+        assert str(raised.value) == (
+            "summary is not lossless: 1 edges lost (e.g. ['(0, 1)']), "
+            "2 spurious (e.g. ['(2, 5)', '(3, 5)'])"
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_errors_match_the_decompression_oracle(self, seed):
+        # Break a SLUGGER summary at random and compare validate's message
+        # with the one built from the fully decompressed edge set.
+        rng = random.Random(seed)
+        graph = erdos_renyi_graph(30, 0.2, seed=seed)
+        summary = summarize(graph, iterations=4, seed=seed).summary
+        supernodes = summary.hierarchy.supernodes()
+        for _ in range(3):
+            p_edges = sorted(summary.p_edges())
+            summary.remove_p_edge(*p_edges[rng.randrange(len(p_edges))])
+            a, b = rng.choice(supernodes), rng.choice(supernodes)
+            if not summary.has_n_edge(a, b):
+                summary.add_p_edge(a, b)
+        rebuilt, original = summary.decompress().edge_set(), graph.edge_set()
+        lost, spurious = original - rebuilt, rebuilt - original
+        assert lost or spurious
+        with pytest.raises(SummaryInvariantError) as raised:
+            summary.validate(graph)
+        assert str(raised.value) == (
+            f"summary is not lossless: {len(lost)} edges lost "
+            f"(e.g. {sorted(map(repr, lost))[:3]}), {len(spurious)} spurious "
+            f"(e.g. {sorted(map(repr, spurious))[:3]})"
+        )
+
+    def test_each_wrong_edge_counted_once_for_unordered_labels(self):
+        # frozenset labels are only partially ordered: neither endpoint of
+        # an edge sorts first, so the count must not depend on the order.
+        a, b, c = frozenset({1}), frozenset({2}), frozenset({3})
+        graph = Graph(edges=[(a, b), (b, c)])
+        summary = HierarchicalSummary.from_graph(graph)
+        leaf_of = summary.hierarchy.leaf_of
+        summary.remove_p_edge(leaf_of(a), leaf_of(b))
+        summary.add_p_edge(leaf_of(a), leaf_of(c))
+        with pytest.raises(SummaryInvariantError, match="1 edges lost .* 1 spurious"):
             summary.validate(graph)
 
     def test_node_mismatch_detected(self, fig2_like):

@@ -1,6 +1,6 @@
 """Queries on the summary: partial decompression and the one-pass bfs.
 
-Two contracts are pinned here:
+Three contracts are pinned here:
 
 * :meth:`HierarchicalSummary.neighbor_ids` (and its label wrapper
   :meth:`HierarchicalSummary.neighbors`) agrees with the adjacency of
@@ -10,10 +10,17 @@ Two contracts are pinned here:
   ancestor, and pairs whose p/n coverage nets to zero or below;
 * ``run_query(provider, "bfs")`` — one traversal — returns exactly the
   payload the two-pass ``bfs_order`` + ``max(bfs_distances)``
-  composition returns, over every provider shape.
+  composition returns, over every provider shape;
+* :meth:`HierarchicalSummary.row_table` — the memoized CSR table every
+  summary query reads — equals the decompressed adjacency on dense and
+  gapped leaf ids, and every superedge or hierarchy mutation (and a
+  reassigned ``hierarchy``) makes the next query rebuild it.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,13 +36,16 @@ from repro.algorithms import (
 )
 from repro.algorithms.kernels import bfs_distances_ids, bfs_order_ids, bfs_sweep_ids
 from repro.algorithms.providers import repr_rank
-from repro.algorithms.query import run_query
+from repro.algorithms.query import QUERY_KINDS, run_query
 from repro.compression.pipeline import compress_hierarchical_summary
 from repro.core import Slugger, SluggerConfig
+from repro.core.pruning import prune
 from repro.graphs import Graph, caveman_graph, erdos_renyi_graph
 from repro.graphs.dense import DenseAdjacency
+from repro.graphs.staleness import mutation_stamp
 from repro.model.decompress import partial_neighbors
 from repro.model.flat import FlatSummary
+from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
 
 _SETTINGS = settings(
@@ -299,3 +309,155 @@ def test_queries_on_a_summary_with_gapped_leaf_ids():
         assert run_query(rebuilt, "bfs", source=source) == run_query(graph, "bfs", source=source)
     assert connected_components(rebuilt) == connected_components(graph)
     assert core_numbers(rebuilt) == core_numbers(graph)
+
+
+# ----------------------------------------------------------------------
+# The memoized row table
+# ----------------------------------------------------------------------
+def assert_table_matches_decompression(summary: HierarchicalSummary) -> None:
+    """Every table row is the sorted id row of the decompressed graph."""
+    indptr, indices = summary.row_table()
+    index = summary.hierarchy.subnode_index()
+    ids = index.ids()
+    decompressed = summary.decompress()
+    assert len(indptr) == len(index) + 1
+    for u, label in enumerate(index.labels()):
+        expected = sorted(ids[other] for other in decompressed.neighbor_set(label))
+        assert list(indices[indptr[u]:indptr[u + 1]]) == expected, label
+
+
+@_SETTINGS
+@given(graph=generated_graphs(), seed=st.integers(min_value=0, max_value=50))
+def test_row_table_matches_decompression_on_dense_and_gapped_leaves(graph, seed):
+    summary = Slugger(SluggerConfig(iterations=4, seed=seed)).summarize(graph).summary
+    rebuilt = compress_hierarchical_summary(summary).decompress()
+    assert summary.hierarchy.leaf_ids_are_dense()
+    for candidate in (summary, rebuilt):
+        assert_table_matches_decompression(candidate)
+        candidate.validate(graph)
+
+
+@_SETTINGS
+@given(summary=hand_built_summaries())
+def test_row_table_matches_decompression_on_hand_built_summaries(summary):
+    assert_table_matches_decompression(summary)
+
+
+def _table_fixture():
+    """A small summary with an internal supernode on each side of a path.
+
+    ``top`` = {0, 1} carries a p-edge to 2 that an n-edge cancels on
+    (0, 2); ``mid`` = {3, 4} carries no superedge, so it can be spliced
+    out (and pruning removes it).
+    """
+    summary = HierarchicalSummary()
+    hierarchy = summary.hierarchy
+    for label in range(6):
+        hierarchy.add_leaf(label)
+    top = hierarchy.create_parent([0, 1])
+    mid = hierarchy.create_parent([3, 4])
+    for a, b in ((top, 2), (0, 1), (2, 3), (3, 4), (4, 5)):
+        summary.add_p_edge(a, b)
+    summary.add_n_edge(0, 2)
+    return summary, top, mid
+
+
+def _all_payloads(provider):
+    return [run_query(provider, kind, source=0).value for kind in QUERY_KINDS]
+
+
+def _prune(summary, top, mid):
+    stats = prune(DenseAdjacency.from_graph(summary.decompress()), summary)
+    assert stats["substep1"] >= 1
+
+
+def _reassign(summary, top, mid):
+    # A different forest with the same mutation count: only its identity
+    # tells the memo that it changed.
+    replacement = Hierarchy()
+    for label in range(6):
+        replacement.add_leaf(label)
+    assert replacement.create_parent([0, 1]) == top
+    replacement.add_leaf(6)
+    assert mutation_stamp(replacement) == mutation_stamp(summary.hierarchy)
+    summary.hierarchy = replacement
+
+
+MUTATORS = {
+    "add_p_edge": lambda summary, top, mid: summary.add_p_edge(0, 5),
+    "add_n_edge": lambda summary, top, mid: summary.add_n_edge(1, 2),
+    "remove_p_edge": lambda summary, top, mid: summary.remove_p_edge(3, 4),
+    "remove_n_edge": lambda summary, top, mid: summary.remove_n_edge(0, 2),
+    "add_leaf": lambda summary, top, mid: summary.hierarchy.add_leaf(6),
+    "create_parent": lambda summary, top, mid: summary.hierarchy.create_parent([top, 2]),
+    "splice_out": lambda summary, top, mid: summary.hierarchy.splice_out(mid),
+    "prune": _prune,
+    "reassign_hierarchy": _reassign,
+}
+
+
+@pytest.mark.parametrize("mutator", list(MUTATORS))
+def test_every_mutation_invalidates_the_row_table(mutator):
+    summary, top, mid = _table_fixture()
+    before = _all_payloads(summary)
+    assert before == _all_payloads(summary.decompress())
+    table = summary.row_table()
+    assert summary.row_table() is table
+    MUTATORS[mutator](summary, top, mid)
+    assert summary.row_table() is not table
+    after = _all_payloads(summary)
+    assert after == _all_payloads(summary.decompress())
+    assert_table_matches_decompression(summary)
+
+
+def test_failed_or_noop_mutations_keep_the_row_table():
+    summary, top, mid = _table_fixture()
+    table = summary.row_table()
+    assert not summary.add_p_edge(top, 2)
+    assert not summary.remove_n_edge(3, 4)
+    assert summary.hierarchy.add_leaf(0) == 0
+    assert summary.row_table() is table
+
+
+def test_copy_does_not_share_the_row_table():
+    summary, top, mid = _table_fixture()
+    table = summary.row_table()
+    clone = summary.copy()
+    clone_table = clone.row_table()
+    assert clone_table is not table
+    assert [list(column) for column in clone_table] == [list(column) for column in table]
+    clone.add_p_edge(0, 5)
+    assert summary.row_table() is table
+    indptr, indices = clone.row_table()
+    assert 5 in indices[indptr[0]:indptr[1]]
+    assert 5 not in table[1][table[0][0]:table[0][1]]
+
+
+def test_racing_threads_build_equal_tables():
+    # More threads than cores and a short switch interval, so threads
+    # interleave inside the first table build on one fresh summary.
+    graph = caveman_graph(4, 6, 0.2, seed=3)
+    summary = Slugger(SluggerConfig(iterations=4, seed=0)).summarize(graph).summary
+    expected = (run_query(graph, "bfs", source=0).value, run_query(graph, "pagerank").value)
+    barrier = threading.Barrier(4, timeout=30)
+    answers = [None] * 4
+
+    def worker(slot: int) -> None:
+        barrier.wait()
+        answers[slot] = (run_query(summary, "bfs", source=0).value,
+                         run_query(summary, "pagerank").value,
+                         [list(column) for column in summary.row_table()])
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(answer[:2] == expected for answer in answers)
+    assert all(answer[2] == answers[0][2] for answer in answers)

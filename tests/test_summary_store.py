@@ -29,9 +29,7 @@ import random
 import pytest
 
 from repro import engine, storage
-from repro.algorithms.components import connected_components, summary_components_ids
-from repro.algorithms.kernels import components_ids
-from repro.algorithms.providers import resolve_id_adjacency
+from repro.algorithms.components import connected_components
 from repro.core import Slugger, SluggerConfig
 from repro.engine.hooks import RunControl
 from repro.exceptions import ConfigurationError, ContainerFormatError, JobCancelled
@@ -831,17 +829,15 @@ class TestServiceWarmStart:
 
 
 # ======================================================================
-# Superedge-level components shortcut
+# Components on a summary equal the components of its decompression
 # ======================================================================
-def leaf_level_components(summary):
-    """The pre-PR-9 path: decompress-by-neighbor over the id adjacency."""
-    adjacency = resolve_id_adjacency(summary)
-    labels = adjacency.index.labels()
-    return [{labels[u] for u in component} for component in components_ids(adjacency)]
+def decompressed_components(summary):
+    """The independent oracle: components of the fully decompressed graph."""
+    return connected_components(summary.decompress())
 
 
-class TestComponentsShortcut:
-    def test_matches_leaf_level_on_sparse_graphs(self):
+class TestSummaryComponents:
+    def test_match_decompression_on_sparse_graphs(self):
         cases = [erdos_renyi_graph(40, 0.08, seed=seed) for seed in range(6)]
         cases.append(caveman_graph(3, 5, seed=2))
         disconnected = erdos_renyi_graph(30, 0.05, seed=9)
@@ -853,14 +849,13 @@ class TestComponentsShortcut:
                 summary = summarize(
                     graph, iterations=iterations, seed=position
                 ).summary
-                assert connected_components(summary) == leaf_level_components(
+                assert connected_components(summary) == decompressed_components(
                     summary
                 ), (position, iterations)
 
-    def test_matches_leaf_level_on_dense_summaries_with_n_edges(self):
-        # Dense ER graphs produce summaries where the dirty path (P
-        # rectangles intersected by N carve-outs) actually runs; assert
-        # the sweep genuinely exercises it.
+    def test_match_decompression_on_dense_summaries_with_n_edges(self):
+        # Dense ER graphs produce summaries whose P edges are carved up
+        # by N edges; assert such summaries are among the cases.
         with_n_edges = 0
         for seed in range(12):
             graph = erdos_renyi_graph(50, 0.25, seed=seed)
@@ -870,7 +865,7 @@ class TestComponentsShortcut:
                 ).summary
                 if any(True for _ in summary.n_edges()):
                     with_n_edges += 1
-                assert connected_components(summary) == leaf_level_components(
+                assert connected_components(summary) == decompressed_components(
                     summary
                 ), (seed, iterations, prune)
         assert with_n_edges > 0
@@ -890,17 +885,18 @@ class TestComponentsShortcut:
         summary.add_n_edge(0, 3)
         assert sorted(summary.decompress().edges()) == [("a", "c")]
         components = connected_components(summary)
-        assert components == leaf_level_components(summary)
+        assert components == decompressed_components(summary)
         assert {"a", "c"} in components
         assert {"b"} in components
         assert {"d"} in components
 
-    def test_id_level_shortcut_output_convention(self):
-        # summary_components_ids follows the kernels convention exactly:
-        # first-seen grouping over ascending leaf ids, largest first.
+    def test_components_equal_decompressed_components(self):
+        # Same components in the same order (first seen by ascending
+        # leaf id, largest first) as the decompressed graph's.
         graph = caveman_graph(3, 5, seed=2)
         summary = summarize(graph, iterations=4, seed=2).summary
-        components = summary_components_ids(summary)
-        flattened = [leaf for component in components for leaf in component]
+        components = connected_components(summary)
+        assert components == decompressed_components(summary)
+        flattened = [node for component in components for node in component]
         assert len(flattened) == len(set(flattened)) == graph.num_nodes
         assert components == sorted(components, key=len, reverse=True)
