@@ -581,21 +581,13 @@ def _command_query(arguments: argparse.Namespace) -> int:
         from repro import storage
 
         info = storage.inspect_container(arguments.container, verify=False)
-        if info.has_summary and info.has_csr:
-            # A summary-bearing container: queries still run zero-copy
-            # off the mmap CSR, and ``components`` is served straight
-            # from the decoded summary (its row table) — the stored
-            # graph is never materialized either way.
-            opened = storage.load_summary(arguments.container)
-            stored = opened.stored
-            provider: Any = opened.summary if arguments.kind == "components" else stored
-            summary_note = (f"summary: kind={opened.meta.kind} "
-                            f"method={opened.meta.method} seed={opened.meta.seed}"
-                            + ("  (components from its row table)"
-                               if arguments.kind == "components" else ""))
-        else:
-            stored = storage.load(arguments.container)
-            provider = stored
+        # Every kind runs zero-copy off the mmap CSR; a summary-bearing
+        # container only adds its SMET metadata line to the output.
+        stored = storage.load(arguments.container)
+        provider: Any = stored
+        if info.has_summary:
+            meta = storage.read_summary_meta(arguments.container, info)
+            summary_note = f"summary: kind={meta.kind} method={meta.method} seed={meta.seed}"
         origin = f"container (mmap)  {arguments.container}"
     elif arguments.input and arguments.cache_dir:
         from repro.storage import GraphCache

@@ -9,6 +9,8 @@ import pytest
 from repro.core import summarize
 from repro.exceptions import SummaryInvariantError
 from repro.graphs import Graph, complete_graph, erdos_renyi_graph
+from repro.graphs.dense import DenseAdjacency
+from repro.graphs.view import CSRGraphView
 from repro.model import Hierarchy, HierarchicalSummary
 
 
@@ -194,6 +196,30 @@ class TestValidation:
         summary.add_p_edge(leaf_of(a), leaf_of(c))
         with pytest.raises(SummaryInvariantError, match="1 edges lost .* 1 spurious"):
             summary.validate(graph)
+
+    @pytest.mark.parametrize("order", ["same", "reversed"])
+    def test_view_is_read_off_its_substrate(self, order):
+        # The summary's subnode ids agree with the view's index, or the
+        # view lists its nodes in reverse and validate maps ids across.
+        graph = erdos_renyi_graph(40, 0.15, seed=3)
+        summary = summarize(graph, iterations=4, seed=0).summary
+        nodes = list(graph.nodes())
+        relabelled = Graph(nodes=nodes if order == "same" else nodes[::-1],
+                           edges=graph.edges())
+        view = CSRGraphView(DenseAdjacency.from_graph(relabelled).freeze())
+        assert (view.index.labels() == summary.hierarchy.subnode_index().labels()) == (
+            order == "same")
+        summary.validate(view)
+        leaf_of = summary.hierarchy.leaf_of
+        u, v = next(iter(graph.edges()))
+        summary.remove_p_edge(*next(iter(summary.p_edges())))
+        summary.add_p_edge(leaf_of(u), leaf_of(v))
+        with pytest.raises(SummaryInvariantError) as expected:
+            summary.validate(graph)
+        with pytest.raises(SummaryInvariantError) as raised:
+            summary.validate(view)
+        assert str(raised.value) == str(expected.value)
+        assert view.thawed_rows == 0
 
     def test_node_mismatch_detected(self, fig2_like):
         graph, summary = fig2_like

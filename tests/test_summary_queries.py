@@ -19,6 +19,7 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 
@@ -37,6 +38,7 @@ from repro.algorithms import (
 from repro.algorithms.kernels import bfs_distances_ids, bfs_order_ids, bfs_sweep_ids
 from repro.algorithms.providers import repr_rank
 from repro.algorithms.query import QUERY_KINDS, run_query
+from repro.cli import main
 from repro.compression.pipeline import compress_hierarchical_summary
 from repro.core import Slugger, SluggerConfig
 from repro.core.pruning import prune
@@ -431,6 +433,34 @@ def test_copy_does_not_share_the_row_table():
     indptr, indices = clone.row_table()
     assert 5 in indices[indptr[0]:indptr[1]]
     assert 5 not in table[1][table[0][0]:table[0][1]]
+
+
+def test_pickled_summary_leaves_the_row_table_behind():
+    summary, top, mid = _table_fixture()
+    table = summary.row_table()
+    clone = pickle.loads(pickle.dumps(summary))
+    assert clone._rows is None
+    assert summary.row_table() is table
+    assert [list(column) for column in clone.row_table()] == [list(column) for column in table]
+
+
+def test_cli_serves_every_kind_on_a_summary_container_off_its_csr(tmp_path, capsys):
+    graph = caveman_graph(3, 5, 0.2, seed=1)
+    edge_list = tmp_path / "graph.txt"
+    edge_list.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+    plain, bearing = tmp_path / "plain.slg", tmp_path / "summary.slg"
+    assert main(["pack", "--input", str(edge_list), "--output", str(plain)]) == 0
+    assert main(["pack", "--input", str(edge_list), "--output", str(bearing),
+                 "--with-summary", "--iterations", "2", "--seed", "0"]) == 0
+    for kind in QUERY_KINDS:
+        capsys.readouterr()
+        assert main(["query", kind, "--container", str(plain), "--source", "0", "--json"]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        assert main(["query", kind, "--container", str(bearing), "--source", "0", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "summary: kind=hierarchical method=slugger seed=0"
+        assert "zero-copy=yes" in lines[2]
+        assert lines[2:] == expected[1:], kind
 
 
 def test_racing_threads_build_equal_tables():
