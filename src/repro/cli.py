@@ -58,7 +58,7 @@ the cache directory::
     repro-slugger cache stats --dir ~/.cache/summ
     repro-slugger cache gc --dir ~/.cache/summ --budget 50000000
 
-Observe a run without perturbing it: ``--trace`` writes the phase/shard
+Observe a run without perturbing it: ``--trace`` writes the phase/job
 span tree (Chrome trace-event JSON, or JSON-lines for ``.jsonl`` paths),
 ``--metrics-file`` writes a Prometheus text-format snapshot, and the
 ``metrics`` subcommand pretty-prints such a file — summaries stay
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", required=True, metavar="PATH",
         help="JSON file: a list of request records, each with 'method', a graph "
              "reference ('dataset' key or 'input' edge-list path), and optional "
-             "'seed', 'options', 'workers', 'tag'",
+             "'seed', 'options', 'tag'",
     )
     serve_parser.add_argument("--inflight", type=int, default=2, metavar="N",
                               help="jobs executed concurrently (default 2)")
@@ -344,7 +344,7 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="record phase/shard spans and write them to FILE — Chrome "
+        help="record phase/job spans and write them to FILE — Chrome "
              "trace-event JSON (load in chrome://tracing or Perfetto), or "
              "one JSON object per span when FILE ends in .jsonl; output is "
              "bit-identical with tracing on or off",

@@ -219,9 +219,11 @@ def decompress_hierarchical_summary(
 ) -> HierarchicalSummary:
     """Rebuild a :class:`HierarchicalSummary` from its compressed form.
 
-    The reconstructed summary uses fresh supernode ids but represents
-    exactly the same graph (same subnodes, same p/n/h structure), which
-    is what the round-trip tests verify via ``decompress()`` equality.
+    The reconstructed summary represents exactly the same graph (same
+    subnodes, same p/n/h structure), which is what the round-trip tests
+    verify via ``decompress()`` equality.  Leaves keep their relative id
+    order (a summary with leaf ids ``0..n-1`` gets them back); internal
+    supernodes get fresh ids after them.
     """
     reader = BitReader(compressed.payload, compressed.bit_length)
     gap_code = get_code(compressed.code_name)
@@ -247,17 +249,22 @@ def decompress_hierarchical_summary(
 
     hierarchy = Hierarchy()
     new_id: Dict[int, int] = {}
-
-    def build(dense_index: int) -> int:
-        children = children_of[dense_index]
+    # Leaves first, in ascending dense index: a summary whose leaves were
+    # ids 0..n-1 in graph order gets the same leaf ids back, so queries
+    # that walk rows in leaf order (pagerank's float sums) match bit for
+    # bit.  Parents are then built bottom-up over the already-made leaves.
+    for dense_index, children in children_of.items():
         if not children:
             if dense_index not in compressed.leaf_subnodes:
                 raise CompressionError(f"leaf supernode {dense_index} has no recorded subnode")
-            identifier = hierarchy.add_leaf(compressed.leaf_subnodes[dense_index])
-        else:
-            identifier = hierarchy.create_parent([build(child) for child in children])
-        new_id[dense_index] = identifier
-        return identifier
+            new_id[dense_index] = hierarchy.add_leaf(compressed.leaf_subnodes[dense_index])
+
+    def build(dense_index: int) -> int:
+        if dense_index not in new_id:
+            new_id[dense_index] = hierarchy.create_parent(
+                [build(child) for child in children_of[dense_index]]
+            )
+        return new_id[dense_index]
 
     for root in roots:
         build(root)

@@ -1,7 +1,7 @@
 """Developer tooling: the ``repro-lint`` static analyzer.
 
 This package encodes the repository's invariants — determinism under
-any ``PYTHONHASHSEED`` and worker count, fork-safety of shard-worker
+any ``PYTHONHASHSEED`` and worker count, fork-safety of pool-worker
 code, and API hygiene — as AST rules that run in CI
 (see :mod:`repro.devtools.lint` for the CLI and
 :mod:`repro.devtools.rules` for the rule pack).

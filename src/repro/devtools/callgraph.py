@@ -1,11 +1,13 @@
-"""A conservative static call graph rooted at shard-worker entry points.
+"""A conservative static call graph rooted at pool-worker entry points.
 
 The fork-safety rules need to know which functions can run inside a
-forked :class:`~repro.engine.execution.ProcessShardExecutor` worker.
+forked process-pool worker (the process-mode service's job pool).
 Worker functions are registered in exactly one way in this codebase —
-passed as the function argument of an executor's ``map_shards(fn,
-payloads)`` call, so the roots of the walk are precisely the resolved ``fn`` arguments of
-every ``map_shards`` call site in the analyzed tree.
+passed as the function argument of a pool's ``submit(fn, *args)``
+call, so the roots of the walk are the resolved ``fn`` arguments of
+every ``*.submit`` call site in the analyzed tree.  An argument that
+does not resolve to a function (a request object handed to
+``SummaryService.submit``) adds no root.
 
 Resolution policy
 -----------------
@@ -46,7 +48,7 @@ __all__ = [
 class FunctionInfo:
     """One function or method definition in the analyzed tree."""
 
-    qualname: str  # "repro.core.slugger:_decide_shard" or "mod:Class.method"
+    qualname: str  # "repro.service.service:_process_job_worker" or "mod:Class.method"
     module: SourceModule
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     cls: Optional[str] = None  # enclosing class name, if a method
@@ -58,7 +60,7 @@ class CallGraph:
 
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionInfo] = {}
-        #: Worker entry points: resolved ``fn`` arguments of map_shards calls.
+        #: Worker entry points: resolved ``fn`` arguments of submit calls.
         self.entry_points: Set[str] = set()
         #: qualname → (parent qualname on a shortest path from an entry).
         self._reach_parent: Dict[str, Optional[str]] = {}
@@ -100,7 +102,7 @@ def build_call_graph(project: Project) -> CallGraph:
 
 
 def worker_reachable(project: Project) -> Dict[str, Optional[str]]:
-    """Qualnames of functions reachable from shard-worker entry points."""
+    """Qualnames of functions reachable from pool-worker entry points."""
     return build_call_graph(project).reachable()
 
 
@@ -291,12 +293,12 @@ def _resolve_calls(info: FunctionInfo, scope: _ModuleScope) -> Set[str]:
 
 
 def _entry_points(scope: _ModuleScope) -> Iterator[str]:
-    """Resolved ``fn`` arguments of every ``*.map_shards(fn, ...)`` call."""
+    """Resolved ``fn`` arguments of every ``*.submit(fn, ...)`` call."""
     for node in ast.walk(scope.module.tree):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "map_shards"
+            and node.func.attr == "submit"
             and node.args
         ):
             continue
@@ -306,7 +308,7 @@ def _entry_points(scope: _ModuleScope) -> Iterator[str]:
             if target is not None:
                 yield target
         elif isinstance(worker, ast.Attribute):
-            # ``executor.map_shards(mod.worker, ...)``
+            # ``pool.submit(mod.worker, ...)``
             if isinstance(worker.value, ast.Name):
                 alias = worker.value.id
                 if alias in scope.module_aliases:

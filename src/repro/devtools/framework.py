@@ -2,7 +2,7 @@
 
 The analyzer enforces *this repository's* invariants — determinism under
 any ``PYTHONHASHSEED`` and worker count, fork-safety of everything a
-shard worker can reach, and API hygiene — as cheap AST checks that run
+pool worker can reach, and API hygiene — as cheap AST checks that run
 in CI on every push.  The design mirrors the classic lint pipeline:
 
 * every source file is parsed **once** into a :class:`SourceModule`

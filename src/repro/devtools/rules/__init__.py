@@ -7,7 +7,7 @@ pack is split by invariant family:
 * :mod:`~repro.devtools.rules.determinism` — bit-identical output for a
   fixed seed, under any ``PYTHONHASHSEED`` and worker count;
 * :mod:`~repro.devtools.rules.concurrency` — fork-safety of everything
-  reachable from shard-worker entry points;
+  reachable from pool-worker entry points;
 * :mod:`~repro.devtools.rules.hygiene` — public-API and exception-
   taxonomy consistency.
 """

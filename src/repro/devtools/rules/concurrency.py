@@ -1,7 +1,7 @@
-"""Fork-safety rules for everything a shard worker can reach.
+"""Fork-safety rules for everything a process-pool worker can reach.
 
-The executor layer forks workers that inherit the parent's memory image
-copy-on-write (:mod:`repro.engine.execution`).  Three bug classes have
+A process-mode :class:`~repro.service.SummaryService` forks job workers
+that inherit the parent's memory image copy-on-write.  Three bug classes have
 bitten (and been fixed) in past PRs; these rules keep them from coming
 back:
 
@@ -11,8 +11,9 @@ back:
 * a worker that mutates module globals writes to its private
   copy-on-write page, silently diverging from the parent — state that
   looks shared but is not;
-* forking (``prestart()`` / ``map_shards()`` / raw pools) *while
-  holding a lock* snapshots that lock held into every child.
+* forking (a fork-context pool's first ``submit()``, ``fork()``, pool
+  creation) *while holding a lock* snapshots that lock held into every
+  child.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 #: Terminal names that identify a lock object in this codebase's idiom
-#: (``self._lock``, ``_CONTEXTS_LOCK``, ``self._sync``, …).
+#: (``self._lock``, ``_BUILTINS_LOCK``, ``self._sync``, …).
 _LOCKISH_FRAGMENTS = ("lock", "mutex")
 _LOCKISH_EXACT = {"_sync"}
 
@@ -102,8 +103,8 @@ def _global_mutations(func_node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
 class WorkerLockRule(Rule):
     """Worker-reachable code must not acquire locks or mutate globals.
 
-    Reachability is a call-graph walk from every function registered as
-    a ``map_shards`` worker (the functions that run in forked pool
+    Reachability is a call-graph walk from every function passed to a
+    ``*.submit(fn, ...)`` call (the functions that run in forked pool
     workers).  A forked child inherits parent locks in
     whatever state they were in at fork time — acquiring one that a
     parent thread held is an unrecoverable deadlock; mutating a module
@@ -115,7 +116,7 @@ class WorkerLockRule(Rule):
     id = "worker-lock"
     category = "concurrency"
     rationale = (
-        "code reachable from forked shard workers must not acquire "
+        "code reachable from forked pool workers must not acquire "
         "threading locks or mutate module globals (fork-inherited locks "
         "deadlock; CoW global writes silently diverge)"
     )
@@ -146,13 +147,15 @@ class WorkerLockRule(Rule):
                 )
 
 
-#: Call names that create forked children (or force a pool to fork).
-_FORKING_CALLS = {"prestart", "map_shards", "fork", "ProcessPoolExecutor"}
+#: Call names that create forked children (or force a pool to fork): a
+#: fork-context ``ProcessPoolExecutor`` forks its workers at its first
+#: ``submit``.
+_FORKING_CALLS = {"submit", "fork", "ProcessPoolExecutor"}
 
 
 @register_rule
 class ForkUnderLockRule(Rule):
-    """No ``with lock:`` body may fork (``prestart``/``map_shards``/pools).
+    """No ``with lock:`` body may fork (``submit``/``fork``/pools).
 
     ``fork`` snapshots every lock in its *current* state: forking while
     holding one hands each child a permanently-held copy (the PR 4
@@ -165,7 +168,7 @@ class ForkUnderLockRule(Rule):
     category = "concurrency"
     rationale = (
         "forking while holding a lock copies the held lock into every "
-        "child; prestart()/map_shards()/pool creation must happen outside "
+        "child; submit()/fork()/pool creation must happen outside "
         "lock scopes"
     )
 

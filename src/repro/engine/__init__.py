@@ -29,11 +29,7 @@ should use the service layer directly (see :mod:`repro.service`).
 """
 
 from repro.engine.base import AnySummary, EngineResult, Summarizer
-from repro.engine.execution import (
-    ExecutionConfig,
-    ProcessShardExecutor,
-    process_execution_available,
-)
+from repro.engine.execution import ExecutionConfig, process_execution_available
 from repro.engine.hooks import GraphResources, RunControl
 from repro.engine.registry import (
     DEFAULT_SUITE,
@@ -52,7 +48,6 @@ __all__ = [
     "Summarizer",
     "DEFAULT_SUITE",
     "ExecutionConfig",
-    "ProcessShardExecutor",
     "available_methods",
     "create",
     "default_suite",

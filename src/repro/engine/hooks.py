@@ -66,7 +66,7 @@ class RunControl:
         registry.  Telemetry is observational: enabling it cannot
         change a summary.
     tracer:
-        A :class:`repro.obs.Tracer` the run records phase / shard spans
+        A :class:`repro.obs.Tracer` the run records phase spans
         into, or ``None`` for the shared no-op tracer (whose spans
         still self-time, so drivers read one measurement source either
         way).

@@ -66,8 +66,9 @@ class ConfigurationError(ReproError):
 class InvalidStateError(ReproError, RuntimeError):
     """Raised when an operation is invalid for an object's lifecycle state.
 
-    Examples: submitting shards to a closed executor, reading the worker
-    context outside a shard, stopping a stopwatch that was never started.
+    Examples: mutating a read-only graph view, building a view whose
+    label index does not cover its substrate, stopping a stopwatch that
+    was never started.
     Subclasses :class:`RuntimeError` for backward compatibility — these
     sites raised ``RuntimeError`` before the taxonomy covered them, and
     callers may still catch it.

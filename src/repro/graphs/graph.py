@@ -25,13 +25,19 @@ def canonical_edge(u: Node, v: Node) -> Edge:
     """Return the canonical (sorted) form of the undirected edge ``(u, v)``.
 
     Canonicalization lets edge sets and dictionaries treat ``(u, v)`` and
-    ``(v, u)`` as the same key.  Nodes of mixed non-comparable types fall
-    back to ordering by ``repr``.
+    ``(v, u)`` as the same key.  Nodes of mixed non-comparable types, and
+    labels incomparable under a partial order (e.g. two disjoint
+    frozensets, where neither ``u <= v`` nor ``v <= u``), fall back
+    to ordering by ``repr`` — the same form :meth:`Graph.edges` yields.
     """
     try:
-        return (u, v) if u <= v else (v, u)  # type: ignore[operator]
+        if u <= v:  # type: ignore[operator]
+            return (u, v)
+        if v <= u:  # type: ignore[operator]
+            return (v, u)
     except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
+        pass
+    return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 class Graph:

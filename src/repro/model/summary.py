@@ -379,7 +379,8 @@ class HierarchicalSummary:
         :meth:`neighbor_ids` returns for its leaf.  Partial decompression
         (Alg. 4) runs once per leaf to build the table; every query on
         the summary then reads flat slices.  A hierarchy with gapped leaf
-        ids (e.g. one rebuilt by :mod:`repro.compression.pipeline`) has
+        ids (e.g. one built by interleaving ``add_leaf`` and
+        ``create_parent``) has
         its rows translated through the leaf order, which is monotone in
         leaf id, so they stay sorted.
 

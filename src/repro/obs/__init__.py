@@ -6,7 +6,8 @@ One import surface for the telemetry substrate:
   fixed-bucket histograms with plain-data :meth:`snapshot()
   <repro.obs.metrics.MetricsRegistry.snapshot>` and an
   order-independent :meth:`merge()
-  <repro.obs.metrics.MetricsRegistry.merge>` for per-shard aggregation;
+  <repro.obs.metrics.MetricsRegistry.merge>` for federating snapshots
+  (``SummaryService.telemetry()`` folds every layer into one);
 * :class:`Tracer` — nested spans on ``perf_counter`` offsets (no
   wall-clock, no RNG), with JSON-lines and Chrome trace-event writers;
 * :func:`render_prometheus` / :func:`render_json` — exporters over any

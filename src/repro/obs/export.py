@@ -2,7 +2,7 @@
 
 Both renderers consume the plain-data shape produced by
 :meth:`repro.obs.metrics.MetricsRegistry.snapshot`, so anything that can
-produce a snapshot — a live registry, a merged set of per-shard
+produce a snapshot — a live registry, a merged set of
 snapshots, a file written by ``--metrics-file`` — can be exported
 without touching the registry again.
 

@@ -11,13 +11,13 @@ Two properties matter more than feature count:
 
 * **Snapshots are plain data.**  :meth:`MetricsRegistry.snapshot`
   returns nested dicts/lists of JSON-serializable scalars — safe to
-  pickle across a fork boundary, write to disk, or diff in tests.
+  write to disk, diff in tests, or export.
 * **Merge is order-independent.**  :meth:`MetricsRegistry.merge` folds
   a snapshot into the registry by *summation* (counters and histogram
-  buckets add; gauges add under the documented per-shard convention),
-  so per-shard registries shipped back through
-  :class:`~repro.engine.execution.ProcessShardExecutor` results
-  aggregate to the same totals regardless of arrival order.
+  buckets add; gauges add under the documented per-source convention),
+  so :meth:`SummaryService.telemetry
+  <repro.service.SummaryService.telemetry>` can federate several
+  sources into one snapshot with the same totals in any order.
 
 The disabled path is a null object: :data:`NULL_METRICS` hands out one
 shared instrument whose ``inc``/``set``/``observe`` are no-ops, so hot
@@ -78,8 +78,9 @@ class Gauge:
     """A settable value for one label set.
 
     Under :meth:`MetricsRegistry.merge` gauges **add**: the convention
-    is that each shard/process reports its own share (queue depth,
-    resident entries), so the merged value is the fleet total.
+    is that each source (a registry, a stats dict) reports its own
+    share (queue depth, resident entries), so the merged value is the
+    total.
     """
 
     __slots__ = ("_lock", "value")
@@ -269,7 +270,7 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` into this registry by summation.
 
         Counters and histogram bucket counts/sums add; gauges add (the
-        per-shard-share convention, see :class:`Gauge`).  Merging the
+        per-source-share convention, see :class:`Gauge`).  Merging the
         same set of snapshots in any order yields identical registries.
         Returns ``self`` for chaining.
         """

@@ -7,11 +7,11 @@ created.  Design constraints, in order:
 * **Determinism-clean.**  No wall-clock reads (``time.time``), no RNG —
   span ids come from a monotonic counter, so repro-lint stays clean and
   a traced run produces a summary bit-identical to an untraced one.
-* **Fork-friendly.**  ``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux,
-  a *system-wide* clock, so a forked shard worker can measure raw
-  ``(perf_start, duration)`` pairs and ship them back as plain tuples;
-  the parent converts them against its own epoch via :meth:`Tracer.add`
-  and they land on the same timeline as parent spans.
+* **Per-thread nesting.**  Service dispatcher threads trace concurrent
+  jobs into one tracer; each thread keeps its own span stack, so a span
+  nests under the span open on *its* thread.  Jobs a process-mode
+  service runs in forked workers get one parent-side ``job`` span and
+  no nested spans.
 * **Cheap when off.**  :data:`NULL_TRACER` spans still measure their
   own duration (two ``perf_counter`` calls — they are the pipeline's
   single measurement source for ``phase_seconds``) but store nothing.
@@ -37,7 +37,7 @@ class Span:
     ``start`` is seconds since the tracer's epoch; ``duration`` is set
     on exit (or by :meth:`close`).  ``attrs`` are JSON-serializable
     annotations; ``lane`` names the logical track (e.g. ``"main"``,
-    ``"shard-3"``) the span renders on in a trace viewer.
+    ``"job-3"``) the span renders on in a trace viewer.
     """
 
     __slots__ = ("span_id", "parent_id", "name", "lane", "start",
@@ -128,26 +128,6 @@ class Tracer:
             stack.pop()
         with self._lock:
             self.spans.append(span)
-
-    def add(self, name: str, perf_start: float, duration: float,
-            lane: str = "main", parent_id: Optional[int] = None,
-            **attrs: Any) -> Span:
-        """Record an externally measured span.
-
-        ``perf_start`` is a raw ``perf_counter()`` reading — e.g. one a
-        forked shard worker took and shipped back in its result tuple —
-        converted here against this tracer's epoch, so worker intervals
-        land on the parent timeline.
-        """
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        span = Span(self, span_id, parent_id, name, lane,
-                    perf_start - self.epoch, attrs)
-        span.duration = duration
-        with self._lock:
-            self.spans.append(span)
-        return span
 
     def sorted_spans(self) -> List[Span]:
         """Spans ordered by id (creation order) — the export order."""
@@ -249,11 +229,6 @@ class NullTracer:
     def span(self, name: str, lane: str = "main", **attrs: Any) -> _NullSpan:
         """A fresh self-timing, unrecorded span."""
         return _NullSpan()
-
-    def add(self, name: str, perf_start: float, duration: float,
-            lane: str = "main", parent_id: Optional[int] = None,
-            **attrs: Any) -> None:
-        """No-op."""
 
     def sorted_spans(self) -> List[Span]:
         """Always empty."""

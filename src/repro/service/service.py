@@ -10,9 +10,11 @@ service shares what one-shot calls rebuild every time:
 
 * an interning :class:`~repro.service.store.GraphStore` — one
   ``NodeIndex`` / ``DenseAdjacency`` / CSR build per graph;
-* in ``mode="process"``, a persistent fork-based worker pool that runs
-  whole jobs, so many small requests share warm workers instead of
-  paying per-call setup.
+* in ``mode="process"``, a persistent fork-context
+  ``ProcessPoolExecutor`` that runs one whole job per submit, so many
+  small requests share warm workers instead of paying per-call setup.
+  A job that kills its worker fails alone: the broken pool is retired
+  and the next job forks a fresh one.
 
 Entry points::
 
@@ -29,26 +31,25 @@ For a fixed seed a request's summary is **bit-identical** whether it
 runs through ``engine.run``, a warm service, a process-mode worker, or
 under concurrent mixed traffic: jobs share only read-only state (the
 interned substrate, whose construction is itself deterministic in the
-graph), every job draws from its own seeded RNG stream, and the executor
-layer's worker contexts are isolated per thread and per process.  The
-service test suite pins fingerprints across all three paths.
+graph), every job draws from its own seeded RNG stream, and a forked
+worker reads the graph store only from its private copy-on-write image.
+The service test suite pins fingerprints across all three paths.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import multiprocessing
 import queue
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.base import EngineResult
-from repro.engine.execution import (
-    ProcessShardExecutor,
-    available_cpus,
-    process_execution_available,
-    worker_context,
-)
+from repro.engine.execution import available_cpus, process_execution_available
 from repro.engine.hooks import GraphResources, RunControl
 from repro.engine.registry import available_methods, create
 from repro.exceptions import (
@@ -77,21 +78,32 @@ __all__ = ["SummaryService", "default_service", "shutdown_default_service"]
 
 _STOP = object()
 
+#: Token → graph store of every process-mode service with a live job
+#: pool.  A service fills its entry before its pool's first submit (the
+#: fork), so the workers' copy-on-write image holds it; workers only
+#: read it.  Keyed by a per-service token so two services in one
+#: process each resolve their own store.
+_FORK_STORES: Dict[int, GraphStore] = {}
+_TOKENS = itertools.count(1)
 
-def _process_job_worker(payload: Tuple[Dict[str, Any], Optional[Graph]]) -> EngineResult:
+
+def _process_job_worker(
+    payload: Tuple[int, Dict[str, Any], Optional[Graph]],
+) -> EngineResult:
     """Run one whole job inside a warm forked worker.
 
-    The worker context is the service's :class:`GraphStore`, inherited
-    copy-on-write at fork time.  Named graphs that were registered (and
-    pre-built) before the fork resolve warm from the snapshot — the
-    payload carries only the request record.  Anonymous graphs, and
-    named graphs registered after the fork, arrive pickled in the
-    payload and are served from a private per-job handle: an unpickled
-    graph is a fresh object, so worker-side interning could never hit —
-    register graphs (and :meth:`SummaryService.warm_restart` after late
-    registrations) to serve them warm.  Jobs run serially inside the
-    worker — process mode parallelizes *across* requests, not within
-    one.
+    ``payload`` is ``(token, record, graph)``: the token names the
+    submitting service's :class:`GraphStore` in :data:`_FORK_STORES`,
+    inherited copy-on-write at fork time.  Named graphs that were
+    registered (and pre-built) before the fork resolve warm from the
+    snapshot — the payload carries only the request record.  Anonymous
+    graphs, and named graphs registered after the fork, arrive pickled
+    in the payload and are served from a private per-job handle: an
+    unpickled graph is a fresh object, so worker-side interning could
+    never hit — register graphs (and :meth:`SummaryService.warm_restart`
+    after late registrations) to serve them warm.  Jobs run serially
+    inside the worker — process mode parallelizes *across* requests,
+    not within one.
 
     Lock discipline: the fork can happen while a parent dispatcher
     thread holds a store or handle lock, and the child would inherit it
@@ -100,10 +112,9 @@ def _process_job_worker(payload: Tuple[Dict[str, Any], Optional[Graph]]) -> Engi
     single-threaded), and pre-fork warm-up guarantees snapshot handles
     are fully built, so their accessors stay on the lock-free fast path.
     """
-    record, graph = payload
+    token, record, graph = payload
     if graph is None:
-        store: GraphStore = worker_context()
-        handle = store._named[record["graph_key"]]
+        handle = _FORK_STORES[token]._named[record["graph_key"]]
         graph = handle.graph
     else:
         handle = GraphHandle(graph)
@@ -168,7 +179,7 @@ class SummaryService:
     tracer:
         Optional :class:`~repro.obs.Tracer` receiving one span per
         executed job (lane ``job-<id>``) and, for thread-mode jobs, the
-        nested engine phase/shard spans.  Defaults to the no-op tracer.
+        nested engine phase spans.  Defaults to the no-op tracer.
     """
 
     def __init__(
@@ -210,8 +221,9 @@ class SummaryService:
         self._lock = threading.Lock()
         self._closed = False
         self._job_ids = 0
-        self._job_pool: Optional[ProcessShardExecutor] = None
+        self._job_pool: Optional[ProcessPoolExecutor] = None
         self._job_pool_generation = -1
+        self._token = next(_TOKENS)
         self.summary_cache: Optional[SummaryCache] = (
             SummaryCache(summary_cache_dir, budget_bytes=summary_cache_budget)
             if summary_cache_dir is not None
@@ -223,7 +235,7 @@ class SummaryService:
                        "summary_resumes": 0, "summary_cache_errors": 0}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Engine-level telemetry (phase spans, per-shard registries) is
+        # Engine-level telemetry (phase spans, engine counters) is
         # opt-in: it flows only when the caller supplied a sink.  The
         # always-on private registry carries job-lifecycle metrics only.
         self._engine_telemetry = metrics is not None or tracer is not None
@@ -768,27 +780,36 @@ class SummaryService:
         )
 
     def _run_in_pool(self, request: SummaryRequest) -> EngineResult:
-        graph, handle = self._resolve(request)
-        pool = self._ensure_job_pool()
-        # Named graphs whose *key* was registered before the pool forked
-        # live in the workers' copy-on-write snapshot and travel by key
-        # alone; anonymous graphs (workers cannot resolve them) and keys
-        # registered after the fork — even for an already-interned graph
-        # — ship with the payload.
-        warm_in_snapshot = (
-            request.graph_key is not None
-            and self.store.key_generation(request.graph_key)
-            <= self._job_pool_generation
-        )
-        inline = None if warm_in_snapshot else graph
-        record = request.to_dict()
-        with self._lock:
-            self._stats["pool_jobs"] += 1
-        # prestart is an idempotent width guard: after a restart (or a
-        # transient submit failure tore the pool down) the lazy re-fork
-        # would otherwise be sized by this 1-item payload.
-        pool.prestart()
-        return next(iter(pool.map_shards(_process_job_worker, [(record, inline)])))
+        graph, _handle = self._resolve(request)
+        try:
+            with self._lock:
+                pool = self._job_pool_locked()
+                # Named graphs whose *key* was registered before the pool
+                # forked live in the workers' copy-on-write snapshot and
+                # travel by key alone; anonymous graphs (workers cannot
+                # resolve them) and keys registered after the fork — even
+                # for an already-interned graph — ship with the payload.
+                warm_in_snapshot = (
+                    request.graph_key is not None
+                    and self.store.key_generation(request.graph_key)
+                    <= self._job_pool_generation
+                )
+                payload = (self._token, request.to_dict(),
+                           None if warm_in_snapshot else graph)
+                self._stats["pool_jobs"] += 1
+                # Submitting under the lock keeps warm_restart/shutdown
+                # from retiring the pool between lookup and submit.  The
+                # first submit forks the workers; they never acquire
+                # this lock.
+                # repro-lint: disable=fork-under-lock (forked job workers never acquire the service lock; holding it keeps the pool from being retired mid-submit)
+                future = pool.submit(_process_job_worker, payload)
+            return future.result()
+        except BrokenProcessPool:
+            # A worker died (e.g. os._exit in a job): the stdlib pool is
+            # unusable from now on, so retire it and let the next job
+            # fork a fresh one.
+            self._retire_job_pool(pool)
+            raise
 
     def _prewarm_named_handles(self) -> None:
         """Fully build every named handle before the pool (re)forks.
@@ -801,36 +822,56 @@ class SummaryService:
         for handle in self.store.named_handles():
             handle.csr()  # builds dense() first
 
-    def _ensure_job_pool(self) -> ProcessShardExecutor:
+    def _job_pool_locked(self) -> ProcessPoolExecutor:
+        """The live job pool, created on first use (holding the lock).
+
+        Creating the pool forks nothing; its workers fork at the first
+        submit, after the store is registered for them and every named
+        handle is built.
+        """
+        if self._job_pool is None:
+            # Load the adapter registry in the parent before any fork:
+            # workers then hit create()'s lock-free fast path instead of
+            # importing under a lock another parent thread might hold at
+            # fork time.
+            available_methods()
+            self._prewarm_named_handles()
+            _FORK_STORES[self._token] = self.store
+            self._job_pool = ProcessPoolExecutor(
+                max_workers=self.max_inflight,
+                mp_context=multiprocessing.get_context("fork"),
+            )
+            self._job_pool_generation = self.store.generation
+        return self._job_pool
+
+    def _retire_job_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop ``pool`` if it is still the live one, then shut it down.
+
+        Waits for the pool's in-flight jobs; the next job forks a fresh
+        pool against the store as it is then.
+        """
         with self._lock:
-            if self._job_pool is None:
-                # Load the adapter registry in the parent before any
-                # fork: workers then hit create()'s lock-free fast path
-                # instead of importing under a lock another parent
-                # thread might hold at fork time.
-                available_methods()
-                self._prewarm_named_handles()
-                self._job_pool = ProcessShardExecutor(
-                    self.max_inflight, context=self.store
-                )
-                # repro-lint: disable=fork-under-lock (forked job workers never acquire the service lock; holding it here serializes racing first submissions)
-                self._job_pool.prestart()
-                self._job_pool_generation = self.store.generation
-            return self._job_pool
+            if self._job_pool is pool:
+                self._job_pool = None
+        pool.shutdown(wait=True)
 
     def warm_restart(self) -> None:
         """Re-fork the process-mode job pool against the current store.
 
         Call after registering large graphs so subsequent jobs resolve
         them from the copy-on-write snapshot instead of shipping them
-        per payload.  No-op in thread mode or before the pool exists.
+        per payload.  The replacement pool (and every named handle's
+        substrate) is built now; its workers fork at the next job.
+        In-flight jobs finish on the old pool.  No-op in thread mode or
+        before the pool exists.
         """
         with self._lock:
             pool = self._job_pool
-            if pool is not None:
-                self._prewarm_named_handles()
-                pool.restart()
-                self._job_pool_generation = self.store.generation
+            if pool is None:
+                return
+            self._job_pool = None
+            self._job_pool_locked()
+        pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -915,8 +956,9 @@ class SummaryService:
                 thread.join()
         with self._lock:
             pool, self._job_pool = self._job_pool, None
+            _FORK_STORES.pop(self._token, None)
         if pool is not None:
-            pool.close()
+            pool.shutdown(wait=True)
         if self._owns_store:
             self.store.close()
 

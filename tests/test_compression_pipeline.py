@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.query import QUERY_KINDS, run_query
 from repro.baselines import randomized_summarize, sweg_summarize
 from repro.compression.pipeline import (
     compress_flat_summary,
@@ -104,6 +105,21 @@ class TestCompressHierarchicalSummary:
         summary = _slugger_summary(graph, seed=seed)
         restored = compress_hierarchical_summary(summary).decompress()
         assert restored.decompress() == graph
+
+
+    @pytest.mark.parametrize("graph", [
+        caveman_graph(30, 10, 0.05, seed=1),
+        erdos_renyi_graph(400, 0.02, seed=1),
+    ], ids=["caveman", "er"])
+    def test_rebuilt_summary_answers_every_query_exactly(self, graph):
+        # Leaves come back as ids 0..n-1 in graph order, so even
+        # pagerank's floating-point sums run in the graph's row order.
+        summary = _slugger_summary(graph)
+        restored = compress_hierarchical_summary(summary).decompress()
+        assert restored.hierarchy.leaf_ids_are_dense()
+        for kind in QUERY_KINDS:
+            assert run_query(restored, kind, source=0) == \
+                run_query(graph, kind, source=0), kind
 
 
 class TestCompressFlatSummary:

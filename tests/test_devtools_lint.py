@@ -208,8 +208,8 @@ WORKER_FIXTURE = {
         _CACHE_LOCK = threading.Lock()
         _COUNT = 0
 
-        def driver(executor, payloads):
-            return list(executor.map_shards(shard_worker, payloads))
+        def driver(pool, payload):
+            return pool.submit(shard_worker, payload).result()
 
         def shard_worker(payload):
             return _helper(payload)
@@ -232,7 +232,7 @@ class TestWorkerLockRule:
         report = lint_tree(tmp_path, dict(WORKER_FIXTURE), rules=["worker-lock"])
         # _helper is worker-reachable: one lock acquisition + one global
         # mutation.  ``untangled`` also takes the lock but is not
-        # reachable from any map_shards registration, so it is clean.
+        # reachable from any submit registration, so it is clean.
         assert finding_rules(report) == ["worker-lock", "worker-lock"]
         assert all(f.path.endswith("work.py") for f in report.findings)
         chains = [f.message for f in report.findings]
@@ -257,11 +257,11 @@ class TestForkUnderLockRule:
     def test_flags_forking_inside_lock_body(self, tmp_path):
         report = lint_tree(tmp_path, {
             "mod.py": """
-                def ensure_pool(self):
+                def ensure_pool(self, payload):
                     with self._lock:
                         if self._pool is None:
                             self._pool = ProcessPoolExecutor(max_workers=2)
-                            self._pool_proxy.prestart()
+                        return self._pool.submit(work, payload)
             """,
         }, rules=["fork-under-lock"])
         assert finding_rules(report) == ["fork-under-lock"] * 2
@@ -269,12 +269,12 @@ class TestForkUnderLockRule:
     def test_forking_outside_lock_is_fine(self, tmp_path):
         report = lint_tree(tmp_path, {
             "mod.py": """
-                def ensure_pool(self):
+                def ensure_pool(self, payload):
                     with self._lock:
                         needed = self._pool is None
                     if needed:
                         pool = ProcessPoolExecutor(max_workers=2)
-                        pool.prestart()
+                        return pool.submit(work, payload)
             """,
         }, rules=["fork-under-lock"])
         assert report.clean
@@ -601,3 +601,14 @@ class TestLiveTree:
         assert "builtin-hash" in suppressed_rules
         assert "worker-lock" in suppressed_rules
         assert "fork-under-lock" in suppressed_rules
+
+    def test_service_job_worker_is_an_entry_point(self):
+        # The process-mode job pool's worker is found through its
+        # ``pool.submit(_process_job_worker, ...)`` call site, so the
+        # worker-lock rule walks everything a forked job can reach.
+        report_root = REPO_ROOT / "src"
+        modules = [SourceModule(path, report_root)
+                   for path in sorted((report_root / "repro").rglob("*.py"))]
+        graph = build_call_graph(Project(modules, report_root))
+        assert "repro.service.service:_process_job_worker" in graph.entry_points
+        assert "repro.engine.registry:_ensure_builtins" in graph.reachable()

@@ -1,4 +1,4 @@
-"""Tests for serial determinism and the process-shard executor layer.
+"""Tests for serial determinism at any worker count.
 
 The central guarantee exercised here: SLUGGER accepts and ignores an
 ``execution`` argument, never creates a process pool, and so gives
@@ -6,22 +6,22 @@ The central guarantee exercised here: SLUGGER accepts and ignores an
 other method forks either, and every other run entry point rejects
 ``execution`` with a ``TypeError``.  On
 top of that, the suite pins hard-coded SLUGGER and SWeG fingerprints (so
-drift against the serial reference of earlier changes is caught), and
-unit-tests the executor primitives.
+drift against the serial reference of earlier changes is caught).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import ExecutionConfig, Slugger, SluggerConfig, SummaryService, engine
 from repro.analysis.comparison import compare_methods
 from repro.engine import execution
-from repro.engine.execution import ProcessShardExecutor
-from repro.exceptions import ConfigurationError, InvalidStateError
+from repro.exceptions import ConfigurationError
 from repro.graphs import Graph, caveman_graph, erdos_renyi_graph
 
 WORKER_COUNTS = (1, 2, 4)
@@ -67,7 +67,7 @@ def slugger_fingerprint(summary):
 
 
 # ----------------------------------------------------------------------
-# Executor primitives
+# ExecutionConfig
 # ----------------------------------------------------------------------
 class TestExecutionConfig:
     def test_defaults_are_serial(self):
@@ -98,33 +98,16 @@ class TestExecutionConfig:
         assert slugger_fingerprint(serial.summary) == slugger_fingerprint(fallback.summary)
 
 
-class TestExecutors:
-    def test_process_executor_matches_serial(self):
-        if not execution.process_execution_available():  # pragma: no cover
-            pytest.skip("no fork on this platform")
-        with ProcessShardExecutor(2, context=100) as executor:
-            results = list(executor.map_shards(_add_context, list(range(8))))
-        assert results == [100 + i for i in range(8)]
-
-    def test_worker_context_outside_a_shard_raises(self):
-        with pytest.raises(InvalidStateError, match="no worker context"):
-            execution.worker_context()
-
-    def test_process_executor_requires_fork(self, monkeypatch):
-        monkeypatch.setattr(execution, "process_execution_available", lambda: False)
-        with pytest.raises(ConfigurationError, match="fork"):
-            ProcessShardExecutor(2, context=1)
-
-
-def _add_context(payload):
-    return execution.worker_context() + payload
-
-
 # ----------------------------------------------------------------------
 # Worker-count determinism
 # ----------------------------------------------------------------------
 def _refuse_to_fork(*args, **kwargs):
-    raise AssertionError("a summarizer must not create a process pool")
+    raise AssertionError("a summarizer must not create a process pool or fork")
+
+
+def _forbid_forking(monkeypatch):
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", _refuse_to_fork)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
 
 
 class TestSluggerNeverForks:
@@ -133,7 +116,7 @@ class TestSluggerNeverForks:
         graph = fixture()
         config = SluggerConfig(iterations=5, seed=0)
         serial = Slugger(config).summarize(graph)
-        monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
+        _forbid_forking(monkeypatch)
         result = Slugger(config, execution=ExecutionConfig(workers=2)).summarize(graph)
         assert slugger_fingerprint(result.summary) == slugger_fingerprint(serial.summary)
         assert set(result.execution_stats) == {"groups", "replayed", "fallbacks"}
@@ -145,7 +128,7 @@ class TestNoMethodForks:
     def test_every_method_runs_in_process(self, method, monkeypatch):
         graph = caveman_graph(6, 5, 0.05, seed=3)
         summarizer = engine.create(method)
-        monkeypatch.setattr(ProcessShardExecutor, "__init__", _refuse_to_fork)
+        _forbid_forking(monkeypatch)
         result = summarizer.summarize(graph, seed=0)
         result.summary.validate(graph)
         assert result.cost() == engine.run(method, graph, seed=0).cost()

@@ -176,3 +176,27 @@ class TestCanonicalEdge:
         edge = canonical_edge("a", 1)
         assert set(edge) == {"a", 1}
         assert canonical_edge(1, "a") == edge
+
+    def test_partially_ordered_labels_fall_back_to_repr(self):
+        # Disjoint frozensets: neither ``u <= v`` nor ``v <= u`` holds, so
+        # both argument orders must take the repr fallback and agree with
+        # the form Graph.edges() yields.
+        a, b = frozenset({3}), frozenset({1})
+        assert canonical_edge(a, b) == canonical_edge(b, a) == (b, a)
+        graph = Graph(edges=[(a, b)])
+        assert list(graph.edges()) == [canonical_edge(a, b)]
+        nested = frozenset({1, 3})
+        assert canonical_edge(nested, b) == (b, nested)  # subset order still wins
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_flat_summary_over_partially_ordered_labels(self, swap):
+        from repro.model.flat import FlatSummary
+
+        f = lambda i: frozenset({i})  # noqa: E731
+        graph = Graph(edges=[(f(1), f(3)), (f(1), f(4)), (f(2), f(3))])
+        groups = [[f(3), f(4)], [f(1), f(2)]]
+        if swap:
+            groups.reverse()
+        summary = FlatSummary.from_grouping(graph, groups)
+        summary.validate(graph)
+        assert summary.decompress().num_edges == 3

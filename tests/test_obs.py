@@ -212,17 +212,6 @@ class TestTracer:
         inner = next(s for s in spans if s.name == "inner")
         assert inner.parent_id == outer.span_id
 
-    def test_add_converts_raw_perf_counter_readings(self):
-        import time
-
-        tracer = Tracer()
-        raw = time.perf_counter()
-        span = tracer.add("shard", perf_start=raw, duration=0.25, lane="shard-1",
-                          groups=7)
-        assert span.start == pytest.approx(raw - tracer.epoch)
-        assert span.duration == 0.25
-        assert span.attrs["groups"] == 7
-
     def test_jsonl_writer_round_trips(self, tmp_path):
         tracer = Tracer()
         with tracer.span("a", lane="main", k=1):
@@ -237,17 +226,18 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("phase", lane="main"):
             pass
-        tracer.add("shard", perf_start=tracer.epoch, duration=0.1, lane="shard-0")
+        with tracer.span("job", lane="job-0") as job_span:
+            pass
         path = tmp_path / "trace.json"
         tracer.write_chrome_trace(str(path))
         document = json.loads(path.read_text())
         events = document["traceEvents"]
         metadata = [e for e in events if e["ph"] == "M"]
         complete = [e for e in events if e["ph"] == "X"]
-        assert sorted(e["args"]["name"] for e in metadata) == ["main", "shard-0"]
-        assert {e["name"] for e in complete} == {"phase", "shard"}
-        shard = next(e for e in complete if e["name"] == "shard")
-        assert shard["dur"] == pytest.approx(0.1 * 1e6)
+        assert sorted(e["args"]["name"] for e in metadata) == ["job-0", "main"]
+        assert {e["name"] for e in complete} == {"phase", "job"}
+        job = next(e for e in complete if e["name"] == "job")
+        assert job["dur"] == pytest.approx(job_span.duration * 1e6)
         # Lanes map to distinct tids; every event carries a span id.
         assert len({e["tid"] for e in metadata}) == len(metadata)
         assert all("span_id" in e["args"] for e in complete)

@@ -6,20 +6,26 @@ warm-service job, a process-mode worker, or eight concurrent mixed-method
 submissions.  On top of that the suite covers the job lifecycle (FIFO
 ordering, cancellation before and mid-run, progress-event monotonicity),
 graph-store interning, request validation/serialization, the bounded
-queue, and the executor-teardown guarantee the job pool relies on.
+queue, and the process-mode job pool's recovery and teardown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from repro import engine
 from repro.baselines.greedy import greedy_summarize
-from repro.engine.execution import ProcessShardExecutor, process_execution_available
+from repro.engine.execution import process_execution_available
 from repro.engine.hooks import RunControl
 from repro.exceptions import (
     ConfigurationError,
@@ -88,6 +94,25 @@ class _GatedSummarizer(engine.Summarizer):
         gate = type(self).gates.get(seed)
         if gate is not None:
             assert gate.wait(30), f"gate for seed {seed} never released"
+        return greedy_summarize(graph, max_merges=0), [], {}
+
+
+_TEST_PID = os.getpid()
+
+
+@engine.register
+class _CrashingSummarizer(engine.Summarizer):
+    """Test summarizer that kills its process when run in a forked worker.
+
+    Run in the test process itself (e.g. by the every-method sweeps) it
+    returns the trivial summary instead.
+    """
+
+    name = "svc-test-crash"
+
+    def _run(self, graph, seed):
+        if os.getpid() != _TEST_PID:
+            os._exit(3)
         return greedy_summarize(graph, max_merges=0), [], {}
 
 
@@ -651,18 +676,17 @@ class TestServingDeterminism:
             service.register_graph("early", early)
             service.submit(method="slugger", graph_key="early", seed=0,
                            options=SLUGGER_OPTIONS).result(timeout=300)
-            pool = service._job_pool
-            forked = pool._pool
+            forked = service._job_pool
             assert forked is not None
             service.register_graph("late", late)
             assert service.store.key_generation("late") > service._job_pool_generation
             service.warm_restart()
-            assert service._job_pool is pool
-            assert pool._pool is None
+            restarted = service._job_pool
+            assert restarted is not None and restarted is not forked
             assert service.store.key_generation("late") <= service._job_pool_generation
             result = service.submit(method="slugger", graph_key="late", seed=3,
                                     options=SLUGGER_OPTIONS).result(timeout=300)
-            assert pool._pool is not None and pool._pool is not forked
+            assert service._job_pool is restarted
             assert service.stats()["pool_jobs"] == 2
         assert fingerprint(result.summary) == fingerprint(
             engine.run("slugger", late, seed=3, iterations=5).summary
@@ -746,81 +770,98 @@ class TestRunControl:
         control.checkpoint()
 
 
-def _boom(payload):
-    raise ValueError(f"boom {payload}")
+def _worker_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (a zombie counts as dead)."""
+    stat = Path(f"/proc/{pid}/stat")
+    if stat.parent.parent.is_dir():
+        try:
+            state = stat.read_text().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            return False
+        return state != "Z"
+    try:  # pragma: no cover - hosts without procfs
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
-class TestExecutorTeardown:
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_pool_is_torn_down_on_worker_failure(self):
-        with ProcessShardExecutor(2, context=1) as executor:
-            with pytest.raises(ValueError):
-                list(executor.map_shards(_boom, [1, 2]))
-        assert executor._pool is None  # workers joined, nothing leaked
-        assert executor._closed
+@pytest.mark.skipif(not process_execution_available(),
+                    reason="no fork on this platform")
+class TestProcessJobPool:
+    def test_a_crashed_worker_fails_only_its_own_job(self):
+        graph = caveman_fixture()
+        with SummaryService(mode="process", max_inflight=1) as service:
+            service.register_graph("cave", graph)
+            crashed = service.submit(method="svc-test-crash", graph_key="cave",
+                                     seed=0)
+            with pytest.raises(BrokenProcessPool):
+                crashed.result(timeout=300)
+            healthy = service.submit(method="slugger", graph_key="cave", seed=0,
+                                     options=SLUGGER_OPTIONS).result(timeout=300)
+            stats = service.stats()
+        assert fingerprint(healthy.summary) == fingerprint(
+            engine.run("slugger", graph, seed=0, iterations=5).summary
+        )
+        assert (stats["failed"], stats["completed"], stats["pool_jobs"]) == (1, 1, 2)
 
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_submit_failure_recycles_but_does_not_brick_the_pool(self):
-        # A transient submission failure (e.g. a broken pool) tears the
-        # forked workers down but leaves the executor usable — a job pool
-        # shared across requests must survive one bad submission.
-        class _BrokenPool:
-            def map(self, fn, payloads):
-                raise RuntimeError("broken pool")
+    def test_two_services_resolve_their_own_graphs(self):
+        # Both services register a graph under the same key; each forked
+        # pool must resolve the key against its own service's store.
+        graphs = (caveman_fixture(), erdos_renyi_graph(150, 0.05, seed=9))
+        with SummaryService(mode="process", max_inflight=1) as first, \
+                SummaryService(mode="process", max_inflight=1) as second:
+            services = (first, second)
+            for service, graph in zip(services, graphs):
+                service.register_graph("g", graph)
+            rounds = [
+                [service.submit(method="slugger", graph_key="g", seed=0,
+                                options=SLUGGER_OPTIONS).result(timeout=300)
+                 for service in services]
+                for _ in range(2)
+            ]
+        for results in rounds:
+            for graph, result in zip(graphs, results):
+                assert fingerprint(result.summary) == fingerprint(
+                    engine.run("slugger", graph, seed=0, iterations=5).summary
+                )
 
-            def shutdown(self, wait=True):
-                pass
+    def test_warm_restarts_racing_submissions_lose_no_job(self):
+        # warm_restart retires the live pool while dispatchers submit to
+        # it; every job must land on a pool that still accepts work.
+        graph = caveman_graph(6, 5, 0.05, seed=3)
+        reference = engine.run("slugger", graph, seed=0, iterations=2)
+        with SummaryService(mode="process", max_inflight=3) as service:
+            service.register_graph("cave", graph)
+            jobs = [service.submit(method="slugger", graph_key="cave", seed=0,
+                                   options={"iterations": 2})
+                    for _ in range(12)]
+            deadline = time.monotonic() + 120
+            while not all(job.done() for job in jobs):
+                assert time.monotonic() < deadline, "jobs did not settle in time"
+                service.warm_restart()
+            results = [job.result(timeout=0) for job in jobs]
+            assert service.stats()["pool_jobs"] == len(jobs)
+        for result in results:
+            assert fingerprint(result.summary) == fingerprint(reference.summary)
 
-        executor = ProcessShardExecutor(2, context=5)
-        executor._pool = _BrokenPool()
-        with pytest.raises(RuntimeError, match="broken pool"):
-            executor.map_shards(_add_context, [1])
-        assert executor._pool is None  # torn down, nothing leaked
-        assert not executor._closed    # ...but not bricked
-        assert list(executor.map_shards(_add_context, [1, 2])) == [6, 7]
-        executor.close()
+    def test_unshut_service_exits_promptly_without_live_workers(self):
+        script = textwrap.dedent("""
+            from repro import SummaryService
+            from repro.graphs import caveman_graph
 
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_close_is_idempotent_and_restart_reforks(self):
-        executor = ProcessShardExecutor(2, context=5)
-        add = _add_context
-        assert list(executor.map_shards(add, [1, 2])) == [6, 7]
-        executor.restart()
-        assert list(executor.map_shards(add, [3])) == [8]
-        executor.close()
-        executor.close()
-        with pytest.raises(RuntimeError):
-            executor.map_shards(add, [1])
-
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_concurrent_executor_contexts_stay_isolated(self):
-        # Executors created from different dispatcher threads each resolve
-        # their own registered context, never a sibling's.
-        failures = []
-
-        def run(value):
-            try:
-                with ProcessShardExecutor(1, context=value) as executor:
-                    for result in executor.map_shards(_add_context, [0] * 8):
-                        if result != value:
-                            failures.append((value, result))
-            except Exception as error:  # pragma: no cover - surfaced below
-                failures.append((value, error))
-
-        threads = [threading.Thread(target=run, args=(offset,))
-                   for offset in (100, 200, 300)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures
-
-
-def _add_context(payload):
-    from repro.engine.execution import worker_context
-
-    return worker_context() + payload
+            service = SummaryService(mode="process", max_inflight=2)
+            service.register_graph("cave", caveman_graph(6, 5, 0.05, seed=3))
+            service.submit(method="slugger", graph_key="cave", seed=0,
+                           options={"iterations": 2}).result(timeout=120)
+            print(*sorted(service._job_pool._processes))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        pids = [int(pid) for pid in completed.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            wait_until(lambda pid=pid: not _worker_alive(pid), timeout=10)

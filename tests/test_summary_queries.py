@@ -297,12 +297,38 @@ def test_summary_index_is_memoized_and_rebuilt_after_add_leaf():
     assert hierarchy.copy().subnode_index().labels() == rebuilt.labels()
 
 
+def depth_first_rebuild(summary: HierarchicalSummary) -> HierarchicalSummary:
+    """The same summary with its forest rebuilt depth-first.
+
+    Each internal supernode is created right after its subtree's leaves,
+    so internal ids fall between leaf ids: leaf id != subnode index id.
+    """
+    source = summary.hierarchy
+    hierarchy = Hierarchy()
+    new_id = {}
+
+    def build(node: int) -> int:
+        if source.is_leaf(node):
+            new_id[node] = hierarchy.add_leaf(source.subnode_of_leaf(node))
+        else:
+            new_id[node] = hierarchy.create_parent(
+                [build(child) for child in source.children(node)])
+        return new_id[node]
+
+    for root in sorted(source.roots()):
+        build(root)
+    rebuilt = HierarchicalSummary(hierarchy)
+    for a, b in summary.p_edges():
+        rebuilt.add_p_edge(new_id[a], new_id[b])
+    for a, b in summary.n_edges():
+        rebuilt.add_n_edge(new_id[a], new_id[b])
+    return rebuilt
+
+
 def test_queries_on_a_summary_with_gapped_leaf_ids():
-    # The compression codec rebuilds the forest depth-first, so internal
-    # supernodes take ids between leaves: leaf id != subnode index id.
     graph = _disconnected_graph(strings=False)
     summary = Slugger(SluggerConfig(iterations=4, seed=0)).summarize(graph).summary
-    rebuilt = compress_hierarchical_summary(summary).decompress()
+    rebuilt = depth_first_rebuild(summary)
     rebuilt.validate(graph)
     assert not rebuilt.hierarchy.leaf_ids_are_dense()
     assert summary.hierarchy.leaf_ids_are_dense()
@@ -332,9 +358,11 @@ def assert_table_matches_decompression(summary: HierarchicalSummary) -> None:
 @given(graph=generated_graphs(), seed=st.integers(min_value=0, max_value=50))
 def test_row_table_matches_decompression_on_dense_and_gapped_leaves(graph, seed):
     summary = Slugger(SluggerConfig(iterations=4, seed=seed)).summarize(graph).summary
+    gapped = depth_first_rebuild(summary)
     rebuilt = compress_hierarchical_summary(summary).decompress()
     assert summary.hierarchy.leaf_ids_are_dense()
-    for candidate in (summary, rebuilt):
+    assert rebuilt.hierarchy.leaf_ids_are_dense()
+    for candidate in (summary, gapped, rebuilt):
         assert_table_matches_decompression(candidate)
         candidate.validate(graph)
 
