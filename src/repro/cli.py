@@ -545,7 +545,7 @@ def _command_inspect(arguments: argparse.Namespace) -> int:
           f"summary={'yes' if info.has_summary else 'no'} "
           f"bytes={info.file_bytes}")
     if info.has_summary:
-        meta = storage.read_summary_meta(arguments.container, info)
+        meta = storage.read_summary_meta(arguments.container)
         checkpoint = info.maybe_section(b"CKPT")
         print(f"  summary: kind={meta.kind} method={meta.method} seed={meta.seed}")
         print(f"  summary: graph_digest={meta.graph_digest[:16]}... "
@@ -580,13 +580,12 @@ def _command_query(arguments: argparse.Namespace) -> int:
     if arguments.container:
         from repro import storage
 
-        info = storage.inspect_container(arguments.container, verify=False)
         # Every kind runs zero-copy off the mmap CSR; a summary-bearing
         # container only adds its SMET metadata line to the output.
         stored = storage.load(arguments.container)
         provider: Any = stored
-        if info.has_summary:
-            meta = storage.read_summary_meta(arguments.container, info)
+        if stored.info.has_summary:
+            meta = storage.read_summary_meta(arguments.container)
             summary_note = f"summary: kind={meta.kind} method={meta.method} seed={meta.seed}"
         origin = f"container (mmap)  {arguments.container}"
     elif arguments.input and arguments.cache_dir:

@@ -221,6 +221,7 @@ class SummaryService:
         self._lock = threading.Lock()
         self._closed = False
         self._job_ids = 0
+        self._stopped_dispatchers = 0
         self._job_pool: Optional[ProcessPoolExecutor] = None
         self._job_pool_generation = -1
         self._token = next(_TOKENS)
@@ -499,7 +500,7 @@ class SummaryService:
             item = self._queue.get()
             try:
                 if item is _STOP:
-                    return
+                    break
                 try:
                     self._execute_job(item)
                 except Exception:
@@ -510,6 +511,13 @@ class SummaryService:
                     pass
             finally:
                 self._queue.task_done()
+        # Sentinels are queued only by shutdown, behind every accepted
+        # job: the last lane out has drained the queue and tears down.
+        with self._lock:
+            self._stopped_dispatchers += 1
+            last = self._stopped_dispatchers == len(self._threads)
+        if last:
+            self._teardown()
 
     def _execute_job(self, job: SummaryJob) -> None:
         started_perf = time.perf_counter()
@@ -635,22 +643,24 @@ class SummaryService:
 
     def _cached_result(self, address: Dict[str, Any],
                        request: SummaryRequest) -> Optional[EngineResult]:
-        """The warm-start path: rebuild an EngineResult off the cache."""
+        """The warm-start path: decode the entry against the handle's labels.
+
+        Nothing is mapped; an entry for another graph digest is a miss.
+        """
         assert self.summary_cache is not None
         started = time.perf_counter()
-        stored = self.summary_cache.load_summary(address["key"])
+        stored = self.summary_cache.load_summary(
+            address["key"],
+            labels=address["handle"].csr().index.labels(),
+            graph_digest=address["graph_digest"],
+        )
         if stored is None:
             return None
-        try:
-            summary = stored.summary
-            history = stored.meta.extra.get("history", [])
-        finally:
-            stored.close()
         return EngineResult(
             method=request.method,
-            summary=summary,
+            summary=stored.summary,
             runtime_seconds=time.perf_counter() - started,
-            history=list(history),
+            history=list(stored.meta.extra.get("history", [])),
             details={
                 "summary_cache": "hit",
                 "summary_key": address["key"],
@@ -922,15 +932,15 @@ class SummaryService:
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Stop accepting requests, drain, and tear everything down.
 
-        ``cancel_pending=True`` cancels still-queued jobs instead of
-        running them.  Idempotent; also invoked by ``__exit__``.
+        Queued jobs still run unless ``cancel_pending=True``; the last
+        dispatcher to drain the queue shuts the job pool down and closes
+        an owned store, and ``wait=True`` blocks until it has.
+        Idempotent; also invoked by ``__exit__``.
         """
         with self._lock:
-            if self._closed:
-                threads: List[threading.Thread] = []
-            else:
-                self._closed = True
-                threads = list(self._threads)
+            first = not self._closed
+            self._closed = True
+            threads = list(self._threads)
         if cancel_pending:
             while True:
                 try:
@@ -949,11 +959,18 @@ class SummaryService:
                             self._stats["cancelled"] += 1
                 finally:
                     self._queue.task_done()
-        for _ in threads:
-            self._queue.put(_STOP)
+        if first:
+            for _ in threads:
+                self._queue.put(_STOP)
+            if not threads:
+                self._teardown()
         if wait:
             for thread in threads:
-                thread.join()
+                if thread is not threading.current_thread():
+                    thread.join()
+
+    def _teardown(self) -> None:
+        """Shut the job pool down and close an owned store (runs once)."""
         with self._lock:
             pool, self._job_pool = self._job_pool, None
             _FORK_STORES.pop(self._token, None)

@@ -40,8 +40,8 @@ Neighbor runs are sorted ascending (inherited from
 payloads, so :func:`container_digest` is a usable content address.
 
 Every malformed input — bad magic, unsupported version, truncation,
-out-of-range sections, checksum mismatch, and (on a verified load) a
-neighbor id outside the node range — raises
+out-of-range sections, checksum mismatch, and a neighbor id outside the
+node range — raises
 :class:`~repro.exceptions.ContainerFormatError` (a
 :class:`~repro.exceptions.GraphFormatError`); a corrupted container can
 never deserialize into a silently wrong graph.
@@ -50,6 +50,7 @@ never deserialize into a silently wrong graph.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import struct
 import sys
@@ -58,7 +59,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.compression.codes import zigzag_decode, zigzag_encode
 from repro.exceptions import ContainerFormatError, GraphFormatError
@@ -81,8 +82,9 @@ __all__ = [
     "encode_image",
     "encode_varint",
     "index_width_for",
+    "read_container",
     "read_container_info",
-    "section_bytes",
+    "read_sections",
     "typecode_for_width",
     "verify_sections",
     "write_container",
@@ -223,12 +225,13 @@ def _encode_indices(csr, width: int) -> bytes:
     return packed.tobytes()
 
 
-def check_indices(data: bytes, num_nodes: int, width: int) -> None:
+def check_indices(data, num_nodes: int, width: int) -> None:
     """Raise unless every fixed-width ``INDX`` entry is a node id below ``num_nodes``.
 
-    Runs on the little-endian bytes at C speed: an entry whose most
-    significant byte exceeds that of ``num_nodes - 1`` is out of range,
-    and only entries whose top byte *equals* it need a full compare.
+    Runs on the little-endian bytes (``bytes`` or a byte ``memoryview``)
+    at C speed: an entry whose most significant byte exceeds that of
+    ``num_nodes - 1`` is out of range, and only entries whose top byte
+    *equals* it need a full compare.
     """
     if not data:
         return
@@ -238,7 +241,7 @@ def check_indices(data: bytes, num_nodes: int, width: int) -> None:
     if high > 0xFF:  # Every ``width``-byte value addresses a node.
         return
     error = ContainerFormatError(f"INDX section holds a node id outside [0, {num_nodes})")
-    tops = data[width - 1::width]
+    tops = bytes(data[width - 1::width])
     if limit < 0 or tops.translate(None, bytes(range(high + 1))):
         raise error
     low_mask = (1 << shift) - 1
@@ -321,6 +324,11 @@ class SectionInfo:
     length: int
     crc32: int
 
+    @property
+    def span(self) -> slice:
+        """The payload's byte range within the container image."""
+        return slice(self.offset, self.offset + self.length)
+
 
 @dataclass(frozen=True)
 class ContainerInfo:
@@ -352,11 +360,10 @@ class ContainerInfo:
 
     def section(self, tag: bytes) -> SectionInfo:
         """The section table entry for ``tag``; raises if absent."""
-        name = tag.decode("ascii")
-        for entry in self.sections:
-            if entry.tag == name:
-                return entry
-        raise ContainerFormatError(f"container has no {name!r} section")
+        entry = self.maybe_section(tag)
+        if entry is None:
+            raise ContainerFormatError(f"container has no {tag.decode('ascii')!r} section")
+        return entry
 
     def maybe_section(self, tag: bytes) -> Optional[SectionInfo]:
         """The section table entry for ``tag``, or ``None`` when absent."""
@@ -579,16 +586,59 @@ def _parse_container(view, path: Optional[str]) -> ContainerInfo:
     return info
 
 
-def verify_sections(view, info: ContainerInfo) -> None:
-    """CRC-check every section payload against the table; raise on mismatch."""
-    for entry in info.sections:
-        actual = zlib.crc32(view[entry.offset:entry.offset + entry.length])
+def verify_sections(view, info: ContainerInfo,
+                    entries: Optional[Iterable[SectionInfo]] = None) -> None:
+    """CRC-check section payloads against the table; raise on mismatch.
+
+    Checks ``entries`` when given, every section of ``info`` otherwise.
+    """
+    for entry in info.sections if entries is None else entries:
+        actual = zlib.crc32(view[entry.span])
         if actual != entry.crc32:
             raise ContainerFormatError(
                 f"{info.path or '<buffer>'}: section {entry.tag!r} checksum "
                 f"mismatch (stored {entry.crc32:#010x}, computed {actual:#010x}); "
                 f"the container is corrupted"
             )
+
+
+def read_sections(view, path: Optional[str], tags: Iterable[bytes] = (),
+                  verify: bool = True) -> Tuple[ContainerInfo, Dict[bytes, bytes]]:
+    """The container reader: parse the header and section table once.
+
+    Returns ``(info, payloads)`` for the container image ``view``, where
+    ``payloads`` maps each of ``tags`` that the table lists to a copy of
+    its bytes.  Every returned payload is CRC-checked; ``verify=True``
+    checks every other section too.
+    """
+    info = _parse_container(view, path)
+    wanted = [(tag, entry) for tag in tags
+              if (entry := info.maybe_section(tag)) is not None]
+    verify_sections(view, info, None if verify else [entry for _, entry in wanted])
+    return info, {tag: bytes(view[entry.span]) for tag, entry in wanted}
+
+
+def read_container(path: PathLike, tags: Iterable[bytes] = (),
+                   verify: bool = True) -> Tuple[ContainerInfo, Dict[bytes, bytes]]:
+    """:func:`read_sections` over the container file at ``path``.
+
+    The file is memory-mapped, so a section that is neither returned nor
+    verified is never read off disk.
+    """
+    where = str(path)
+    try:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            image = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    except (OSError, ValueError) as error:
+        raise ContainerFormatError(f"{where}: cannot read container: {error}") from None
+    view = memoryview(image)
+    try:
+        return read_sections(view, where, tags, verify)
+    finally:
+        view.release()
+        if size:
+            image.close()
 
 
 def read_container_info(path: PathLike, verify: bool = False) -> ContainerInfo:
@@ -598,22 +648,7 @@ def read_container_info(path: PathLike, verify: bool = False) -> ContainerInfo:
     is the cheap metadata path behind the CLI ``inspect`` subcommand;
     use :func:`repro.storage.load` to get a usable graph.
     """
-    file_path = Path(path)
-    try:
-        data = file_path.read_bytes()
-    except OSError as error:
-        raise ContainerFormatError(f"{file_path}: cannot read container: {error}") from None
-    view = memoryview(data)
-    info = _parse_container(view, str(file_path))
-    if verify:
-        verify_sections(view, info)
-    return info
-
-
-def section_bytes(view, info: ContainerInfo, tag: bytes) -> bytes:
-    """Copy one section payload out of a container image."""
-    entry = info.section(tag)
-    return bytes(view[entry.offset:entry.offset + entry.length])
+    return read_container(path, verify=verify)[0]
 
 
 def typecode_for_width(width: int) -> str:

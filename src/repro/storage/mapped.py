@@ -40,7 +40,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.index import NodeIndex
 from repro.graphs.staleness import ensure_fresh_views
 from repro.engine.hooks import GraphResources
-from repro.storage import format as container_format
 from repro.storage.format import (
     TAG_INDICES,
     TAG_INDPTR,
@@ -49,8 +48,8 @@ from repro.storage.format import (
     check_indices,
     decode_indptr,
     decode_labels,
+    read_sections,
     typecode_for_width,
-    verify_sections,
 )
 
 __all__ = ["MappedCSR", "StoredGraph", "load"]
@@ -96,39 +95,26 @@ class MappedCSR:
             # fail past validation) holds an export across the lifetime.
             view = memoryview(self._mmap)
             try:
-                info: ContainerInfo = container_format._parse_container(view, self.path)
+                info, payloads = read_sections(
+                    view, self.path, (TAG_INDPTR, TAG_LABELS), verify=verify
+                )
                 if not info.has_csr:
                     raise ContainerFormatError(
                         f"{self.path}: container holds no CSR sections (a "
                         f"summary checkpoint artifact); load it through "
                         f"repro.storage.summary_store instead"
                     )
-                indices_entry = info.section(TAG_INDICES)
-                if verify:
-                    verify_sections(view, info)
-                    check_indices(
-                        bytes(view[indices_entry.offset:
-                                   indices_entry.offset + indices_entry.length]),
-                        info.num_nodes, info.index_width,
-                    )
-                indptr_entry = info.section(TAG_INDPTR)
-                indptr_bytes = bytes(
-                    view[indptr_entry.offset:indptr_entry.offset + indptr_entry.length]
-                )
-                labels_bytes = None
-                if info.has_labels:
-                    labels_entry = info.section(TAG_LABELS)
-                    labels_bytes = bytes(
-                        view[labels_entry.offset:labels_entry.offset + labels_entry.length]
-                    )
+                indices_span = info.section(TAG_INDICES).span
+                with view[indices_span] as indices_view:
+                    check_indices(indices_view, info.num_nodes, info.index_width)
             finally:
                 view.release()
             self.info = info
             self.num_nodes = info.num_nodes
             self.num_edges = info.num_edges
-            self.indptr = decode_indptr(indptr_bytes, info.num_nodes, info.num_edges)
-            if labels_bytes is not None:
-                labels = decode_labels(labels_bytes, info.num_nodes)
+            self.indptr = decode_indptr(payloads[TAG_INDPTR], info.num_nodes, info.num_edges)
+            if info.has_labels:
+                labels = decode_labels(payloads[TAG_LABELS], info.num_nodes)
                 self.index = NodeIndex(labels)
                 if len(self.index) != info.num_nodes:
                     raise ContainerFormatError(
@@ -140,15 +126,9 @@ class MappedCSR:
             typecode = typecode_for_width(info.index_width)
             if sys.byteorder == "little":
                 # The zero-copy path: the cast view reads the map in place.
-                self.indices = memoryview(self._mmap)[
-                    indices_entry.offset:indices_entry.offset + indices_entry.length
-                ].cast(typecode)
+                self.indices = memoryview(self._mmap)[indices_span].cast(typecode)
             else:  # pragma: no cover - big-endian hosts copy + swap
-                swapped = array(
-                    typecode,
-                    self._mmap[indices_entry.offset:
-                               indices_entry.offset + indices_entry.length],
-                )
+                swapped = array(typecode, self._mmap[indices_span])
                 swapped.byteswap()
                 self.indices = swapped
         except BaseException:
@@ -360,10 +340,9 @@ class StoredGraph(GraphResources):
 def load(path: PathLike, verify: bool = True) -> StoredGraph:
     """Open a container as a :class:`StoredGraph` (mmap; near-instant).
 
-    ``verify=True`` (default) checksums every section and range-checks
-    every neighbor id before use; a corrupted or truncated container
-    raises
-    :class:`~repro.exceptions.ContainerFormatError` instead of producing
-    a garbage graph.
+    Every neighbor id is range-checked before use, and ``verify=True``
+    (default) also checksums every section; a corrupted or truncated
+    container raises :class:`~repro.exceptions.ContainerFormatError`
+    instead of producing a garbage graph.
     """
     return StoredGraph(MappedCSR(path, verify=verify))

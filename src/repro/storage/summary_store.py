@@ -51,6 +51,11 @@ summary itself.  Three pieces:
   LRU-by-mtime eviction under an optional size budget.  Checkpoints
   live next to their summary as ``<key>.ckpt.slg`` and are dropped
   once the finished summary lands.
+
+:func:`load_summary` is the one decode path (:func:`load_checkpoint`
+wraps it).  A cache hit CRC-checks every section, range-checks ``INDX``
+and decodes against the service's interned labels, mapping nothing; an
+entry whose ``SMET`` graph digest names another graph is rejected.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -77,14 +81,15 @@ from repro.storage.format import (
     CONTAINER_SUFFIX,
     FLAG_NO_CSR,
     FLAG_SUMMARY,
+    TAG_INDICES,
     ContainerInfo,
-    SectionInfo,
+    check_indices,
     decode_varint,
     encode_container,
     encode_image,
     encode_varint,
     index_width_for,
-    read_container_info,
+    read_container,
     write_container_image,
 )
 from repro.storage.mapped import StoredGraph, load as load_stored_graph
@@ -647,64 +652,29 @@ def encode_checkpoint_container(summary: HierarchicalSummary, meta: SummaryMeta,
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def _summary_payloads(path: PathLike, info: ContainerInfo) -> Dict[bytes, bytes]:
-    """Read and CRC-check every ``SUMM``-family section of a container.
-
-    Seeks straight to the section offsets, so the (potentially large)
-    CSR payloads are never pulled off disk.
-    """
-    wanted: List[Tuple[bytes, SectionInfo]] = []
-    for tag in SUMMARY_SECTION_TAGS:
-        entry = info.maybe_section(tag)
-        if entry is not None:
-            wanted.append((tag, entry))
-    payloads: Dict[bytes, bytes] = {}
-    try:
-        with open(path, "rb") as handle:
-            for tag, entry in wanted:
-                handle.seek(entry.offset)
-                payload = handle.read(entry.length)
-                if len(payload) != entry.length:
-                    raise ContainerFormatError(
-                        f"{path}: truncated {entry.tag} section"
-                    )
-                actual = zlib.crc32(payload)
-                if actual != entry.crc32:
-                    raise ContainerFormatError(
-                        f"{path}: section {entry.tag!r} checksum mismatch "
-                        f"(stored {entry.crc32:#010x}, computed {actual:#010x}); "
-                        f"the container is corrupted"
-                    )
-                payloads[tag] = payload
-    except OSError as error:
-        raise ContainerFormatError(f"{path}: cannot read container: {error}") from None
-    return payloads
-
-
 class StoredSummary:
-    """A summary container opened for serving.
+    """A decoded summary container: header, metadata and summary.
 
-    Bundles the mmap-backed :class:`StoredGraph` (queries run zero-copy
-    off the CSR sections) with the decoded summary and its metadata.
-    Close it when done; the summary and meta survive closing.
+    ``stored`` is the mmap-backed :class:`StoredGraph` (queries run
+    zero-copy off the CSR sections) when no labels were passed to
+    :func:`load_summary`, else ``None``.  Close it when done; the
+    summary and meta survive closing.
     """
 
-    def __init__(self, path: PathLike, stored: Optional[StoredGraph],
-                 meta: SummaryMeta, summary) -> None:
+    def __init__(self, path: PathLike, info: ContainerInfo, stored: Optional[StoredGraph],
+                 labels: Sequence, meta: SummaryMeta, summary,
+                 checkpoint: Optional[bytes] = None) -> None:
         self.path = str(path)
+        self.info = info
         self.stored = stored
+        self.labels = labels
         self.meta = meta
         self.summary = summary
-
-    @property
-    def info(self) -> Optional[ContainerInfo]:
-        return self.stored.info if self.stored is not None else None
+        #: The raw ``CKPT`` payload of a checkpoint container, else ``None``.
+        self.checkpoint = checkpoint
 
     def fingerprint(self) -> str:
-        labels = None
-        if self.stored is not None:
-            labels = self.stored.csr().index.labels()
-        return summary_fingerprint(self.summary, labels)
+        return summary_fingerprint(self.summary, self.labels)
 
     def close(self) -> None:
         if self.stored is not None:
@@ -723,28 +693,52 @@ class StoredSummary:
         )
 
 
-def load_summary(path: PathLike, verify: bool = True) -> StoredSummary:
-    """Open a summary-bearing container: mmap CSR + decoded summary."""
-    info = read_container_info(path, verify=False)
+def load_summary(path: PathLike, verify: bool = True, *,
+                 labels: Optional[Sequence] = None,
+                 graph_digest: Optional[str] = None) -> StoredSummary:
+    """Decode a summary-bearing container (summary or checkpoint).
+
+    ``SUMM`` payloads are always CRC-checked, every other section too
+    under ``verify``.  With ``labels`` (the graph's id-ordered nodes) the
+    summary decodes against them and nothing is mapped, though ``INDX``
+    is still range-checked; without, the container's CSR is mapped for
+    its labels.  ``graph_digest``, when given, must equal ``SMET``'s.
+    """
+    tags = SUMMARY_SECTION_TAGS if labels is None else SUMMARY_SECTION_TAGS + (TAG_INDICES,)
+    info, payloads = read_container(path, tags, verify=verify)
     if not info.has_summary:
         raise ContainerFormatError(
             f"{path}: container carries no summary sections; "
             f"use repro.storage.load for plain graph containers"
         )
-    if not info.has_csr:
-        raise ContainerFormatError(
-            f"{path}: CSR-less checkpoint containers are restored through "
-            f"load_checkpoint, not load_summary"
-        )
-    payloads = _summary_payloads(path, info)
-    stored = load_stored_graph(path, verify=verify)
-    try:
+    stored = None
+    if labels is None:
+        if not info.has_csr:
+            raise ContainerFormatError(
+                f"{path}: CSR-less checkpoint containers are restored through "
+                f"load_checkpoint, not load_summary"
+            )
+        stored = load_stored_graph(path, verify=False)
         labels = stored.csr().index.labels()
+    else:
+        if len(labels) != info.num_nodes:
+            raise ContainerFormatError(f"{path}: {len(labels)} labels for "
+                                       f"{info.num_nodes} container nodes")
+        if info.has_csr:
+            check_indices(payloads[TAG_INDICES], info.num_nodes, info.index_width)
+    try:
         meta, summary = decode_summary_sections(payloads, labels)
-    except Exception:
-        stored.close()
+        if graph_digest is not None and meta.graph_digest != graph_digest:
+            raise ContainerFormatError(
+                f"{path}: summary was taken on graph {meta.graph_digest[:12]}..., "
+                f"refusing to resume from it or serve it on graph {graph_digest[:12]}..."
+            )
+    except BaseException:
+        if stored is not None:
+            stored.close()
         raise
-    return StoredSummary(path, stored, meta, summary)
+    return StoredSummary(path, info, stored, labels, meta, summary,
+                         checkpoint=payloads.get(TAG_CHECKPOINT))
 
 
 @dataclass
@@ -772,62 +766,37 @@ def load_checkpoint(path: PathLike, subnodes: Sequence,
     children is rejected as corrupt (the local encoder relies on binary
     trees when the run resumes).
     """
-    info = read_container_info(path, verify=False)
-    if not info.has_summary or info.maybe_section(TAG_CHECKPOINT) is None:
+    stored = load_summary(path, labels=list(subnodes), graph_digest=graph_digest)
+    if stored.checkpoint is None:
         raise ContainerFormatError(f"{path}: not a checkpoint container")
-    payloads = _summary_payloads(path, info)
-    meta, summary = decode_summary_sections(payloads, list(subnodes))
-    if meta.kind != "hierarchical":
+    if stored.meta.kind != "hierarchical":
         raise ContainerFormatError(f"{path}: checkpoints are hierarchical-only")
-    hierarchy = summary.hierarchy
+    hierarchy = stored.summary.hierarchy
     for node in hierarchy.supernodes():
         if not hierarchy.is_leaf(node) and len(hierarchy.children(node)) != 2:
             raise ContainerFormatError(
                 f"{path}: checkpoint supernode {node} has "
                 f"{len(hierarchy.children(node))} children; merge trees are binary"
             )
-    if graph_digest is not None and meta.graph_digest != graph_digest:
-        raise ContainerFormatError(
-            f"{path}: checkpoint was taken on graph {meta.graph_digest[:12]}..., "
-            f"refusing to resume onto graph {graph_digest[:12]}..."
-        )
-    iteration, rng_state, history = _decode_checkpoint_section(payloads[TAG_CHECKPOINT])
+    iteration, rng_state, history = _decode_checkpoint_section(stored.checkpoint)
     return SummaryCheckpoint(
-        path=str(path), meta=meta, summary=summary,
+        path=str(path), meta=stored.meta, summary=stored.summary,
         iteration=iteration, rng_state=rng_state, history=history,
     )
 
 
-def read_summary_meta(path: PathLike,
-                      info: Optional[ContainerInfo] = None) -> SummaryMeta:
+def read_summary_meta(path: PathLike) -> SummaryMeta:
     """Read just the ``SMET`` metadata of a summary-bearing container.
 
-    Cheap enough for ``inspect``: only the metadata section is pulled
-    off disk (and CRC-checked) — the hierarchy, edge lists, and CSR
-    payloads stay untouched.  Works on full summary containers and on
-    CSR-less checkpoint containers alike.
+    Cheap enough for ``inspect``: only the header and the metadata
+    section are read off disk (and the latter CRC-checked) — the
+    hierarchy, edge lists, and CSR payloads stay untouched.  Works on
+    full summary containers and on CSR-less checkpoint containers alike.
     """
-    if info is None:
-        info = read_container_info(path, verify=False)
-    entry = info.maybe_section(TAG_SUMMARY_META)
-    if not info.has_summary or entry is None:
+    info, payloads = read_container(path, (TAG_SUMMARY_META,), verify=False)
+    if not info.has_summary or TAG_SUMMARY_META not in payloads:
         raise ContainerFormatError(f"{path}: container carries no summary metadata")
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(entry.offset)
-            payload = handle.read(entry.length)
-    except OSError as error:
-        raise ContainerFormatError(f"{path}: cannot read container: {error}") from None
-    if len(payload) != entry.length:
-        raise ContainerFormatError(f"{path}: truncated SMET section")
-    actual = zlib.crc32(payload)
-    if actual != entry.crc32:
-        raise ContainerFormatError(
-            f"{path}: section b'SMET' checksum mismatch "
-            f"(stored {entry.crc32:#010x}, computed {actual:#010x}); "
-            f"the container is corrupted"
-        )
-    return _decode_meta(payload)
+    return _decode_meta(payloads[TAG_SUMMARY_META])
 
 
 # ----------------------------------------------------------------------
@@ -880,26 +849,18 @@ class SummaryCache:
         self._evict()
         return path
 
-    def load_summary(self, key: str) -> Optional[StoredSummary]:
-        """The cached summary for ``key``, or ``None`` on miss.
+    def load_summary(self, key: str, labels: Optional[Sequence] = None,
+                     graph_digest: Optional[str] = None) -> Optional[StoredSummary]:
+        """The cached summary for ``key`` (see :func:`load_summary`), or ``None``.
 
-        A corrupt entry (failed checksum, bad sections) is discarded and
-        reported as a miss — the caller recomputes and overwrites it.
+        A corrupt entry (failed checksum, bad sections, another graph's
+        digest) is discarded and reported as a miss — the caller
+        recomputes and overwrites it.
         """
-        path = self.summary_path(key)
-        if not path.exists():
-            self.counters["misses"] += 1
-            return None
-        try:
-            stored = load_summary(path, verify=True)
-        except ContainerFormatError:
-            self.counters["corrupt"] += 1
-            self.counters["misses"] += 1
-            path.unlink(missing_ok=True)
-            return None
-        self.counters["hits"] += 1
-        path.touch()
-        return stored
+        return self._load(
+            self.summary_path(key), "",
+            lambda path: load_summary(path, labels=labels, graph_digest=graph_digest),
+        )
 
     # -- checkpoints ----------------------------------------------------
     def store_checkpoint(self, key: str, image: bytes) -> Path:
@@ -916,20 +877,26 @@ class SummaryCache:
         Corrupt or mismatched checkpoints are discarded — resuming is an
         optimization, never worth failing a run over.
         """
-        path = self.checkpoint_path(key)
+        return self._load(
+            self.checkpoint_path(key), "checkpoint_",
+            lambda path: load_checkpoint(path, subnodes, graph_digest=graph_digest),
+        )
+
+    def _load(self, path: Path, counter: str, loader):
+        """``loader(path)``, counted as a hit, a miss, or a corrupt miss (unlinked)."""
         if not path.exists():
-            self.counters["checkpoint_misses"] += 1
+            self.counters[counter + "misses"] += 1
             return None
         try:
-            checkpoint = load_checkpoint(path, subnodes, graph_digest=graph_digest)
+            loaded = loader(path)
         except ContainerFormatError:
             self.counters["corrupt"] += 1
-            self.counters["checkpoint_misses"] += 1
+            self.counters[counter + "misses"] += 1
             path.unlink(missing_ok=True)
             return None
-        self.counters["checkpoint_hits"] += 1
+        self.counters[counter + "hits"] += 1
         path.touch()
-        return checkpoint
+        return loaded
 
     def drop_checkpoint(self, key: str) -> None:
         self.checkpoint_path(key).unlink(missing_ok=True)

@@ -29,6 +29,7 @@ from repro.graphs import DenseAdjacency, Graph, caveman_graph
 from repro.storage.format import (
     container_digest,
     encode_container,
+    read_container,
     read_container_info,
     write_container_image,
 )
@@ -39,6 +40,7 @@ from repro.storage.summary_store import (
     encode_summary_container,
     load_checkpoint,
     load_summary,
+    read_summary_meta,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -154,17 +156,31 @@ def mutate_and_reseal(image: bytes, flips) -> bytes:
 
 
 def load(kind: str, labels: str, path, verify: bool) -> None:
-    """Load a container the way its consumers do, decoding every section."""
+    """Load a container the way its consumers do, decoding every section.
+
+    Summary-bearing containers also go through the shared reader the way
+    a service cache hit does: decoded against the graph's own labels and
+    digest, with nothing mapped.
+    """
+    graph = GRAPHS[labels]()
     if kind == "SLGRPH":
+        # Every map range-checks INDX, so even an unverified load must
+        # materialize cleanly or fail with a format error.
         with storage.load(path, verify=verify) as stored:
-            if verify:
-                stored.graph()
-    elif kind == "SUMM":
+            stored.graph()
+        read_container(path, verify=verify)
+        return
+    read_summary_meta(path)
+    if kind == "SUMM":
         with load_summary(path, verify=verify) as stored:
             assert stored.summary is not None
+        csr = DenseAdjacency.from_graph(graph).freeze()
+        with load_summary(path, verify=verify, labels=csr.index.labels(),
+                          graph_digest=container_digest(csr)) as stored:
+            assert stored.stored is None
     else:
         read_container_info(path, verify=verify)
-        load_checkpoint(path, GRAPHS[labels]().nodes())
+        load_checkpoint(path, graph.nodes())
 
 
 FLIPS = st.lists(
@@ -211,6 +227,40 @@ def test_out_of_range_index_entry_is_a_format_error(tmp_path):
     write_container_image(path, mutate_and_reseal(bytes(image), []))
     with pytest.raises(ContainerFormatError, match="INDX"):
         storage.load(path, verify=True)
+
+
+def test_out_of_range_index_entry_fails_an_unverified_load(tmp_path):
+    # Without checksums the INDX range check still guards the map: a
+    # neighbor id past the node count is a format error, not an
+    # IndexError out of graph().
+    image = bytearray(image_for("SLGRPH", "int"))
+    info_path = tmp_path / "intact.slg"
+    write_container_image(info_path, bytes(image))
+    indices = read_container_info(info_path).section(b"INDX")
+    image[indices.offset] = 0xFF
+    path = tmp_path / "bad-index.slg"
+    write_container_image(path, bytes(image))
+    with pytest.raises(ContainerFormatError, match="INDX"):
+        storage.load(path, verify=False).graph()
+
+
+@pytest.mark.parametrize("labels", ["int", "str"])
+def test_out_of_range_index_entry_fails_a_labelled_summary_load(labels, tmp_path):
+    # A summary decoded against caller labels never maps the CSR, but a
+    # resealed out-of-range INDX entry must still fail the load.
+    image = bytearray(image_for("SUMM", labels))
+    info_path = tmp_path / "intact.slg"
+    write_container_image(info_path, bytes(image))
+    info = read_container_info(info_path)
+    indices = info.section(b"INDX")
+    image[indices.offset:indices.offset + info.index_width] = info.num_nodes.to_bytes(
+        info.index_width, "little")
+    path = tmp_path / "bad-index.slg"
+    write_container_image(path, mutate_and_reseal(bytes(image), []))
+    nodes = list(GRAPHS[labels]().nodes())
+    for verify in (True, False):
+        with pytest.raises(ContainerFormatError, match="INDX"):
+            load_summary(path, verify=verify, labels=nodes)
 
 
 def test_undecodable_metadata_text_is_a_format_error(tmp_path):

@@ -465,6 +465,27 @@ class TestServiceLifecycle:
         running.result(timeout=30)
         service.shutdown()  # idempotent; joins the dispatcher
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_non_blocking_shutdown_drains_queued_jobs(self, mode):
+        # Teardown waits for the last dispatcher: queued jobs still
+        # resolve their graph key from the owned store, and a pool made
+        # during the drain is shut down with the service.
+        if mode == "process" and not process_execution_available():
+            pytest.skip("no fork on this platform")
+        service = SummaryService(mode=mode, max_inflight=1)
+        service.register_graph("c", caveman_fixture())
+        jobs = [service.submit(method="slugger", graph_key="c", seed=seed,
+                               options=SLUGGER_OPTIONS) for seed in range(3)]
+        service.shutdown(wait=False)
+        for job in jobs:
+            job.result(timeout=120)
+        for thread in service._threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert [job.state for job in jobs] == [JobState.DONE] * 3
+        assert service._job_pool is None
+        service.shutdown()  # idempotent
+
     def test_submit_rejects_overrides_on_a_prepared_request(self):
         graph = caveman_fixture()
         request = SummaryRequest(method="slugger", graph=graph, seed=0,

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro import engine, storage
 from repro.algorithms.components import connected_components
 from repro.core import Slugger, SluggerConfig
+from repro.engine.execution import process_execution_available
 from repro.engine.hooks import RunControl
 from repro.exceptions import ConfigurationError, ContainerFormatError, JobCancelled
 from repro.graphs import (
@@ -42,6 +45,7 @@ from repro.graphs import (
 from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
 from repro.service import SummaryService
+from repro.storage import MappedCSR, summary_store
 from repro.storage.format import (
     FLAG_SUMMARY,
     container_digest,
@@ -826,6 +830,101 @@ class TestServiceWarmStart:
             reference.summary
         )
         assert resumed.history == reference.history
+
+
+# ======================================================================
+# The warm hit decodes against the service's interned labels
+# ======================================================================
+FIXTURES = {"int": int_fixture, "str": string_fixture}
+
+
+def flip_section_byte(path, tag: bytes) -> None:
+    """XOR the first payload byte of section ``tag`` (its CRC goes stale)."""
+    entry = read_container_info(path).section(tag)
+    blob = bytearray(path.read_bytes())
+    blob[entry.offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+class TestWarmHitDecode:
+    @pytest.mark.parametrize("method", ["slugger", "sweg"])
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_hit_never_maps_the_entry(self, tmp_path, monkeypatch, mode, labels, method):
+        if mode == "process" and not process_execution_available():
+            pytest.skip("no fork on this platform")
+        graph = FIXTURES[labels]()
+        node_labels = frozen_csr(graph).index.labels()
+        request = {"method": method, "graph": graph, "seed": 0,
+                   "options": {"iterations": 3}}
+        with SummaryService(mode=mode, summary_cache_dir=tmp_path) as service:
+            cold = service.submit(**request).result(timeout=120)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit mapped the entry's CSR")
+
+        monkeypatch.setattr(summary_store, "load_stored_graph", refuse)
+        with SummaryService(mode=mode, summary_cache_dir=tmp_path) as service:
+            warm = service.submit(**request).result(timeout=120)
+            assert service.stats()["summary_cache_hits"] == 1
+        assert warm.details["summary_cache"] == "hit"
+        assert summary_fingerprint(warm.summary, node_labels) == summary_fingerprint(
+            cold.summary, node_labels)
+        assert warm.history == cold.history
+
+    @pytest.mark.parametrize("tag", [b"INDX", b"SPED"])
+    def test_flipped_entry_byte_turns_the_hit_into_a_miss(self, tmp_path, tag):
+        graph = int_fixture()
+        request = {"method": "slugger", "graph": graph, "seed": 0,
+                   "options": {"iterations": 3}}
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            cold = service.submit(**request).result(timeout=120)
+            (entry,) = [Path(record["path"]) for record in service.summary_cache.entries()]
+        flip_section_byte(entry, tag)
+        cache = SummaryCache(tmp_path)
+        csr = frozen_csr(graph)
+        assert cache.load_summary(entry.name[:-len(".slg")], labels=csr.index.labels(),
+                                  graph_digest=container_digest(csr)) is None
+        assert not entry.exists()
+        assert cache.counters["corrupt"] == 1
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            fresh = service.submit(**request).result(timeout=120)
+            assert service.stats()["summary_cache_hits"] == 0
+        assert summary_fingerprint(fresh.summary) == summary_fingerprint(cold.summary)
+
+    def test_entry_copied_under_another_key_is_a_corrupt_miss(self, tmp_path):
+        # Same node set, one edge fewer: the copied entry decodes against
+        # the labels but its SMET digest names the other graph.
+        graph = int_fixture()
+        other = int_fixture()
+        other.remove_edge(*next(iter(other.edges())))
+        options = {"iterations": 3}
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            service.submit(method="slugger", graph=graph, seed=0,
+                           options=options).result(timeout=120)
+            (entry,) = [Path(record["path"]) for record in service.summary_cache.entries()]
+            config_digest, _ = config_fingerprint("slugger", options)
+            foreign = service.summary_cache.summary_path(summary_key(
+                container_digest(frozen_csr(other)), "slugger", 0, config_digest))
+            shutil.copyfile(entry, foreign)
+            result = service.submit(method="slugger", graph=other, seed=0,
+                                    options=options).result(timeout=120)
+            assert service.stats()["summary_cache_hits"] == 0
+            assert service.summary_cache.counters["corrupt"] == 1
+        assert summary_fingerprint(result.summary) == summary_fingerprint(
+            summarize(other, iterations=3).summary)
+
+    def test_load_without_labels_maps_the_container(self, tmp_path):
+        graph = string_fixture()
+        path, result, _, _ = write_summary(tmp_path, graph)
+        with load_summary(path) as stored:
+            assert isinstance(stored.stored.csr(), MappedCSR)
+            assert stored.labels == list(graph.nodes())
+            assert stored.fingerprint() == summary_fingerprint(result.summary)
+        assert stored.stored.csr().closed
+        with load_summary(path, labels=list(graph.nodes())) as labelled:
+            assert labelled.stored is None
+            assert labelled.fingerprint() == summary_fingerprint(result.summary)
 
 
 # ======================================================================
