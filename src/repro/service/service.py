@@ -222,6 +222,7 @@ class SummaryService:
         self._closed = False
         self._job_ids = 0
         self._stopped_dispatchers = 0
+        self._teardown_error: Optional[BaseException] = None
         self._job_pool: Optional[ProcessPoolExecutor] = None
         self._job_pool_generation = -1
         self._token = next(_TOKENS)
@@ -934,8 +935,10 @@ class SummaryService:
 
         Queued jobs still run unless ``cancel_pending=True``; the last
         dispatcher to drain the queue shuts the job pool down and closes
-        an owned store, and ``wait=True`` blocks until it has.
-        Idempotent; also invoked by ``__exit__``.
+        an owned store.  ``wait=True`` blocks until it has and re-raises
+        a teardown error, except from a dispatcher thread (a job's
+        done-callback), which cannot wait for its own lane.  Idempotent;
+        also invoked by ``__exit__``.
         """
         with self._lock:
             first = not self._closed
@@ -968,16 +971,26 @@ class SummaryService:
             for thread in threads:
                 if thread is not threading.current_thread():
                     thread.join()
+            error, self._teardown_error = self._teardown_error, None
+            if error is not None:
+                raise error
 
     def _teardown(self) -> None:
-        """Shut the job pool down and close an owned store (runs once)."""
+        """Shut the job pool down and close an owned store (runs once).
+
+        An error is kept for ``shutdown(wait=True)`` to raise: this
+        usually runs on the last dispatcher out, not the caller's thread.
+        """
         with self._lock:
             pool, self._job_pool = self._job_pool, None
             _FORK_STORES.pop(self._token, None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if self._owns_store:
-            self.store.close()
+        try:
+            if pool is not None:
+                pool.shutdown(wait=True)
+            if self._owns_store:
+                self.store.close()
+        except Exception as exc:
+            self._teardown_error = exc
 
     close = shutdown
 

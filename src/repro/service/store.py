@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.engine.hooks import GraphResources
 from repro.exceptions import ServiceError
@@ -357,25 +357,10 @@ class GraphStore:
             return self.register(key, handle.graph)
         return handle
 
-    def invalidate(self, graph: Graph) -> None:
-        """Drop the handle for ``graph`` (after an in-place mutation)."""
-        with self._lock:
-            handle = self._handles.pop(graph, None)
-            if handle is not None:
-                for key in [k for k, h in self._named.items() if h is handle]:
-                    del self._named[key]
-                    self._pinned.pop(key, None)
-                    self._key_generation.pop(key, None)
-
     def keys(self) -> List[str]:
         """Names of all registered graphs."""
         with self._lock:
             return sorted(self._named)
-
-    def handles(self) -> Iterator[GraphHandle]:
-        """All live handles (weak and named)."""
-        with self._lock:
-            return iter(list(self._handles.values()))
 
     def named_handles(self) -> List[GraphHandle]:
         """Handles of all registered (named, strongly pinned) graphs."""

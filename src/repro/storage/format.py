@@ -86,7 +86,6 @@ __all__ = [
     "read_container_info",
     "read_sections",
     "typecode_for_width",
-    "verify_sections",
     "write_container",
     "write_container_image",
 ]
@@ -586,22 +585,6 @@ def _parse_container(view, path: Optional[str]) -> ContainerInfo:
     return info
 
 
-def verify_sections(view, info: ContainerInfo,
-                    entries: Optional[Iterable[SectionInfo]] = None) -> None:
-    """CRC-check section payloads against the table; raise on mismatch.
-
-    Checks ``entries`` when given, every section of ``info`` otherwise.
-    """
-    for entry in info.sections if entries is None else entries:
-        actual = zlib.crc32(view[entry.span])
-        if actual != entry.crc32:
-            raise ContainerFormatError(
-                f"{info.path or '<buffer>'}: section {entry.tag!r} checksum "
-                f"mismatch (stored {entry.crc32:#010x}, computed {actual:#010x}); "
-                f"the container is corrupted"
-            )
-
-
 def read_sections(view, path: Optional[str], tags: Iterable[bytes] = (),
                   verify: bool = True) -> Tuple[ContainerInfo, Dict[bytes, bytes]]:
     """The container reader: parse the header and section table once.
@@ -614,7 +597,14 @@ def read_sections(view, path: Optional[str], tags: Iterable[bytes] = (),
     info = _parse_container(view, path)
     wanted = [(tag, entry) for tag in tags
               if (entry := info.maybe_section(tag)) is not None]
-    verify_sections(view, info, None if verify else [entry for _, entry in wanted])
+    for entry in info.sections if verify else [entry for _, entry in wanted]:
+        actual = zlib.crc32(view[entry.span])
+        if actual != entry.crc32:
+            raise ContainerFormatError(
+                f"{path or '<buffer>'}: section {entry.tag!r} checksum "
+                f"mismatch (stored {entry.crc32:#010x}, computed {actual:#010x}); "
+                f"the container is corrupted"
+            )
     return info, {tag: bytes(view[entry.span]) for tag, entry in wanted}
 
 

@@ -702,8 +702,13 @@ def load_summary(path: PathLike, verify: bool = True, *,
     under ``verify``.  With ``labels`` (the graph's id-ordered nodes) the
     summary decodes against them and nothing is mapped, though ``INDX``
     is still range-checked; without, the container's CSR is mapped for
-    its labels.  ``graph_digest``, when given, must equal ``SMET``'s.
+    its labels.  ``graph_digest``, when given, must equal ``SMET``'s; it
+    is required with ``labels``, since only the digest ties caller
+    labels to the graph the summary was taken on.
     """
+    if labels is not None and graph_digest is None:
+        raise ValueError("load_summary: labels must come with the graph_digest "
+                         "they were taken from")
     tags = SUMMARY_SECTION_TAGS if labels is None else SUMMARY_SECTION_TAGS + (TAG_INDICES,)
     info, payloads = read_container(path, tags, verify=verify)
     if not info.has_summary:
@@ -754,13 +759,13 @@ class SummaryCheckpoint:
 
 
 def load_checkpoint(path: PathLike, subnodes: Sequence,
-                    graph_digest: Optional[str] = None) -> SummaryCheckpoint:
+                    graph_digest: str) -> SummaryCheckpoint:
     """Restore a checkpoint container against the live graph's node list.
 
     ``subnodes`` must be the graph's nodes in insertion order (the order
-    the original run numbered its leaves); ``graph_digest``, when given,
-    is checked against the checkpoint's ``SMET`` digest so a checkpoint
-    can never silently resume onto a different graph.  Checkpoints are
+    the original run numbered its leaves); ``graph_digest`` is checked
+    against the checkpoint's ``SMET`` digest so a checkpoint can never
+    silently resume onto a different graph.  Checkpoints are
     taken before pruning, where every merge tree is binary, so a
     hierarchy with an internal supernode that does not have exactly two
     children is rejected as corrupt (the local encoder relies on binary
@@ -849,8 +854,8 @@ class SummaryCache:
         self._evict()
         return path
 
-    def load_summary(self, key: str, labels: Optional[Sequence] = None,
-                     graph_digest: Optional[str] = None) -> Optional[StoredSummary]:
+    def load_summary(self, key: str, labels: Sequence,
+                     graph_digest: str) -> Optional[StoredSummary]:
         """The cached summary for ``key`` (see :func:`load_summary`), or ``None``.
 
         A corrupt entry (failed checksum, bad sections, another graph's
@@ -871,7 +876,7 @@ class SummaryCache:
         return path
 
     def load_checkpoint(self, key: str, subnodes: Sequence,
-                        graph_digest: Optional[str] = None) -> Optional[SummaryCheckpoint]:
+                        graph_digest: str) -> Optional[SummaryCheckpoint]:
         """The resumable checkpoint for ``key``, or ``None``.
 
         Corrupt or mismatched checkpoints are discarded — resuming is an
@@ -917,12 +922,11 @@ class SummaryCache:
                 stat = path.stat()
             except OSError:
                 continue
+            suffix = (CHECKPOINT_SUFFIX if path.name.endswith(CHECKPOINT_SUFFIX)
+                      else CONTAINER_SUFFIX)
             records.append({
-                "key": path.name[:-len(CHECKPOINT_SUFFIX)]
-                if path.name.endswith(CHECKPOINT_SUFFIX)
-                else path.name[:-len(CONTAINER_SUFFIX)],
-                "kind": "checkpoint"
-                if path.name.endswith(CHECKPOINT_SUFFIX) else "summary",
+                "key": path.name[:-len(suffix)],
+                "kind": "checkpoint" if suffix == CHECKPOINT_SUFFIX else "summary",
                 "path": str(path),
                 "bytes": stat.st_size,
                 "mtime": stat.st_mtime,
@@ -972,12 +976,11 @@ class SummaryCache:
     def stats(self) -> Dict[str, Any]:
         """A JSON-ready snapshot: entry counts, sizes, budget, directory."""
         records = self.entries()
-        summaries = [record for record in records if record["kind"] == "summary"]
-        checkpoints = [record for record in records if record["kind"] == "checkpoint"]
+        checkpoints = sum(record["kind"] == "checkpoint" for record in records)
         record = {
             "directory": str(self.directory),
-            "entries": len(summaries),
-            "checkpoints": len(checkpoints),
+            "entries": len(records) - checkpoints,
+            "checkpoints": checkpoints,
             "total_bytes": sum(item["bytes"] for item in records),
             "budget_bytes": self.budget_bytes,
         }

@@ -180,7 +180,8 @@ def load(kind: str, labels: str, path, verify: bool) -> None:
             assert stored.stored is None
     else:
         read_container_info(path, verify=verify)
-        load_checkpoint(path, graph.nodes())
+        load_checkpoint(path, graph.nodes(),
+                        graph_digest=container_digest(DenseAdjacency.from_graph(graph).freeze()))
 
 
 FLIPS = st.lists(
@@ -257,10 +258,11 @@ def test_out_of_range_index_entry_fails_a_labelled_summary_load(labels, tmp_path
         info.index_width, "little")
     path = tmp_path / "bad-index.slg"
     write_container_image(path, mutate_and_reseal(bytes(image), []))
-    nodes = list(GRAPHS[labels]().nodes())
+    csr = DenseAdjacency.from_graph(GRAPHS[labels]()).freeze()
     for verify in (True, False):
         with pytest.raises(ContainerFormatError, match="INDX"):
-            load_summary(path, verify=verify, labels=nodes)
+            load_summary(path, verify=verify, labels=csr.index.labels(),
+                         graph_digest=container_digest(csr))
 
 
 def test_undecodable_metadata_text_is_a_format_error(tmp_path):

@@ -486,6 +486,23 @@ class TestServiceLifecycle:
         assert service._job_pool is None
         service.shutdown()  # idempotent
 
+    @pytest.mark.parametrize("started", [False, True], ids=["idle", "dispatched"])
+    def test_teardown_error_reaches_the_waiting_caller(self, started):
+        # Teardown usually runs on the last dispatcher; its error must
+        # still surface from shutdown(wait=True), not die with the thread.
+        service = SummaryService()
+        if started:
+            service.submit(method="slugger", graph=caveman_fixture(), seed=0,
+                           options=SLUGGER_OPTIONS).result(timeout=120)
+
+        def broken_close():
+            raise OSError("close failed")
+
+        service.store.close = broken_close
+        with pytest.raises(OSError, match="close failed"):
+            service.shutdown()
+        service.shutdown()  # reported once; a repeat call is quiet
+
     def test_submit_rejects_overrides_on_a_prepared_request(self):
         graph = caveman_fixture()
         request = SummaryRequest(method="slugger", graph=graph, seed=0,

@@ -89,6 +89,12 @@ def frozen_csr(graph: Graph):
     return DenseAdjacency.from_graph(graph).freeze()
 
 
+def graph_identity(graph: Graph) -> dict:
+    """The ``labels``/``graph_digest`` pair a labelled summary load takes."""
+    csr = frozen_csr(graph)
+    return {"labels": csr.index.labels(), "graph_digest": container_digest(csr)}
+
+
 def summarize(graph: Graph, iterations: int = 8, seed: int = 0, **options):
     return Slugger(
         SluggerConfig(iterations=iterations, seed=seed, **options)
@@ -349,7 +355,8 @@ class TestCorruption:
         graph = int_fixture()
         path, _, _, _ = write_summary(tmp_path, graph)
         with pytest.raises(ContainerFormatError, match="not a checkpoint"):
-            load_checkpoint(path, list(graph.nodes()))
+            load_checkpoint(path, list(graph.nodes()),
+                            graph_digest=container_digest(frozen_csr(graph)))
 
     def test_checkpoint_graph_digest_guard(self, tmp_path):
         graph = int_fixture()
@@ -363,7 +370,8 @@ class TestCorruption:
         path = tmp_path / "wide.ckpt.slg"
         write_container_image(path, wide_checkpoint_image(graph, meta))
         with pytest.raises(ContainerFormatError, match="has 3 children"):
-            load_checkpoint(path, list(graph.nodes()))
+            load_checkpoint(path, list(graph.nodes()),
+                            graph_digest=container_digest(frozen_csr(graph)))
 
     def test_flipped_payload_byte_fails_the_load(self, tmp_path):
         graph = int_fixture()
@@ -389,9 +397,10 @@ class TestCorruption:
             path, _, _, _ = write_summary(tmp_path, graph)
             return path, [lambda: load_summary(path, verify=verify),
                           lambda: storage.load(path, verify=verify)]
-        path, _ = self._checkpoint_path(tmp_path, graph)
+        path, csr = self._checkpoint_path(tmp_path, graph)
         return path, [lambda: storage.load(path, verify=verify),
-                      lambda: load_checkpoint(path, list(graph.nodes()))]
+                      lambda: load_checkpoint(path, list(graph.nodes()),
+                                              graph_digest=container_digest(csr))]
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("verify", [True, False])
@@ -499,7 +508,7 @@ class TestSummaryCache:
         cache = SummaryCache(tmp_path / "cache")
         cache.store_summary(meta.key, image)
         assert cache.has_summary(meta.key)
-        stored = cache.load_summary(meta.key)
+        stored = cache.load_summary(meta.key, **graph_identity(int_fixture()))
         assert stored is not None
         with stored:
             assert stored.fingerprint() == summary_fingerprint(result.summary)
@@ -507,7 +516,7 @@ class TestSummaryCache:
 
     def test_miss_returns_none(self, tmp_path):
         cache = SummaryCache(tmp_path / "cache")
-        assert cache.load_summary("0" * 64) is None
+        assert cache.load_summary("0" * 64, **graph_identity(int_fixture())) is None
         assert not cache.has_summary("0" * 64)
 
     def test_corrupt_entry_becomes_a_miss_and_is_unlinked(self, tmp_path):
@@ -517,7 +526,7 @@ class TestSummaryCache:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert cache.load_summary(meta.key) is None
+        assert cache.load_summary(meta.key, **graph_identity(int_fixture())) is None
         assert not path.exists()
 
     def test_store_summary_drops_the_checkpoint(self, tmp_path):
@@ -882,9 +891,7 @@ class TestWarmHitDecode:
             (entry,) = [Path(record["path"]) for record in service.summary_cache.entries()]
         flip_section_byte(entry, tag)
         cache = SummaryCache(tmp_path)
-        csr = frozen_csr(graph)
-        assert cache.load_summary(entry.name[:-len(".slg")], labels=csr.index.labels(),
-                                  graph_digest=container_digest(csr)) is None
+        assert cache.load_summary(entry.name[:-len(".slg")], **graph_identity(graph)) is None
         assert not entry.exists()
         assert cache.counters["corrupt"] == 1
         with SummaryService(summary_cache_dir=tmp_path) as service:
@@ -922,9 +929,11 @@ class TestWarmHitDecode:
             assert stored.labels == list(graph.nodes())
             assert stored.fingerprint() == summary_fingerprint(result.summary)
         assert stored.stored.csr().closed
-        with load_summary(path, labels=list(graph.nodes())) as labelled:
+        with load_summary(path, **graph_identity(graph)) as labelled:
             assert labelled.stored is None
             assert labelled.fingerprint() == summary_fingerprint(result.summary)
+        with pytest.raises(ValueError, match="graph_digest"):
+            load_summary(path, labels=list(graph.nodes()))
 
 
 # ======================================================================
