@@ -16,12 +16,15 @@ All codes operate on *non-negative* integers; signed values go through
 byte-aligned varint of the binary containers lives in
 :mod:`repro.storage.format`).  Every encoder has a matching decoder and the
 property-based tests round-trip random values through each pair.
+
+:func:`encode_pair_gaps` / :func:`decode_pair_gaps` are the one pair-list
+codec: the pipeline gap-codes its stream, ``SUMM`` sections varint it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from repro.compression.bits import BitReader, BitWriter
 from repro.exceptions import CompressionError
@@ -31,10 +34,12 @@ __all__ = [
     "available_codes",
     "decode_delta",
     "decode_gamma",
+    "decode_pair_gaps",
     "decode_rice",
     "decode_unary",
     "encode_delta",
     "encode_gamma",
+    "encode_pair_gaps",
     "encode_rice",
     "encode_unary",
     "get_code",
@@ -69,6 +74,53 @@ def zigzag_decode(value: int) -> int:
     """Inverse of :func:`zigzag_encode`."""
     _require_non_negative(value)
     return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
+
+
+# ----------------------------------------------------------------------
+# Pair lists
+# ----------------------------------------------------------------------
+def encode_pair_gaps(pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """A set of unordered pairs of non-negative ints as one integer stream.
+
+    Each pair is taken as ``(a, b)`` with ``a <= b``, in sorted order: the
+    count, then per pair ``a - prev_a`` and then ``b - a`` for a new ``a``
+    or ``b - prev_b`` for the same ``a``; ``prev`` starts at ``(0, 0)``.
+    """
+    ordered = sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+    stream = [len(ordered)]
+    previous_a = previous_b = 0
+    for a, b in ordered:
+        if a < 0:
+            raise CompressionError(f"pair ({a}, {b}) holds a negative id")
+        if a == previous_a and b == previous_b and len(stream) > 1:
+            raise CompressionError(f"pair ({a}, {b}) is repeated")
+        stream += (a - previous_a, b - a) if a != previous_a else (0, b - previous_b)
+        previous_a, previous_b = a, b
+    return stream
+
+
+def decode_pair_gaps(values: Iterator[int]) -> List[Tuple[int, int]]:
+    """Read one :func:`encode_pair_gaps` stream off ``values``.
+
+    Accepts only what the encoder emits: a stream cut short, a negative
+    value or a repeated pair is a :class:`CompressionError`.  Nothing is
+    allocated from the count, so a forged count costs only the values read.
+    """
+    count = next(values, -1)
+    if count < 0:
+        raise CompressionError("pair list has no count")
+    pairs: List[Tuple[int, int]] = []
+    a = b = 0
+    for _ in range(count):
+        delta_a, gap = next(values, -1), next(values, -1)
+        if delta_a < 0 or gap < 0:
+            raise CompressionError(f"pair list ends after {len(pairs)} of {count} pairs")
+        if not (delta_a or gap or not pairs):
+            raise CompressionError(f"pair ({a}, {b}) is repeated")
+        a += delta_a
+        b = a + gap if delta_a else b + gap
+        pairs.append((a, b))
+    return pairs
 
 
 # ----------------------------------------------------------------------

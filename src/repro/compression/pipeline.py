@@ -19,13 +19,20 @@ techniques" (Sect. I).  This module closes that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Hashable, Iterator, List, Sequence, Tuple, Union
 
 from repro.compression.adjacency import CompressedAdjacency, decode_adjacency, encode_adjacency
 from repro.compression.bits import BitReader, BitWriter
-from repro.compression.codes import get_code, zigzag_decode, zigzag_encode
-from repro.exceptions import CompressionError
-from repro.graphs.graph import Graph
+from repro.compression.codes import (
+    decode_pair_gaps,
+    encode_pair_gaps,
+    get_code,
+    zigzag_decode,
+    zigzag_encode,
+)
+from repro.exceptions import CompressionError, SummaryInvariantError
+from repro.graphs.graph import Graph, canonical_edge
 from repro.model.flat import FlatSummary
 from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
@@ -45,68 +52,37 @@ __all__ = [
 ]
 
 Subnode = Hashable
-Pair = Tuple[int, int]
 AnySummary = Union[HierarchicalSummary, FlatSummary]
 
 
 # ----------------------------------------------------------------------
-# Shared pair-list codec
+# Integer streams: each payload is one stream of non-negative integers
+# (counts, zig-zagged offsets, ``codes.encode_pair_gaps`` pair lists)
+# written with one gap code
 # ----------------------------------------------------------------------
-def _encode_pair_list(writer: BitWriter, code_name: str, pairs: Sequence[Pair]) -> None:
-    """Encode a set of canonical ``(a, b)`` integer pairs (``a <= b``, self-pairs allowed)."""
+def _pair_stream(edges, dense_of: Dict) -> List[int]:
+    """The pair-gap stream of ``edges`` relabelled through ``dense_of``."""
+    return encode_pair_gaps((dense_of[u], dense_of[v]) for u, v in edges)
+
+
+def _signed_list(values: Sequence[int]) -> List[int]:
+    """A count, then every value zig-zagged."""
+    return [len(values)] + [zigzag_encode(value) for value in values]
+
+
+def _write_stream(code_name: str, stream: List[int]) -> BitWriter:
+    """``stream`` written with the named gap code."""
     code = get_code(code_name)
-    ordered = sorted(pairs)
-    code.encode(writer, len(ordered))
-    previous_a = 0
-    previous_b = 0
-    for a, b in ordered:
-        if a > b:
-            raise CompressionError(f"pair ({a}, {b}) is not canonical (a <= b expected)")
-        delta_a = a - previous_a
-        if delta_a < 0:
-            raise CompressionError("pairs must be sorted before encoding")
-        code.encode(writer, delta_a)
-        if delta_a > 0:
-            code.encode(writer, b - a)
-        else:
-            code.encode(writer, b - previous_b if previous_b <= b else 0)
-            if previous_b > b:
-                raise CompressionError("pairs with equal first element must have increasing second element")
-        previous_a, previous_b = a, b
+    writer = BitWriter()
+    for value in stream:
+        code.encode(writer, value)
+    return writer
 
 
-def _decode_pair_list(reader: BitReader, code_name: str) -> List[Pair]:
-    """Decode a pair list written by :func:`_encode_pair_list`."""
-    code = get_code(code_name)
-    count = code.decode(reader)
-    pairs: List[Pair] = []
-    previous_a = 0
-    previous_b = 0
-    for _ in range(count):
-        delta_a = code.decode(reader)
-        a = previous_a + delta_a
-        if delta_a > 0:
-            b = a + code.decode(reader)
-        else:
-            b = previous_b + code.decode(reader)
-        pairs.append((a, b))
-        previous_a, previous_b = a, b
-    return pairs
-
-
-def _encode_int_list(writer: BitWriter, code_name: str, values: Sequence[int]) -> None:
-    """Encode a list of (possibly negative) integers with a leading count."""
-    code = get_code(code_name)
-    code.encode(writer, len(values))
-    for value in values:
-        code.encode(writer, zigzag_encode(value))
-
-
-def _decode_int_list(reader: BitReader, code_name: str) -> List[int]:
-    """Decode a list written by :func:`_encode_int_list`."""
-    code = get_code(code_name)
-    count = code.decode(reader)
-    return [zigzag_decode(code.decode(reader)) for _ in range(count)]
+def _read_stream(payload: bytes, bit_length: int, code_name: str) -> Tuple[BitReader, Iterator[int]]:
+    """The reader and an endless iterator of its decoded integers."""
+    reader = BitReader(payload, bit_length)
+    return reader, iter(partial(get_code(code_name).decode, reader), None)
 
 
 # ----------------------------------------------------------------------
@@ -179,27 +155,15 @@ def compress_hierarchical_summary(
     supernode_order = sorted(hierarchy.supernodes())
     dense_of = {supernode: index for index, supernode in enumerate(supernode_order)}
 
-    writer = BitWriter()
-    gap_code = get_code(code)
-    gap_code.encode(writer, len(supernode_order))
     # Parent pointers: zig-zag of (parent_dense - own_dense), 0 marks a root
     # because a supernode can never be its own parent.
     parent_offsets: List[int] = []
     for index, supernode in enumerate(supernode_order):
         parent = hierarchy.parent(supernode)
         parent_offsets.append(0 if parent is None else dense_of[parent] - index)
-    _encode_int_list(writer, code, parent_offsets)
-
-    def dense_pairs(edges) -> List[Pair]:
-        pairs = []
-        for a, b in edges:
-            da, db = dense_of[a], dense_of[b]
-            pairs.append((da, db) if da <= db else (db, da))
-        return pairs
-
-    _encode_pair_list(writer, code, dense_pairs(summary.p_edges()))
-    _encode_pair_list(writer, code, dense_pairs(summary.n_edges()))
-
+    writer = _write_stream(code, [len(supernode_order)] + _signed_list(parent_offsets)
+                           + _pair_stream(summary.p_edges(), dense_of)
+                           + _pair_stream(summary.n_edges(), dense_of))
     leaf_subnodes = {
         dense_of[supernode]: hierarchy.subnode_of_leaf(supernode)
         for supernode in supernode_order
@@ -225,14 +189,13 @@ def decompress_hierarchical_summary(
     order (a summary with leaf ids ``0..n-1`` gets them back); internal
     supernodes get fresh ids after them.
     """
-    reader = BitReader(compressed.payload, compressed.bit_length)
-    gap_code = get_code(compressed.code_name)
-    num_supernodes = gap_code.decode(reader)
-    parent_offsets = _decode_int_list(reader, compressed.code_name)
+    reader, values = _read_stream(compressed.payload, compressed.bit_length,
+                                  compressed.code_name)
+    num_supernodes = next(values)
+    parent_offsets = [zigzag_decode(next(values)) for _ in range(next(values))]
     if len(parent_offsets) != num_supernodes:
         raise CompressionError("parent-pointer list length does not match the supernode count")
-    p_pairs = _decode_pair_list(reader, compressed.code_name)
-    n_pairs = _decode_pair_list(reader, compressed.code_name)
+    p_pairs, n_pairs = decode_pair_gaps(values), decode_pair_gaps(values)
     if reader.remaining:
         raise CompressionError(f"{reader.remaining} unread bits after decoding the summary")
 
@@ -272,10 +235,13 @@ def decompress_hierarchical_summary(
         raise CompressionError("hierarchy reconstruction did not reach every supernode")
 
     summary = HierarchicalSummary(hierarchy)
-    for a, b in p_pairs:
-        summary.add_p_edge(new_id[a], new_id[b])
-    for a, b in n_pairs:
-        summary.add_n_edge(new_id[a], new_id[b])
+    try:
+        for a, b in p_pairs:
+            summary.add_p_edge(new_id[a], new_id[b])
+        for a, b in n_pairs:
+            summary.add_n_edge(new_id[a], new_id[b])
+    except (KeyError, SummaryInvariantError) as error:
+        raise CompressionError(f"corrupt superedge list: {error}") from None
     return summary
 
 
@@ -307,30 +273,12 @@ def compress_flat_summary(summary: FlatSummary, code: str = "gamma") -> Compress
     group_order = sorted(summary.groups)
     group_id = {group: index for index, group in enumerate(group_order)}
 
-    writer = BitWriter()
-    gap_code = get_code(code)
-    gap_code.encode(writer, len(subnode_order))
-    gap_code.encode(writer, len(group_order))
     membership = [group_id[summary.group_of[subnode]] for subnode in subnode_order]
-    _encode_int_list(writer, code, membership)
-
-    def canonical_group_pairs(edges) -> List[Pair]:
-        pairs = []
-        for a, b in edges:
-            da, db = group_id[a], group_id[b]
-            pairs.append((da, db) if da <= db else (db, da))
-        return pairs
-
-    def canonical_subnode_pairs(edges) -> List[Pair]:
-        pairs = []
-        for u, v in edges:
-            du, dv = subnode_id[u], subnode_id[v]
-            pairs.append((du, dv) if du <= dv else (dv, du))
-        return pairs
-
-    _encode_pair_list(writer, code, canonical_group_pairs(summary.superedges))
-    _encode_pair_list(writer, code, canonical_subnode_pairs(summary.corrections_plus))
-    _encode_pair_list(writer, code, canonical_subnode_pairs(summary.corrections_minus))
+    writer = _write_stream(code, [len(subnode_order), len(group_order)]
+                           + _signed_list(membership)
+                           + _pair_stream(summary.superedges, group_id)
+                           + _pair_stream(summary.corrections_plus, subnode_id)
+                           + _pair_stream(summary.corrections_minus, subnode_id))
     return CompressedFlatSummary(
         payload=writer.to_bytes(),
         bit_length=writer.bit_length,
@@ -341,18 +289,15 @@ def compress_flat_summary(summary: FlatSummary, code: str = "gamma") -> Compress
 
 def decompress_flat_summary(compressed: CompressedFlatSummary) -> FlatSummary:
     """Rebuild a :class:`FlatSummary` from its compressed form."""
-    reader = BitReader(compressed.payload, compressed.bit_length)
-    gap_code = get_code(compressed.code_name)
-    num_subnodes = gap_code.decode(reader)
-    num_groups = gap_code.decode(reader)
+    reader, values = _read_stream(compressed.payload, compressed.bit_length,
+                                  compressed.code_name)
+    num_subnodes, num_groups = next(values), next(values)
     if num_subnodes != len(compressed.subnode_order):
         raise CompressionError("subnode count does not match the recorded subnode order")
-    membership = _decode_int_list(reader, compressed.code_name)
+    membership = [zigzag_decode(next(values)) for _ in range(next(values))]
     if len(membership) != num_subnodes:
         raise CompressionError("membership list length does not match the subnode count")
-    superedge_pairs = _decode_pair_list(reader, compressed.code_name)
-    plus_pairs = _decode_pair_list(reader, compressed.code_name)
-    minus_pairs = _decode_pair_list(reader, compressed.code_name)
+    superedge_pairs, plus_pairs, minus_pairs = [decode_pair_gaps(values) for _ in range(3)]
     if reader.remaining:
         raise CompressionError(f"{reader.remaining} unread bits after decoding the summary")
 
@@ -371,13 +316,11 @@ def decompress_flat_summary(compressed: CompressedFlatSummary) -> FlatSummary:
             raise CompressionError("superedge references an empty group")
         summary.superedges.add((a, b))
 
-    def to_subnode_pair(pair: Pair) -> Tuple[Subnode, Subnode]:
-        u = compressed.subnode_order[pair[0]]
-        v = compressed.subnode_order[pair[1]]
-        return (u, v) if repr(u) <= repr(v) else (v, u)
-
-    summary.corrections_plus.update(to_subnode_pair(pair) for pair in plus_pairs)
-    summary.corrections_minus.update(to_subnode_pair(pair) for pair in minus_pairs)
+    order = compressed.subnode_order
+    if any(b >= num_subnodes for _, b in plus_pairs + minus_pairs):
+        raise CompressionError("correction references an unknown subnode")
+    summary.corrections_plus.update(canonical_edge(order[a], order[b]) for a, b in plus_pairs)
+    summary.corrections_minus.update(canonical_edge(order[a], order[b]) for a, b in minus_pairs)
     return summary
 
 

@@ -10,10 +10,11 @@ consume SLUGGER outputs without importing this package.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.exceptions import GraphFormatError
+from repro.exceptions import GraphFormatError, SummaryInvariantError
 from repro.model.flat import FlatSummary
 from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
@@ -55,6 +56,11 @@ def save_hierarchical_summary(summary: HierarchicalSummary, path: PathLike) -> N
 def load_hierarchical_summary(path: PathLike) -> HierarchicalSummary:
     """Load a hierarchical summary written by :func:`save_hierarchical_summary`."""
     document = _read_json(path, expected_format=_HIERARCHICAL_FORMAT)
+    with _malformed_as_format_error(path):
+        return _hierarchical_from_document(document, path)
+
+
+def _hierarchical_from_document(document: Dict, path: PathLike) -> HierarchicalSummary:
     hierarchy = Hierarchy()
     id_map: Dict[int, int] = {}
     for leaf in document["leaves"]:
@@ -101,6 +107,11 @@ def save_flat_summary(summary: FlatSummary, path: PathLike) -> None:
 def load_flat_summary(path: PathLike) -> FlatSummary:
     """Load a flat summary written by :func:`save_flat_summary`."""
     document = _read_json(path, expected_format=_FLAT_FORMAT)
+    with _malformed_as_format_error(path):
+        return _flat_from_document(document, path)
+
+
+def _flat_from_document(document: Dict, path: PathLike) -> FlatSummary:
     summary = FlatSummary()
     for record in document["groups"]:
         members = frozenset(_restore_subnode(member) for member in record["members"])
@@ -108,6 +119,9 @@ def load_flat_summary(path: PathLike) -> FlatSummary:
         for member in members:
             summary.group_of[member] = record["id"]
     summary.superedges = {tuple(edge) for edge in document["superedges"]}
+    for edge in summary.superedges:
+        if not set(edge) <= summary.groups.keys():
+            raise GraphFormatError(f"{path}: superedge {edge} references an unknown group")
     summary.corrections_plus = {
         tuple(_restore_subnode(node) for node in pair) for pair in document["corrections_plus"]
     }
@@ -120,6 +134,18 @@ def load_flat_summary(path: PathLike) -> FlatSummary:
 def _restore_subnode(value):
     """JSON round-trips integers and strings; anything else was stringified."""
     return value
+
+
+@contextmanager
+def _malformed_as_format_error(path: PathLike):
+    """Report a document that parsed as JSON but is not a valid summary
+    (missing key, unknown id, wrong shape, P/N conflict) as a format error."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, SummaryInvariantError) as error:
+        raise GraphFormatError(
+            f"{path}: malformed summary document ({type(error).__name__}: {error})"
+        ) from None
 
 
 def _write_json(document: Dict, path: PathLike) -> None:
@@ -136,6 +162,10 @@ def _read_json(path: PathLike, expected_format: str) -> Dict:
             document = json.load(handle)
     except json.JSONDecodeError as error:
         raise GraphFormatError(f"{file_path}: not valid JSON ({error})") from error
+    if not isinstance(document, dict):
+        raise GraphFormatError(
+            f"{file_path}: expected a JSON object, got {type(document).__name__}"
+        )
     if document.get("format") != expected_format:
         raise GraphFormatError(
             f"{file_path}: expected format {expected_format!r}, got {document.get('format')!r}"

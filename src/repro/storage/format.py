@@ -58,8 +58,9 @@ import threading
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.compression.codes import zigzag_decode, zigzag_encode
 from repro.exceptions import ContainerFormatError, GraphFormatError
@@ -82,6 +83,7 @@ __all__ = [
     "encode_image",
     "encode_varint",
     "index_width_for",
+    "iter_varints",
     "read_container",
     "read_container_info",
     "read_sections",
@@ -164,6 +166,20 @@ def decode_varint(data: bytes, position: int) -> Tuple[int, int]:
         shift += 7
 
 
+def iter_varints(data: bytes) -> Iterator[int]:
+    """Yield every LEB128 varint of ``data`` in order (one pass, no calls per value)."""
+    value = shift = 0
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+        else:
+            yield value
+            value = shift = 0
+    if shift:
+        raise ContainerFormatError("truncated varint in container section")
+
+
 def index_width_for(num_nodes: int) -> int:
     """The narrowest of 1/2/4/8 bytes that can address every node id."""
     largest = max(0, num_nodes - 1)
@@ -192,25 +208,22 @@ def _encode_indptr(indptr: Sequence[int], num_nodes: int) -> bytes:
 def decode_indptr(data: bytes, num_nodes: int, num_edges: int) -> "array":
     """Decode a delta/varint ``IPTR`` payload back into a flat offset array."""
     # Every entry takes at least one varint byte: check the header's node
-    # count against the payload before allocating from it.
+    # count against the payload before decoding it.
     if num_nodes + 1 > len(data):
         raise ContainerFormatError(
             f"IPTR section holds {len(data)} bytes, too few for {num_nodes + 1} offsets"
         )
-    indptr = array("q", bytes(8 * (num_nodes + 1)))
-    position = 0
-    total = 0
-    for node in range(num_nodes + 1):
-        delta, position = decode_varint(data, position)
-        total += delta
-        indptr[node] = total
-    if position != len(data):
+    try:
+        indptr = array("q", accumulate(iter_varints(data)))
+    except OverflowError:
+        raise ContainerFormatError("IPTR section offsets overflow 64 bits") from None
+    if len(indptr) != num_nodes + 1:
         raise ContainerFormatError(
-            f"IPTR section holds {len(data) - position} trailing bytes"
+            f"IPTR section holds {len(indptr)} offsets, header promises {num_nodes + 1}"
         )
-    if total != 2 * num_edges:
+    if indptr[-1] != 2 * num_edges:
         raise ContainerFormatError(
-            f"IPTR section sums to {total} entries, header promises {2 * num_edges}"
+            f"IPTR section sums to {indptr[-1]} entries, header promises {2 * num_edges}"
         )
     return indptr
 

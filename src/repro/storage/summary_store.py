@@ -11,21 +11,24 @@ summary itself.  Three pieces:
   ======  ==========================================================
   tag     payload
   ======  ==========================================================
-  SMET    summary metadata: kind, method, seed, graph/config digests
+  SMET    summary metadata: format version, kind, method, seed, digests
   SHIE    hierarchy: leaf count + internal ``(id, children)`` records
-  SPED    positive superedges (sorted canonical id pairs)
-  SNED    negative superedges (sorted canonical id pairs)
+  SPED    positive superedges (pair list of supernode ids)
+  SNED    negative superedges (pair list of supernode ids)
   SGRP    flat grouping: group ids + ``group_of`` entries, dict order
-  SSED    flat superedges (sorted canonical group-id pairs)
-  SCRP    flat ``C+`` corrections (sorted canonical node-id pairs)
-  SCRN    flat ``C-`` corrections (sorted canonical node-id pairs)
+  SSED    flat superedges (pair list of group ids)
+  SCRP    flat ``C+`` corrections (pair list of node ids)
+  SCRN    flat ``C-`` corrections (pair list of node ids)
   CKPT    resumable-job state: iteration, RNG stream position, history
   ======  ==========================================================
 
-  Every integer is varint-encoded; pair lists are sorted and
-  delta-encoded on the first coordinate, so the encoding is canonical:
-  equal summaries yield byte-identical sections, which is what makes
-  the cache key a true content address.
+  Every integer is a varint.  A pair list is the integer stream of
+  :func:`~repro.compression.codes.encode_pair_gaps`, which the
+  compression pipeline writes with a bit code: the count, then per
+  sorted canonical pair ``a - prev_a`` and then ``b - a`` (new ``a``)
+  or ``b - prev_b`` (same ``a``).  Equal summaries yield byte-identical
+  sections.  Format version 2 brought this layout; an older ``SMET``
+  is a :class:`ContainerFormatError`, which the cache treats as a miss.
 
   Order preservation is the subtle part.  ``SHIE`` keeps each internal
   supernode's children list **verbatim** and emits internal records in
@@ -67,8 +70,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.compression.codes import zigzag_decode, zigzag_encode
+from repro.compression.codes import decode_pair_gaps, encode_pair_gaps, zigzag_decode, zigzag_encode
 from repro.exceptions import (
+    CompressionError,
     ConfigurationError,
     ContainerFormatError,
     SummaryInvariantError,
@@ -89,6 +93,7 @@ from repro.storage.format import (
     encode_image,
     encode_varint,
     index_width_for,
+    iter_varints,
     read_container,
     write_container_image,
 )
@@ -114,7 +119,7 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-SUMMARY_FORMAT_VERSION = 1
+SUMMARY_FORMAT_VERSION = 2
 CHECKPOINT_FORMAT_VERSION = 1
 
 TAG_SUMMARY_META = b"SMET"
@@ -304,33 +309,48 @@ def _decode_meta(data: bytes) -> SummaryMeta:
 
 
 # ----------------------------------------------------------------------
-# Pair-list codec (shared by SPED/SNED/SSED/SCRP/SCRN)
+# Varint streams: SHIE, SGRP and the pair lists are plain varint runs
 # ----------------------------------------------------------------------
-def _encode_id_pairs(pairs: Iterable[Tuple[int, int]]) -> bytes:
-    """Sorted canonical pairs, delta-varint first coordinate, raw second."""
-    ordered = sorted(pairs)
+def _varint_bytes(values: Iterable[int]) -> bytes:
     out = bytearray()
-    encode_varint(len(ordered), out)
-    previous = 0
-    for a, b in ordered:
-        encode_varint(a - previous, out)
-        encode_varint(b, out)
-        previous = a
+    for value in values:
+        encode_varint(value, out)
     return bytes(out)
 
 
-def _decode_id_pairs(data: bytes) -> List[Tuple[int, int]]:
-    count, pos = decode_varint(data, 0)
-    pairs: List[Tuple[int, int]] = []
+def _decode_stream(data: bytes, name: str, read):
+    """``read(values)`` over the varints of ``data``, which it must consume
+    exactly; a bare ``next(values)`` past the end reads as truncation."""
+    values = iter_varints(data)
+    try:
+        result = read(values)
+    except StopIteration:
+        raise ContainerFormatError(f"truncated {name}") from None
+    except CompressionError as error:
+        raise ContainerFormatError(f"corrupt {name}: {error}") from None
+    if next(values, None) is not None:
+        raise ContainerFormatError(f"trailing bytes after {name}")
+    return result
+
+
+def _encode_pairs(pairs: Iterable[Tuple[int, int]]) -> bytes:
+    return _varint_bytes(encode_pair_gaps(pairs))
+
+
+def _decode_pairs(data: bytes) -> List[Tuple[int, int]]:
+    return _decode_stream(data, "summary pair list", decode_pair_gaps)
+
+
+def _encode_id_pairs(pairs: Iterable[Tuple[int, int]]) -> bytes:
+    """The version-1 pair layout, kept only for :func:`summary_fingerprint`:
+    sorted ``a <= b`` pairs, delta-varint first coordinate, raw second."""
+    ordered = sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+    values = [len(ordered)]
     previous = 0
-    for _ in range(count):
-        delta, pos = decode_varint(data, pos)
-        second, pos = decode_varint(data, pos)
-        previous += delta
-        pairs.append((previous, second))
-    if pos != len(data):
-        raise ContainerFormatError("trailing bytes after superedge pair list")
-    return pairs
+    for a, b in ordered:
+        values += (a - previous, b)
+        previous = a
+    return _varint_bytes(values)
 
 
 # ----------------------------------------------------------------------
@@ -338,59 +358,44 @@ def _decode_id_pairs(data: bytes) -> List[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 def _encode_hierarchy(hierarchy: Hierarchy) -> bytes:
     num_leaves = len(hierarchy.leaf_subnode_map())
-    internal = [
-        node for node in hierarchy.supernodes() if not hierarchy.is_leaf(node)
-    ]
-    internal.sort()
-    out = bytearray()
-    encode_varint(num_leaves, out)
-    encode_varint(hierarchy._next_id, out)
-    encode_varint(len(internal), out)
+    internal = sorted(node for node in hierarchy.supernodes() if not hierarchy.is_leaf(node))
+    values = [num_leaves, hierarchy._next_id, len(internal)]
     previous = num_leaves
     for node_id in internal:
-        encode_varint(node_id - previous, out)
         children = hierarchy.children(node_id)
-        encode_varint(len(children), out)
-        for child in children:
-            encode_varint(child, out)
+        values += (node_id - previous, len(children), *children)
         previous = node_id
-    return bytes(out)
+    return _varint_bytes(values)
 
 
 def _decode_hierarchy(data: bytes, subnodes: Sequence) -> Hierarchy:
-    num_leaves, pos = decode_varint(data, 0)
-    next_id, pos = decode_varint(data, pos)
-    num_internal, pos = decode_varint(data, pos)
-    if num_leaves != len(subnodes):
-        raise ContainerFormatError(
-            f"summary hierarchy holds {num_leaves} leaves but the container "
-            f"provides {len(subnodes)} node labels"
-        )
-    internal: List[Tuple[int, List[int]]] = []
-    previous = num_leaves
-    for _ in range(num_internal):
-        delta, pos = decode_varint(data, pos)
-        node_id = previous + delta
-        child_count, pos = decode_varint(data, pos)
-        children: List[int] = []
-        for _ in range(child_count):
-            child, pos = decode_varint(data, pos)
-            children.append(child)
-        internal.append((node_id, children))
-        previous = node_id
-    if pos != len(data):
-        raise ContainerFormatError("trailing bytes after summary hierarchy")
+    def read(values):
+        num_leaves, next_id = next(values), next(values)
+        if num_leaves != len(subnodes):
+            raise ContainerFormatError(
+                f"summary hierarchy holds {num_leaves} leaves but the container "
+                f"provides {len(subnodes)} node labels"
+            )
+        internal: List[Tuple[int, List[int]]] = []
+        node_id = num_leaves
+        for _ in range(next(values)):
+            node_id += next(values)
+            internal.append((node_id, [next(values) for _ in range(next(values))]))
+        return next_id, internal
+
+    next_id, internal = _decode_stream(data, "summary hierarchy", read)
     try:
         return Hierarchy.from_parts(subnodes, internal, next_id=next_id)
     except SummaryInvariantError as error:
         raise ContainerFormatError(f"corrupt summary hierarchy: {error}") from None
 
 
-def _hierarchical_sections(summary: HierarchicalSummary) -> List[Tuple[bytes, bytes]]:
+def _hierarchical_sections(summary: HierarchicalSummary,
+                           encode_pairs=_encode_pairs) -> List[Tuple[bytes, bytes]]:
     return [
         (TAG_SUMMARY_HIERARCHY, _encode_hierarchy(summary.hierarchy)),
-        (TAG_SUMMARY_P_EDGES, _encode_id_pairs(summary.p_edges())),
-        (TAG_SUMMARY_N_EDGES, _encode_id_pairs(summary.n_edges())),
+        (TAG_SUMMARY_P_EDGES, encode_pairs(summary.p_edges())),
+        (TAG_SUMMARY_N_EDGES, encode_pairs(summary.n_edges())),
     ]
 
 
@@ -398,9 +403,9 @@ def _decode_hierarchical(payloads: Dict[bytes, bytes], subnodes: Sequence) -> Hi
     hierarchy = _decode_hierarchy(payloads[TAG_SUMMARY_HIERARCHY], subnodes)
     summary = HierarchicalSummary(hierarchy)
     try:
-        for a, b in _decode_id_pairs(payloads[TAG_SUMMARY_P_EDGES]):
+        for a, b in _decode_pairs(payloads[TAG_SUMMARY_P_EDGES]):
             summary.add_p_edge(a, b)
-        for a, b in _decode_id_pairs(payloads[TAG_SUMMARY_N_EDGES]):
+        for a, b in _decode_pairs(payloads[TAG_SUMMARY_N_EDGES]):
             summary.add_n_edge(a, b)
     except (SummaryInvariantError, KeyError) as error:
         raise ContainerFormatError(f"corrupt summary superedges: {error}") from None
@@ -410,45 +415,30 @@ def _decode_hierarchical(payloads: Dict[bytes, bytes], subnodes: Sequence) -> Hi
 # ----------------------------------------------------------------------
 # Flat codec
 # ----------------------------------------------------------------------
-def _encode_flat(summary: FlatSummary, node_ids: Dict[Any, int]) -> List[Tuple[bytes, bytes]]:
-    groups = bytearray()
-    encode_varint(len(summary.groups), groups)
-    for gid in summary.groups:
-        encode_varint(gid, groups)
-    encode_varint(len(summary.group_of), groups)
+def _encode_flat(summary: FlatSummary, node_ids: Dict[Any, int],
+                 encode_pairs=_encode_pairs) -> List[Tuple[bytes, bytes]]:
+    groups = [len(summary.groups), *summary.groups, len(summary.group_of)]
     for node, gid in summary.group_of.items():
-        encode_varint(node_ids[node], groups)
-        encode_varint(gid, groups)
+        groups += (node_ids[node], gid)
 
     def correction_pairs(corrections):
-        for u, v in corrections:
-            iu, iv = node_ids[u], node_ids[v]
-            yield (iu, iv) if iu <= iv else (iv, iu)
+        return ((node_ids[u], node_ids[v]) for u, v in corrections)
 
     return [
-        (TAG_SUMMARY_GROUPS, bytes(groups)),
-        (TAG_SUMMARY_SUPEREDGES, _encode_id_pairs(summary.superedges)),
-        (TAG_SUMMARY_CORR_PLUS, _encode_id_pairs(correction_pairs(summary.corrections_plus))),
-        (TAG_SUMMARY_CORR_MINUS, _encode_id_pairs(correction_pairs(summary.corrections_minus))),
+        (TAG_SUMMARY_GROUPS, _varint_bytes(groups)),
+        (TAG_SUMMARY_SUPEREDGES, encode_pairs(summary.superedges)),
+        (TAG_SUMMARY_CORR_PLUS, encode_pairs(correction_pairs(summary.corrections_plus))),
+        (TAG_SUMMARY_CORR_MINUS, encode_pairs(correction_pairs(summary.corrections_minus))),
     ]
 
 
 def _decode_flat(payloads: Dict[bytes, bytes], labels: Sequence) -> FlatSummary:
-    data = payloads[TAG_SUMMARY_GROUPS]
-    num_groups, pos = decode_varint(data, 0)
-    gid_order: List[int] = []
-    for _ in range(num_groups):
-        gid, pos = decode_varint(data, pos)
-        gid_order.append(gid)
-    num_entries, pos = decode_varint(data, pos)
-    entries: List[Tuple[int, int]] = []
-    for _ in range(num_entries):
-        node_id, pos = decode_varint(data, pos)
-        gid, pos = decode_varint(data, pos)
-        entries.append((node_id, gid))
-    if pos != len(data):
-        raise ContainerFormatError("trailing bytes after flat summary grouping")
+    def read(values):
+        gid_order = [next(values) for _ in range(next(values))]
+        return gid_order, [(next(values), next(values)) for _ in range(next(values))]
 
+    gid_order, entries = _decode_stream(payloads[TAG_SUMMARY_GROUPS],
+                                        "flat summary grouping", read)
     summary = FlatSummary()
     members: Dict[int, List] = {gid: [] for gid in gid_order}
     num_labels = len(labels)
@@ -463,13 +453,15 @@ def _decode_flat(payloads: Dict[bytes, bytes], labels: Sequence) -> FlatSummary:
         members[gid].append(node)
     for gid in gid_order:
         summary.groups[gid] = frozenset(members[gid])
-    summary.superedges = set(_decode_id_pairs(payloads[TAG_SUMMARY_SUPEREDGES]))
+    summary.superedges = set(_decode_pairs(payloads[TAG_SUMMARY_SUPEREDGES]))
+    if any(a not in members or b not in members for a, b in summary.superedges):
+        raise ContainerFormatError("flat summary superedge references an unknown group")
     for tag, target in (
         (TAG_SUMMARY_CORR_PLUS, summary.corrections_plus),
         (TAG_SUMMARY_CORR_MINUS, summary.corrections_minus),
     ):
-        for u, v in _decode_id_pairs(payloads[tag]):
-            if u >= num_labels or v >= num_labels:
+        for u, v in _decode_pairs(payloads[tag]):
+            if v >= num_labels:
                 raise ContainerFormatError(
                     f"flat summary correction ({u}, {v}) references an unknown node"
                 )
@@ -488,21 +480,24 @@ def encode_summary_sections(summary, meta: SummaryMeta,
     whose members are label-keyed; hierarchical summaries are id-native
     and ignore it.
     """
-    sections = [(TAG_SUMMARY_META, _encode_meta(meta))]
+    return [(TAG_SUMMARY_META, _encode_meta(meta))] + _summary_sections(
+        summary, labels, _encode_pairs)
+
+
+def _summary_sections(summary, labels: Optional[Sequence],
+                      encode_pairs) -> List[Tuple[bytes, bytes]]:
     if isinstance(summary, HierarchicalSummary):
-        sections.extend(_hierarchical_sections(summary))
-    elif isinstance(summary, FlatSummary):
+        return _hierarchical_sections(summary, encode_pairs)
+    if isinstance(summary, FlatSummary):
         if labels is None:
             raise SummaryInvariantError(
                 "flat summaries serialize against the container's node labels"
             )
         node_ids = {label: position for position, label in enumerate(labels)}
-        sections.extend(_encode_flat(summary, node_ids))
-    else:
-        raise SummaryInvariantError(
-            f"cannot serialize summary of type {type(summary).__name__}"
-        )
-    return sections
+        return _encode_flat(summary, node_ids, encode_pairs)
+    raise SummaryInvariantError(
+        f"cannot serialize summary of type {type(summary).__name__}"
+    )
 
 
 def decode_summary_sections(payloads: Dict[bytes, bytes], labels: Sequence):
@@ -533,19 +528,16 @@ def decode_summary_sections(payloads: Dict[bytes, bytes], labels: Sequence):
 
 
 def summary_fingerprint(summary, labels: Optional[Sequence] = None) -> str:
-    """SHA-256 over the canonical section encoding of ``summary``.
+    """SHA-256 over the canonical encoding of ``summary``.
 
     The bit-identity yardstick used by the resume and warm-start tests:
     two summaries fingerprint equal iff their canonical serializations
-    are byte-identical.
+    are byte-identical.  It hashes the section tags and the ``SHIE`` /
+    ``SGRP`` payloads with the version-1 pair layout, so the digest of a
+    summary does not move with the container's pair codec.
     """
-    placeholder = SummaryMeta(
-        kind="hierarchical" if isinstance(summary, HierarchicalSummary) else "flat",
-        method="", seed=None, graph_digest="0" * 64, config_digest="0" * 64,
-        config_json="",
-    )
     digest = hashlib.sha256()
-    for tag, payload in encode_summary_sections(summary, placeholder, labels)[1:]:
+    for tag, payload in _summary_sections(summary, labels, _encode_id_pairs):
         digest.update(tag)
         digest.update(payload)
     return digest.hexdigest()

@@ -9,10 +9,12 @@ from repro.compression.codes import (
     available_codes,
     decode_delta,
     decode_gamma,
+    decode_pair_gaps,
     decode_rice,
     decode_unary,
     encode_delta,
     encode_gamma,
+    encode_pair_gaps,
     encode_rice,
     encode_unary,
     get_code,
@@ -191,3 +193,54 @@ class TestCodeRegistry:
             writer = BitWriter()
             code.encode(writer, 37)
             assert code.encoded_length(37) == writer.bit_length
+
+
+CANONICAL_PAIRS = st.sets(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda pair: tuple(sorted(pair))),
+    max_size=60,
+)
+
+
+class TestPairGaps:
+    def test_layout(self):
+        # Count; then (Δa, b - a) on a new row, (0, b - prev_b) within one.
+        assert encode_pair_gaps([(2, 5), (2, 9), (4, 4)]) == [3, 2, 3, 0, 4, 2, 0]
+        # Pairs are unordered: (9, 2) is stored as (2, 9).
+        assert encode_pair_gaps([(9, 2), (5, 2), (4, 4)]) == [3, 2, 3, 0, 4, 2, 0]
+
+    def test_first_pair_on_row_zero_continues_the_start_row(self):
+        assert encode_pair_gaps([(0, 0)]) == [1, 0, 0]
+        assert decode_pair_gaps(iter([1, 0, 0])) == [(0, 0)]
+        assert encode_pair_gaps([(0, 0), (0, 3)]) == [2, 0, 0, 0, 3]
+        assert decode_pair_gaps(iter([2, 0, 0, 0, 3])) == [(0, 0), (0, 3)]
+
+    @given(CANONICAL_PAIRS)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_property(self, pairs):
+        values = iter(encode_pair_gaps(pairs) + [7])
+        assert decode_pair_gaps(values) == sorted(pairs)
+        # Reads exactly one stream and leaves what follows it.
+        assert list(values) == [7]
+
+    @pytest.mark.parametrize("pairs", [[(-1, 2)], [(2, -1)], [(1, 2), (2, 1)], [(0, 0), (0, 0)]],
+                             ids=["negative", "negative-second", "repeated", "repeated-origin"])
+    def test_encoder_rejects(self, pairs):
+        with pytest.raises(CompressionError):
+            encode_pair_gaps(pairs)
+
+    @pytest.mark.parametrize("stream", [
+        [],                      # no count
+        [2, 1, 1],               # cut short
+        [2, 1, 1, 0, 0],         # repeated pair within a row
+        [2, 0, 0, 0, 0],         # repeated (0, 0)
+        [2, 1, 1, -1, 0],        # decreasing first coordinate
+        [2, 1, 3, 0, -2],        # decreasing second coordinate
+    ], ids=["empty", "truncated", "repeated", "repeated-origin", "decreasing-a",
+            "decreasing-b"])
+    def test_decoder_rejects(self, stream):
+        with pytest.raises(CompressionError):
+            decode_pair_gaps(iter(stream))
+
+    def test_forged_count_reads_only_what_is_there(self):
+        with pytest.raises(CompressionError, match="ends after 1 of"):
+            decode_pair_gaps(iter([2**62, 1, 1]))

@@ -1,12 +1,18 @@
 """Tests for the summarize-then-compress pipeline codecs."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.query import QUERY_KINDS, run_query
 from repro.baselines import randomized_summarize, sweg_summarize
+from repro.compression.bits import BitWriter
+from repro.compression.codes import encode_gamma
 from repro.compression.pipeline import (
+    CompressedFlatSummary,
+    CompressedHierarchicalSummary,
     compress_flat_summary,
     compress_graph,
     compress_hierarchical_summary,
@@ -154,6 +160,94 @@ class TestCompressFlatSummary:
     def test_compress_summary_rejects_other_types(self):
         with pytest.raises(TypeError):
             compress_summary("not a summary")
+
+
+class TestFlatRoundTripIsExact:
+    def test_corrections_keep_their_canonical_orientation(self):
+        # Int labels sort numerically, not by repr: (7, 18) must not come
+        # back as (18, 7).
+        graph = caveman_graph(4, 6, 0.3, seed=1)
+        summary = sweg_summarize(graph, iterations=5, seed=0)
+        restored = compress_flat_summary(summary).decompress()
+        assert restored.corrections_plus == summary.corrections_plus
+        assert restored.corrections_minus == summary.corrections_minus
+        assert restored.superedges == summary.superedges
+
+
+
+def _gamma_payload(values):
+    writer = BitWriter()
+    for value in values:
+        encode_gamma(writer, value)
+    return writer.to_bytes(), writer.bit_length
+
+
+class TestForgedPayloads:
+    """Payloads the encoder never writes fail with CompressionError only."""
+
+    def _one_leaf(self, stream):
+        payload, bits = _gamma_payload(stream)
+        return CompressedHierarchicalSummary(payload, bits, "gamma", [0], {0: "a"})
+
+    def test_superedge_to_unknown_supernode(self):
+        # One root leaf; P = {(0, 5)}; N empty.
+        with pytest.raises(CompressionError, match="superedge"):
+            self._one_leaf([1, 1, 0, 1, 0, 5, 0]).decompress()
+
+    def test_repeated_pair(self):
+        with pytest.raises(CompressionError, match="repeated"):
+            self._one_leaf([1, 1, 0, 2, 0, 0, 0, 0, 0]).decompress()
+
+    def test_forged_count_fails_at_the_end_of_the_payload(self):
+        with pytest.raises(CompressionError):
+            self._one_leaf([1, 1, 0, 2**40, 0, 0]).decompress()
+
+    def test_correction_to_unknown_subnode(self):
+        # Two subnodes in one group; C+ = {(0, 2)}.
+        payload, bits = _gamma_payload([2, 1, 2, 0, 0, 0, 1, 0, 2, 0])
+        with pytest.raises(CompressionError, match="unknown subnode"):
+            CompressedFlatSummary(payload, bits, "gamma", ["a", "b"]).decompress()
+
+
+#: sha256 of the pipeline payloads on small fixtures.  The pair lists go
+#: through the shared ``codes.encode_pair_gaps`` stream; these digests
+#: pin that the pipeline's bits did not move when that codec was shared
+#: with the SUMM container sections.
+PAYLOAD_PINS = {
+    ("caveman", "hierarchical", "gamma"):
+        "3f428d09e14c3f2fa5d64c6ead82c7798e63e8ddf10065448439906529bbc6d7",
+    ("caveman", "flat", "gamma"):
+        "aaebcea22b5729221d50ad405944737de65cca416e64e3a0bb7d55b46fb241f0",
+    ("caveman", "hierarchical", "delta"):
+        "d0964c3e38206f68bab7deae7ae74ca59557d3cef8920a262a8a18697ec6a131",
+    ("caveman", "flat", "delta"):
+        "76c7f243dde3a840694a5b81c2c3e7f2b4298a268d3d2df487920ec68d85eda7",
+    ("caveman", "hierarchical", "rice2"):
+        "a39874d27836fdb5e2ab2a5ed9279a0798be1d43e7a81e43198ac77e50dc26f2",
+    ("caveman", "flat", "rice2"):
+        "df6616a862692a07f68877aedbaae21cfccac9f1f922b51f28758eea4d981e46",
+    ("er", "hierarchical", "gamma"):
+        "7cd3eb04de8677713ac7273efb5b8e8b46f92a4b10bbf9455476dcc3d4074612",
+    ("er", "flat", "gamma"):
+        "a9eaab1dc0e1447eeb081a36271f21b02e73595b9168f445ce03dff85aa2941e",
+}
+
+PIN_GRAPHS = {
+    "caveman": lambda: caveman_graph(4, 6, 0.3, seed=1),
+    "er": lambda: erdos_renyi_graph(40, 0.15, seed=3),
+}
+
+
+@pytest.mark.parametrize("graph_name, kind, code", sorted(PAYLOAD_PINS))
+def test_payload_pins(graph_name, kind, code):
+    graph = PIN_GRAPHS[graph_name]()
+    if kind == "hierarchical":
+        compressed = compress_hierarchical_summary(_slugger_summary(graph), code=code)
+    else:
+        compressed = compress_flat_summary(sweg_summarize(graph, iterations=5, seed=0), code=code)
+    digest = hashlib.sha256(compressed.payload).hexdigest()
+    assert digest == PAYLOAD_PINS[(graph_name, kind, code)]
+    assert compressed.decompress().decompress() == graph
 
 
 class TestCompressionReport:

@@ -1,9 +1,10 @@
 """Mutation tests: corrupted containers fail clean, never with a stray error.
 
 Each example flips 1-4 bytes inside the section payloads of a valid
-SLGRPH graph container, SUMM summary container or CKPT checkpoint
-container, then re-seals every section CRC so the corruption gets past
-the checksum pass and reaches the decoders.  The only acceptable
+SLGRPH graph container, SUMM summary container (hierarchical, or FLAT
+with its SGRP/SSED/SCRP/SCRN sections) or CKPT checkpoint container,
+then re-seals every section CRC so the corruption gets past the checksum
+pass and reaches the decoders.  The only acceptable
 outcomes of a load are a clean load or a
 :class:`~repro.exceptions.ContainerFormatError`; every load runs under a
 wall-clock alarm so a decoder that hangs fails the test instead of
@@ -22,22 +23,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import storage
+from repro.baselines import sweg_summarize
 from repro.core import Slugger, SluggerConfig
 from repro.engine.hooks import RunControl
 from repro.exceptions import ContainerFormatError
 from repro.graphs import DenseAdjacency, Graph, caveman_graph
+from repro.compression.codes import encode_pair_gaps
 from repro.storage.format import (
+    FLAG_SUMMARY,
     container_digest,
     encode_container,
+    encode_varint,
     read_container,
     read_container_info,
     write_container_image,
 )
+from repro.service import SummaryService
 from repro.storage.summary_store import (
+    SummaryCache,
     SummaryMeta,
     config_fingerprint,
     encode_checkpoint_container,
-    encode_summary_container,
+    encode_summary_sections,
     load_checkpoint,
     load_summary,
     read_summary_meta,
@@ -92,9 +99,9 @@ def str_graph() -> Graph:
 GRAPHS = {"int": int_graph, "str": str_graph}
 
 
-def _meta(csr, seed: int = -3) -> SummaryMeta:
+def _meta(csr, seed: int = -3, kind: str = "hierarchical") -> SummaryMeta:
     config_digest, config_json = config_fingerprint("slugger", {"iterations": 3})
-    return SummaryMeta(kind="hierarchical", method="slugger", seed=seed,
+    return SummaryMeta(kind=kind, method="slugger", seed=seed,
                        graph_digest=container_digest(csr),
                        config_digest=config_digest, config_json=config_json,
                        extra={"note": "mutation fixture"})
@@ -105,9 +112,9 @@ def build_image(kind: str, labels: str) -> bytes:
     csr = DenseAdjacency.from_graph(graph).freeze()
     if kind == "SLGRPH":
         return encode_container(csr)
-    if kind == "SUMM":
-        result = Slugger(SluggerConfig(iterations=3, seed=0)).summarize(graph)
-        return encode_summary_container(csr, result.summary, _meta(csr))
+    if kind in ("SUMM", "FLAT"):
+        return encode_container(csr, extra_sections=summary_sections(kind, graph, csr),
+                                extra_flags=FLAG_SUMMARY)
     images = []
 
     def sink(payload):
@@ -119,6 +126,15 @@ def build_image(kind: str, labels: str) -> bytes:
     Slugger(SluggerConfig(iterations=3, seed=0)).summarize(
         graph, control=RunControl(checkpoint_sink=sink))
     return images[1]
+
+
+def summary_sections(kind: str, graph: Graph, csr):
+    """The SUMM section family of the hierarchical (``SUMM``) or ``FLAT`` fixture."""
+    if kind == "SUMM":
+        summary = Slugger(SluggerConfig(iterations=3, seed=0)).summarize(graph).summary
+        return encode_summary_sections(summary, _meta(csr))
+    summary = sweg_summarize(graph, iterations=3, seed=0)
+    return encode_summary_sections(summary, _meta(csr, kind="flat"), csr.index.labels())
 
 
 _IMAGES = {}
@@ -171,7 +187,7 @@ def load(kind: str, labels: str, path, verify: bool) -> None:
         read_container(path, verify=verify)
         return
     read_summary_meta(path)
-    if kind == "SUMM":
+    if kind in ("SUMM", "FLAT"):
         with load_summary(path, verify=verify) as stored:
             assert stored.summary is not None
         csr = DenseAdjacency.from_graph(graph).freeze()
@@ -192,7 +208,7 @@ FLIPS = st.lists(
 
 @pytest.mark.parametrize("verify", [True, False], ids=["verify", "no-verify"])
 @pytest.mark.parametrize("labels", ["int", "str"])
-@pytest.mark.parametrize("kind", ["SLGRPH", "SUMM", "CKPT"])
+@pytest.mark.parametrize("kind", ["SLGRPH", "SUMM", "FLAT", "CKPT"])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flips=FLIPS)
@@ -207,7 +223,7 @@ def test_mutated_container_loads_clean_or_raises_format_error(kind, labels, veri
         pass
 
 
-@pytest.mark.parametrize("kind", ["SLGRPH", "SUMM", "CKPT"])
+@pytest.mark.parametrize("kind", ["SLGRPH", "SUMM", "FLAT", "CKPT"])
 @pytest.mark.parametrize("labels", ["int", "str"])
 def test_unmutated_containers_load(kind, labels, tmp_path):
     path = tmp_path / "intact.slg"
@@ -277,3 +293,93 @@ def test_undecodable_metadata_text_is_a_format_error(tmp_path):
     for verify in (True, False):
         with pytest.raises(ContainerFormatError, match="metadata"):
             load_summary(path, verify=verify)
+
+
+# ----------------------------------------------------------------------
+# Pair-list sections (SUMM v2: the shared codes.encode_pair_gaps stream)
+# ----------------------------------------------------------------------
+def varints(values) -> bytes:
+    out = bytearray()
+    for value in values:
+        encode_varint(value, out)
+    return bytes(out)
+
+
+PAIR_SECTIONS = [("SUMM", b"SPED"), ("SUMM", b"SNED"), ("FLAT", b"SSED"),
+                 ("FLAT", b"SCRP"), ("FLAT", b"SCRN")]
+
+
+def image_with_section(kind: str, tag: bytes, payload: bytes) -> bytes:
+    graph = int_graph()
+    csr = DenseAdjacency.from_graph(graph).freeze()
+    sections = [(section, payload if section == tag else data)
+                for section, data in summary_sections(kind, graph, csr)]
+    return encode_container(csr, extra_sections=sections, extra_flags=FLAG_SUMMARY)
+
+
+@pytest.mark.parametrize("kind, tag", PAIR_SECTIONS,
+                         ids=[f"{kind}-{tag.decode()}" for kind, tag in PAIR_SECTIONS])
+@pytest.mark.parametrize("stream, error", [
+    # A count near 2**62 over a one-pair payload: decoding stops at the
+    # end of the section, it never loops or allocates up to the count.
+    ([2**62] + encode_pair_gaps([(0, 1)])[1:], "ends after 1 of"),
+    # (0, 1) twice: a zero gap inside a row.
+    ([2, 0, 1, 0, 0], "repeated"),
+    ([1, 0, 1, 5], "trailing"),
+], ids=["forged-count", "repeated-pair", "trailing-varint"])
+def test_forged_pair_section_is_a_format_error(kind, tag, stream, error, tmp_path):
+    path = tmp_path / "forged.slg"
+    write_container_image(path, image_with_section(kind, tag, varints(stream)))
+    for verify in (True, False):
+        with deadline(LOAD_TIMEOUT_S), pytest.raises(ContainerFormatError, match=error):
+            load(kind, "int", path, verify)
+
+
+def test_flat_superedge_to_unknown_group_is_a_format_error(tmp_path):
+    path = tmp_path / "forged.slg"
+    write_container_image(path, image_with_section(
+        "FLAT", b"SSED", varints(encode_pair_gaps([(0, 10**6)]))))
+    for verify in (True, False):
+        with pytest.raises(ContainerFormatError, match="unknown group"):
+            load("FLAT", "int", path, verify)
+
+
+def with_summary_version(image: bytes, version: int) -> bytes:
+    """``image`` with the SMET version varint rewritten and every CRC resealed."""
+    spans = payload_spans(image)
+    (count,) = struct.unpack_from("<H", image, _HEADER_BYTES - 2)
+    tags = [_ENTRY.unpack_from(image, _HEADER_BYTES + index * _ENTRY.size)[0]
+            for index in range(count)]
+    offset, _length = spans[tags.index(b"SMET")]
+    data = bytearray(image)
+    data[offset] = version
+    return mutate_and_reseal(bytes(data), [])
+
+
+@pytest.mark.parametrize("kind", ["SUMM", "CKPT"])
+def test_version_1_summary_sections_are_rejected(kind, tmp_path):
+    path = tmp_path / "v1.slg"
+    write_container_image(path, with_summary_version(image_for(kind, "int"), 1))
+    with pytest.raises(ContainerFormatError, match="version 1"):
+        read_summary_meta(path)
+    with pytest.raises(ContainerFormatError, match="version 1"):
+        load(kind, "int", path, verify=True)
+
+
+def test_a_version_1_cache_entry_is_recomputed(tmp_path):
+    graph = int_graph()
+    csr = DenseAdjacency.from_graph(graph).freeze()
+    meta = _meta(csr)
+    cache = SummaryCache(tmp_path)
+    path = cache.store_summary(meta.key, with_summary_version(image_for("SUMM", "int"), 1))
+    with SummaryService(summary_cache_dir=tmp_path) as service:
+        result = service.submit(method="slugger", graph=graph, seed=meta.seed,
+                                options={"iterations": 3}).result(timeout=120)
+        assert result.details.get("summary_cache") != "hit"
+        assert service.summary_cache.counters["corrupt"] == 1
+        assert service.stats()["summary_cache_hits"] == 0
+    # The recomputed summary replaced the old entry in the current format.
+    assert read_summary_meta(path).key == meta.key
+    with load_summary(path, labels=csr.index.labels(),
+                      graph_digest=container_digest(csr)) as stored:
+        stored.summary.validate(graph)

@@ -49,6 +49,61 @@ class TestHierarchicalSerialization:
             load_hierarchical_summary(path)
 
 
+def _hierarchical_document(tmp_path):
+    graph = caveman_graph(3, 4, 0.0, seed=0)
+    summary = Slugger(SluggerConfig(iterations=3, seed=0)).summarize(graph).summary
+    path = tmp_path / "summary.json"
+    save_hierarchical_summary(summary, path)
+    return path, json.loads(path.read_text())
+
+
+class TestMalformedDocuments:
+    """A document that parses as JSON but is not a summary is a GraphFormatError."""
+
+    def test_missing_key(self, tmp_path):
+        path, document = _hierarchical_document(tmp_path)
+        del document["leaves"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="leaves"):
+            load_hierarchical_summary(path)
+
+    def test_missing_flat_key(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"format": "repro/flat-summary/v1"}))
+        with pytest.raises(GraphFormatError, match="groups"):
+            load_flat_summary(path)
+
+    def test_edge_to_unknown_id(self, tmp_path):
+        path, document = _hierarchical_document(tmp_path)
+        document["p_edges"].append([0, 10**6])
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="malformed"):
+            load_hierarchical_summary(path)
+
+    def test_superedge_to_unknown_group(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({
+            "format": "repro/flat-summary/v1", "groups": [{"id": 0, "members": [1, 2]}],
+            "superedges": [[0, 7]], "corrections_plus": [], "corrections_minus": [],
+        }))
+        with pytest.raises(GraphFormatError, match="unknown group"):
+            load_flat_summary(path)
+
+    def test_p_n_conflict(self, tmp_path):
+        path, document = _hierarchical_document(tmp_path)
+        document["n_edges"].append(document["p_edges"][0])
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="malformed"):
+            load_hierarchical_summary(path)
+
+    @pytest.mark.parametrize("loader", [load_hierarchical_summary, load_flat_summary])
+    def test_top_level_list(self, tmp_path, loader):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2, 3]))
+        with pytest.raises(GraphFormatError, match="JSON object"):
+            loader(path)
+
+
 class TestFlatSerialization:
     def test_round_trip(self, tmp_path):
         graph = caveman_graph(3, 4, 0.0, seed=0)

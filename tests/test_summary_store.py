@@ -54,6 +54,7 @@ from repro.storage.format import (
     write_container_image,
 )
 from repro.storage.summary_store import (
+    SUMMARY_FORMAT_VERSION,
     TAG_SUMMARY_META,
     SummaryCache,
     SummaryMeta,
@@ -68,12 +69,16 @@ from repro.storage.summary_store import (
     summary_key,
 )
 
-#: SHA-256 of the canonical SUMM encoding of the iterations=8 / seed=0
-#: SLUGGER summary of the caveman fixture.  The hierarchical codec is
-#: id-native, so the string-labelled twin of the fixture pins the *same*
-#: digest — and neither depends on PYTHONHASHSEED (the dense substrate
-#: made shingles id-based).  Any drift means the canonical encoding
-#: changed and every existing cache entry silently mis-addresses.
+#: ``summary_fingerprint`` of the iterations=8 / seed=0 SLUGGER summary
+#: of the caveman fixture.  The hierarchical codec is id-native, so the
+#: string-labelled twin of the fixture pins the *same* digest — and
+#: neither depends on PYTHONHASHSEED (the dense substrate made shingles
+#: id-based).  The pin guards the fingerprint's definition (the ``SHIE``
+#: bytes plus the version-1 pair layout), which the bit-identity checks
+#: of resume, warm-start and the benchmark compare against.  Cache keys
+#: never include fingerprints: a change of the container layout is
+#: handled by ``SUMMARY_FORMAT_VERSION``, which turns old entries into
+#: misses.  Any drift here means the fingerprint itself changed.
 CAVEMAN_PIN = "22ff9fd0e2890140dc0dfdbc208dec61ca009815729a311f5f8fbcbec0c391e5"
 
 
@@ -462,9 +467,9 @@ class TestCorruption:
         skewed = []
         for tag, payload in sections:
             if tag == TAG_SUMMARY_META:
-                # The SMET payload leads with varint version 1; claim a
-                # future version the reader must refuse.
-                payload = b"\x02" + payload[1:]
+                # The SMET payload leads with the one-byte varint
+                # version; claim a future version the reader must refuse.
+                payload = bytes([SUMMARY_FORMAT_VERSION + 1]) + payload[1:]
             skewed.append((tag, payload))
         path = tmp_path / "skewed.slg"
         write_container_image(
