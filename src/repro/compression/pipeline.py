@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Hashable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Tuple, Union
 
 from repro.compression.adjacency import CompressedAdjacency, decode_adjacency, encode_adjacency
 from repro.compression.bits import BitReader, BitWriter
@@ -63,11 +63,6 @@ AnySummary = Union[HierarchicalSummary, FlatSummary]
 def _pair_stream(edges, dense_of: Dict) -> List[int]:
     """The pair-gap stream of ``edges`` relabelled through ``dense_of``."""
     return encode_pair_gaps((dense_of[u], dense_of[v]) for u, v in edges)
-
-
-def _signed_list(values: Sequence[int]) -> List[int]:
-    """A count, then every value zig-zagged."""
-    return [len(values)] + [zigzag_encode(value) for value in values]
 
 
 def _write_stream(code_name: str, stream: List[int]) -> BitWriter:
@@ -121,8 +116,9 @@ def compress_graph(
 class CompressedHierarchicalSummary:
     """A hierarchical summary (S, P+, P-, H) compressed into one bit payload.
 
-    The payload stores, in order: the parent pointer of every supernode
-    (densely relabeled), the p-edge pair list, and the n-edge pair list.
+    The payload stores, in order: the supernode count, the parent pointer
+    of every supernode (densely relabeled), the p-edge pair list, and the
+    n-edge pair list.
     ``leaf_subnodes`` maps dense leaf positions back to subnode labels so
     the summary can be reconstructed exactly.
     """
@@ -161,7 +157,8 @@ def compress_hierarchical_summary(
     for index, supernode in enumerate(supernode_order):
         parent = hierarchy.parent(supernode)
         parent_offsets.append(0 if parent is None else dense_of[parent] - index)
-    writer = _write_stream(code, [len(supernode_order)] + _signed_list(parent_offsets)
+    writer = _write_stream(code, [len(supernode_order)]
+                           + [zigzag_encode(offset) for offset in parent_offsets]
                            + _pair_stream(summary.p_edges(), dense_of)
                            + _pair_stream(summary.n_edges(), dense_of))
     leaf_subnodes = {
@@ -185,64 +182,44 @@ def decompress_hierarchical_summary(
 
     The reconstructed summary represents exactly the same graph (same
     subnodes, same p/n/h structure), which is what the round-trip tests
-    verify via ``decompress()`` equality.  Leaves keep their relative id
-    order (a summary with leaf ids ``0..n-1`` gets them back); internal
-    supernodes get fresh ids after them.
+    verify via ``decompress()`` equality.  Leaves get ids ``0..L-1`` in
+    ascending dense index, so a summary whose leaves were ids ``0..n-1``
+    in graph order gets the same leaf ids back and queries that walk rows
+    in leaf order (pagerank's float sums) match bit for bit.  Internal
+    supernodes get ``L..`` in ascending dense index, each with its
+    children in ascending dense order; every parent pointer points up.
     """
     reader, values = _read_stream(compressed.payload, compressed.bit_length,
                                   compressed.code_name)
     num_supernodes = next(values)
-    parent_offsets = [zigzag_decode(next(values)) for _ in range(next(values))]
-    if len(parent_offsets) != num_supernodes:
-        raise CompressionError("parent-pointer list length does not match the supernode count")
+    parent_offsets = [zigzag_decode(next(values)) for _ in range(num_supernodes)]
     p_pairs, n_pairs = decode_pair_gaps(values), decode_pair_gaps(values)
     if reader.remaining:
         raise CompressionError(f"{reader.remaining} unread bits after decoding the summary")
 
-    children_of: Dict[int, List[int]] = {index: [] for index in range(num_supernodes)}
-    roots: List[int] = []
+    children_of: Dict[int, List[int]] = {}
     for index, offset in enumerate(parent_offsets):
-        if offset == 0:
-            roots.append(index)
-        else:
-            parent = index + offset
-            if parent < 0 or parent >= num_supernodes:
-                raise CompressionError(f"parent pointer of supernode {index} is out of range")
-            children_of[parent].append(index)
-
-    hierarchy = Hierarchy()
-    new_id: Dict[int, int] = {}
-    # Leaves first, in ascending dense index: a summary whose leaves were
-    # ids 0..n-1 in graph order gets the same leaf ids back, so queries
-    # that walk rows in leaf order (pagerank's float sums) match bit for
-    # bit.  Parents are then built bottom-up over the already-made leaves.
-    for dense_index, children in children_of.items():
-        if not children:
-            if dense_index not in compressed.leaf_subnodes:
-                raise CompressionError(f"leaf supernode {dense_index} has no recorded subnode")
-            new_id[dense_index] = hierarchy.add_leaf(compressed.leaf_subnodes[dense_index])
-
-    def build(dense_index: int) -> int:
-        if dense_index not in new_id:
-            new_id[dense_index] = hierarchy.create_parent(
-                [build(child) for child in children_of[dense_index]]
-            )
-        return new_id[dense_index]
-
-    for root in roots:
-        build(root)
-    if len(new_id) != num_supernodes:
-        raise CompressionError("hierarchy reconstruction did not reach every supernode")
-
-    summary = HierarchicalSummary(hierarchy)
+        if offset < 0 or index + offset >= num_supernodes:
+            raise CompressionError(f"parent pointer of supernode {index} does not point up")
+        if offset:
+            children_of.setdefault(index + offset, []).append(index)
+    leaves = [index for index in range(num_supernodes) if index not in children_of]
+    new_id = {index: position for position, index in enumerate(leaves + sorted(children_of))}
     try:
-        for a, b in p_pairs:
-            summary.add_p_edge(new_id[a], new_id[b])
-        for a, b in n_pairs:
-            summary.add_n_edge(new_id[a], new_id[b])
+        hierarchy = Hierarchy.from_parts(
+            [compressed.leaf_subnodes[index] for index in leaves],
+            [(new_id[index], [new_id[child] for child in children])
+             for index, children in sorted(children_of.items())])
+    except KeyError as error:
+        raise CompressionError(f"leaf supernode {error} has no recorded subnode") from None
+    except SummaryInvariantError as error:
+        raise CompressionError(f"corrupt hierarchy: {error}") from None
+    try:
+        return HierarchicalSummary.from_parts(hierarchy,
+                                              [(new_id[a], new_id[b]) for a, b in p_pairs],
+                                              [(new_id[a], new_id[b]) for a, b in n_pairs])
     except (KeyError, SummaryInvariantError) as error:
         raise CompressionError(f"corrupt superedge list: {error}") from None
-    return summary
 
 
 # ----------------------------------------------------------------------
@@ -273,9 +250,9 @@ def compress_flat_summary(summary: FlatSummary, code: str = "gamma") -> Compress
     group_order = sorted(summary.groups)
     group_id = {group: index for index, group in enumerate(group_order)}
 
-    membership = [group_id[summary.group_of[subnode]] for subnode in subnode_order]
     writer = _write_stream(code, [len(subnode_order), len(group_order)]
-                           + _signed_list(membership)
+                           + [zigzag_encode(group_id[summary.group_of[subnode]])
+                              for subnode in subnode_order]
                            + _pair_stream(summary.superedges, group_id)
                            + _pair_stream(summary.corrections_plus, subnode_id)
                            + _pair_stream(summary.corrections_minus, subnode_id))
@@ -294,9 +271,7 @@ def decompress_flat_summary(compressed: CompressedFlatSummary) -> FlatSummary:
     num_subnodes, num_groups = next(values), next(values)
     if num_subnodes != len(compressed.subnode_order):
         raise CompressionError("subnode count does not match the recorded subnode order")
-    membership = [zigzag_decode(next(values)) for _ in range(next(values))]
-    if len(membership) != num_subnodes:
-        raise CompressionError("membership list length does not match the subnode count")
+    membership = [zigzag_decode(next(values)) for _ in range(num_subnodes)]
     superedge_pairs, plus_pairs, minus_pairs = [decode_pair_gaps(values) for _ in range(3)]
     if reader.remaining:
         raise CompressionError(f"{reader.remaining} unread bits after decoding the summary")

@@ -97,9 +97,12 @@ class SluggerState:
         """Adopt a checkpointed summary, rebuilding every per-root index.
 
         This is the resume path: the summary comes from a checkpoint
-        container whose hierarchy was rebuilt in ascending-id order
-        (:meth:`~repro.model.hierarchy.Hierarchy.from_parts`), so its
-        iteration orders match the interrupted run's exactly.  The
+        container, rebuilt through the one construction path — the
+        hierarchy in ascending-id order
+        (:meth:`~repro.model.hierarchy.Hierarchy.from_parts`), then the
+        sorted superedge lists
+        (:meth:`~repro.model.summary.HierarchicalSummary.from_parts`) —
+        so its iteration orders match the interrupted run's exactly.  The
         indices are reconstructed from the ground truth the same way
         :meth:`check_consistency` derives its expectations: ``root_adj``
         from the input edges, ``pn_count``/``pn_edges``/``pn_total``

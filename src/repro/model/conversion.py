@@ -10,7 +10,7 @@ agree on converted summaries.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict
 
 from repro.graphs.graph import Graph
 from repro.model.flat import FlatSummary
@@ -18,8 +18,6 @@ from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
 
 __all__ = ["flat_to_hierarchical", "hierarchical_report", "singleton_summary"]
-
-Subnode = Hashable
 
 
 def singleton_summary(graph: Graph) -> HierarchicalSummary:
@@ -36,29 +34,22 @@ def flat_to_hierarchical(flat: FlatSummary) -> HierarchicalSummary:
     leaf supernodes.  The resulting hierarchical cost (Eq. 1) equals the
     flat cost under Eq. 11.
     """
-    hierarchy = Hierarchy()
-    leaf_ids: Dict[Subnode, int] = {}
-    for subnode in flat.group_of:
-        leaf_ids[subnode] = hierarchy.add_leaf(subnode)
-
+    leaf_ids = {subnode: leaf for leaf, subnode in enumerate(flat.group_of)}
     root_of_group: Dict[int, int] = {}
+    internal = []
     for group_id, members in flat.groups.items():
         if len(members) == 1:
             (only_member,) = tuple(members)
             root_of_group[group_id] = leaf_ids[only_member]
         else:
-            root_of_group[group_id] = hierarchy.create_parent(
-                leaf_ids[member] for member in sorted(members, key=repr)
-            )
-
-    summary = HierarchicalSummary(hierarchy)
-    for a, b in flat.superedges:
-        summary.add_p_edge(root_of_group[a], root_of_group[b])
-    for u, v in flat.corrections_plus:
-        summary.add_p_edge(leaf_ids[u], leaf_ids[v])
-    for u, v in flat.corrections_minus:
-        summary.add_n_edge(leaf_ids[u], leaf_ids[v])
-    return summary
+            root_of_group[group_id] = len(leaf_ids) + len(internal)
+            internal.append((root_of_group[group_id],
+                             [leaf_ids[member] for member in sorted(members, key=repr)]))
+    return HierarchicalSummary.from_parts(
+        Hierarchy.from_parts(flat.group_of, internal),
+        [(root_of_group[a], root_of_group[b]) for a, b in flat.superedges]
+        + [(leaf_ids[u], leaf_ids[v]) for u, v in flat.corrections_plus],
+        [(leaf_ids[u], leaf_ids[v]) for u, v in flat.corrections_minus])
 
 
 def hierarchical_report(summary: HierarchicalSummary) -> Dict[str, float]:

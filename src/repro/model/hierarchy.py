@@ -135,10 +135,10 @@ class Hierarchy:
         bottom-up from the children lists.
         """
         forest = cls()
-        for subnode in subnodes:
+        given = 0
+        for given, subnode in enumerate(subnodes, start=1):
             forest.add_leaf(subnode)
-        num_leaves = forest._next_id
-        if num_leaves != len(forest._leaf_subnode):
+        if given != forest._next_id:
             raise SummaryInvariantError("serialized hierarchy repeats a subnode")
         for node_id, children in internal:
             if node_id < forest._next_id or node_id in forest._parent:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.exceptions import GraphFormatError, SummaryInvariantError
+from repro.graphs.graph import canonical_edge
 from repro.model.flat import FlatSummary
 from repro.model.hierarchy import Hierarchy
 from repro.model.summary import HierarchicalSummary
@@ -61,32 +62,22 @@ def load_hierarchical_summary(path: PathLike) -> HierarchicalSummary:
 
 
 def _hierarchical_from_document(document: Dict, path: PathLike) -> HierarchicalSummary:
-    hierarchy = Hierarchy()
-    id_map: Dict[int, int] = {}
-    for leaf in document["leaves"]:
-        id_map[leaf["id"]] = hierarchy.add_leaf(_restore_subnode(leaf["subnode"]))
-    # Internal nodes must be created children-first; iterate until all are placed.
-    pending: List[Dict] = list(document["internal"])
-    while pending:
-        progressed = False
-        remaining: List[Dict] = []
-        for record in pending:
-            if all(child in id_map for child in record["children"]):
-                id_map[record["id"]] = hierarchy.create_parent(
-                    id_map[child] for child in record["children"]
-                )
-                progressed = True
-            else:
-                remaining.append(record)
-        if not progressed:
-            raise GraphFormatError(f"{path}: cyclic or dangling hierarchy records")
-        pending = remaining
-    summary = HierarchicalSummary(hierarchy)
-    for a, b in document["p_edges"]:
-        summary.add_p_edge(id_map[a], id_map[b])
-    for a, b in document["n_edges"]:
-        summary.add_n_edge(id_map[a], id_map[b])
-    return summary
+    """Leaves keep document order; internal records are taken in ascending
+    ``id``, so every child must be a leaf or an earlier record."""
+    leaves = document["leaves"]
+    id_map = {leaf["id"]: position for position, leaf in enumerate(leaves)}
+    internal = []
+    records = sorted(document["internal"], key=lambda record: record["id"])
+    for node_id, record in enumerate(records, start=len(leaves)):
+        internal.append((node_id, [id_map[child] for child in record["children"]]))
+        id_map[record["id"]] = node_id
+    if len(id_map) != len(leaves) + len(internal):
+        raise GraphFormatError(f"{path}: repeated supernode id")
+    hierarchy = Hierarchy.from_parts([leaf["subnode"] for leaf in leaves], internal)
+    return HierarchicalSummary.from_parts(
+        hierarchy,
+        [(id_map[a], id_map[b]) for a, b in document["p_edges"]],
+        [(id_map[a], id_map[b]) for a, b in document["n_edges"]])
 
 
 def save_flat_summary(summary: FlatSummary, path: PathLike) -> None:
@@ -114,26 +105,29 @@ def load_flat_summary(path: PathLike) -> FlatSummary:
 def _flat_from_document(document: Dict, path: PathLike) -> FlatSummary:
     summary = FlatSummary()
     for record in document["groups"]:
-        members = frozenset(_restore_subnode(member) for member in record["members"])
+        members = frozenset(record["members"])
         summary.groups[record["id"]] = members
         for member in members:
             summary.group_of[member] = record["id"]
-    summary.superedges = {tuple(edge) for edge in document["superedges"]}
+    summary.superedges = _pair_set(document["superedges"], path)
     for edge in summary.superedges:
         if not set(edge) <= summary.groups.keys():
             raise GraphFormatError(f"{path}: superedge {edge} references an unknown group")
-    summary.corrections_plus = {
-        tuple(_restore_subnode(node) for node in pair) for pair in document["corrections_plus"]
-    }
-    summary.corrections_minus = {
-        tuple(_restore_subnode(node) for node in pair) for pair in document["corrections_minus"]
-    }
+    summary.corrections_plus = _pair_set(document["corrections_plus"], path)
+    summary.corrections_minus = _pair_set(document["corrections_minus"], path)
     return summary
 
 
-def _restore_subnode(value):
-    """JSON round-trips integers and strings; anything else was stringified."""
-    return value
+def _pair_set(pairs, path: PathLike) -> set:
+    """The canonical form of every pair; one given twice, in either
+    orientation, makes the document malformed."""
+    result = set()
+    for u, v in pairs:
+        pair = canonical_edge(u, v)
+        if pair in result:
+            raise GraphFormatError(f"{path}: pair {pair} is repeated")
+        result.add(pair)
+    return result
 
 
 @contextmanager

@@ -68,25 +68,53 @@ class HierarchicalSummary:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def from_parts(
+        cls,
+        hierarchy: Hierarchy,
+        p_edges: Iterable[SuperEdge],
+        n_edges: Iterable[SuperEdge],
+    ) -> "HierarchicalSummary":
+        """The summary ``(hierarchy, P+, P-)`` — the one construction path.
+
+        ``hierarchy`` comes from :meth:`Hierarchy.from_parts`; every
+        decoder (containers, checkpoints, the compression pipeline, JSON)
+        and :meth:`from_dense` build through this pair.  Pairs are
+        canonicalized and added in the order given, which fixes the sets'
+        iteration order, so equal inputs build bit-identical summaries.
+        Raises :class:`SummaryInvariantError` on an endpoint that is not
+        a live supernode, a pair given twice (in either orientation) or a
+        pair in both P+ and P-.
+        """
+        summary = cls(hierarchy)
+        live = hierarchy.size_map()  # keyed by exactly the live supernode ids
+        incident = summary._incident
+        positive = summary._p_edges
+        for edges, sign, target, other in ((p_edges, POSITIVE, positive, ()),
+                                           (n_edges, NEGATIVE, summary._n_edges, positive)):
+            for a, b in edges:
+                edge = (a, b) if a <= b else (b, a)
+                if a not in live or b not in live:
+                    raise SummaryInvariantError(f"superedge {edge} has an unknown endpoint")
+                if edge in target:
+                    raise SummaryInvariantError(f"superedge {edge} is repeated")
+                if edge in other:
+                    raise SummaryInvariantError(f"superedge {edge} is in both P+ and P-")
+                target.add(edge)
+                incident.setdefault(edge[0], set()).add((edge[1], sign))
+                incident.setdefault(edge[1], set()).add((edge[0], sign))
+        return summary
+
+    @classmethod
     def from_dense(cls, dense: DenseAdjacency) -> "HierarchicalSummary":
         """The trivial summary: every subnode is a singleton root supernode
         and every subedge becomes a p-edge between two singletons.
 
-        This is the initial state of SLUGGER (Algorithm 1, lines 1-4).
-        Leaves are added in ``dense.index`` order, so leaf id == dense
-        node id, and the p-edges come straight from the id pairs.
+        This is the initial state of SLUGGER (Algorithm 1, lines 1-4),
+        built through :meth:`from_parts`: leaf id == dense node id, and
+        the p-edges are the dense id pairs.
         """
-        summary = cls()
-        add_leaf = summary.hierarchy.add_leaf
-        for label in dense.index.labels():
-            add_leaf(label)
-        p_edges = summary._p_edges
-        incident = summary._incident
-        for u, v in dense.edge_ids():
-            p_edges.add((u, v))
-            incident.setdefault(u, set()).add((v, POSITIVE))
-            incident.setdefault(v, set()).add((u, POSITIVE))
-        return summary
+        hierarchy = Hierarchy.from_parts(dense.index.labels(), ())
+        return cls.from_parts(hierarchy, dense.edge_ids(), ())
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "HierarchicalSummary":

@@ -35,7 +35,11 @@ summary itself.  Three pieces:
   ascending id order; :meth:`Hierarchy.from_parts` then reproduces the
   original insertion order of every internal mapping, so a decoded
   hierarchy iterates (``roots()`` etc.) exactly like the one that was
-  encoded — the property that keeps resumed runs bit-identical.
+  encoded — the property that keeps resumed runs bit-identical.  The
+  decoded ``SPED``/``SNED`` lists then go to
+  :meth:`HierarchicalSummary.from_parts`, the one construction path of
+  every decoded summary, which checks and fills ``P+``/``P-`` in one
+  pass in the lists' sorted order.
   ``SGRP`` likewise records both dict orders of a flat summary (the
   group-id order and the ``group_of`` entry order) because the serving
   layer derives its node numbering from ``group_of`` insertion order.
@@ -401,15 +405,12 @@ def _hierarchical_sections(summary: HierarchicalSummary,
 
 def _decode_hierarchical(payloads: Dict[bytes, bytes], subnodes: Sequence) -> HierarchicalSummary:
     hierarchy = _decode_hierarchy(payloads[TAG_SUMMARY_HIERARCHY], subnodes)
-    summary = HierarchicalSummary(hierarchy)
     try:
-        for a, b in _decode_pairs(payloads[TAG_SUMMARY_P_EDGES]):
-            summary.add_p_edge(a, b)
-        for a, b in _decode_pairs(payloads[TAG_SUMMARY_N_EDGES]):
-            summary.add_n_edge(a, b)
-    except (SummaryInvariantError, KeyError) as error:
+        return HierarchicalSummary.from_parts(hierarchy,
+                                              _decode_pairs(payloads[TAG_SUMMARY_P_EDGES]),
+                                              _decode_pairs(payloads[TAG_SUMMARY_N_EDGES]))
+    except SummaryInvariantError as error:
         raise ContainerFormatError(f"corrupt summary superedges: {error}") from None
-    return summary
 
 
 # ----------------------------------------------------------------------

@@ -192,44 +192,45 @@ class TestForgedPayloads:
     def test_superedge_to_unknown_supernode(self):
         # One root leaf; P = {(0, 5)}; N empty.
         with pytest.raises(CompressionError, match="superedge"):
-            self._one_leaf([1, 1, 0, 1, 0, 5, 0]).decompress()
+            self._one_leaf([1, 0, 1, 0, 5, 0]).decompress()
 
     def test_repeated_pair(self):
         with pytest.raises(CompressionError, match="repeated"):
-            self._one_leaf([1, 1, 0, 2, 0, 0, 0, 0, 0]).decompress()
+            self._one_leaf([1, 0, 2, 0, 0, 0, 0, 0]).decompress()
 
     def test_forged_count_fails_at_the_end_of_the_payload(self):
         with pytest.raises(CompressionError):
-            self._one_leaf([1, 1, 0, 2**40, 0, 0]).decompress()
+            self._one_leaf([1, 0, 2**40, 0, 0]).decompress()
 
     def test_correction_to_unknown_subnode(self):
         # Two subnodes in one group; C+ = {(0, 2)}.
-        payload, bits = _gamma_payload([2, 1, 2, 0, 0, 0, 1, 0, 2, 0])
+        payload, bits = _gamma_payload([2, 1, 0, 0, 0, 1, 0, 2, 0])
         with pytest.raises(CompressionError, match="unknown subnode"):
             CompressedFlatSummary(payload, bits, "gamma", ["a", "b"]).decompress()
 
 
 #: sha256 of the pipeline payloads on small fixtures.  The pair lists go
-#: through the shared ``codes.encode_pair_gaps`` stream; these digests
-#: pin that the pipeline's bits did not move when that codec was shared
-#: with the SUMM container sections.
+#: through the shared ``codes.encode_pair_gaps`` stream, and each payload
+#: writes its supernode (or subnode) count once, ahead of the parent
+#: pointers (or memberships); any change to the payload layout moves
+#: these digests.
 PAYLOAD_PINS = {
     ("caveman", "hierarchical", "gamma"):
-        "3f428d09e14c3f2fa5d64c6ead82c7798e63e8ddf10065448439906529bbc6d7",
+        "d52244a33c8841ab436cce37ca6bed03475ee10cec949058b82d76900b4483cd",
     ("caveman", "flat", "gamma"):
-        "aaebcea22b5729221d50ad405944737de65cca416e64e3a0bb7d55b46fb241f0",
+        "b7828b410cc16c47f1768112a97a575d6f689265ef59fb2efcdf3f01df1797d9",
     ("caveman", "hierarchical", "delta"):
-        "d0964c3e38206f68bab7deae7ae74ca59557d3cef8920a262a8a18697ec6a131",
+        "bf1de87cb046c68d8f3c2fe6ada8dbf4c4db9062698a8650b149619e2ccbdcc9",
     ("caveman", "flat", "delta"):
-        "76c7f243dde3a840694a5b81c2c3e7f2b4298a268d3d2df487920ec68d85eda7",
+        "6d5745b25eb6e392be11093d90fdafc91023623135cbc7e80d8d4188f592c992",
     ("caveman", "hierarchical", "rice2"):
-        "a39874d27836fdb5e2ab2a5ed9279a0798be1d43e7a81e43198ac77e50dc26f2",
+        "56cf5c4abfb61020ff5df60701b0c835a6413e568b541c1db1add8f5e02c1717",
     ("caveman", "flat", "rice2"):
-        "df6616a862692a07f68877aedbaae21cfccac9f1f922b51f28758eea4d981e46",
+        "7b1a7e904d2527d4b14d6967f110397766beb30bf48bdb1a110c0aa1637a4013",
     ("er", "hierarchical", "gamma"):
-        "7cd3eb04de8677713ac7273efb5b8e8b46f92a4b10bbf9455476dcc3d4074612",
+        "6fdd948d57ca26af41432462e58c7d263c751c8eeeb3245307b9e6079cb58413",
     ("er", "flat", "gamma"):
-        "a9eaab1dc0e1447eeb081a36271f21b02e73595b9168f445ce03dff85aa2941e",
+        "f003ca2fd9e4f11144a4c22ef92a3dee35a2ed4bb97813faa12e9eb79c6fe6b2",
 }
 
 PIN_GRAPHS = {

@@ -53,6 +53,60 @@ class TestTrivialSummary:
             summary.relative_size(graph)
 
 
+class TestFromParts:
+    def test_rebuilds_fig2_like_exactly(self, fig2_like):
+        graph, summary = fig2_like
+        hierarchy = summary.hierarchy
+        internal = [(node, hierarchy.children(node)) for node in sorted(hierarchy.supernodes())
+                    if not hierarchy.is_leaf(node)]
+        rebuilt = HierarchicalSummary.from_parts(
+            Hierarchy.from_parts(hierarchy.subnodes(), internal),
+            list(summary.p_edges()), list(summary.n_edges()))
+        rebuilt.validate(graph)
+        assert rebuilt.cost() == summary.cost()
+        for node in hierarchy.supernodes():
+            assert sorted(rebuilt.incident_edges(node)) == sorted(summary.incident_edges(node))
+
+    def test_matches_adding_the_pairs_one_by_one(self):
+        # Same pairs in the same order: same canonical sets, iterated alike.
+        p_edges = [(2, 0), (5, 1), (1, 1)] + [(leaf, 5) for leaf in range(6, 40)]
+        n_edges = [(4, 1), (0, 5)]
+        summary = HierarchicalSummary.from_parts(
+            Hierarchy.from_parts(range(40), [(40, [3, 4])]), p_edges, n_edges)
+        reference = HierarchicalSummary(Hierarchy.from_parts(range(40), [(40, [3, 4])]))
+        for a, b in p_edges:
+            reference.add_p_edge(a, b)
+        for a, b in n_edges:
+            reference.add_n_edge(a, b)
+        assert (0, 2) in set(summary.p_edges()) and summary.has_n_edge(1, 4)
+        assert list(summary.p_edges()) == list(reference.p_edges())
+        assert list(summary.n_edges()) == list(reference.n_edges())
+        assert list(summary._incident.items()) == list(reference._incident.items())
+
+    def test_matches_from_dense(self, small_random):
+        dense = DenseAdjacency.from_graph(small_random)
+        built = HierarchicalSummary.from_parts(
+            Hierarchy.from_parts(dense.index.labels(), ()), dense.edge_ids(), ())
+        trivial = HierarchicalSummary.from_dense(dense)
+        assert list(built.p_edges()) == list(trivial.p_edges())
+        assert list(built._incident.items()) == list(trivial._incident.items())
+
+    @pytest.mark.parametrize("p_edges, n_edges, reason", [
+        ([(0, 7)], [], "unknown endpoint"),
+        ([(0, 1), (1, 0)], [], "repeated"),
+        ([], [(2, 2), (2, 2)], "repeated"),
+        ([(0, 1)], [(1, 0)], "both P"),
+    ], ids=["unknown-endpoint", "repeated-p", "repeated-n", "p-n-conflict"])
+    def test_rejects_malformed_parts(self, p_edges, n_edges, reason):
+        hierarchy = Hierarchy.from_parts(range(3), ())
+        with pytest.raises(SummaryInvariantError, match=reason):
+            HierarchicalSummary.from_parts(hierarchy, p_edges, n_edges)
+
+    def test_hierarchy_rejects_a_repeated_subnode(self):
+        with pytest.raises(SummaryInvariantError, match="repeats a subnode"):
+            Hierarchy.from_parts(["a", "b", "a"], ())
+
+
 class TestSuperedgeMutation:
     def test_add_and_remove(self):
         graph = Graph(edges=[(0, 1)])

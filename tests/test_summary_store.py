@@ -23,6 +23,7 @@ The central guarantees exercised here:
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import shutil
@@ -32,10 +33,22 @@ import pytest
 
 from repro import engine, storage
 from repro.algorithms.components import connected_components
+from repro.compression.bits import BitWriter
+from repro.compression.codes import encode_gamma, encode_pair_gaps, zigzag_encode
+from repro.compression.pipeline import (
+    CompressedHierarchicalSummary,
+    compress_hierarchical_summary,
+)
 from repro.core import Slugger, SluggerConfig
 from repro.engine.execution import process_execution_available
 from repro.engine.hooks import RunControl
-from repro.exceptions import ConfigurationError, ContainerFormatError, JobCancelled
+from repro.exceptions import (
+    CompressionError,
+    ConfigurationError,
+    ContainerFormatError,
+    GraphFormatError,
+    JobCancelled,
+)
 from repro.graphs import (
     DenseAdjacency,
     Graph,
@@ -43,6 +56,7 @@ from repro.graphs import (
     erdos_renyi_graph,
 )
 from repro.model.hierarchy import Hierarchy
+from repro.model.serialization import load_hierarchical_summary, save_hierarchical_summary
 from repro.model.summary import HierarchicalSummary
 from repro.service import SummaryService
 from repro.storage import MappedCSR, summary_store
@@ -50,7 +64,10 @@ from repro.storage.format import (
     FLAG_SUMMARY,
     container_digest,
     encode_container,
+    encode_image,
+    encode_varint,
     read_container_info,
+    read_sections,
     write_container_image,
 )
 from repro.storage.summary_store import (
@@ -171,6 +188,120 @@ def write_summary(tmp_path, graph, iterations: int = 8, seed: int = 0):
     return path, result, csr, meta
 
 
+def chain_summary(depth: int = 1500) -> HierarchicalSummary:
+    """Leaves ``0..depth-1`` under one chain ``depth - 1`` supernodes tall:
+    each internal supernode's children are the previous supernode and the
+    next leaf, so supernode ``depth + k - 1`` covers leaves ``0..k``."""
+    internal = [(depth + leaf - 1, [depth + leaf - 2 if leaf > 1 else 0, leaf])
+                for leaf in range(1, depth)]
+    hierarchy = Hierarchy.from_parts(range(depth), internal)
+    return HierarchicalSummary.from_parts(
+        hierarchy, [(0, 1), (5, depth), (depth + 1, depth + 1), (2, 3)], [(0, 2)])
+
+
+#: Summaries fed through every decoder.  They are taken without pruning,
+#: so every merge tree is binary (which checkpoints require) and the
+#: supernode ids are gap-free, so every decoder gives back the same ids.
+ROUND_TRIP_SUMMARIES = {
+    "caveman-0": lambda: summarize(caveman_graph(5, 6, 0.2, seed=0), prune=False).summary,
+    "caveman-1": lambda: summarize(caveman_graph(4, 8, 0.3, seed=1), seed=3,
+                                   prune=False).summary,
+    "er": lambda: summarize(erdos_renyi_graph(50, 0.12, seed=4), prune=False).summary,
+    "strings": lambda: summarize(string_fixture(), prune=False).summary,
+    "chain": chain_summary,
+}
+
+#: The taxonomy error each decoder raises on a malformed input.
+DECODER_ERRORS = {
+    "summ": ContainerFormatError,
+    "checkpoint": ContainerFormatError,
+    "pipeline": CompressionError,
+    "json": GraphFormatError,
+}
+
+
+def pair_stream(pairs, repeat_last: bool = False):
+    """The ``encode_pair_gaps`` stream of ``pairs``, optionally with its
+    last pair given a second time (a zero gap the encoder never writes)."""
+    stream = encode_pair_gaps(pairs)
+    if repeat_last:
+        stream[0] += 1
+        stream += [0, 0]
+    return stream
+
+
+def varint_bytes(values) -> bytes:
+    out = bytearray()
+    for value in values:
+        encode_varint(value, out)
+    return bytes(out)
+
+
+def with_sections(image: bytes, replaced) -> bytes:
+    """``image`` reassembled with the payloads in ``replaced`` swapped in."""
+    info, _ = read_sections(memoryview(image), None)
+    tags = [entry.tag.encode("ascii") for entry in info.sections]
+    _, payloads = read_sections(memoryview(image), None, tags)
+    return encode_image(info.flags, info.num_nodes, info.num_edges, info.index_width,
+                        [(tag, replaced.get(tag, payloads[tag])) for tag in tags])
+
+
+def through_decoder(decoder: str, summary: HierarchicalSummary, tmp_path, forged=None):
+    """``summary`` written, then read back by ``decoder``.
+
+    ``forged`` is ``(p_pairs, n_pairs, repeat_last)``: the superedge
+    lists written in place of the summary's own, in its id space.
+    """
+    graph = summary.decompress()
+    if forged is not None:
+        p_pairs, n_pairs, repeat_last = forged
+        p_stream, n_stream = pair_stream(p_pairs, repeat_last), encode_pair_gaps(n_pairs)
+    if decoder == "json":
+        path = tmp_path / "summary.json"
+        save_hierarchical_summary(summary, path)
+        if forged is not None:
+            document = json.loads(path.read_text())
+            # JSON repeats the pair reversed: either orientation is a repeat.
+            document["p_edges"] = p_pairs + [p_pairs[-1][::-1]] * repeat_last
+            document["n_edges"] = n_pairs
+            path.write_text(json.dumps(document))
+        return load_hierarchical_summary(path)
+    if decoder == "pipeline":
+        compressed = compress_hierarchical_summary(summary)
+        if forged is not None:
+            # Gap-free ids: a supernode's dense index is its id.
+            hierarchy = summary.hierarchy
+            order = compressed.supernode_order
+            offsets = [0 if hierarchy.parent(node) is None else hierarchy.parent(node) - node
+                       for node in order]
+            writer = BitWriter()
+            for value in ([len(order)] + [zigzag_encode(offset) for offset in offsets]
+                          + p_stream + n_stream):
+                encode_gamma(writer, value)
+            compressed = CompressedHierarchicalSummary(
+                writer.to_bytes(), writer.bit_length, "gamma", order, compressed.leaf_subnodes)
+        return compressed.decompress()
+    csr = frozen_csr(graph)
+    digest = container_digest(csr)
+    config_digest, config_json = config_fingerprint("slugger", {})
+    meta = SummaryMeta(kind="hierarchical", method="slugger", seed=0, graph_digest=digest,
+                       config_digest=config_digest, config_json=config_json)
+    if decoder == "summ":
+        image = encode_summary_container(csr, summary, meta)
+    else:
+        image = encode_checkpoint_container(summary, meta, 1, random.Random(0).getstate(), [])
+    if forged is not None:
+        image = with_sections(image, {b"SPED": varint_bytes(p_stream),
+                                      b"SNED": varint_bytes(n_stream)})
+    path = tmp_path / "summary.slg"
+    write_container_image(path, image)
+    if decoder == "summ":
+        with load_summary(path, labels=csr.index.labels(), graph_digest=digest) as stored:
+            assert stored.stored is None
+            return stored.summary
+    return load_checkpoint(path, list(graph.nodes()), graph_digest=digest).summary
+
+
 # ======================================================================
 # Content addressing
 # ======================================================================
@@ -255,6 +386,33 @@ class TestSummaryRoundTrip:
         write_container_image(path, encode_summary_container(csr, result.summary, meta))
         with load_summary(path) as stored:
             assert stored.meta.seed == seed
+
+    @pytest.mark.parametrize("decoder", sorted(DECODER_ERRORS))
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_SUMMARIES))
+    def test_every_decoder_rebuilds_the_summary(self, tmp_path, name, decoder):
+        summary = ROUND_TRIP_SUMMARIES[name]()
+        restored = through_decoder(decoder, summary, tmp_path)
+        assert restored.cost() == summary.cost()
+        assert restored.decompress() == summary.decompress()
+        supernodes = summary.hierarchy.supernodes()
+        assert sorted(restored.hierarchy.supernodes()) == sorted(supernodes)
+        for supernode in supernodes:
+            assert sorted(restored.incident_edges(supernode)) == \
+                sorted(summary.incident_edges(supernode)), supernode
+
+    @pytest.mark.parametrize("decoder", sorted(DECODER_ERRORS))
+    @pytest.mark.parametrize("fault", ["p-n-conflict", "unknown-endpoint", "repeated-pair"])
+    def test_every_decoder_rejects_forged_superedges(self, tmp_path, decoder, fault):
+        summary = ROUND_TRIP_SUMMARIES["caveman-0"]()
+        p_pairs, n_pairs = sorted(summary.p_edges()), sorted(summary.n_edges())
+        forged, reason = {
+            "p-n-conflict": ((p_pairs, sorted(n_pairs + p_pairs[:1]), False), "both P"),
+            "unknown-endpoint": ((p_pairs + [(0, 10**6)], n_pairs, False),
+                                 "unknown endpoint|1000000"),
+            "repeated-pair": ((p_pairs, n_pairs, True), "repeated"),
+        }[fault]
+        with pytest.raises(DECODER_ERRORS[decoder], match=reason):
+            through_decoder(decoder, summary, tmp_path, forged)
 
     def test_canonical_reencode_is_byte_identical(self, tmp_path):
         # Equal summaries ⇒ byte-identical sections is what makes the
