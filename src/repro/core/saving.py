@@ -14,13 +14,14 @@ actually merged.
 Partner search (:func:`best_partner`) estimates as few candidates as it
 can.  Alg. 2 merges ``A`` with its best partner only when the saving
 reaches the iteration's threshold θ(t) (Eq. 9), so the search takes θ(t)
-as its starting "best so far".  Before estimating a candidate ``B`` it
-bounds ``Cost_{A∪B}`` from below by :func:`merged_cost_floor` — the
-hierarchy edges of both trees plus one for every root the merged tree
-touches — and skips ``B`` when even that floor cannot reach the best so
-far.  Lemma 1 (merging roots at distance 3 or more never saves) is
-applied per candidate as "adjacent to ``A``, or the two adjacency key sets
-intersect", which needs no two-hop set.
+as its starting "best so far".  Each candidate ``B`` costs one
+intersection of the two ``root_adj`` key sets, which serves both cheap
+checks: Lemma 1 (merging roots at distance 3 or more never saves) holds
+when ``B`` is adjacent to ``A`` or the intersection is non-empty, and the
+size of the key union in a floor on ``Cost_{A∪B}`` — the hierarchy edges
+of both trees plus one for every root the merged tree touches — is
+``|keys_A| + |keys_B| − |intersection|``.  ``B`` is skipped when even that
+floor cannot reach the best so far.
 
 A candidate that survives is estimated against ``A``'s
 :class:`PartnerProfile`, priced once per search: ``A``'s per-neighbor
@@ -34,7 +35,7 @@ merges exactly the partner that scoring every candidate would pick.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.state import SluggerState
 
@@ -42,7 +43,6 @@ __all__ = [
     "PartnerProfile",
     "best_partner",
     "estimate_merged_cost",
-    "merged_cost_floor",
     "pair_cost_estimate",
     "pair_denominator",
     "saving",
@@ -190,8 +190,16 @@ def estimate_merged_cost(
         current = pn_b_get(other, 0)
         shared = neighbors_get(other)
         if shared is not None:
+            # Take A's own term for C back out (_a_only_term, inlined).
             sub_a, current_a = shared
-            cost -= _a_only_term(sub_a, current_a, merged_size, size_of, other)
+            best = sub_a
+            if 2 * sub_a > threshold:
+                alternative = 1 + merged_size * size_of(other) - sub_a
+                if alternative < best:
+                    best = alternative
+            if 0 < current_a < best:
+                best = current_a
+            cost -= best
             subedges += sub_a
             current += current_a
         best = subedges
@@ -205,32 +213,17 @@ def estimate_merged_cost(
     return cost
 
 
-def pair_denominator(state: SluggerState, root_a: int, root_b: int, cost_a: Optional[int] = None) -> int:
+def pair_denominator(state: SluggerState, root_a: int, root_b: int) -> int:
     """Denominator of Eq. 8: Cost_A + Cost_B - Cost^P_{A,B}.
 
-    ``cost_a`` optionally supplies a precomputed ``state.cost_of(root_a)``
-    so partner search does not recompute it for every candidate.
+    :func:`best_partner` inlines it over the same counters.
     """
-    if cost_a is None:
-        cost_a = state.cost_of(root_a)
-    return cost_a + state.cost_of(root_b) - state.pn_cost_between(root_a, root_b)
+    return state.cost_of(root_a) + state.cost_of(root_b) - state.pn_cost_between(root_a, root_b)
 
 
-def saving(
-    state: SluggerState,
-    root_a: int,
-    root_b: int,
-    *,
-    cost_a: Optional[int] = None,
-    denominator: Optional[int] = None,
-) -> float:
-    """Saving(A, B, G) of Eq. 8; larger is better, values ≤ 0 mean "do not merge".
-
-    ``cost_a`` and ``denominator`` let a caller reuse precomputed values;
-    both default to computing from scratch.
-    """
-    if denominator is None:
-        denominator = pair_denominator(state, root_a, root_b, cost_a)
+def saving(state: SluggerState, root_a: int, root_b: int) -> float:
+    """Saving(A, B, G) of Eq. 8; larger is better, values ≤ 0 mean "do not merge"."""
+    denominator = pair_denominator(state, root_a, root_b)
     if denominator <= 0:
         return float("-inf")
     return 1.0 - estimate_merged_cost(state, root_a, root_b) / denominator
@@ -252,35 +245,6 @@ def two_hop_roots(state: SluggerState, root: int) -> set:
     return reachable
 
 
-def merged_cost_floor(
-    adj_a: Mapping[int, int], adj_b: Mapping[int, int], root_a: int, root_b: int,
-    h_a: int, h_b: int,
-) -> int:
-    """A lower bound on :func:`estimate_merged_cost` from counts alone.
-
-    ``adj_a`` and ``adj_b`` are the two roots' ``root_adj`` maps and
-    ``h_a``/``h_b`` their ``tree_h``.  The estimate is a sum of
-    non-negative terms, and:
-
-    * the merged tree keeps both trees' h-edges plus two new ones;
-    * every root ``C ∉ {A, B}`` in either adjacency map has at least one
-      subedge to the merged tree, and its term is a min of the subedge
-      count, the dense block ``1 + m·|C| − s`` and the current p/n-edge
-      count, each of which is then ≥ 1;
-    * when intra subedges exist (A–A, B–B or A–B, i.e. ``A`` or ``B`` is in
-      the key union), the intra term is ≥ 1: the self-loop alternative is
-      ``1 + (possible − subedges)``, and keeping the intra encodings costs at
-      least one p-edge because a lossless encoding covers every subedge.
-    """
-    touched = adj_a.keys() | adj_b.keys()
-    floor = h_a + h_b + 2 + len(touched)
-    intra_a = root_a in touched
-    intra_b = root_b in touched
-    # A and B are not outside roots, but either one present means the
-    # intra term is paid: count it once.
-    return floor - intra_a - intra_b + (intra_a or intra_b)
-
-
 def best_partner(
     state: SluggerState, root: int, candidates, height_bound=None, threshold=None
 ) -> Tuple[float, int]:
@@ -292,22 +256,30 @@ def best_partner(
     count: the result is the same as without it when the best saving is
     ``≥ threshold``, and ``(-inf, -1)`` otherwise.
 
-    The search prices ``root``'s side once and each candidate ``B`` by a
-    walk over ``B``'s neighbors only; every shortcut is exact:
+    The search prices ``root``'s side once; each candidate ``B`` costs one
+    intersection ``common`` of the two ``root_adj`` key sets and integer
+    arithmetic, and only the survivors a walk over ``B``'s neighbors.
+    Every shortcut is exact:
 
     * **Lemma 1.**  Candidates at distance 3 or more never save, so a
-      candidate is scored only if it is adjacent to ``root`` or shares a
-      neighbor with it (``root_adj`` is symmetric, so a non-empty
-      intersection of the two adjacency key sets is exactly membership in
-      :func:`two_hop_roots`); no two-hop set is built.
+      candidate is scored only if it is adjacent to ``root`` or ``common``
+      is non-empty (``root_adj`` is symmetric, so that is exactly
+      membership in :func:`two_hop_roots`); no two-hop set is built.
     * **θ cutoff.**  The best so far starts just below ``threshold``, so a
       candidate must reach θ(t) to be estimated or returned.
-    * **Lower bound.**  :func:`merged_cost_floor` bounds ``Cost_{A∪B}``
-      from below by ``Cost^H_A + Cost^H_B + 2`` plus one per root the
-      merged tree touches, so a candidate whose saving cannot beat the
-      best so far even at that bound is skipped without an estimate.  The
-      skip is ``<=`` and the update a strict ``>``, so ties still go to
-      the first candidate scanned.  ``Cost_A`` is computed once.
+    * **Lower bound.**  The estimate is a sum of non-negative terms: both
+      trees' h-edges plus the two new ones, at least one for every root
+      ``C ∉ {A, B}`` either tree touches (each of its alternatives — the
+      subedges, the dense block ``1 + m·|C| − s``, the current p/n-edges —
+      is ≥ 1), and at least one for the intra term when A–A, A–B or B–B
+      subedges exist (a lossless encoding covers each of them).  The key
+      union, of size ``|keys_A| + |keys_B| − |common|``, counts ``A`` when
+      A–A or A–B subedges exist and ``B`` when A–B or B–B ones do, so one
+      is taken back when both are counted.  A candidate whose saving
+      cannot beat the best so far even at that floor is skipped without
+      an estimate.  The skip is ``<=`` and the update a strict ``>``, so
+      ties still go to the first candidate scanned.  ``root``'s share of
+      the floor and its ``Cost_A`` are read once per call.
     * **A-profile.**  ``root``'s :class:`PartnerProfile` is built when the
       first candidate survives every check, then shared by every
       :func:`estimate_merged_cost` call, which walks only ``root_adj[B]``.
@@ -317,8 +289,14 @@ def best_partner(
     direct_keys = direct.keys()
     tree_h = state.tree_h
     tree_height = state.tree_height
-    cost_root = state.cost_of(root)
+    pn_total = state.pn_total
+    pn_root_get = state.pn_count[root].get
     h_root = tree_h[root]
+    cost_root = h_root + pn_total[root]
+    height_root = tree_height[root]
+    # A's share of the floor: its h-edges, the two new ones and its keys.
+    floor_root = h_root + 2 + len(direct)
+    root_self = root in direct
     profile = None
     if threshold is None:
         best_value = float("-inf")
@@ -329,16 +307,20 @@ def best_partner(
         if other == root:
             continue
         adj_other = root_adj[other]
-        if other not in direct and direct_keys.isdisjoint(adj_other):
+        common = direct_keys & adj_other.keys()
+        adjacent = other in direct
+        if not adjacent and not common:
             continue
-        if height_bound is not None:
-            new_height = 1 + max(tree_height[root], tree_height[other])
-            if new_height > height_bound:
-                continue
-        denominator = pair_denominator(state, root, other, cost_root)
+        if height_bound is not None and 1 + max(height_root, tree_height[other]) > height_bound:
+            continue
+        h_other = tree_h[other]
+        denominator = cost_root + h_other + pn_total[other] - pn_root_get(other, 0)
         if denominator <= 0:
             continue
-        floor = merged_cost_floor(direct, adj_other, root, other, h_root, tree_h[other])
+        # The key union counts A and B for the one intra term (see above).
+        floor = floor_root + h_other + len(adj_other) - len(common)
+        if adjacent or (root_self and other in adj_other):
+            floor -= 1
         if 1.0 - floor / denominator <= best_value:
             # Even the cheapest conceivable merged cost cannot strictly
             # improve on the current best; skip the expensive estimate.

@@ -105,16 +105,24 @@ def load_flat_summary(path: PathLike) -> FlatSummary:
 def _flat_from_document(document: Dict, path: PathLike) -> FlatSummary:
     summary = FlatSummary()
     for record in document["groups"]:
+        group_id = record["id"]
+        if group_id in summary.groups:
+            raise GraphFormatError(f"{path}: group {group_id!r} is repeated")
         members = frozenset(record["members"])
-        summary.groups[record["id"]] = members
+        summary.groups[group_id] = members
         for member in members:
-            summary.group_of[member] = record["id"]
+            if member in summary.group_of:
+                raise GraphFormatError(f"{path}: subnode {member!r} is in two groups")
+            summary.group_of[member] = group_id
     summary.superedges = _pair_set(document["superedges"], path)
     for edge in summary.superedges:
         if not set(edge) <= summary.groups.keys():
             raise GraphFormatError(f"{path}: superedge {edge} references an unknown group")
     summary.corrections_plus = _pair_set(document["corrections_plus"], path)
     summary.corrections_minus = _pair_set(document["corrections_minus"], path)
+    for edge in summary.corrections_plus | summary.corrections_minus:
+        if not set(edge) <= summary.group_of.keys():
+            raise GraphFormatError(f"{path}: correction {edge} references an unknown subnode")
     return summary
 
 

@@ -216,3 +216,33 @@ class TestFlatPairs:
         path.write_text(json.dumps(document))
         with pytest.raises(GraphFormatError, match="repeated"):
             load_flat_summary(path)
+
+
+class TestFlatReferences:
+    """Every subnode a flat document names is in exactly one group."""
+
+    def test_correction_to_a_subnode_in_no_group(self, tmp_path):
+        # Loading would price the correction and decompress() would invent
+        # node 99; the SUMM and pipeline decoders reject it too.
+        graph, summary, path, document = _two_group_document(tmp_path)
+        document["corrections_plus"] = [[1, 99]]
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="unknown subnode"):
+            load_flat_summary(path)
+
+    def test_subnode_in_two_groups(self, tmp_path):
+        # group_of would keep only the last group the subnode is listed in.
+        graph, summary, path, document = _two_group_document(tmp_path)
+        document["groups"][1]["members"].append(1)
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="in two groups"):
+            load_flat_summary(path)
+
+    def test_repeated_group_id(self, tmp_path):
+        # The second record would replace the first group's members while
+        # group_of still mapped them to it.
+        graph, summary, path, document = _two_group_document(tmp_path)
+        document["groups"].append({"id": document["groups"][0]["id"], "members": [5, 6]})
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphFormatError, match="repeated"):
+            load_flat_summary(path)

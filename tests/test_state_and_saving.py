@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 
@@ -16,7 +17,6 @@ from repro.core.saving import (
     PartnerProfile,
     best_partner,
     estimate_merged_cost,
-    merged_cost_floor,
     pair_cost_estimate,
     pair_denominator,
     saving,
@@ -243,6 +243,58 @@ def reference_estimate(state, root_a, root_b, fired=None):
     return cost
 
 
+def merged_cost_floor(adj_a, adj_b, root_a, root_b, h_a, h_b):
+    """The lower bound on Cost_{A∪B} that partner search skips against.
+
+    ``adj_a``/``adj_b`` are the roots' ``root_adj`` maps and ``h_a``/``h_b``
+    their ``tree_h``: both trees' h-edges plus two new ones, one for every
+    root ``C ∉ {A, B}`` in either map, and one for the intra term when
+    ``A`` or ``B`` is in the key union (A–A, A–B or B–B subedges).
+    """
+    touched = adj_a.keys() | adj_b.keys()
+    floor = h_a + h_b + 2 + len(touched)
+    intra_a = root_a in touched
+    intra_b = root_b in touched
+    return floor - intra_a - intra_b + (intra_a or intra_b)
+
+
+def reference_scan(state, root, candidates, height_bound, threshold, estimated):
+    """Partner search written check by check, appending each estimated pair.
+
+    Lemma 1 is an ``isdisjoint`` test, the denominator comes from
+    :func:`pair_denominator` and the skip from :func:`merged_cost_floor`;
+    :func:`best_partner` must estimate exactly the same pairs.
+    """
+    root_adj = state.root_adj
+    direct = root_adj[root]
+    best_value = float("-inf") if threshold is None else math.nextafter(threshold, -math.inf)
+    best_root = -1
+    for other in candidates:
+        if other == root:
+            continue
+        adj_other = root_adj[other]
+        if other not in direct and direct.keys().isdisjoint(adj_other):
+            continue
+        if height_bound is not None:
+            if 1 + max(state.tree_height[root], state.tree_height[other]) > height_bound:
+                continue
+        denominator = pair_denominator(state, root, other)
+        if denominator <= 0:
+            continue
+        floor = merged_cost_floor(direct, adj_other, root, other,
+                                  state.tree_h[root], state.tree_h[other])
+        if 1.0 - floor / denominator <= best_value:
+            continue
+        estimated.append((root, other))
+        value = 1.0 - reference_estimate(state, root, other) / denominator
+        if value > best_value:
+            best_value = value
+            best_root = other
+    if best_root < 0:
+        return float("-inf"), -1
+    return best_value, best_root
+
+
 def reference_best_partner(state, root, candidates, height_bound=None):
     """Partner search with the two-hop set, the reference estimate, no skips."""
     admissible = two_hop_roots(state, root)
@@ -320,6 +372,29 @@ def randomly_merged_state(graph, merges, seed):
         root_a, root_b = rng.sample(sorted(state.roots), 2)
         merge_and_update(state, root_a, root_b, config)
     return state
+
+
+def edge_merged_state(graph, merges, seed):
+    """A state after ``merges`` merge-and-re-encode steps, each joining a
+    random root with a root it shares subedges with."""
+    rng = random.Random(seed)
+    state = SluggerState(graph)
+    config = SluggerConfig()
+    for _ in range(merges):
+        root_adj = state.root_adj
+        roots = [root for root in sorted(state.roots) if root_adj[root].keys() - {root}]
+        if not roots:
+            break
+        root_a = rng.choice(roots)
+        root_b = rng.choice(sorted(root_adj[root_a].keys() - {root_a}))
+        merge_and_update(state, root_a, root_b, config)
+    return state
+
+
+GENERATED_GRAPHS = {
+    "er": lambda seed: erdos_renyi_graph(30, 0.12, seed=seed),
+    "caveman": lambda seed: caveman_graph(4, 5, 0.1, seed=seed),
+}
 
 
 @st.composite
@@ -448,6 +523,42 @@ class TestThresholdCutoff:
                 floor = merged_cost_floor(root_adj[root_a], root_adj[root_b], root_a, root_b,
                                           tree_h[root_a], tree_h[root_b])
                 assert floor <= reference_estimate(state, root_a, root_b), (root_a, root_b)
+
+    @pytest.mark.parametrize("kind", ["er", "caveman"])
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           merges=st.integers(min_value=1, max_value=12))
+    def test_scan_estimates_the_reference_candidates(self, kind, seed, merges):
+        # Merges along subedges give trees with A–A subedges, so a pair may
+        # have intra subedges on one side, on both, or only between them.
+        state = edge_merged_state(GENERATED_GRAPHS[kind](seed), merges, seed)
+        assert any(root in state.root_adj[root] for root in state.roots)
+        roots = sorted(state.roots)
+        for height_bound in (None, 1, 2, 3):
+            for threshold in (None, *THRESHOLDS):
+                for root in roots:
+                    candidates = [other for other in roots if other != root]
+                    expected_pairs = []
+                    expected = reference_scan(state, root, candidates, height_bound,
+                                              threshold, expected_pairs)
+                    with checked_estimates() as scored:
+                        got = best_partner(state, root, candidates,
+                                           height_bound=height_bound, threshold=threshold)
+                    assert got == expected, (root, height_bound, threshold)
+                    assert scored == expected_pairs, (root, height_bound, threshold)
+
+    def test_scan_meets_every_intra_case(self):
+        # Some candidate pair is non-adjacent with A–A and B–B subedges,
+        # the one case where the key union counts both roots without A–B.
+        for kind in GENERATED_GRAPHS:
+            state = edge_merged_state(GENERATED_GRAPHS[kind](0), 12, 0)
+            root_adj = state.root_adj
+            selfs = [root for root in state.roots if root in root_adj[root]]
+            assert any(
+                b not in root_adj[a] and not root_adj[a].keys().isdisjoint(root_adj[b])
+                for a in selfs for b in selfs if a != b
+            ), kind
 
     def test_cutoff_returns_nothing_below_threshold(self):
         # Two disjoint edges: every merge costs more than it saves, so no
