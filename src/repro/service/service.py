@@ -163,7 +163,10 @@ class SummaryService:
         iterations, bit-identical to the original run — persists every
         seeded result on completion, and checkpoints thread-mode jobs
         after each iteration so a killed run resumes at iteration ``k``
-        with the identical fixed-seed result.  Unseeded requests bypass
+        with the identical fixed-seed result.  Checkpoint files are
+        written off the job thread; the newest snapshot is on disk once
+        its job is cancelled or fails and once ``shutdown`` returns, and
+        a hard kill may leave an older one.  Unseeded requests bypass
         the cache (without a seed the result is not a reproducible
         content address).
     summary_cache_budget:
@@ -580,6 +583,10 @@ class SummaryService:
                             self._stats["summary_resumes"] += 1
                     result = self._run_request(job.request, control)
         except BaseException as error:  # noqa: BLE001 - settled on the job
+            if address is not None:
+                # A resubmission resumes from what is on disk: land the
+                # newest snapshot before the job settles.
+                self.summary_cache.flush_checkpoint(address["key"])
             outcome = self._fail_job(job, error)
         else:
             if address is not None:
@@ -706,7 +713,13 @@ class SummaryService:
 
     def _checkpoint_sink(self, address: Dict[str, Any],
                          request: SummaryRequest, job: Optional[SummaryJob]):
-        """A RunControl checkpoint sink persisting iteration snapshots."""
+        """A RunControl checkpoint sink persisting iteration snapshots.
+
+        The snapshot is encoded here, on the run thread, so it is
+        consistent; the cache's writer thread persists it while the run
+        goes on, and the job's ``checkpoint`` event marks the snapshot,
+        not the file.
+        """
 
         def sink(payload: Dict[str, Any]) -> None:
             summary = payload.get("summary")
@@ -721,7 +734,7 @@ class SummaryService:
                     payload["rng_state"], payload["history"],
                 )
                 assert self.summary_cache is not None
-                self.summary_cache.store_checkpoint(address["key"], image)
+                self.summary_cache.post_checkpoint(address["key"], image)
             except Exception:  # noqa: BLE001 - checkpointing must not fail a run
                 with self._lock:
                     self._stats["summary_cache_errors"] += 1
@@ -976,7 +989,8 @@ class SummaryService:
                 raise error
 
     def _teardown(self) -> None:
-        """Shut the job pool down and close an owned store (runs once).
+        """Shut the job pool down, write every pending checkpoint and
+        close an owned store (runs once).
 
         An error is kept for ``shutdown(wait=True)`` to raise: this
         usually runs on the last dispatcher out, not the caller's thread.
@@ -987,6 +1001,8 @@ class SummaryService:
         try:
             if pool is not None:
                 pool.shutdown(wait=True)
+            if self.summary_cache is not None:
+                self.summary_cache.close()
             if self._owns_store:
                 self.store.close()
         except Exception as exc:

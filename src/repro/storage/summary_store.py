@@ -22,7 +22,8 @@ summary itself.  Three pieces:
   CKPT    resumable-job state: iteration, RNG stream position, history
   ======  ==========================================================
 
-  Every integer is a varint.  A pair list is the integer stream of
+  Every integer is a varint, except the RNG words of ``CKPT``.  A pair
+  list is the integer stream of
   :func:`~repro.compression.codes.encode_pair_gaps`, which the
   compression pipeline writes with a bit code: the count, then per
   sorted canonical pair ``a - prev_a`` and then ``b - a`` (new ``a``)
@@ -44,6 +45,16 @@ summary itself.  Three pieces:
   group-id order and the ``group_of`` entry order) because the serving
   layer derives its node numbering from ``group_of`` insertion order.
 
+  ``CKPT`` version 2 holds the checkpoint format version, the iteration,
+  the Mersenne-Twister state of :meth:`random.Random.getstate` — its
+  version (3), its word count (625), the 625 words as fixed-width
+  little-endian ``u32`` (the last one is the stream index, at most 624),
+  a ``gauss_next`` flag byte and, when set, an ``f64`` — and the history
+  as a length-prefixed JSON blob.  The words pack and unpack in one
+  ``struct`` call each.  A state of another version, word count or
+  index is a :class:`ContainerFormatError`, so a checkpoint that passes
+  its CRCs can never fail the resumed run in ``Random.setstate``.
+
 * **Containers** — :func:`encode_summary_container` appends the family
   to a full CSR container (``FLAG_SUMMARY``): one self-contained file
   that serves queries off the mmap *and* yields the summary with zero
@@ -57,7 +68,17 @@ summary itself.  Three pieces:
   ``sha256(graph digest, method, seed, config digest)``, with
   LRU-by-mtime eviction under an optional size budget.  Checkpoints
   live next to their summary as ``<key>.ckpt.slg`` and are dropped
-  once the finished summary lands.
+  once the finished summary lands.  A running job hands each encoded
+  snapshot to :meth:`SummaryCache.post_checkpoint`, which queues it for
+  one writer thread: the write, ``fsync``, rename and budget sweep run
+  while the job computes its next iteration.  The writer is latest-wins
+  per key — a snapshot replaced by a newer one before it is written is
+  never written — so the file on disk may trail the newest snapshot by
+  the images still queued; every snapshot resumes bit-identically.
+  :meth:`~SummaryCache.flush_checkpoint` waits for a key's newest image
+  to land, :meth:`~SummaryCache.store_summary` discards a key's pending
+  image before it drops the checkpoint, and
+  :meth:`~SummaryCache.close` drains the queue.
 
 :func:`load_summary` is the one decode path (:func:`load_checkpoint`
 wraps it).  A cache hit CRC-checks every section, range-checks ``INDX``
@@ -69,7 +90,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -124,7 +147,7 @@ __all__ = [
 PathLike = Union[str, Path]
 
 SUMMARY_FORMAT_VERSION = 2
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 TAG_SUMMARY_META = b"SMET"
 TAG_SUMMARY_HIERARCHY = b"SHIE"
@@ -155,6 +178,12 @@ CHECKPOINT_SUFFIX = ".ckpt" + CONTAINER_SUFFIX
 
 _DOUBLE = struct.Struct("<d")
 _DIGEST_BYTES = 32
+
+#: ``random.Random.getstate()``: version 3, 624 Mersenne-Twister words
+#: and the stream index (at most 624) as the 625th word.
+_RNG_VERSION = 3
+_RNG_WORD_COUNT = 625
+_RNG_WORDS = struct.Struct(f"<{_RNG_WORD_COUNT}I")
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +471,8 @@ def _decode_flat(payloads: Dict[bytes, bytes], labels: Sequence) -> FlatSummary:
                                         "flat summary grouping", read)
     summary = FlatSummary()
     members: Dict[int, List] = {gid: [] for gid in gid_order}
+    if len(members) != len(gid_order):
+        raise ContainerFormatError("flat summary grouping repeats a group id")
     num_labels = len(labels)
     for node_id, gid in entries:
         if node_id >= num_labels or gid not in members:
@@ -450,6 +481,10 @@ def _decode_flat(payloads: Dict[bytes, bytes], labels: Sequence) -> FlatSummary:
                 f"node or group"
             )
         node = labels[node_id]
+        if node in summary.group_of:
+            raise ContainerFormatError(
+                f"flat summary subnode {node_id} is in two groups"
+            )
         summary.group_of[node] = gid
         members[gid].append(node)
     for gid in gid_order:
@@ -462,9 +497,10 @@ def _decode_flat(payloads: Dict[bytes, bytes], labels: Sequence) -> FlatSummary:
         (TAG_SUMMARY_CORR_MINUS, summary.corrections_minus),
     ):
         for u, v in _decode_pairs(payloads[tag]):
-            if v >= num_labels:
+            if v >= num_labels or labels[u] not in summary.group_of \
+                    or labels[v] not in summary.group_of:
                 raise ContainerFormatError(
-                    f"flat summary correction ({u}, {v}) references an unknown node"
+                    f"flat summary correction ({u}, {v}) references an unknown subnode"
                 )
             target.add(canonical_edge(labels[u], labels[v]))
     return summary
@@ -558,8 +594,7 @@ def _encode_rng_state(rng_state) -> bytes:
     out = bytearray()
     encode_varint(version, out)
     encode_varint(len(internal), out)
-    for word in internal:
-        encode_varint(word, out)
+    out += struct.pack(f"<{len(internal)}I", *internal)
     if gauss is None:
         out.append(0)
     else:
@@ -569,16 +604,24 @@ def _encode_rng_state(rng_state) -> bytes:
 
 
 def _decode_rng_state(data: bytes, pos: int):
+    """The ``random.Random`` state at ``pos``; one ``setstate`` accepts."""
     version, pos = decode_varint(data, pos)
     count, pos = decode_varint(data, pos)
-    internal: List[int] = []
-    for _ in range(count):
-        word, pos = decode_varint(data, pos)
-        internal.append(word)
-    if pos >= len(data):
+    if version != _RNG_VERSION:
+        raise ContainerFormatError(f"checkpoint RNG state has version {version}, "
+                                   f"not {_RNG_VERSION}")
+    if count != _RNG_WORD_COUNT:
+        raise ContainerFormatError(f"checkpoint RNG state has {count} words, "
+                                   f"not {_RNG_WORD_COUNT}")
+    end = pos + _RNG_WORDS.size
+    if end >= len(data):
         raise ContainerFormatError("truncated RNG state in checkpoint section")
-    flag = data[pos]
-    pos += 1
+    internal = _RNG_WORDS.unpack_from(data, pos)
+    if internal[-1] >= _RNG_WORD_COUNT:
+        raise ContainerFormatError(f"checkpoint RNG state index {internal[-1]} "
+                                   f"exceeds {_RNG_WORD_COUNT - 1}")
+    flag = data[end]
+    pos = end + 1
     gauss = None
     if flag:
         end = pos + _DOUBLE.size
@@ -586,7 +629,7 @@ def _decode_rng_state(data: bytes, pos: int):
             raise ContainerFormatError("truncated RNG state in checkpoint section")
         gauss = _DOUBLE.unpack_from(data, pos)[0]
         pos = end
-    return (version, tuple(internal), gauss), pos
+    return (version, internal, gauss), pos
 
 
 def _encode_checkpoint_section(iteration: int, rng_state, history: Sequence[Dict]) -> bytes:
@@ -808,6 +851,10 @@ class SummaryCache:
     size: after every store, least-recently-touched files are evicted
     (LRU by mtime) until the directory fits.  Loads touch the file's
     mtime, so warm entries survive eviction pressure.
+
+    Checkpoints posted with :meth:`post_checkpoint` are written by one
+    daemon writer thread, started on first use; the counters are bumped
+    from both threads under the cache's lock.
     """
 
     def __init__(self, directory: PathLike, budget_bytes: Optional[int] = None) -> None:
@@ -821,8 +868,23 @@ class SummaryCache:
         self.counters: Dict[str, int] = {
             "hits": 0, "misses": 0, "stores": 0, "corrupt": 0,
             "checkpoint_hits": 0, "checkpoint_misses": 0,
-            "checkpoint_stores": 0, "evictions": 0,
+            "checkpoint_stores": 0, "checkpoint_errors": 0, "evictions": 0,
         }
+        # Guards the counters and the writer's queue; the writer waits
+        # on it for work and the flushing threads for the writer.
+        self._lock = threading.Condition()
+        # Serializes budget sweeps: two concurrent sweeps would each
+        # evict against the same stale total and free too much.
+        self._sweep_lock = threading.Lock()
+        #: key -> newest checkpoint image not yet handed to the writer.
+        self._pending: Dict[str, bytes] = {}
+        self._writing: Optional[str] = None
+        self._writer: Optional[threading.Thread] = None
+        self._stop_writer = False
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self.counters[name] += amount
 
     # -- paths ----------------------------------------------------------
     def summary_path(self, key: str) -> Path:
@@ -839,10 +901,18 @@ class SummaryCache:
 
     # -- summaries ------------------------------------------------------
     def store_summary(self, key: str, image: bytes) -> Path:
-        """Persist an encoded summary container under its content key."""
+        """Persist an encoded summary container under its content key.
+
+        The key's pending checkpoint image is discarded and an in-flight
+        one waited for, so no checkpoint outlives the finished summary.
+        """
+        with self._lock:
+            self._pending.pop(key, None)
+            while self._writing == key:
+                self._lock.wait()
         path = self.summary_path(key)
         write_container_image(path, image)
-        self.counters["stores"] += 1
+        self._count("stores")
         self.drop_checkpoint(key)
         self._evict()
         return path
@@ -862,11 +932,66 @@ class SummaryCache:
 
     # -- checkpoints ----------------------------------------------------
     def store_checkpoint(self, key: str, image: bytes) -> Path:
+        """Write a checkpoint image now, on the calling thread."""
         path = self.checkpoint_path(key)
         write_container_image(path, image)
-        self.counters["checkpoint_stores"] += 1
+        self._count("checkpoint_stores")
         self._evict()
         return path
+
+    def post_checkpoint(self, key: str, image: bytes) -> None:
+        """Queue ``image`` for the writer thread; a newer post for ``key``
+        replaces one that is not yet being written."""
+        with self._lock:
+            self._pending[key] = image
+            if self._writer is None:
+                self._stop_writer = False
+                self._writer = threading.Thread(
+                    target=self._write_loop,
+                    name=f"summary-cache-writer-{id(self):x}", daemon=True,
+                )
+                self._writer.start()
+            self._lock.notify_all()
+
+    def flush_checkpoint(self, key: str) -> None:
+        """Block until the newest image posted for ``key`` is written."""
+        with self._lock:
+            while key in self._pending or self._writing == key:
+                self._lock.wait()
+
+    def close(self) -> None:
+        """Write every pending checkpoint image, then join the writer.
+
+        A later :meth:`post_checkpoint` starts a fresh writer.
+        """
+        with self._lock:
+            writer = self._writer
+            self._stop_writer = True
+            self._lock.notify_all()
+        if writer is not None:
+            writer.join()
+
+    def _write_loop(self) -> None:
+        while True:
+            with self._lock:
+                while not self._pending and not self._stop_writer:
+                    self._lock.wait()
+                if not self._pending:
+                    # Cleared under the lock that posts check: the next
+                    # post starts a new writer, never a second one.
+                    self._writer = None
+                    return
+                key = next(iter(self._pending))
+                image = self._pending.pop(key)
+                self._writing = key
+            try:
+                self.store_checkpoint(key, image)
+            except Exception:  # noqa: BLE001 - a failed write is counted, the writer keeps serving
+                self._count("checkpoint_errors")
+            finally:
+                with self._lock:
+                    self._writing = None
+                    self._lock.notify_all()
 
     def load_checkpoint(self, key: str, subnodes: Sequence,
                         graph_digest: str) -> Optional[SummaryCheckpoint]:
@@ -883,47 +1008,55 @@ class SummaryCache:
     def _load(self, path: Path, counter: str, loader):
         """``loader(path)``, counted as a hit, a miss, or a corrupt miss (unlinked)."""
         if not path.exists():
-            self.counters[counter + "misses"] += 1
+            self._count(counter + "misses")
             return None
         try:
             loaded = loader(path)
         except ContainerFormatError:
-            self.counters["corrupt"] += 1
-            self.counters[counter + "misses"] += 1
+            with self._lock:
+                self.counters["corrupt"] += 1
+                self.counters[counter + "misses"] += 1
             path.unlink(missing_ok=True)
             return None
-        self.counters[counter + "hits"] += 1
-        path.touch()
+        self._count(counter + "hits")
+        try:
+            os.utime(path)
+        except FileNotFoundError:
+            pass  # A concurrent sweep evicted it; a touch would recreate it empty.
         return loaded
 
     def drop_checkpoint(self, key: str) -> None:
         self.checkpoint_path(key).unlink(missing_ok=True)
 
     # -- bookkeeping ----------------------------------------------------
-    def _files(self) -> List[Path]:
-        return [
-            path for path in self.directory.iterdir()
-            if path.is_file() and path.name.endswith(CONTAINER_SUFFIX)
-            and not path.name.startswith(".")
-        ]
-
     def entries(self) -> List[Dict[str, Any]]:
-        """Per-file metadata, oldest first (the eviction order)."""
+        """Per-file metadata, oldest first (the eviction order).
+
+        One ``scandir`` pass with one ``stat`` per container file; dot
+        files (in-progress temp writes), other files and directories
+        are skipped.
+        """
         records = []
-        for path in self._files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            suffix = (CHECKPOINT_SUFFIX if path.name.endswith(CHECKPOINT_SUFFIX)
-                      else CONTAINER_SUFFIX)
-            records.append({
-                "key": path.name[:-len(suffix)],
-                "kind": "checkpoint" if suffix == CHECKPOINT_SUFFIX else "summary",
-                "path": str(path),
-                "bytes": stat.st_size,
-                "mtime": stat.st_mtime,
-            })
+        with os.scandir(self.directory) as scan:
+            for entry in scan:
+                name = entry.name
+                if name.startswith(".") or not name.endswith(CONTAINER_SUFFIX):
+                    continue
+                try:
+                    if not entry.is_file():
+                        continue
+                    stat = entry.stat()
+                except OSError:
+                    continue
+                suffix = (CHECKPOINT_SUFFIX if name.endswith(CHECKPOINT_SUFFIX)
+                          else CONTAINER_SUFFIX)
+                records.append({
+                    "key": name[:-len(suffix)],
+                    "kind": "checkpoint" if suffix == CHECKPOINT_SUFFIX else "summary",
+                    "path": entry.path,
+                    "bytes": stat.st_size,
+                    "mtime": stat.st_mtime,
+                })
         records.sort(key=lambda record: (record["mtime"], record["path"]))
         return records
 
@@ -938,22 +1071,23 @@ class SummaryCache:
         was evicted and what remains.
         """
         budget = self.budget_bytes if budget_bytes is None else budget_bytes
-        records = self.entries()
-        total = sum(record["bytes"] for record in records)
-        evicted = 0
-        freed = 0
-        if budget is not None:
-            for record in records:
-                if total <= budget:
-                    break
-                try:
-                    Path(record["path"]).unlink()
-                except OSError:
-                    continue
-                total -= record["bytes"]
-                freed += record["bytes"]
-                evicted += 1
-        self.counters["evictions"] += evicted
+        with self._sweep_lock:
+            records = self.entries()
+            total = sum(record["bytes"] for record in records)
+            evicted = 0
+            freed = 0
+            if budget is not None:
+                for record in records:
+                    if total <= budget:
+                        break
+                    try:
+                        Path(record["path"]).unlink()
+                    except OSError:
+                        continue
+                    total -= record["bytes"]
+                    freed += record["bytes"]
+                    evicted += 1
+        self._count("evictions", evicted)
         return {
             "evicted": evicted,
             "freed_bytes": freed,
@@ -977,5 +1111,6 @@ class SummaryCache:
             "total_bytes": sum(item["bytes"] for item in records),
             "budget_bytes": self.budget_bytes,
         }
-        record.update(self.counters)
+        with self._lock:
+            record.update(self.counters)
         return record

@@ -309,11 +309,12 @@ PAIR_SECTIONS = [("SUMM", b"SPED"), ("SUMM", b"SNED"), ("FLAT", b"SSED"),
                  ("FLAT", b"SCRP"), ("FLAT", b"SCRN")]
 
 
-def image_with_section(kind: str, tag: bytes, payload: bytes) -> bytes:
+def image_with_sections(kind: str, replaced) -> bytes:
+    """The ``kind`` fixture with the payloads of ``replaced`` (tag -> bytes)."""
     graph = int_graph()
     csr = DenseAdjacency.from_graph(graph).freeze()
-    sections = [(section, payload if section == tag else data)
-                for section, data in summary_sections(kind, graph, csr)]
+    sections = [(tag, replaced.get(tag, payload))
+                for tag, payload in summary_sections(kind, graph, csr)]
     return encode_container(csr, extra_sections=sections, extra_flags=FLAG_SUMMARY)
 
 
@@ -329,7 +330,7 @@ def image_with_section(kind: str, tag: bytes, payload: bytes) -> bytes:
 ], ids=["forged-count", "repeated-pair", "trailing-varint"])
 def test_forged_pair_section_is_a_format_error(kind, tag, stream, error, tmp_path):
     path = tmp_path / "forged.slg"
-    write_container_image(path, image_with_section(kind, tag, varints(stream)))
+    write_container_image(path, image_with_sections(kind, {tag: varints(stream)}))
     for verify in (True, False):
         with deadline(LOAD_TIMEOUT_S), pytest.raises(ContainerFormatError, match=error):
             load(kind, "int", path, verify)
@@ -337,10 +338,48 @@ def test_forged_pair_section_is_a_format_error(kind, tag, stream, error, tmp_pat
 
 def test_flat_superedge_to_unknown_group_is_a_format_error(tmp_path):
     path = tmp_path / "forged.slg"
-    write_container_image(path, image_with_section(
-        "FLAT", b"SSED", varints(encode_pair_gaps([(0, 10**6)]))))
+    write_container_image(path, image_with_sections(
+        "FLAT", {b"SSED": varints(encode_pair_gaps([(0, 10**6)]))}))
     for verify in (True, False):
         with pytest.raises(ContainerFormatError, match="unknown group"):
+            load("FLAT", "int", path, verify)
+
+
+def forged_flat_grouping(case: str):
+    """``{tag: payload}`` replacing the FLAT fixture's grouping so that it
+    lists a subnode twice, repeats a group id, or leaves a subnode that a
+    correction names in no group."""
+    graph = int_graph()
+    csr = DenseAdjacency.from_graph(graph).freeze()
+    summary = sweg_summarize(graph, iterations=3, seed=0)
+    node_ids = {label: position for position, label in enumerate(csr.index.labels())}
+    gids = list(summary.groups)
+    entries = [(node_ids[node], gid) for node, gid in summary.group_of.items()]
+    assert len(gids) >= 2
+    replaced = {}
+    if case == "subnode-in-two-groups":
+        node, gid = entries[0]
+        entries.append((node, next(other for other in gids if other != gid)))
+    elif case == "repeated-group-id":
+        gids.append(gids[0])
+    else:
+        (orphan, _), (kept, _) = entries.pop(0), entries[0]
+        replaced[b"SCRP"] = varints(encode_pair_gaps([tuple(sorted((orphan, kept)))]))
+    replaced[b"SGRP"] = varints([len(gids), *gids, len(entries),
+                                 *(value for entry in entries for value in entry)])
+    return replaced
+
+
+@pytest.mark.parametrize("case, error", [
+    ("subnode-in-two-groups", "in two groups"),
+    ("repeated-group-id", "repeats a group id"),
+    ("correction-outside-every-group", "unknown subnode"),
+])
+def test_malformed_flat_grouping_is_a_format_error(case, error, tmp_path):
+    path = tmp_path / "forged.slg"
+    write_container_image(path, image_with_sections("FLAT", forged_flat_grouping(case)))
+    for verify in (True, False):
+        with pytest.raises(ContainerFormatError, match=error):
             load("FLAT", "int", path, verify)
 
 

@@ -760,6 +760,20 @@ class TestSummaryCache:
         assert stats["total_bytes"] == len(image)
         assert stats["budget_bytes"] == 10_000_000
 
+    def test_sweep_skips_temp_files_other_files_and_directories(self, tmp_path):
+        image, meta, _ = self._image_and_meta(int_fixture())
+        cache = SummaryCache(tmp_path / "cache")
+        cache.store_summary(meta.key, image)
+        (cache.directory / f".{meta.key}.slg.1.2.tmp").write_bytes(image)
+        (cache.directory / ".hidden.slg").write_bytes(image)
+        (cache.directory / "notes.txt").write_bytes(image)
+        (cache.directory / "nested.slg").mkdir()
+        assert [record["key"] for record in cache.entries()] == [meta.key]
+        report = cache.gc(budget_bytes=0)
+        assert report["evicted"] == 1 and report["kept"] == 0
+        assert sorted(path.name for path in cache.directory.iterdir()) == [
+            f".{meta.key}.slg.1.2.tmp", ".hidden.slg", "nested.slg", "notes.txt"]
+
     def test_negative_budget_is_rejected(self, tmp_path):
         directory = tmp_path / "cache"
         with pytest.raises(ConfigurationError, match="non-negative"):
@@ -978,6 +992,32 @@ class TestServiceWarmStart:
                 options={"iterations": 6},
             ).result()
             assert service.stats()["summary_resumes"] == 0
+        assert summary_fingerprint(fresh.summary) == summary_fingerprint(
+            reference.summary
+        )
+        assert fresh.history == reference.history
+
+    @pytest.mark.parametrize("rng_state", [
+        (3, tuple(range(10)), None),
+        (3, tuple(range(624)) + (9999,), None),
+        (2, random.Random(0).getstate()[1], None),
+    ], ids=["10-words", "index-9999", "version-2"])
+    def test_malformed_rng_state_is_discarded_and_the_job_runs_fresh(self, tmp_path,
+                                                                     rng_state):
+        # The checkpoint passes its CRCs; only the RNG state is malformed,
+        # which Random.setstate would reject mid-resume.
+        graph = int_fixture()
+        reference, _, meta = checkpoint_images(graph, frozen_csr(graph), iterations=6)
+        SummaryCache(tmp_path / "cache").store_checkpoint(
+            meta.key, encode_checkpoint_container(
+                HierarchicalSummary.from_graph(graph), meta, 1, rng_state, []))
+        with SummaryService(mode="thread", summary_cache_dir=tmp_path / "cache") as service:
+            fresh = service.submit(
+                method="slugger", graph=graph, seed=0,
+                options={"iterations": 6},
+            ).result()
+            assert service.stats()["summary_resumes"] == 0
+            assert service.summary_cache.counters["corrupt"] == 1
         assert summary_fingerprint(fresh.summary) == summary_fingerprint(
             reference.summary
         )
