@@ -11,7 +11,6 @@ from repro.analysis.cost_breakdown import (
     cost_decomposition,
     cost_per_root,
     hierarchy_cost_per_root,
-    pruning_profile,
     superedge_cost_per_root,
     superedge_cost_per_root_pair,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "cost_decomposition",
     "cost_per_root",
     "hierarchy_cost_per_root",
-    "pruning_profile",
     "superedge_cost_per_root",
     "superedge_cost_per_root_pair",
 ]

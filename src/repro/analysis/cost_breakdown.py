@@ -12,7 +12,7 @@ incremental counters and the definitions agree (Eq. 2 must hold).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 from repro.model.summary import HierarchicalSummary
 
@@ -20,7 +20,6 @@ __all__ = [
     "cost_decomposition",
     "cost_per_root",
     "hierarchy_cost_per_root",
-    "pruning_profile",
     "superedge_cost_per_root",
     "superedge_cost_per_root_pair",
 ]
@@ -98,31 +97,4 @@ def cost_decomposition(summary: HierarchicalSummary) -> Dict[str, float]:
         "matches_p_n_edges": float(
             total_superedges == summary.num_p_edges + summary.num_n_edges
         ),
-    }
-
-
-def pruning_profile(profile: Mapping[str, Any]) -> Dict[str, float]:
-    """Condense a prune profile into a per-substep timing report.
-
-    ``profile`` is the dictionary :func:`repro.core.pruning.prune`
-    fills (also surfaced as ``SluggerResult.prune_profile``): raw
-    per-substep wall times and the pair counters.  The report adds each
-    substep's share of the total prune time, the derived quantity the
-    bench harness plots.  All values are plain floats, safe for JSON.
-    """
-    edgeless = float(profile.get("edgeless_seconds", 0.0))
-    single_edge = float(profile.get("single_edge_seconds", 0.0))
-    reencode = float(profile.get("reencode_seconds", 0.0))
-    total = edgeless + single_edge + reencode
-    return {
-        "rounds": float(profile.get("rounds", 0)),
-        "pairs_scanned": float(profile.get("pairs_scanned", 0)),
-        "pairs_reencoded": float(profile.get("pairs_reencoded", 0)),
-        "total_seconds": total,
-        "edgeless_seconds": edgeless,
-        "single_edge_seconds": single_edge,
-        "reencode_seconds": reencode,
-        "edgeless_share": (edgeless / total) if total else 0.0,
-        "single_edge_share": (single_edge / total) if total else 0.0,
-        "reencode_share": (reencode / total) if total else 0.0,
     }

@@ -85,7 +85,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import engine
 from repro.analysis.comparison import compare_methods, default_methods
 from repro.engine.hooks import RunControl
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.service import SummaryRequest, SummaryService
 from repro.compression.pipeline import compression_report
 from repro.core import Slugger, SluggerConfig
@@ -694,16 +694,33 @@ def _command_cache(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(arguments: argparse.Namespace) -> int:
-    """Batch-file serving: many requests, one warm service."""
-    with open(arguments.batch, "r", encoding="utf-8") as handle:
-        records = json.load(handle)
+def _read_batch(path: str) -> List[Dict[str, Any]]:
+    """The request records of a ``serve --batch`` file, checked for shape."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            records = json.load(handle)
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"batch file {path} is not valid JSON: {error}") from None
     if isinstance(records, dict):
         records = records.get("requests", [])
     if not isinstance(records, list) or not records:
-        print(f"batch file {arguments.batch} holds no requests", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"batch file {path} holds no requests")
+    for position, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ConfigurationError(
+                f"batch file {path}: request {position} is not an object: {record!r}"
+            )
+        if (record.get("dataset") is None) == (record.get("input") is None):
+            raise ConfigurationError(
+                f"batch file {path}: request {position} needs exactly one of "
+                f"'dataset'/'input': {record}"
+            )
+    return records
 
+
+def _command_serve(arguments: argparse.Namespace) -> int:
+    """Batch-file serving: many requests, one warm service."""
+    records = _read_batch(arguments.batch)
     cache = None
     if arguments.cache_dir:
         from repro.storage import GraphCache
@@ -711,7 +728,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         cache = GraphCache(arguments.cache_dir)
     metrics, tracer = _telemetry_from_args(arguments)
     with SummaryService(mode=arguments.mode, max_inflight=arguments.inflight,
-                        cache_dir=arguments.cache_dir,
                         summary_cache_dir=arguments.summary_cache,
                         summary_cache_budget=arguments.summary_budget,
                         metrics=metrics, tracer=tracer) as service:
@@ -721,29 +737,22 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             record = dict(record)
             dataset = record.pop("dataset", None)
             input_path = record.pop("input", None)
-            if (dataset is None) == (input_path is None):
-                print(f"request {record} needs exactly one of 'dataset'/'input'",
-                      file=sys.stderr)
-                return 1
             key = dataset if dataset is not None else input_path
             if key not in graphs:
                 if input_path is not None and cache is not None:
-                    # Through the container cache: a hit memory-maps the
-                    # packed CSR and seeds the handle with it (dense is
-                    # thawed lazily — in the prefetch lane, not here on
-                    # the registration path); the lane also persists
-                    # fresh substrates.
+                    # Through the container cache: the mapped CSR seeds
+                    # the handle, and its dense view is thawed lazily on
+                    # the first job that reads it.
                     cached = cache.fetch_edge_list(input_path)
                     graph = cached.graph
                     service.register_graph(
                         key, graph,
                         csr=cached.stored.csr() if cached.stored else None,
-                        prefetch=True,
                     )
                 else:
                     graph = (read_edge_list(input_path) if input_path is not None
                              else load_dataset(dataset, seed=arguments.seed))
-                    service.register_graph(key, graph, prefetch=True)
+                    service.register_graph(key, graph)
                 graphs[key] = graph
             record["graph_key"] = key
             request = SummaryRequest.from_dict(record)

@@ -61,9 +61,11 @@ def prune(
     ``rounds`` bounds how many times the three substeps are repeated; the
     loop stops early once a full round changes nothing.
 
-    ``profile``, when given, is filled in place with per-substep wall
-    times and pair counters (see
-    :func:`repro.analysis.cost_breakdown.pruning_profile`).
+    ``profile``, when given, is filled in place with the rounds run
+    (``rounds``), the pair counters (``pairs_scanned``,
+    ``pairs_reencoded``) and per-substep wall times
+    (``edgeless_seconds``, ``single_edge_seconds``,
+    ``reencode_seconds``).
     """
     _require_dense_leaves(dense, summary.hierarchy)
     totals = {"substep1": 0, "substep2": 0, "substep3": 0}

@@ -65,8 +65,9 @@ class SluggerResult:
         Per-substep change counters returned by the pruning step.
     prune_profile:
         Per-substep wall times and pair counters of the pruning step
-        (see :func:`repro.analysis.cost_breakdown.pruning_profile`);
-        empty when pruning is disabled.
+        (``rounds``, ``pairs_scanned``, ``pairs_reencoded`` and the
+        ``edgeless``/``single_edge``/``reencode`` ``_seconds``, see
+        :func:`repro.core.pruning.prune`); empty when pruning is disabled.
     runtime_seconds:
         Wall-clock duration of the whole run (monotonic clock).
     phase_seconds:

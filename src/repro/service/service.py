@@ -148,12 +148,9 @@ class SummaryService:
     graph_store:
         Optional shared :class:`~repro.service.store.GraphStore`; by
         default the service owns a private one and closes it on shutdown.
-    cache_dir:
-        Directory for the owned store's content-addressed substrate
-        cache (see :class:`~repro.storage.cache.GraphCache`): prefetched
-        registrations are persisted as packed containers there.
-        Mutually exclusive with ``graph_store`` (a shared store carries
-        its own cache configuration).
+        The store keeps graphs in memory only: a graph's substrate is
+        built on its first request (or seeded at registration), and the
+        summary cache below is the one thing the service persists.
     summary_cache_dir:
         Directory for the content-addressed **summary** cache
         (:class:`~repro.storage.summary_store.SummaryCache`).  With a
@@ -192,7 +189,6 @@ class SummaryService:
         max_inflight: Optional[int] = None,
         max_pending: int = 256,
         graph_store: Optional[GraphStore] = None,
-        cache_dir=None,
         summary_cache_dir=None,
         summary_cache_budget: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -200,11 +196,6 @@ class SummaryService:
     ) -> None:
         if mode not in ("thread", "process"):
             raise ConfigurationError(f"mode must be 'thread' or 'process', got {mode!r}")
-        if graph_store is not None and cache_dir is not None:
-            raise ConfigurationError(
-                "pass either graph_store or cache_dir, not both; configure the "
-                "cache on the shared store instead"
-            )
         if max_pending < 1:
             raise ConfigurationError(f"max_pending must be >= 1, got {max_pending}")
         if mode == "process" and not process_execution_available():
@@ -215,9 +206,7 @@ class SummaryService:
         if max_inflight < 1:
             raise ConfigurationError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self.store = (
-            graph_store if graph_store is not None else GraphStore(cache_dir=cache_dir)
-        )
+        self.store = graph_store if graph_store is not None else GraphStore()
         self._owns_store = graph_store is None
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max_pending)
         self._threads: List[threading.Thread] = []
@@ -255,17 +244,15 @@ class SummaryService:
         *,
         dense=None,
         csr=None,
-        prefetch: bool = False,
     ) -> GraphHandle:
         """Register ``graph`` under a stable name for ``graph_key`` requests.
 
-        ``prefetch=True`` builds the dense/CSR substrate in a background
-        lane now instead of on the first request (and persists it when
-        the store has a cache directory); ``dense`` / ``csr`` seed the
-        handle with prebuilt views, e.g. from a
-        :class:`~repro.storage.mapped.StoredGraph` mmap load.
+        The dense/CSR substrate is built on the first request that needs
+        it; ``dense`` / ``csr`` seed the handle with prebuilt views
+        instead, e.g. from a :class:`~repro.storage.mapped.StoredGraph`
+        mmap load.
         """
-        return self.store.register(key, graph, dense=dense, csr=csr, prefetch=prefetch)
+        return self.store.register(key, graph, dense=dense, csr=csr)
 
     # ------------------------------------------------------------------
     # Query serving
@@ -921,9 +908,7 @@ class SummaryService:
         ``stats()`` dicts — the service's own counters
         (``repro_service_*``), the graph store's interning stats
         (``repro_graph_store_*``), and the summary cache's
-        (``repro_summary_cache_*``) — and the substrate
-        :class:`~repro.storage.cache.GraphCache` counters
-        (``repro_graph_cache_*``) when the store has one.  The result is
+        (``repro_summary_cache_*``).  The result is
         a plain :meth:`~repro.obs.MetricsRegistry.snapshot` dict, ready
         for :func:`repro.obs.render_prometheus` /
         :func:`repro.obs.render_json` — the payload a ``/metrics``
@@ -936,9 +921,6 @@ class SummaryService:
         summary_stats = stats.pop("summary_cache", None)
         ingest_stats(registry, stats, "repro_service")
         ingest_stats(registry, store_stats, "repro_graph_store")
-        cache = self.store.cache
-        if cache is not None:
-            ingest_stats(registry, cache.stats(), "repro_graph_cache")
         if summary_stats is not None:
             ingest_stats(registry, summary_stats, "repro_summary_cache")
         return registry.snapshot()

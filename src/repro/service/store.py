@@ -18,12 +18,19 @@ mutation_count` at build time.  If a caller mutates a graph between
 requests (the ``Graph`` type is mutable), the next ``intern`` / ``get``
 detects the drift — including count-preserving edit sequences — and
 rebuilds the handle.
+
+A graph reaches the store one way, :meth:`GraphStore.intern` (or
+:meth:`GraphStore.register` for a named graph).  Its dense/CSR views
+are built on first use under the handle's lock, or seeded by the caller
+with prebuilt views (``dense=`` / ``csr=``, e.g. a storage-layer mmap
+load).  The store keeps nothing on disk; the expensive artifact, the
+summary, is persisted by the service's
+:class:`~repro.storage.summary_store.SummaryCache`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from typing import Dict, List, Optional
 
@@ -72,12 +79,8 @@ class GraphHandle(GraphResources):
         ensure_fresh_views(graph.num_edges, error=ServiceError, dense=dense, csr=csr)
         self._dense = dense
         self._csr = csr
-        #: Whether the frozen CSR was injected rather than built here —
-        #: a seeded view came off a container/mmap, so the store's
-        #: persistence lane must not re-encode and re-pack it.
-        self.seeded_csr = csr is not None
-        #: Content digest memoized by the persistence lane after the
-        #: first pack, so re-registrations skip the O(m) re-encode.
+        #: Graph content digest, memoized by the service's summary cache
+        #: on its first lookup so later requests skip the O(m) re-encode.
         self.content_digest: Optional[str] = None
         self._builds = 0
 
@@ -159,20 +162,9 @@ class GraphStore:
 
     ``hits`` / ``misses`` count :meth:`intern` lookups and are the
     serving layer's cache-effectiveness signal.
-
-    Persistence and prefetch
-    ------------------------
-    With a ``cache_dir``, the store persists every *prefetched* named
-    registration as a packed binary container
-    (:class:`~repro.storage.cache.GraphCache`, content-addressed), so
-    other processes — and restarts — can memory-map the substrate
-    instead of rebuilding it.  ``register(..., prefetch=True)`` builds
-    the handle's dense/CSR views in a background lane at registration
-    time instead of on the first request; ``prefetched`` / ``packed``
-    counters surface in :meth:`stats`.
     """
 
-    def __init__(self, cache_dir=None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._handles: "weakref.WeakKeyDictionary[Graph, GraphHandle]" = (
             weakref.WeakKeyDictionary()
@@ -190,20 +182,6 @@ class GraphStore:
         self.generation = 0
         self.hits = 0
         self.misses = 0
-        self.prefetched = 0
-        self.packed = 0
-        self.prefetch_errors = 0
-        self._prefetch_threads: List[threading.Thread] = []
-        self._cache = None
-        if cache_dir is not None:
-            from repro.storage.cache import GraphCache
-
-            self._cache = GraphCache(cache_dir)
-
-    @property
-    def cache(self):
-        """The backing :class:`~repro.storage.cache.GraphCache`, if any."""
-        return self._cache
 
     def intern(
         self,
@@ -237,17 +215,10 @@ class GraphStore:
         graph: Graph,
         dense: Optional[DenseAdjacency] = None,
         csr: Optional[CSRAdjacency] = None,
-        prefetch: bool = False,
     ) -> GraphHandle:
         """Intern ``graph`` under a stable name (strongly referenced).
 
-        ``prefetch=True`` builds the handle's dense/CSR substrate in a
-        background lane immediately — the first request then finds warm
-        views instead of paying the build — and, when the store has a
-        ``cache_dir``, persists the packed container there.  The lane
-        never fails a registration: build/pack errors are counted
-        (``prefetch_errors``) and the first request falls back to the
-        ordinary on-demand build.
+        ``dense`` / ``csr`` seed a new handle as in :meth:`intern`.
         """
         handle = self.intern(graph, key=key, dense=dense, csr=csr)
         with self._lock:
@@ -258,71 +229,7 @@ class GraphStore:
                 self._key_generation[key] = self.generation
             self._named[key] = handle
             self._pinned[key] = graph
-        if prefetch:
-            thread = threading.Thread(
-                target=self._prefetch,
-                args=(handle,),
-                name=f"graph-store-prefetch-{key}",
-                daemon=True,
-            )
-            with self._lock:
-                # Prune only *finished* threads (an unstarted thread is
-                # not alive either, and join() on one raises), and start
-                # inside the lock so a concurrent drain can never see —
-                # or prune — a thread that was appended but not started.
-                self._prefetch_threads = [
-                    t for t in self._prefetch_threads if t.is_alive()
-                ]
-                self._prefetch_threads.append(thread)
-                thread.start()
         return handle
-
-    def _prefetch(self, handle: GraphHandle) -> None:
-        """Background lane: build (and optionally persist) one substrate."""
-        try:
-            # Warm both views: csr() alone would skip the dense thaw on
-            # handles seeded with a mapped CSR.
-            handle.dense()
-            csr = handle.csr()
-            cache = self._cache
-            created = False
-            # Seeded CSRs came off an existing container — re-encoding
-            # them (O(m)) to discover a digest we would not write is
-            # pure waste, and for cache-fed inputs it would duplicate
-            # the container under a second digest.  The digest memo
-            # makes a re-registration of the same handle a true
-            # metadata no-op (no re-encode, just a stat).
-            if cache is not None and not handle.seeded_csr:
-                digest, _, created = cache.store_csr(
-                    csr, digest=handle.content_digest
-                )
-                handle.content_digest = digest
-            with self._lock:
-                self.prefetched += 1
-                if created:
-                    self.packed += 1
-        except Exception:
-            # The lane must never propagate: a failed prefetch simply
-            # means the first request pays the build it would have paid
-            # anyway (or surfaces the real error in request context).
-            with self._lock:
-                self.prefetch_errors += 1
-
-    def drain_prefetch(self, timeout: Optional[float] = None) -> None:
-        """Wait for all in-flight prefetch lanes (tests, orderly shutdown).
-
-        ``timeout`` bounds the *total* wait, not each join — a store with
-        many slow lanes still drains within the advertised cap (threads
-        still alive past the deadline are daemons and are abandoned).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            threads = list(self._prefetch_threads)
-        for thread in threads:
-            thread.join(
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
 
     def key_generation(self, key: str) -> int:
         """Store generation at which ``key`` was last registered.
@@ -368,7 +275,7 @@ class GraphStore:
             return list(self._named.values())
 
     def stats(self) -> Dict[str, int]:
-        """Interning counters: hits, misses, prefetches, live handles."""
+        """Interning counters: hits, misses, live and named handles."""
         with self._lock:
             return {
                 "hits": self.hits,
@@ -376,17 +283,10 @@ class GraphStore:
                 "graphs": len(self._handles),
                 "named": len(self._named),
                 "generation": self.generation,
-                "prefetched": self.prefetched,
-                "packed": self.packed,
-                "prefetch_errors": self.prefetch_errors,
-                "prefetch_pending": sum(
-                    1 for t in self._prefetch_threads if t.is_alive()
-                ),
             }
 
     def close(self) -> None:
-        """Wait for prefetch lanes and forget all graphs."""
-        self.drain_prefetch(timeout=30.0)
+        """Forget all graphs."""
         with self._lock:
             self._handles = weakref.WeakKeyDictionary()
             self._named.clear()

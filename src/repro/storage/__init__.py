@@ -9,9 +9,9 @@ This subsystem is the persistence layer between "dataset on disk" and
 * :mod:`repro.storage.mapped` — :class:`MappedCSR` /
   :class:`StoredGraph`, the zero-copy mmap-backed views that plug into
   the summarizers as prebuilt substrate ``resources``;
-* :mod:`repro.storage.cache` — the content-addressed on-disk cache the
-  CLI's ``--cache-dir`` and the serving layer's
-  :class:`~repro.service.store.GraphStore` persistence use;
+* :mod:`repro.storage.cache` — the on-disk edge-list cache behind the
+  CLI's ``--cache-dir``: containers keyed by the source file's digest,
+  so a repeated load memory-maps instead of parsing;
 * :mod:`repro.storage.summary_store` — the ``SUMM`` section family that
   persists summaries *inside* the container format, the
   content-addressed :class:`SummaryCache` behind warm-start serving,

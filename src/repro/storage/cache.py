@@ -1,26 +1,17 @@
-"""Content-addressed on-disk cache of packed graph containers.
+"""On-disk cache of packed edge-list containers, keyed by source-file digest.
 
 A :class:`GraphCache` is a flat directory of ``<sha256>.slg`` container
-files keyed by *content digest*, serving two workloads:
+files.  Each key is the SHA-256 of an edge-list *source text file*
+(:func:`file_digest`), so the first :meth:`GraphCache.fetch_edge_list`
+of a file parses + packs and every later one memory-maps the container
+instead — the CLI's ``--cache-dir`` flag rides this.  Keying by source
+bytes (a cheap streaming hash, no parse needed) is what lets a hit skip
+the text parse entirely.
 
-* **Edge-list acceleration** (:meth:`GraphCache.fetch_edge_list`): the
-  digest of the *source text file* keys a packed container, so the first
-  load of a file parses + packs and every later load memory-maps — the
-  CLI's ``--cache-dir`` flag and the serving layer's input files ride
-  this.  Keying by source bytes (cheap streaming SHA-256, no parse
-  needed) is what lets a cache hit skip the text parse entirely.
-* **Substrate persistence** (:meth:`GraphCache.store_csr`): the serving
-  layer's :class:`~repro.service.store.GraphStore` packs each interned
-  substrate under its *graph-content* digest
-  (:func:`repro.storage.format.container_digest`) in the registration
-  prefetch lane, so a restarted service — or any other process — can
-  reload the exact substrate from disk instead of rebuilding it.
-
-Both keys live in one namespace: every entry is a self-describing
-container addressed by the SHA-256 of *something* immutable, and
-:meth:`entries` inspects them uniformly.  Writes go through the format
-layer's atomic temp-then-rename, so concurrent processes sharing a cache
-directory race benignly.
+Every entry is a self-describing container, so :meth:`entries` inspects
+them uniformly.  Writes go through the format layer's atomic
+temp-then-rename, so concurrent processes sharing a cache directory race
+benignly.
 """
 
 from __future__ import annotations
@@ -36,10 +27,8 @@ from repro.graphs.graph import Graph
 from repro.storage.format import (
     CONTAINER_SUFFIX,
     ContainerInfo,
-    encode_container,
     read_container_info,
     write_container,
-    write_container_image,
 )
 from repro.storage.mapped import StoredGraph, load
 
@@ -83,7 +72,7 @@ class CachedEdgeList(NamedTuple):
 
 
 class GraphCache:
-    """A directory of content-addressed packed graph containers."""
+    """A directory of packed edge-list containers keyed by source-file digest."""
 
     def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
@@ -130,32 +119,19 @@ class GraphCache:
     # ------------------------------------------------------------------
     # Write paths
     # ------------------------------------------------------------------
-    def store_csr(self, csr, digest: Optional[str] = None) -> Tuple[str, Path, bool]:
-        """Pack a frozen CSR under its content digest (idempotent).
+    def store_csr(self, csr, digest: str) -> Tuple[str, Path, bool]:
+        """Pack a frozen CSR under ``digest`` (idempotent).
 
         Returns ``(digest, path, created)`` — ``created`` is ``False``
-        when the container already existed, making repeated registration
-        of the same graph content a metadata no-op.  When the digest must
-        be derived from the content, the container is encoded exactly
-        once (the same image is hashed and written).
+        when the container already existed, so storing the same key
+        again is a metadata no-op.
         """
-        image = None
-        if digest is None:
-            image = encode_container(csr)
-            digest = hashlib.sha256(image).hexdigest()
         path = self.container_path(digest)
         if path.is_file():
             return digest, path, False
-        if image is None:
-            write_container(path, csr)
-        else:
-            write_container_image(path, image)
+        write_container(path, csr)
         self._count("packs")
         return digest, path, True
-
-    def store_graph(self, graph: Graph, digest: Optional[str] = None) -> Tuple[str, Path, bool]:
-        """Pack a label-keyed graph (builds the CSR) under its digest."""
-        return self.store_csr(DenseAdjacency.from_graph(graph).freeze(), digest=digest)
 
     # ------------------------------------------------------------------
     # Edge-list front door

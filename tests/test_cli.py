@@ -68,6 +68,38 @@ class TestCommands:
         for method in ("slugger", "sweg", "mosso", "randomized", "sags"):
             assert method in output
 
+    def test_serve_cache_dir_holds_only_edge_list_containers(
+        self, edge_list_file, tmp_path, capsys
+    ):
+        # --cache-dir caches packed --input edge lists and nothing else:
+        # dataset graphs leave no container, and a repeated input file
+        # reuses its one container.
+        cache = tmp_path / "cache"
+        datasets = tmp_path / "datasets.json"
+        datasets.write_text(json.dumps([
+            {"method": "slugger", "dataset": key, "seed": 0,
+             "options": {"iterations": 2}}
+            for key in ("PR", "CA")
+        ]))
+        assert main(["serve", "--batch", str(datasets), "--cache-dir", str(cache)]) == 0
+        assert list(cache.glob("*.slg")) == []
+
+        path, _graph = edge_list_file
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{
+            "method": "slugger", "input": str(path), "seed": 0,
+            "options": {"iterations": 3},
+        }]))
+        tables = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["serve", "--batch", str(inputs), "--cache-dir", str(cache)]) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            # Everything but the wall-clock ``seconds`` column.
+            tables.append([row.split()[:-1] for row in rows if row.strip()])
+            assert len(list(cache.glob("*.slg"))) == 1
+        assert tables[0] == tables[1] and len(tables[0]) == 1
+
     def test_datasets_command(self, capsys):
         exit_code = main(["datasets"])
         assert exit_code == 0
@@ -152,4 +184,23 @@ class TestFailures:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("repro-slugger: error: ")
         assert "unknown request fields: ['workers']" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("not json", "is not valid JSON"),
+        ("[1]", "request 0 is not an object: 1"),
+        ("[]", "holds no requests"),
+        ('[{"method": "slugger"}]', "needs exactly one of 'dataset'/'input'"),
+    ])
+    def test_malformed_serve_batch_is_one_line_error(
+        self, tmp_path, capsys, content, message
+    ):
+        batch = tmp_path / "batch.json"
+        batch.write_text(content)
+        exit_code = main(["serve", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"repro-slugger: error: batch file {batch}")
+        assert message in captured.err
         assert len(captured.err.strip().splitlines()) == 1

@@ -206,8 +206,7 @@ class TestGraphStore:
         assert first.csr() is second.csr()
         stats = store.stats()
         assert stats == {"hits": 1, "misses": 1, "graphs": 1, "named": 0,
-                         "generation": 1, "prefetched": 0, "packed": 0,
-                         "prefetch_errors": 0, "prefetch_pending": 0}
+                         "generation": 1}
         store.close()
 
     def test_distinct_graphs_get_distinct_handles(self):

@@ -585,16 +585,17 @@ class TestGraphCache:
     def test_store_csr_is_idempotent(self, tmp_path):
         cache = GraphCache(tmp_path / "cache")
         csr = DenseAdjacency.from_graph(int_fixture()).freeze()
-        digest_a, path_a, created_a = cache.store_csr(csr)
-        digest_b, path_b, created_b = cache.store_csr(csr)
+        digest_a, path_a, created_a = cache.store_csr(csr, container_digest(csr))
+        digest_b, path_b, created_b = cache.store_csr(csr, container_digest(csr))
         assert digest_a == digest_b and path_a == path_b
         assert created_a and not created_b
         assert cache.total_bytes() == path_a.stat().st_size
 
     def test_entries_inspect_cached_containers(self, tmp_path):
         cache = GraphCache(tmp_path / "cache")
-        cache.store_graph(int_fixture())
-        cache.store_graph(er_fixture())
+        for graph in (int_fixture(), er_fixture()):
+            csr = DenseAdjacency.from_graph(graph).freeze()
+            cache.store_csr(csr, container_digest(csr))
         infos = list(cache.entries())
         assert sorted(info.num_nodes for info in infos) == [200, 300]
 
@@ -608,57 +609,9 @@ class TestGraphCache:
 
 
 # ----------------------------------------------------------------------
-# Service integration: prefetch + persistence
+# Service integration: seeded substrate views
 # ----------------------------------------------------------------------
 class TestStorePrefetch:
-    def test_register_prefetch_builds_in_background(self):
-        store = GraphStore()
-        graph = int_fixture()
-        handle = store.register("g", graph, prefetch=True)
-        store.drain_prefetch(timeout=30)
-        stats = store.stats()
-        assert stats["prefetched"] == 1
-        assert stats["prefetch_errors"] == 0
-        assert handle.builds == 1
-        # The first request finds warm views: no further build happens.
-        assert handle.dense() is not None
-        assert handle.builds == 1
-        store.close()
-
-    def test_register_prefetch_persists_to_cache(self, tmp_path):
-        store = GraphStore(cache_dir=tmp_path / "cache")
-        graph = int_fixture()
-        store.register("g", graph, prefetch=True)
-        store.drain_prefetch(timeout=30)
-        stats = store.stats()
-        assert stats["prefetched"] == 1 and stats["packed"] == 1
-        [digest] = store.cache.digests()
-        with store.cache.load(digest) as reloaded:
-            assert reloaded.graph().edge_set() == graph.edge_set()
-        # Re-registering identical content packs nothing new.
-        other = int_fixture()
-        store.register("g2", other, prefetch=True)
-        store.drain_prefetch(timeout=30)
-        assert store.stats()["packed"] == 1
-        store.close()
-
-    def test_seeded_csr_is_not_repacked(self, tmp_path):
-        # A handle seeded from a container must not be re-encoded and
-        # duplicated under a content digest by the persistence lane.
-        graph = int_fixture()
-        path = tmp_path / "g.slg"
-        storage.pack(graph, path)
-        stored = storage.load(path)
-        store = GraphStore(cache_dir=tmp_path / "cache")
-        store.register("g", graph, csr=stored.csr(), prefetch=True)
-        store.drain_prefetch(timeout=30)
-        stats = store.stats()
-        assert stats["prefetched"] == 1
-        assert stats["packed"] == 0
-        assert store.cache.digests() == []
-        store.close()
-        stored.close()
-
     def test_register_with_stored_substrate_skips_build(self, tmp_path):
         graph = int_fixture()
         path = tmp_path / "g.slg"
@@ -684,32 +637,6 @@ class TestStorePrefetch:
             store.register("g", graph, csr=stored.csr())
         store.close()
         stored.close()
-
-    def test_service_stats_expose_prefetch(self):
-        with SummaryService() as service:
-            graph = int_fixture()
-            service.register_graph("g", graph, prefetch=True)
-            service.store.drain_prefetch(timeout=30)
-            record = service.stats()["store"]
-            assert record["prefetched"] == 1
-            assert record["prefetch_pending"] == 0
-            job = service.submit(method="slugger", graph_key="g", seed=0,
-                                 options={"iterations": 5})
-            assert fingerprint(job.result(timeout=120).summary) == \
-                MEMORY_PINS[("caveman", "slugger")]
-
-    def test_service_cache_dir_owns_persisting_store(self, tmp_path):
-        with SummaryService(cache_dir=tmp_path / "cache") as service:
-            graph = int_fixture()
-            service.register_graph("g", graph, prefetch=True)
-            service.store.drain_prefetch(timeout=30)
-            assert service.stats()["store"]["packed"] == 1
-            assert len(service.store.cache.digests()) == 1
-
-    def test_service_rejects_store_and_cache_dir(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            SummaryService(graph_store=GraphStore(), cache_dir=tmp_path)
 
     def test_stored_graph_serves_identical_results_via_service(self, tmp_path):
         graph = int_fixture()
