@@ -612,6 +612,27 @@ class TestGraphCache:
 # Service integration: seeded substrate views
 # ----------------------------------------------------------------------
 class TestStorePrefetch:
+    def test_seeded_csr_is_not_repacked(self, tmp_path):
+        # A handle seeded with a container's CSR serves that mapped view
+        # as-is: it is never re-frozen, and the dense view is a lazy
+        # overlay over it rather than an eager thaw of the graph.
+        from repro.graphs.dense import LazyDenseAdjacency
+
+        graph = int_fixture()
+        path = tmp_path / "g.slg"
+        storage.pack(graph, path)
+        with storage.load(path) as stored, SummaryService() as service:
+            handle = service.register_graph("g", graph, csr=stored.csr())
+            assert handle.builds == 0
+            assert handle.csr() is stored.csr()
+            assert isinstance(handle.dense(), LazyDenseAdjacency)
+            assert handle.builds == 1
+            job = service.submit(method="slugger", graph_key="g", seed=0,
+                                 options={"iterations": 5})
+            assert fingerprint(job.result(timeout=120).summary) == \
+                MEMORY_PINS[("caveman", "slugger")]
+            assert handle.csr() is stored.csr() and handle.builds == 1
+
     def test_register_with_stored_substrate_skips_build(self, tmp_path):
         graph = int_fixture()
         path = tmp_path / "g.slg"
