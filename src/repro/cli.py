@@ -740,14 +740,17 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             key = dataset if dataset is not None else input_path
             if key not in graphs:
                 if input_path is not None and cache is not None:
-                    # Through the container cache: the mapped CSR seeds
-                    # the handle, and its dense view is thawed lazily on
-                    # the first job that reads it.
+                    # Through the container cache: the mapped CSR and
+                    # its dense view seed the handle.  A fresh fetch
+                    # hands over the dense substrate it packed; a cached
+                    # one a lazy overlay, thawed as jobs read it.
                     cached = cache.fetch_edge_list(input_path)
                     graph = cached.graph
+                    stored = cached.stored
                     service.register_graph(
                         key, graph,
-                        csr=cached.stored.csr() if cached.stored else None,
+                        dense=stored.dense() if stored else None,
+                        csr=stored.csr() if stored else None,
                     )
                 else:
                     graph = (read_edge_list(input_path) if input_path is not None
@@ -806,6 +809,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                   f"stores={stats['summary_cache_stores']} "
                   f"resumes={stats['summary_resumes']} "
                   f"errors={stats['summary_cache_errors']} "
+                  f"reused={stats['summary_cache']['decode_reuses']} "
                   f"({stats['summary_cache']['entries']} entries, "
                   f"{stats['summary_cache']['total_bytes']} bytes)")
         # Snapshot inside the ``with``: the federated telemetry view

@@ -233,6 +233,16 @@ class FlatSummary:
         """Number of supernodes containing at least two subnodes."""
         return sum(1 for members in self.groups.values() if len(members) >= 2)
 
+    def copy(self) -> "FlatSummary":
+        """An independent copy: new dicts and sets, shared (immutable) member frozensets."""
+        clone = FlatSummary()
+        clone.groups = dict(self.groups)
+        clone.group_of = dict(self.group_of)
+        clone.superedges = set(self.superedges)
+        clone.corrections_plus = set(self.corrections_plus)
+        clone.corrections_minus = set(self.corrections_minus)
+        return clone
+
     def __repr__(self) -> str:
         return (
             f"FlatSummary(groups={len(self.groups)}, superedges={self.num_superedges}, "

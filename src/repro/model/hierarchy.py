@@ -135,11 +135,19 @@ class Hierarchy:
         bottom-up from the children lists.
         """
         forest = cls()
-        given = 0
-        for given, subnode in enumerate(subnodes, start=1):
-            forest.add_leaf(subnode)
-        if given != forest._next_id:
+        # The leaf half in bulk, with the dicts (and their insertion
+        # orders) and counters that one add_leaf per subnode would leave.
+        leaves = list(subnodes)
+        ids = range(len(leaves))
+        forest._leaf_of_subnode = dict(zip(leaves, ids))
+        if len(forest._leaf_of_subnode) != len(leaves):
             raise SummaryInvariantError("serialized hierarchy repeats a subnode")
+        forest._parent = dict.fromkeys(ids)
+        forest._children = {node_id: [] for node_id in ids}
+        forest._leaf_subnode = dict(zip(ids, leaves))
+        forest._size = dict.fromkeys(ids, 1)
+        forest._leaf_cache = {node_id: (node_id,) for node_id in ids}
+        forest._mutations = forest._next_id = len(leaves)
         for node_id, children in internal:
             if node_id < forest._next_id or node_id in forest._parent:
                 raise SummaryInvariantError(

@@ -84,6 +84,9 @@ summary itself.  Three pieces:
 wraps it).  A cache hit CRC-checks every section, range-checks ``INDX``
 and decodes against the service's interned labels, mapping nothing; an
 entry whose ``SMET`` graph digest names another graph is rejected.
+After those checks a repeat hit of byte-identical ``SUMM`` sections is
+served by copying a decoded summary the cache keeps (see
+:meth:`SummaryCache.load_summary`).
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -133,7 +137,6 @@ __all__ = [
     "SummaryMeta",
     "StoredSummary",
     "config_fingerprint",
-    "decode_summary_sections",
     "encode_checkpoint_container",
     "encode_summary_container",
     "encode_summary_sections",
@@ -537,12 +540,9 @@ def _summary_sections(summary, labels: Optional[Sequence],
     )
 
 
-def decode_summary_sections(payloads: Dict[bytes, bytes], labels: Sequence):
-    """``(meta, summary)`` from a tag → payload mapping.
-
-    ``labels`` is the container's node label list; hierarchical leaves
-    and flat members are rebuilt against it.
-    """
+def _summary_meta(payloads: Dict[bytes, bytes]) -> SummaryMeta:
+    """The ``SMET`` metadata of a tag → payload mapping, once every
+    section its kind needs is present."""
     if TAG_SUMMARY_META not in payloads:
         raise ContainerFormatError("summary container is missing its SMET section")
     meta = _decode_meta(payloads[TAG_SUMMARY_META])
@@ -557,11 +557,15 @@ def decode_summary_sections(payloads: Dict[bytes, bytes], labels: Sequence):
             raise ContainerFormatError(
                 f"summary container is missing its {tag.decode('ascii')} section"
             )
+    return meta
+
+
+def _decode_summary(payloads: Dict[bytes, bytes], meta: SummaryMeta, labels: Sequence):
+    """The summary of ``payloads``, its leaves or members rebuilt against
+    ``labels``, the container's node label list."""
     if meta.kind == "hierarchical":
-        summary = _decode_hierarchical(payloads, labels)
-    else:
-        summary = _decode_flat(payloads, labels)
-    return meta, summary
+        return _decode_hierarchical(payloads, labels)
+    return _decode_flat(payloads, labels)
 
 
 def summary_fingerprint(summary, labels: Optional[Sequence] = None) -> str:
@@ -731,7 +735,8 @@ class StoredSummary:
 
 def load_summary(path: PathLike, verify: bool = True, *,
                  labels: Optional[Sequence] = None,
-                 graph_digest: Optional[str] = None) -> StoredSummary:
+                 graph_digest: Optional[str] = None,
+                 decode=_decode_summary) -> StoredSummary:
     """Decode a summary-bearing container (summary or checkpoint).
 
     ``SUMM`` payloads are always CRC-checked, every other section too
@@ -741,6 +746,10 @@ def load_summary(path: PathLike, verify: bool = True, *,
     its labels.  ``graph_digest``, when given, must equal ``SMET``'s; it
     is required with ``labels``, since only the digest ties caller
     labels to the graph the summary was taken on.
+
+    ``decode(payloads, meta, labels)`` builds the summary once every
+    check has passed; :class:`SummaryCache` passes one that serves a
+    repeat of the same verified bytes from a decoded copy.
     """
     if labels is not None and graph_digest is None:
         raise ValueError("load_summary: labels must come with the graph_digest "
@@ -768,12 +777,13 @@ def load_summary(path: PathLike, verify: bool = True, *,
         if info.has_csr:
             check_indices(payloads[TAG_INDICES], info.num_nodes, info.index_width)
     try:
-        meta, summary = decode_summary_sections(payloads, labels)
+        meta = _summary_meta(payloads)
         if graph_digest is not None and meta.graph_digest != graph_digest:
             raise ContainerFormatError(
                 f"{path}: summary was taken on graph {meta.graph_digest[:12]}..., "
                 f"refusing to resume from it or serve it on graph {graph_digest[:12]}..."
             )
+        summary = decode(payloads, meta, labels)
     except BaseException:
         if stored is not None:
             stored.close()
@@ -855,6 +865,13 @@ class SummaryCache:
     Checkpoints posted with :meth:`post_checkpoint` are written by one
     daemon writer thread, started on first use; the counters are bumped
     from both threads under the cache's lock.
+
+    One slot remembers the last summary entry decoded: its key, its
+    verified ``SUMM`` payloads, the labels it was decoded against and,
+    from its second hit on, a pristine decode that is never handed out.
+    Byte equality is the slot's validity, so it needs no invalidation;
+    it is dropped anyway when its entry is discarded, overwritten or
+    evicted, and on :meth:`close`.
     """
 
     def __init__(self, directory: PathLike, budget_bytes: Optional[int] = None) -> None:
@@ -869,6 +886,7 @@ class SummaryCache:
             "hits": 0, "misses": 0, "stores": 0, "corrupt": 0,
             "checkpoint_hits": 0, "checkpoint_misses": 0,
             "checkpoint_stores": 0, "checkpoint_errors": 0, "evictions": 0,
+            "decode_reuses": 0,
         }
         # Guards the counters and the writer's queue; the writer waits
         # on it for work and the flushing threads for the writer.
@@ -881,6 +899,9 @@ class SummaryCache:
         self._writing: Optional[str] = None
         self._writer: Optional[threading.Thread] = None
         self._stop_writer = False
+        #: ``(key, SUMM payloads, labels, pristine summary or None)`` of
+        #: the last summary entry decoded; read and replaced under the lock.
+        self._decoded: Optional[tuple] = None
 
     def _count(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -912,6 +933,7 @@ class SummaryCache:
                 self._lock.wait()
         path = self.summary_path(key)
         write_container_image(path, image)
+        self._drop_decoded(key)
         self._count("stores")
         self.drop_checkpoint(key)
         self._evict()
@@ -924,11 +946,48 @@ class SummaryCache:
         A corrupt entry (failed checksum, bad sections, another graph's
         digest) is discarded and reported as a miss — the caller
         recomputes and overwrites it.
+
+        Every hit runs all of :func:`load_summary`'s checks.  A hit whose
+        verified ``SUMM`` payloads and labels equal the slot's is a
+        repeat: the second one keeps its decode as the pristine copy and
+        returns a copy of it, every later one returns a copy without
+        decoding (counted as ``decode_reuses``).  Each returned summary
+        is an independent object the caller may mutate.
         """
-        return self._load(
+        stored = self._load(
             self.summary_path(key), "",
-            lambda path: load_summary(path, labels=labels, graph_digest=graph_digest),
+            lambda path: load_summary(path, labels=labels, graph_digest=graph_digest,
+                                      decode=partial(self._decode, key)),
         )
+        if stored is None:
+            self._drop_decoded(key)
+        return stored
+
+    def _decode(self, key: str, payloads: Dict[bytes, bytes], meta: SummaryMeta,
+                labels: Sequence):
+        sections = tuple(payloads.get(tag) for tag in SUMMARY_SECTION_TAGS)
+        label_tuple = tuple(labels)
+        with self._lock:
+            slot = self._decoded
+        repeat = slot is not None and slot[:3] == (key, sections, label_tuple)
+        if repeat and slot[3] is not None:
+            self._count("decode_reuses")
+            # Nothing mutates the pristine summary, so it copies unlocked.
+            return slot[3].copy()
+        summary = _decode_summary(payloads, meta, labels)
+        kept = False
+        with self._lock:
+            if not repeat:
+                self._decoded = (key, sections, label_tuple, None)
+            elif self._decoded is slot:
+                self._decoded = slot[:3] + (summary,)
+                kept = True
+        return summary.copy() if kept else summary
+
+    def _drop_decoded(self, key: str) -> None:
+        with self._lock:
+            if self._decoded is not None and self._decoded[0] == key:
+                self._decoded = None
 
     # -- checkpoints ----------------------------------------------------
     def store_checkpoint(self, key: str, image: bytes) -> Path:
@@ -965,6 +1024,7 @@ class SummaryCache:
         A later :meth:`post_checkpoint` starts a fresh writer.
         """
         with self._lock:
+            self._decoded = None
             writer = self._writer
             self._stop_writer = True
             self._lock.notify_all()
@@ -1084,6 +1144,8 @@ class SummaryCache:
                         Path(record["path"]).unlink()
                     except OSError:
                         continue
+                    if record["kind"] == "summary":
+                        self._drop_decoded(record["key"])
                     total -= record["bytes"]
                     freed += record["bytes"]
                     evicted += 1

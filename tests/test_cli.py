@@ -100,6 +100,51 @@ class TestCommands:
             assert len(list(cache.glob("*.slg"))) == 1
         assert tables[0] == tables[1] and len(tables[0]) == 1
 
+    def test_serve_cache_dir_seeds_the_dense_view_it_fetched(
+        self, edge_list_file, tmp_path, capsys, monkeypatch
+    ):
+        # A fresh fetch packs the container from an eager dense
+        # substrate; the handle must serve that very object (no second
+        # build), while a cached fetch hands over the mapped lazy overlay.
+        from repro.graphs.dense import DenseAdjacency, LazyDenseAdjacency
+        from repro.service import SummaryService
+        from repro.storage import GraphCache
+
+        fetched, handles = [], []
+        fetch, register = GraphCache.fetch_edge_list, SummaryService.register_graph
+
+        def recording_fetch(self, *args, **kwargs):
+            fetched.append(fetch(self, *args, **kwargs))
+            return fetched[-1]
+
+        def recording_register(self, *args, **kwargs):
+            handles.append(register(self, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(GraphCache, "fetch_edge_list", recording_fetch)
+        monkeypatch.setattr(SummaryService, "register_graph", recording_register)
+        path, _graph = edge_list_file
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{
+            "method": "slugger", "input": str(path), "seed": 0,
+            "options": {"iterations": 3},
+        }]))
+        tables = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["serve", "--batch", str(batch),
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            tables.append([row.split()[:-1] for row in rows if row.strip()])
+        assert [cached.hit for cached in fetched] == [False, True]
+        fresh, warm = handles
+        assert type(fresh.dense()) is DenseAdjacency
+        assert fresh.dense() is fetched[0].stored.dense()
+        assert fresh.builds == 0
+        assert isinstance(warm.dense(), LazyDenseAdjacency)
+        assert warm.builds == 0
+        assert tables[0] == tables[1] and len(tables[0]) == 1
+
     def test_datasets_command(self, capsys):
         exit_code = main(["datasets"])
         assert exit_code == 0

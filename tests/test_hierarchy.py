@@ -53,6 +53,26 @@ class TestConstruction:
         assert two_level.num_hierarchy_edges == 6
         assert two_level.num_supernodes == 7
 
+    @pytest.mark.parametrize("subnodes", [[], ["a"], list("dcba"), [3, "x", 0, (1, 2), 10]])
+    def test_from_parts_leaves_equal_an_add_leaf_loop(self, subnodes):
+        looped = Hierarchy()
+        for subnode in subnodes:
+            looped.add_leaf(subnode)
+        built = Hierarchy.from_parts(subnodes, ())
+        for name in ("_parent", "_children", "_leaf_subnode", "_leaf_of_subnode",
+                     "_size", "_leaf_cache"):
+            # Item lists, so insertion order is compared too.
+            assert list(getattr(built, name).items()) == list(getattr(looped, name).items())
+        counters = (len(subnodes), len(subnodes))
+        assert (built._next_id, built._mutations) == (looped._next_id, looped._mutations) == counters
+        if len(subnodes) >= 2:
+            assert built.create_parent([0, 1]) == looped.create_parent([0, 1])
+
+    @pytest.mark.parametrize("subnodes", [["a", "a"], ["a", "b", "a"], [1, 2, 3, 2]])
+    def test_from_parts_rejects_a_repeated_subnode(self, subnodes):
+        with pytest.raises(SummaryInvariantError, match="repeats a subnode"):
+            Hierarchy.from_parts(subnodes, ())
+
 
 class TestQueries:
     def test_roots_and_parents(self, two_level):

@@ -58,6 +58,7 @@ from repro.graphs import (
 from repro.model.hierarchy import Hierarchy
 from repro.model.serialization import load_hierarchical_summary, save_hierarchical_summary
 from repro.model.summary import HierarchicalSummary
+from repro.obs import MetricsRegistry
 from repro.service import SummaryService
 from repro.storage import MappedCSR, summary_store
 from repro.storage.format import (
@@ -1137,6 +1138,170 @@ class TestWarmHitDecode:
             assert labelled.fingerprint() == summary_fingerprint(result.summary)
         with pytest.raises(ValueError, match="graph_digest"):
             load_summary(path, labels=list(graph.nodes()))
+
+
+class TestRepeatHitReuse:
+    """Repeat hits of a byte-identical entry are served from a decoded copy."""
+
+    def _cache_with_entry(self, tmp_path, seed: int = 0):
+        graph = int_fixture()
+        image, meta, result = TestSummaryCache()._image_and_meta(graph, seed=seed)
+        cache = SummaryCache(tmp_path / "cache")
+        cache.store_summary(meta.key, image)
+        return cache, meta.key, summary_fingerprint(result.summary)
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        calls = []
+        decode = summary_store._decode_summary
+
+        def counting(*args):
+            calls.append(args[1].kind)
+            return decode(*args)
+
+        monkeypatch.setattr(summary_store, "_decode_summary", counting)
+        return calls
+
+    def test_repeats_decode_twice_and_reuse_the_rest(self, tmp_path, monkeypatch):
+        cache, key, cold = self._cache_with_entry(tmp_path)
+        decodes = self._count_decodes(monkeypatch)
+        identity = graph_identity(int_fixture())
+        summaries = [cache.load_summary(key, **identity).summary for _ in range(4)]
+        assert len(decodes) == 2
+        assert cache.counters["decode_reuses"] == 2
+        assert cache.counters["hits"] == 4
+        assert cache.stats()["decode_reuses"] == 2
+        assert len({id(summary) for summary in summaries}) == 4
+        assert all(summary_fingerprint(summary) == cold for summary in summaries)
+
+    def test_mutating_a_returned_summary_leaves_the_next_hit_alone(self, tmp_path):
+        cache, key, cold = self._cache_with_entry(tmp_path)
+        identity = graph_identity(int_fixture())
+        for _ in range(4):
+            summary = cache.load_summary(key, **identity).summary
+            assert summary_fingerprint(summary) == cold
+            summary.remove_p_edge(*sorted(summary.p_edges())[0])
+            roots = summary.hierarchy.roots()
+            summary.hierarchy.create_parent(roots[:2])
+        assert cache.counters["decode_reuses"] == 2
+
+    def test_overwritten_entry_serves_the_new_summary(self, tmp_path):
+        cache, key, cold = self._cache_with_entry(tmp_path)
+        identity = graph_identity(int_fixture())
+        for _ in range(3):
+            assert cache.load_summary(key, **identity).fingerprint() == cold
+        other, _, result = TestSummaryCache()._image_and_meta(int_fixture(), seed=1)
+        fresh = summary_fingerprint(result.summary)
+        assert fresh != cold
+        cache.store_summary(key, other)
+        assert cache._decoded is None
+        assert cache.load_summary(key, **identity).fingerprint() == fresh
+        assert cache.counters["decode_reuses"] == 1
+
+    def test_entry_replaced_by_another_writer_is_decoded_again(self, tmp_path):
+        # A second cache (another service or process sharing the
+        # directory) rewrites the entry; this cache's slot is never told,
+        # so only the byte comparison keeps it from serving the old summary.
+        cache, key, cold = self._cache_with_entry(tmp_path)
+        identity = graph_identity(int_fixture())
+        for _ in range(3):
+            assert cache.load_summary(key, **identity).fingerprint() == cold
+        other, _, result = TestSummaryCache()._image_and_meta(int_fixture(), seed=1)
+        SummaryCache(cache.directory).store_summary(key, other)
+        assert cache._decoded is not None
+        for _ in range(3):
+            assert cache.load_summary(key, **identity).fingerprint() == summary_fingerprint(
+                result.summary)
+        assert cache.counters["decode_reuses"] == 2
+
+    def test_flipped_summ_byte_drops_the_slot_and_recomputes(self, tmp_path):
+        graph = int_fixture()
+        request = {"method": "slugger", "graph": graph, "seed": 0,
+                   "options": {"iterations": 3}}
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            cold = summary_fingerprint(service.submit(**request).result(timeout=120).summary)
+            for _ in range(3):
+                warm = service.submit(**request).result(timeout=120)
+                assert summary_fingerprint(warm.summary) == cold
+            cache = service.summary_cache
+            assert cache.counters["decode_reuses"] == 1
+            (entry,) = [Path(record["path"]) for record in cache.entries()]
+            flip_section_byte(entry, b"SPED")
+            fresh = service.submit(**request).result(timeout=120)
+            assert fresh.details.get("summary_cache") != "hit"
+            assert summary_fingerprint(fresh.summary) == cold
+            assert cache.counters["corrupt"] == 1
+            stats = service.stats()
+            assert stats["summary_cache_hits"] == 3
+            assert stats["summary_cache_stores"] == 2
+            # The recomputed entry starts a new slot: one decode, no reuse.
+            again = service.submit(**request).result(timeout=120)
+            assert summary_fingerprint(again.summary) == cold
+            assert cache.counters["decode_reuses"] == 1
+
+    def test_alternating_keys_never_reuse(self, tmp_path, monkeypatch):
+        cache, first, _ = self._cache_with_entry(tmp_path, seed=0)
+        image, meta, _ = TestSummaryCache()._image_and_meta(int_fixture(), seed=1)
+        cache.store_summary(meta.key, image)
+        decodes = self._count_decodes(monkeypatch)
+        identity = graph_identity(int_fixture())
+        for _ in range(3):
+            for key in (first, meta.key):
+                assert cache.load_summary(key, **identity) is not None
+        assert len(decodes) == 6
+        assert cache.counters["decode_reuses"] == 0
+
+    @pytest.mark.parametrize("drop", ["corrupt", "evict", "close"])
+    def test_discard_eviction_and_close_drop_the_slot(self, tmp_path, drop):
+        cache, key, _ = self._cache_with_entry(tmp_path)
+        identity = graph_identity(int_fixture())
+        for _ in range(2):
+            cache.load_summary(key, **identity)
+        assert cache._decoded is not None and cache._decoded[3] is not None
+        if drop == "corrupt":
+            flip_section_byte(cache.summary_path(key), b"SHIE")
+            assert cache.load_summary(key, **identity) is None
+            assert cache.counters["corrupt"] == 1
+        elif drop == "evict":
+            assert cache.gc(budget_bytes=0)["evicted"] == 1
+        else:
+            cache.close()
+        assert cache._decoded is None
+
+    def test_concurrent_hits_are_equal(self, tmp_path):
+        graph = int_fixture()
+        request = {"method": "slugger", "graph": graph, "seed": 0,
+                   "options": {"iterations": 3}}
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            cold = summary_fingerprint(service.submit(**request).result(timeout=120).summary)
+        with SummaryService(mode="thread", max_inflight=2,
+                            summary_cache_dir=tmp_path) as service:
+            jobs = [service.submit(**request) for _ in range(8)]
+            results = [job.result(timeout=120) for job in jobs]
+            assert service.stats()["summary_cache_hits"] == 8
+        assert len({id(result.summary) for result in results}) == 8
+        assert {summary_fingerprint(result.summary) for result in results} == {cold}
+
+    def test_flat_repeat_hits_reuse_too(self, tmp_path):
+        graph = int_fixture()
+        labels = frozen_csr(graph).index.labels()
+        request = {"method": "sweg", "graph": graph, "seed": 0,
+                   "options": {"iterations": 3}}
+        with SummaryService(summary_cache_dir=tmp_path) as service:
+            cold = service.submit(**request).result(timeout=120)
+        with SummaryService(summary_cache_dir=tmp_path, metrics=MetricsRegistry()) as service:
+            warm = [service.submit(**request).result(timeout=120) for _ in range(4)]
+            assert service.stats()["summary_cache_hits"] == 4
+            assert service.stats()["summary_cache"]["decode_reuses"] == 2
+            reuses = service.telemetry()["repro_summary_cache_decode_reuses"]
+            assert reuses["series"][0]["value"] == 2.0
+        assert len({id(result.summary) for result in warm}) == 4
+        for result in warm:
+            assert result.details.get("summary_cache") == "hit"
+            assert summary_fingerprint(result.summary, labels) == summary_fingerprint(
+                cold.summary, labels)
+            assert result.summary.cost_eq11() == cold.summary.cost_eq11()
+            result.summary.validate(graph)
 
 
 # ======================================================================
