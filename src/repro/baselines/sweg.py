@@ -23,7 +23,7 @@ from repro.engine.hooks import GraphResources, RunControl
 from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
 from repro.model.flat import FlatSummary
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, shuffled
 
 __all__ = ["SwegConfig", "drop_corrections", "sweg_summarize"]
 
@@ -217,7 +217,7 @@ def drop_corrections(
     }
     dropped = 0
     for corrections in (summary.corrections_minus, summary.corrections_plus):
-        for pair in sorted(corrections, key=lambda item: rng.random()):
+        for pair in shuffled(corrections, rng):
             u, v = pair
             if budget.get(u, 0.0) >= 1.0 and budget.get(v, 0.0) >= 1.0:
                 corrections.discard(pair)

@@ -55,8 +55,8 @@ class SluggerConfig:
     check_invariants:
         When ``True`` the driver runs ``SluggerState.check_consistency``
         after every iteration, verifying the incremental indices (superedge
-        counters, adjacency counters, leaf-set cache) against the summary.
-        O(|summary|) per iteration — for tests and debugging only.
+        counters, adjacency counters, incident index, leaf-set cache)
+        against the summary.  O(|summary|) per iteration: tests and debugging.
 
     Shingle rounds, candidate generation and the local encoder always run
     on the dense integer-id substrate

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import DenseAdjacency
@@ -39,10 +39,10 @@ from repro.model.hierarchy import Hierarchy
 __all__ = [
     "EncodingPlan",
     "Panel",
-    "apply_plan",
     "memo_table_sizes",
     "plan_cross_encoding",
     "plan_intra_encoding",
+    "plan_superedges",
 ]
 
 POSITIVE = 1
@@ -74,8 +74,8 @@ class Panel:
 
     def __init__(self, hierarchy: Hierarchy, top: int) -> None:
         self.top = top
-        children = hierarchy.children(top)
-        self.parts: List[int] = list(children) if children else [top]
+        children = hierarchy.children(top)  # a fresh list
+        self.parts: List[int] = children or [top]
         self.sizes: List[int] = [hierarchy.size(part) for part in self.parts]
         self.has_distinct_top = bool(children)
 
@@ -378,35 +378,32 @@ def plan_intra_encoding(
     )
 
 
-def apply_plan(
-    plan: EncodingPlan,
-    dense: DenseAdjacency,
-    hierarchy: Hierarchy,
-    add_superedge,
-) -> None:
-    """Materialize ``plan`` by calling ``add_superedge(x, y, sign)``.
+def plan_superedges(
+    plan: EncodingPlan, dense: DenseAdjacency, hierarchy: Hierarchy
+) -> Iterator[Tuple[int, int, int]]:
+    """The superedges that materialize ``plan``, as ``(x, y, sign)`` triples.
 
     Blanket edges come first, then the positive and negative leaf
-    corrections block by block.  The caller is responsible for having
-    removed every pre-existing superedge the plan replaces.  The
-    correction pairs are already leaf ids.
+    corrections block by block (the correction pairs are already leaf
+    ids).  They replace every superedge between the plan's two trees, so
+    the consumer — :meth:`~repro.core.state.SluggerState.replace_between`
+    in the merging step — removes those before it adds these.
     """
-    for x, y, sign in plan.superedges:
-        add_superedge(x, y, sign)
+    yield from plan.superedges
     for x, y in plan.positive_blocks:
         if x == y:
             pairs = _edge_pairs_within(dense, hierarchy, x)
         else:
             pairs = _edge_pairs_between(dense, hierarchy, x, y)
         for u, v in pairs:
-            add_superedge(u, v, POSITIVE)
+            yield u, v, POSITIVE
     for x, y in plan.negative_blocks:
         if x == y:
             pairs = _nonedge_pairs_within(dense, hierarchy, x)
         else:
             pairs = _nonedge_pairs_between(dense, hierarchy, x, y)
         for u, v in pairs:
-            add_superedge(u, v, NEGATIVE)
+            yield u, v, NEGATIVE
 
 
 def memo_table_sizes() -> Dict[str, int]:

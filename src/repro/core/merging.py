@@ -14,7 +14,9 @@ re-encodes the superedges they are involved in:
 Both cases use the memoized local encoder (one exact table per panel
 shape; merge trees stay binary until pruning, so panels are leaves or
 binary roots) and therefore cost O(1) pattern search plus the work of
-counting/listing the affected subedges.
+counting/listing the affected subedges.  A plan that wins is applied
+per root pair: :meth:`~repro.core.state.SluggerState.replace_between`
+swaps the pair's superedges for the plan's in one bulk step.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Dict, Iterable, List
 from repro.core.config import SluggerConfig
 from repro.core.encoder import (
     Panel,
-    apply_plan,
     plan_cross_encoding,
     plan_intra_encoding,
+    plan_superedges,
 )
 from repro.core.saving import best_partner
 from repro.core.state import SluggerState
@@ -45,8 +47,8 @@ def merge_and_update(
     """Merge two root supernodes and locally re-encode the affected superedges.
 
     Returns the id of the new root supernode.  Exactness is preserved:
-    every re-encoding removes all superedges between the affected trees
-    and replaces them with a plan that reproduces the same subedges.
+    every re-encoding replaces all superedges between the affected trees
+    with a plan that reproduces the same subedges.
     """
     hierarchy = state.summary.hierarchy
     use_memo = config.use_memoized_encoder
@@ -62,33 +64,24 @@ def merge_and_update(
         panel_b = Panel(hierarchy, root_b)
         plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b, use_memo=use_memo)
         if plan.cost < cross_current:
-            state.remove_all_between(root_a, root_b)
-            apply_plan(
-                plan, dense, hierarchy,
-                lambda x, y, sign: state.add_superedge(root_a, root_b, x, y, sign),
-            )
+            state.replace_between(root_a, root_b, plan_superedges(plan, dense, hierarchy))
 
     merged = state.merge_roots(root_a, root_b)
+    panel_merged = Panel(hierarchy, merged)
 
     # Case 1 (continued): consider re-encoding the whole inside of the
     # merged tree at once — a self-loop p-edge on the new root plus a few
     # corrections is what collapses cliques and dense communities.
     intra_current = state.pn_cost_between(merged, merged)
     if intra_current > 1:
-        panel_merged = Panel(hierarchy, merged)
         intra_plan = plan_intra_encoding(
             dense, hierarchy, merged, panel_merged, use_memo=use_memo
         )
         if intra_plan.cost < intra_current:
-            state.remove_all_between(merged, merged)
-            apply_plan(
-                intra_plan, dense, hierarchy,
-                lambda x, y, sign: state.add_superedge(merged, merged, x, y, sign),
-            )
+            state.replace_between(merged, merged, plan_superedges(intra_plan, dense, hierarchy))
 
     # Case 2: the new root can now act as a blanket endpoint towards every
     # adjacent root tree; re-encode those pairs when it helps.
-    panel_merged = Panel(hierarchy, merged)
     for other in list(state.pn_count[merged]):
         if other == merged:
             continue
@@ -100,11 +93,7 @@ def merge_and_update(
         plan = plan_cross_encoding(dense, hierarchy, panel_merged, panel_other,
                                    use_memo=use_memo)
         if plan.cost < current:
-            state.remove_all_between(merged, other)
-            apply_plan(
-                plan, dense, hierarchy,
-                lambda x, y, sign: state.add_superedge(merged, other, x, y, sign),
-            )
+            state.replace_between(merged, other, plan_superedges(plan, dense, hierarchy))
     return merged
 
 

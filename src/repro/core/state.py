@@ -9,7 +9,10 @@ bookkeeping that the merging step relies on:
 * ``pn_count`` — for every pair of root trees, the number of p/n-edges of
   the current encoding between them (``Cost^P_{A,B}`` of Eq. 4);
 * ``pn_edges`` — the actual superedges between every pair of root trees,
-  so a local re-encoding can remove them without scanning the summary;
+  so a local re-encoding can remove them without scanning the summary.
+  A re-encoding replaces a pair's bucket whole
+  (:meth:`SluggerState.replace_between`): one bulk summary update and one
+  ``pn_count``/``pn_total`` change per pair, not one per superedge;
 * ``tree_h`` / ``tree_height`` — per-root hierarchy-edge counts
   (``Cost^H_A`` of Eq. 3) and tree heights (for the ``H_b`` variant).
 
@@ -23,7 +26,7 @@ index against a fresh traversal along with the superedge counters.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import CSRAdjacency, DenseAdjacency
@@ -39,6 +42,13 @@ RootPair = Tuple[int, int]
 
 def _pair(a: int, b: int) -> RootPair:
     return (a, b) if a <= b else (b, a)
+
+
+def _bump(table: Dict[int, Dict[int, int]], root_a: int, root_b: int) -> None:
+    """Count one more item between two roots, in both directions."""
+    table[root_a][root_b] = table[root_a].get(root_b, 0) + 1
+    if root_a != root_b:
+        table[root_b][root_a] = table[root_b].get(root_a, 0) + 1
 
 
 class SluggerState:
@@ -117,16 +127,18 @@ class SluggerState:
         self.roots = set(hierarchy.roots())
         self.root_adj = {root: {} for root in sorted(self.roots)}
         self.pn_count = {root: {} for root in sorted(self.roots)}
-        self.pn_total = {root: 0 for root in sorted(self.roots)}
         self.pn_edges = {}
         root_of = hierarchy.root_array()
         # Node id == leaf id on the dense substrate (both follow graph
         # insertion order), so edges map straight to roots.
         for leaf_u, leaf_v in self.dense.edge_ids():
-            self._bump_adj(root_of[leaf_u], root_of[leaf_v], 1)
+            _bump(self.root_adj, root_of[leaf_u], root_of[leaf_v])
         for edges, sign in ((sorted(summary.p_edges()), 1), (sorted(summary.n_edges()), -1)):
             for x, y in edges:
-                self._register_superedge(root_of[x], root_of[y], x, y, sign, delta=1)
+                root_x, root_y = root_of[x], root_of[y]
+                self.pn_edges.setdefault(_pair(root_x, root_y), set()).add((x, y, sign))
+                _bump(self.pn_count, root_x, root_y)
+        self.pn_total = {root: sum(counts.values()) for root, counts in self.pn_count.items()}
         self.tree_h = {}
         self.tree_height = {}
         for root in sorted(self.roots):
@@ -136,61 +148,35 @@ class SluggerState:
             self.tree_height[root] = hierarchy.height(root)
 
     # ------------------------------------------------------------------
-    # Internal index maintenance
-    # ------------------------------------------------------------------
-    def _bump_adj(self, root_a: int, root_b: int, delta: int) -> None:
-        self.root_adj[root_a][root_b] = self.root_adj[root_a].get(root_b, 0) + delta
-        if root_a != root_b:
-            self.root_adj[root_b][root_a] = self.root_adj[root_b].get(root_a, 0) + delta
-
-    def _bump_pn(self, root_a: int, root_b: int, delta: int) -> None:
-        counts_a = self.pn_count[root_a]
-        counts_a[root_b] = counts_a.get(root_b, 0) + delta
-        if counts_a[root_b] == 0:
-            del counts_a[root_b]
-        self.pn_total[root_a] += delta
-        if root_a != root_b:
-            counts_b = self.pn_count[root_b]
-            counts_b[root_a] = counts_b.get(root_a, 0) + delta
-            if counts_b[root_a] == 0:
-                del counts_b[root_a]
-            self.pn_total[root_b] += delta
-
-    def _register_superedge(
-        self, root_a: int, root_b: int, x: int, y: int, sign: int, delta: int
-    ) -> None:
-        pair = _pair(root_a, root_b)
-        record = (x, y, sign) if x <= y else (y, x, sign)
-        bucket = self.pn_edges.setdefault(pair, set())
-        if delta > 0:
-            bucket.add(record)
-        else:
-            bucket.discard(record)
-            if not bucket:
-                del self.pn_edges[pair]
-        self._bump_pn(root_a, root_b, delta)
-
-    # ------------------------------------------------------------------
     # Superedge mutation (roots supplied by the caller to avoid tree walks)
     # ------------------------------------------------------------------
-    def add_superedge(self, root_a: int, root_b: int, x: int, y: int, sign: int) -> None:
-        """Add the superedge ``{x, y}`` (with ``sign``) between the given root trees."""
-        self.summary.add_edge(x, y, sign)
-        self._register_superedge(root_a, root_b, x, y, sign, delta=1)
+    def replace_between(
+        self, root_a: int, root_b: int, superedges: Iterable[Tuple[int, int, int]]
+    ) -> None:
+        """Swap every superedge between two root trees for ``superedges``.
 
-    def remove_superedge(self, root_a: int, root_b: int, x: int, y: int, sign: int) -> None:
-        """Remove the superedge ``{x, y}`` (with ``sign``) between the given root trees."""
-        if not self.summary.remove_edge(x, y, sign):
-            raise SummaryInvariantError(f"superedge ({x}, {y}, {sign}) is not in the summary")
-        self._register_superedge(root_a, root_b, x, y, sign, delta=-1)
-
-    def remove_all_between(self, root_a: int, root_b: int) -> int:
-        """Remove every superedge between two root trees; returns how many were removed."""
+        The pair's ``pn_edges`` bucket is popped and its superedges leave
+        the summary in bucket order; then ``superedges`` — signed ``(x, y,
+        sign)`` triples between the two trees (or inside one, when
+        ``root_a == root_b``) — are added in the order given.  The pair's
+        two ``pn_count`` entries are deleted and re-inserted last, and the
+        new bucket is a new ``pn_edges`` key: the same inserts and deletes,
+        in the same order, as removing and adding the superedges one at a
+        time, so every iteration order stays as that path leaves it.
+        """
         pair = _pair(root_a, root_b)
-        records = list(self.pn_edges.get(pair, ()))
-        for x, y, sign in records:
-            self.remove_superedge(root_a, root_b, x, y, sign)
-        return len(records)
+        removed = self.pn_edges.pop(pair, ())
+        added = self.summary.replace_edges(removed, superedges)
+        if added:
+            self.pn_edges[pair] = added
+        delta = len(added) - len(removed)
+        directions = [(root_a, root_b)] if root_a == root_b else [(root_a, root_b), (root_b, root_a)]
+        for root, other in directions:
+            counts = self.pn_count[root]
+            count = counts.pop(other, 0) + delta
+            if count:
+                counts[other] = count
+            self.pn_total[root] += delta
 
     # ------------------------------------------------------------------
     # Cost accessors (Eqs. 3-6)
@@ -319,6 +305,9 @@ class SluggerState:
     def check_consistency(self) -> None:
         """Verify the internal indices against the summary (used by tests).
 
+        This covers the per-root counters and buckets, the summary's
+        incident index, the hierarchy's leaf cache and the dense ids.
+
         Raises :class:`SummaryInvariantError` when a counter drifts from
         the ground truth; this is O(|summary|) and meant for small graphs.
         """
@@ -383,6 +372,7 @@ class SluggerState:
                     f"pn_count for root pair {pair} is {stored}, "
                     f"but its bucket holds {len(records)} superedges"
                 )
+        self.summary.check_incident_index()
         hierarchy.verify_leaf_cache()
         if self.roots != set(hierarchy.roots()):
             raise SummaryInvariantError("the root index disagrees with the hierarchy")

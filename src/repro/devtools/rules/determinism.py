@@ -23,6 +23,7 @@ from repro.devtools.framework import (
 __all__ = [
     "BuiltinHashRule",
     "GlobalRngRule",
+    "RngKeyedSortRule",
     "UnorderedIterationRule",
     "WallClockRule",
 ]
@@ -318,6 +319,83 @@ def _body_builds_output(loop: ast.stmt) -> bool:
             and node.func.attr in ("append", "extend", "insert")
         ):
             return True
+    return False
+
+
+#: ``random.Random`` methods; a sort key that calls one draws per item.
+_RNG_METHODS = {
+    "random", "randrange", "randint", "getrandbits", "randbytes", "uniform",
+    "triangular", "choice", "choices", "sample", "shuffle", "gauss",
+    "normalvariate", "lognormvariate", "expovariate", "vonmisesvariate",
+    "gammavariate", "betavariate", "paretovariate", "weibullvariate",
+}
+#: Calls whose result is in an order defined by content alone.
+_CONTENT_ORDERED_CALLS = {"sorted", "content_order", "range"}
+
+
+@register_rule
+class RngKeyedSortRule(Rule):
+    """A sort key that draws from an RNG must run over a content-defined order.
+
+    ``sorted(S, key=lambda _: rng.random())`` draws one key per item in
+    ``S``'s iteration order.  When ``S`` is a set or a dict (view) that
+    order follows the collection's history — deletions, a ``copy()``, the
+    hash seed — so equal contents with equal seeds come out in different
+    orders.  The same holds for ``min``/``max``.  Only an iterable that is
+    already ordered by content passes: a ``sorted(...)``,
+    ``content_order(...)`` or ``range(...)`` call, or a list or tuple
+    literal.  :func:`repro.utils.rng.shuffled` does the sort-then-draw.
+    """
+
+    id = "rng-keyed-sort"
+    category = "determinism"
+    rationale = (
+        "RNG keys drawn in a set's or dict's iteration order make the result "
+        "depend on the collection's history; sort the content first"
+    )
+
+    #: The pipeline packages plus ``lossy/``, whose drops are seeded too.
+    scope_packages = ("core", "baselines", "model", "lossy")
+
+    def check(self, module: SourceModule, project: Project) -> Iterator[Finding]:
+        segments = module.name.split(".")[:-1]
+        if not any(package in segments for package in self.scope_packages):
+            return
+        for node in ast.walk(module.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("sorted", "min", "max")
+                and node.args
+            ):
+                continue
+            key = next((kw.value for kw in node.keywords if kw.arg == "key"), None)
+            if key is None or not _draws_random(key) or _content_ordered(node.args[0]):
+                continue
+            yield self.finding(
+                module,
+                node,
+                f"{node.func.id}() with an RNG-drawing key over an iterable that is "
+                "not content-ordered; sort it first or use repro.utils.rng.shuffled",
+            )
+
+
+def _draws_random(expr: ast.expr) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _RNG_METHODS
+        for node in ast.walk(expr)
+    )
+
+
+def _content_ordered(expr: ast.expr) -> bool:
+    if isinstance(expr, (ast.List, ast.Tuple)):
+        return True
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _CONTENT_ORDERED_CALLS
     return False
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import InvalidGraphError
+from repro.utils.rng import content_order
 
 __all__ = ["Edge", "Graph", "Node", "canonical_edge"]
 
@@ -225,10 +226,7 @@ class Graph:
         ordered by their natural sort — sorting by ``repr`` would place 10
         before 2.  Mixed non-comparable types fall back to ``repr`` order.
         """
-        try:
-            ordered = sorted(self._adjacency)
-        except TypeError:
-            ordered = sorted(self._adjacency, key=repr)
+        ordered = content_order(self._adjacency)
         mapping = {node: index for index, node in enumerate(ordered)}
         relabeled = Graph(nodes=mapping.values())
         for u, v in self.edges():

@@ -24,7 +24,7 @@ from repro.graphs.graph import Graph
 from repro.lossy.error import error_report, max_relative_error
 from repro.model.flat import FlatSummary
 from repro.model.summary import HierarchicalSummary
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, shuffled
 from repro.utils.validation import require_probability, require_type
 
 __all__ = [
@@ -128,7 +128,7 @@ def sparsify_hierarchical_summary(
     }
     hierarchy = summary.hierarchy
     removed = 0
-    for a, b in sorted(summary.n_edges(), key=lambda edge: rng.random()):
+    for a, b in shuffled(summary.n_edges(), rng):
         leaves_a = hierarchy.leaf_subnodes(a)
         leaves_b = hierarchy.leaf_subnodes(b)
         # The affected pairs are at most |A| x |B|; charge each endpoint once

@@ -212,6 +212,95 @@ class HierarchicalSummary:
                 if not incident_b:
                     del self._incident[b]
 
+    def replace_edges(
+        self,
+        removed: Iterable[Tuple[int, int, int]],
+        added: Iterable[Tuple[int, int, int]],
+    ) -> Set[Tuple[int, int, int]]:
+        """Remove the signed superedges ``removed``, then add ``added``, in bulk.
+
+        Each ``(x, y, sign)`` triple is handled as :meth:`remove_edge` and
+        :meth:`add_edge` would handle it, in the order given, so P+, P-
+        and the incident index see the same inserts and deletes in the
+        same order as the one-edge-at-a-time path (an emptied incident set
+        is deleted at once) and keep the same iteration orders.  Returns
+        the added superedges as canonical ``(x, y, sign)`` records in a set
+        built by successive adds.
+
+        Raises :class:`SummaryInvariantError` when a removed superedge is
+        not in the summary with its sign, or an added one has an endpoint
+        that is not a live supernode or is already present with either
+        sign; ``ValueError`` on a sign other than +1 or -1.
+        """
+        positive, negative, incident = self._p_edges, self._n_edges, self._incident
+        changed = 0
+        for x, y, sign in removed:
+            if sign == POSITIVE:
+                own = positive
+            elif sign == NEGATIVE:
+                own = negative
+            else:
+                raise ValueError(f"sign must be +1 or -1, got {sign}")
+            a, b = edge = (x, y) if x <= y else (y, x)
+            try:
+                own.remove(edge)
+            except KeyError:
+                raise SummaryInvariantError(
+                    f"superedge ({x}, {y}, {sign}) is not in the summary"
+                ) from None
+            members = incident[a]
+            members.discard((b, sign))
+            if not members:
+                del incident[a]
+            if a != b:
+                members = incident[b]
+                members.discard((a, sign))
+                if not members:
+                    del incident[b]
+            changed += 1
+        live = self.hierarchy.size_map()  # keyed by exactly the live supernode ids
+        records: Set[Tuple[int, int, int]] = set()
+        for x, y, sign in added:
+            if sign == POSITIVE:
+                own, other = positive, negative
+            elif sign == NEGATIVE:
+                own, other = negative, positive
+            else:
+                raise ValueError(f"sign must be +1 or -1, got {sign}")
+            a, b = edge = (x, y) if x <= y else (y, x)
+            if a not in live or b not in live:
+                raise SummaryInvariantError(f"superedge {edge} has an unknown endpoint")
+            if edge in own or edge in other:
+                raise SummaryInvariantError(f"superedge {edge} is already present")
+            own.add(edge)
+            incident.setdefault(a, set()).add((b, sign))
+            incident.setdefault(b, set()).add((a, sign))
+            records.add((a, b, sign))
+            changed += 1
+        self._mutations += changed
+        return records
+
+    def check_incident_index(self) -> None:
+        """Verify the incident index against P+ and P- (used by consistency checks).
+
+        Raises :class:`SummaryInvariantError` unless every supernode's
+        incident set holds exactly the signed neighbors its p- and n-edges
+        imply, and no empty set is kept.
+        """
+        expected: Dict[int, Set[Tuple[int, int]]] = {}
+        for edges, sign in ((self._p_edges, POSITIVE), (self._n_edges, NEGATIVE)):
+            for a, b in edges:
+                expected.setdefault(a, set()).add((b, sign))
+                expected.setdefault(b, set()).add((a, sign))
+        if self._incident == expected:
+            return
+        wrong = min(node for node in set(self._incident) | set(expected)
+                    if self._incident.get(node) != expected.get(node))
+        raise SummaryInvariantError(
+            f"incident index of supernode {wrong} is {self._incident.get(wrong)!r}, "
+            f"but P+/P- imply {expected.get(wrong)!r}"
+        )
+
     # ------------------------------------------------------------------
     # Superedge queries
     # ------------------------------------------------------------------

@@ -197,6 +197,46 @@ class TestUnorderedIterationRule:
         assert report.clean
 
 
+class TestRngKeyedSortRule:
+    def test_flags_rng_keys_over_unordered_iterables(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "lossy/__init__.py": "",
+            "lossy/mod.py": """
+                def f(summary, rng, groups):
+                    drops = sorted(summary.n_edges(), key=lambda edge: rng.random())
+                    pick = min(groups, key=lambda group: rng.randrange(10))
+                    return drops, pick
+            """,
+        }, rules=["rng-keyed-sort"])
+        assert finding_rules(report) == ["rng-keyed-sort"] * 2
+
+    def test_content_ordered_iterables_are_clean(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "baselines/__init__.py": "",
+            "baselines/mod.py": """
+                from repro.utils.rng import content_order, shuffled
+
+                def f(corrections, rng, n):
+                    a = sorted(sorted(corrections), key=lambda item: rng.random())
+                    b = sorted(content_order(corrections), key=lambda item: rng.random())
+                    c = max(range(n), key=lambda index: rng.getrandbits(8))
+                    d = sorted(corrections, key=len)
+                    return a, b, c, d, shuffled(corrections, rng)
+            """,
+        }, rules=["rng-keyed-sort"])
+        assert report.clean
+
+    def test_out_of_scope_packages_are_exempt(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "experiments/__init__.py": "",
+            "experiments/mod.py": """
+                def f(items, rng):
+                    return sorted(set(items), key=lambda item: rng.random())
+            """,
+        }, rules=["rng-keyed-sort"])
+        assert report.clean
+
+
 # ----------------------------------------------------------------------
 # Concurrency rules
 # ----------------------------------------------------------------------

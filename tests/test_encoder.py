@@ -2,7 +2,7 @@
 
 Panels are built the way the merging step builds them — leaves or binary
 roots — and every plan goes through the one exact table and
-:func:`apply_plan`; a panel pair wider than the exact table raises.
+materialized through :func:`plan_superedges`; a panel pair wider than the exact table raises.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from repro.core.encoder import (
     _edge_pairs_within,
     _nonedge_pairs_between,
     _nonedge_pairs_within,
-    apply_plan,
     memo_table_sizes,
     plan_cross_encoding,
     plan_intra_encoding,
+    plan_superedges,
 )
 from repro.exceptions import SummaryInvariantError
 from repro.graphs import DenseAdjacency, Graph, complete_bipartite_graph, complete_graph
@@ -149,7 +149,8 @@ class TestCrossPlans:
         plan = plan_cross_encoding(dense, hierarchy, panel_a, panel_b)
         assert plan.cost == 2  # The top-to-top blanket plus one leaf n-edge.
         summary = HierarchicalSummary(hierarchy)
-        apply_plan(plan, dense, hierarchy, summary.add_edge)
+        for x, y, sign in plan_superedges(plan, dense, hierarchy):
+            summary.add_edge(x, y, sign)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 
@@ -211,7 +212,8 @@ class TestIntraPlans:
         dense = DenseAdjacency.from_graph(graph)
         plan = plan_intra_encoding(dense, hierarchy, merged, panel)
         summary = HierarchicalSummary(hierarchy)
-        apply_plan(plan, dense, hierarchy, summary.add_edge)
+        for x, y, sign in plan_superedges(plan, dense, hierarchy):
+            summary.add_edge(x, y, sign)
         summary.validate(graph)
         assert summary.num_p_edges + summary.num_n_edges == plan.cost
 

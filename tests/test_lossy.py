@@ -18,6 +18,7 @@ from repro.lossy import (
     neighborhood_errors,
     sparsify_hierarchical_summary,
 )
+from repro.baselines.sweg import drop_corrections, sweg_summarize
 from repro.model.flat import FlatSummary
 
 
@@ -134,3 +135,31 @@ class TestSparsifyHierarchical:
             pytest.skip("summary had no removable n-edges on this seed")
         with pytest.raises(LossyBoundError):
             lossy_slugger_sparsify(summary, graph, epsilon=0.0, seed=0)
+
+
+class TestContentDefinedDrops:
+    """The lossy drops depend on the summary's content, not its set history.
+
+    A ``copy()`` rebuilds P- and the correction sets, so their iteration
+    order differs from the original's; the drops must not.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_hierarchical_copy_drops_the_same_n_edges(self, seed):
+        graph = caveman_graph(70, 15, 0.05, seed=1)
+        summary = summarize(graph, SluggerConfig(iterations=5, seed=0)).summary
+        clone = summary.copy()
+        removed = [sparsify_hierarchical_summary(target, graph, 0.1, seed=seed)
+                   for target in (summary, clone)]
+        assert removed[0] == removed[1] > 0
+        assert set(summary.n_edges()) == set(clone.n_edges())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_flat_copy_drops_the_same_corrections(self, seed):
+        graph = caveman_graph(70, 15, 0.05, seed=1)
+        summary = sweg_summarize(graph, iterations=5, seed=0)
+        clone = summary.copy()
+        dropped = [drop_corrections(target, graph, 0.1, seed=seed) for target in (summary, clone)]
+        assert dropped[0] == dropped[1] > 0
+        assert summary.corrections_minus == clone.corrections_minus
+        assert summary.corrections_plus == clone.corrections_plus

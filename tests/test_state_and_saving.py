@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import Slugger, SluggerConfig
 from repro.core import saving as saving_module
-from repro.core.merging import merge_and_update
+from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.saving import (
     PartnerProfile,
     best_partner,
@@ -62,15 +62,66 @@ class TestStateInitialization:
         assert len(path_state.neighbor_roots(middle)) == 2
 
 
-class TestSuperedgeBookkeeping:
-    def test_add_and_remove_superedge(self, path_state):
+class PerEdgeState(SluggerState):
+    """Reference: apply a re-encoding one superedge at a time.
+
+    Each removal and each add goes through the summary's per-edge API and
+    updates the pair's bucket, both ``pn_count`` directions and
+    ``pn_total`` on its own, deleting an emptied bucket or zero count at
+    once — the sequence :meth:`SluggerState.replace_between` must match.
+    """
+
+    def replace_between(self, root_a, root_b, superedges):
+        pair = (root_a, root_b) if root_a <= root_b else (root_b, root_a)
+        for x, y, sign in list(self.pn_edges.get(pair, ())):
+            assert self.summary.remove_edge(x, y, sign)
+            self._count(root_a, root_b, (x, y, sign), -1)
+        for x, y, sign in superedges:
+            assert self.summary.add_edge(x, y, sign)
+            self._count(root_a, root_b, (min(x, y), max(x, y), sign), 1)
+
+    def _count(self, root_a, root_b, record, delta):
+        pair = (root_a, root_b) if root_a <= root_b else (root_b, root_a)
+        bucket = self.pn_edges.setdefault(pair, set())
+        if delta > 0:
+            bucket.add(record)
+        else:
+            bucket.discard(record)
+            if not bucket:
+                del self.pn_edges[pair]
+        directions = [(root_a, root_b)] if root_a == root_b else [(root_a, root_b), (root_b, root_a)]
+        for root, other in directions:
+            counts = self.pn_count[root]
+            counts[other] = counts.get(other, 0) + delta
+            if counts[other] == 0:
+                del counts[other]
+            self.pn_total[root] += delta
+
+
+def index_orders(state):
+    """Every index the merge path iterates, with its iteration order."""
+    summary = state.summary
+    return {
+        "pn_edges": [(pair, list(bucket)) for pair, bucket in state.pn_edges.items()],
+        "pn_count": [(root, list(counts.items())) for root, counts in state.pn_count.items()],
+        "pn_total": list(state.pn_total.items()),
+        "p_edges": list(summary.p_edges()),
+        "n_edges": list(summary.n_edges()),
+        "incident": [(node, list(edges)) for node, edges in summary._incident.items()],
+        "mutations": summary._mutations,
+    }
+
+
+class TestReplaceBetween:
+    def test_adds_and_removes_superedges(self, path_state):
         hierarchy = path_state.summary.hierarchy
         a = hierarchy.leaf_of(0)
         b = path_state.merge_roots(hierarchy.leaf_of(1), hierarchy.leaf_of(2))
-        path_state.add_superedge(a, b, a, b, 1)
+        leaf_1 = hierarchy.leaf_of(1)
+        path_state.replace_between(a, b, [(a, leaf_1, 1), (a, b, 1)])
         assert path_state.pn_cost_between(a, b) == 2
         path_state.check_consistency()
-        path_state.remove_superedge(a, b, a, b, 1)
+        path_state.replace_between(a, b, [(a, leaf_1, 1)])
         assert path_state.pn_cost_between(a, b) == 1
         path_state.check_consistency()
 
@@ -79,24 +130,96 @@ class TestSuperedgeBookkeeping:
         # between two trees with no subedges between them must be flagged.
         hierarchy = path_state.summary.hierarchy
         a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(2)
-        path_state.add_superedge(a, b, a, b, 1)
+        path_state.replace_between(a, b, [(a, b, 1)])
         with pytest.raises(SummaryInvariantError, match="no subedges"):
             path_state.check_consistency()
-        path_state.remove_superedge(a, b, a, b, 1)
+        path_state.replace_between(a, b, [])
         path_state.check_consistency()
 
-    def test_remove_missing_superedge_raises(self, path_state):
-        hierarchy = path_state.summary.hierarchy
-        a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(2)
-        with pytest.raises(SummaryInvariantError):
-            path_state.remove_superedge(a, b, a, b, 1)
-
-    def test_remove_all_between(self, path_state):
+    def test_bucket_entry_missing_from_the_summary_raises(self, path_state):
         hierarchy = path_state.summary.hierarchy
         a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(1)
-        assert path_state.remove_all_between(a, b) == 1
+        path_state.pn_edges[(a, b)].add((a, b, -1))
+        with pytest.raises(SummaryInvariantError, match="not in the summary"):
+            path_state.replace_between(a, b, [(a, b, 1)])
+
+    @pytest.mark.parametrize("superedges, match", [
+        ([(0, 1, 1), (1, 0, 1)], "already present"),
+        ([(0, 1, 1), (0, 1, -1)], "already present"),
+        ([(0, 99, 1)], "unknown endpoint"),
+    ])
+    def test_bad_additions_raise(self, path_state, superedges, match):
+        hierarchy = path_state.summary.hierarchy
+        a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(1)
+        with pytest.raises(SummaryInvariantError, match=match):
+            path_state.replace_between(a, b, superedges)
+
+    def test_empty_replacement_clears_the_pair(self, path_state):
+        hierarchy = path_state.summary.hierarchy
+        a, b = hierarchy.leaf_of(0), hierarchy.leaf_of(1)
+        path_state.replace_between(a, b, [])
         assert path_state.pn_cost_between(a, b) == 0
+        assert (a, b) not in path_state.pn_edges
         assert path_state.summary.cost() == path_state.graph.num_edges - 1
+
+    def test_orders_match_the_per_edge_sequence(self):
+        # Leaf 0's only superedge goes, so its incident set is emptied and
+        # deleted; the pair's counts and bucket are deleted and re-inserted.
+        graph = Graph(nodes=range(5), edges=[(0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])
+        bulk, reference = SluggerState(graph), PerEdgeState(graph)
+        for state in (bulk, reference):
+            merged = state.merge_roots(0, 1)
+            state.replace_between(merged, 2, [(merged, 2, 1)])
+            state.replace_between(merged, 4, [(4, 1, 1)])
+            other = state.merge_roots(3, 4)
+            state.replace_between(merged, other, [(merged, other, 1), (0, 4, -1)])
+            state.check_consistency()
+        assert list(bulk.pn_count[merged]) == list(reference.pn_count[merged]) == [2, other]
+        assert list(bulk.pn_edges) == list(reference.pn_edges)
+        assert list(bulk.summary._incident) == list(reference.summary._incident)
+        incident_order = list(bulk.summary._incident)
+        assert incident_order.index(0) > incident_order.index(merged)
+        assert index_orders(bulk) == index_orders(reference)
+
+    def test_merge_runs_leave_the_per_edge_orders(self):
+        graph = caveman_graph(8, 6, 0.1, seed=1)
+        config = SluggerConfig(seed=0)
+        bulk, reference = SluggerState(graph), PerEdgeState(graph)
+        pairs = []
+        replace_between = bulk.replace_between
+        bulk.replace_between = lambda *args: (pairs.append(args[:2]), replace_between(*args))
+        for iteration in range(4):
+            for state in (bulk, reference):
+                process_candidate_set(state, sorted(state.roots), 0.0, config, seed=iteration)
+            assert index_orders(bulk) == index_orders(reference)
+        bulk.check_consistency()
+        assert len(pairs) > 20
+        assert any(root_a == root_b for root_a, root_b in pairs)
+
+
+class TestIncidentIndexCheck:
+    @pytest.mark.parametrize("corruption", ["stray", "missing", "empty", "wrong sign"])
+    def test_corrupted_incident_index_raises(self, path_state, corruption):
+        incident = path_state.summary._incident
+        path_state.check_consistency()
+        if corruption == "stray":
+            incident[0].add((3, 1))
+        elif corruption == "missing":
+            incident[0].clear()
+            del incident[0]
+        elif corruption == "empty":
+            incident[99] = set()
+        else:
+            incident[0] = {(node, -sign) for node, sign in incident[0]}
+        with pytest.raises(SummaryInvariantError, match="incident index"):
+            path_state.check_consistency()
+
+    def test_caveman_run_with_invariants_passes(self):
+        graph = caveman_graph(70, 15, 0.05, seed=1)
+        config = SluggerConfig(iterations=20, seed=0, check_invariants=True)
+        result = Slugger(config).summarize(graph)
+        result.summary.validate(graph)
+        result.summary.check_incident_index()
 
 
 class TestMerging:
