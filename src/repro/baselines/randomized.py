@@ -58,7 +58,9 @@ def randomized_summarize(
             continue
         best_saving = 0.0
         best_partner = None
-        for candidate in state.two_hop_groups(group):
+        # Sorted, so a tie goes to the smallest id: set order follows
+        # the graph's insertion history, which a pickled copy loses.
+        for candidate in sorted(state.two_hop_groups(group)):
             if candidate not in state.members:
                 continue
             value = state.saving(group, candidate)

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--inflight", type=int, default=2, metavar="N",
                               help="jobs executed concurrently (default 2)")
     serve_parser.add_argument("--mode", choices=("thread", "process"), default="thread",
-                              help="job execution mode (process = warm forked worker pool)")
+                              help="job execution mode (process = forked job pool)")
     serve_parser.add_argument("--seed", type=int, default=0,
                               help="seed for generating built-in dataset analogues")
     serve_parser.add_argument(

@@ -24,7 +24,7 @@ Serving
 ``engine.run`` is a thin shim over the default
 :class:`repro.service.SummaryService`: repeated calls on the same graph
 share one interned substrate build.  Workloads that queue many requests
-— with progress, cancellation, concurrency, and warm worker pools —
+— with progress, cancellation, concurrency, and process isolation —
 should use the service layer directly (see :mod:`repro.service`).
 """
 

@@ -1,8 +1,9 @@
 """Registry adapters wrapping SLUGGER and the five baselines.
 
-Each adapter stores its method options at construction time and injects
-the per-run ``seed`` at :meth:`~repro.engine.base.Summarizer.summarize`
-time, so one configured instance can be reused across graphs and seeds
+Each adapter keeps the method options it was built with (the base
+``Summarizer.__init__`` stores them) and injects the per-run ``seed`` at
+:meth:`~repro.engine.base.Summarizer.summarize` time, so one configured
+instance can be reused across graphs and seeds
 (which is exactly how the comparison harness sweeps them).  The wrapped
 functions are called with the same arguments a direct invocation would
 use — registry dispatch and direct calls are bit-identical for a fixed
@@ -45,13 +46,7 @@ class SluggerSummarizer(Summarizer):
     name = "slugger"
     iteration_controlled = True
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None)
-
-    def _dispatch(
+    def _run(
         self,
         graph: Graph,
         seed: SeedLike,
@@ -77,13 +72,7 @@ class SwegSummarizer(Summarizer):
     name = "sweg"
     iteration_controlled = True
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None)
-
-    def _dispatch(
+    def _run(
         self,
         graph: Graph,
         seed: SeedLike,
@@ -103,10 +92,7 @@ class MossoSummarizer(Summarizer):
 
     name = "mosso"
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
+    def _run(self, graph, seed, control, resources) -> RunOutput:
         summary = mosso_summarize(graph, **{**self.options, "seed": seed})
         return summary, [], {}
 
@@ -117,13 +103,7 @@ class RandomizedSummarizer(Summarizer):
 
     name = "randomized"
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None)
-
-    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
+    def _run(self, graph, seed, control, resources) -> RunOutput:
         summary = randomized_summarize(
             graph, seed=seed, resources=resources, **self.options
         )
@@ -136,13 +116,7 @@ class SagsSummarizer(Summarizer):
 
     name = "sags"
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None)
-
-    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
+    def _run(self, graph, seed, control, resources) -> RunOutput:
         summary = sags_summarize(
             graph, resources=resources, **{**self.options, "seed": seed}
         )
@@ -155,12 +129,6 @@ class GreedySummarizer(Summarizer):
 
     name = "greedy"
 
-    def __init__(self, **options: Any) -> None:
-        self.options = options
-
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._dispatch(graph, seed, None, None)
-
-    def _dispatch(self, graph, seed, control, resources) -> RunOutput:
+    def _run(self, graph, seed, control, resources) -> RunOutput:
         summary = greedy_summarize(graph, resources=resources, **self.options)
         return summary, [], {}

@@ -73,7 +73,8 @@ class Summarizer(ABC):
 
     Subclasses set :attr:`name` (the registry key), declare whether they
     honor an ``iterations`` option via :attr:`iteration_controlled`, and
-    implement :meth:`_run`.  Instances are also callable with the legacy
+    implement :meth:`_run`.  Construction keeps the method options in
+    :attr:`options`.  Instances are also callable with the legacy
     ``(graph, seed) -> summary`` signature, so existing code that treats
     methods as plain functions keeps working.
     """
@@ -82,6 +83,9 @@ class Summarizer(ABC):
     name: ClassVar[str] = ""
     #: Whether the method exposes an ``iterations`` knob (SLUGGER, SWeG).
     iteration_controlled: ClassVar[bool] = False
+
+    def __init__(self, **options: Any) -> None:
+        self.options = options
 
     def summarize(
         self,
@@ -93,13 +97,13 @@ class Summarizer(ABC):
         """Run the method on ``graph`` with shared timing bookkeeping.
 
         ``control`` (progress/cancel) is honored by SLUGGER and SWeG and
-        ``resources`` (shared substrate views) by the methods that
-        override :meth:`_dispatch`; both are inert no-ops for the rest,
-        and neither can change the summary.
+        ``resources`` (shared substrate views) by the methods that read
+        it; both are inert for the rest, and neither can change the
+        summary.
         """
         require_type(graph, Graph, "graph")
         started = time.perf_counter()
-        summary, history, details = self._dispatch(graph, seed, control, resources)
+        summary, history, details = self._run(graph, seed, control, resources)
         elapsed = time.perf_counter() - started
         return EngineResult(
             method=self.name,
@@ -111,25 +115,17 @@ class Summarizer(ABC):
 
     @abstractmethod
     def _run(
-        self, graph: Graph, seed: SeedLike
-    ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Produce ``(summary, history, details)`` for one graph."""
-
-    def _dispatch(
         self,
         graph: Graph,
         seed: SeedLike,
         control: Optional[RunControl],
         resources: Optional[GraphResources],
     ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Full-surface hook: progress/cancel + shared substrate.
+        """Produce ``(summary, history, details)`` for one graph.
 
-        The default routes to :meth:`_run` and ignores ``control`` and
-        ``resources``, so simple adapters and user subclasses only
-        implement :meth:`_run`.  Adapters that support the service hooks
-        override this method.
+        ``control`` and ``resources`` may be ``None``; a method that has
+        no use for them ignores them.
         """
-        return self._run(graph, seed)
 
     def __call__(self, graph: Graph, seed: SeedLike = None) -> AnySummary:
         """Legacy ``MethodFunction`` protocol: return just the summary."""

@@ -1,10 +1,10 @@
-"""Service-oriented engine API: sessions, jobs, and warm-pool serving.
+"""Service-oriented engine API: sessions, jobs, and queued serving.
 
 Where :mod:`repro.engine` answers "run this method once", this package
 answers "serve many summarization requests": a long-lived
 :class:`SummaryService` owns an interning :class:`GraphStore` (one
-substrate build per graph), warm forked worker pools shared across
-requests, a bounded FIFO queue with configurable in-flight concurrency,
+substrate build per graph), an optional forked job pool for isolation,
+a bounded FIFO queue with configurable in-flight concurrency,
 and hands out :class:`SummaryJob` futures with progress events and
 cooperative cancellation.  Both sync (``submit`` / ``result``) and
 ``asyncio`` (``await service.summarize(...)``) entry points are

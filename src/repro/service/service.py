@@ -11,10 +11,11 @@ service shares what one-shot calls rebuild every time:
 * an interning :class:`~repro.service.store.GraphStore` — one
   ``NodeIndex`` / ``DenseAdjacency`` / CSR build per graph;
 * in ``mode="process"``, a persistent fork-context
-  ``ProcessPoolExecutor`` that runs one whole job per submit, so many
-  small requests share warm workers instead of paying per-call setup.
-  A job that kills its worker fails alone: the broken pool is retired
-  and the next job forks a fresh one.
+  ``ProcessPoolExecutor`` that runs one whole job per submit, for
+  isolation: each job ships its request record and its graph, and the
+  worker builds the graph's substrate itself.  A job that kills its
+  worker fails alone: the broken pool is retired and the next job forks
+  a fresh one.
 
 Entry points::
 
@@ -31,15 +32,13 @@ For a fixed seed a request's summary is **bit-identical** whether it
 runs through ``engine.run``, a warm service, a process-mode worker, or
 under concurrent mixed traffic: jobs share only read-only state (the
 interned substrate, whose construction is itself deterministic in the
-graph), every job draws from its own seeded RNG stream, and a forked
-worker reads the graph store only from its private copy-on-write image.
-The service test suite pins fingerprints across all three paths.
+graph), and every job draws from its own seeded RNG stream.  The service
+test suite pins fingerprints across all three paths.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing
 import queue
 import threading
@@ -78,49 +77,43 @@ __all__ = ["SummaryService", "default_service", "shutdown_default_service"]
 
 _STOP = object()
 
-#: Token → graph store of every process-mode service with a live job
-#: pool.  A service fills its entry before its pool's first submit (the
-#: fork), so the workers' copy-on-write image holds it; workers only
-#: read it.  Keyed by a per-service token so two services in one
-#: process each resolve their own store.
-_FORK_STORES: Dict[int, GraphStore] = {}
-_TOKENS = itertools.count(1)
 
-
-def _process_job_worker(
-    payload: Tuple[int, Dict[str, Any], Optional[Graph]],
+def _summarize_request(
+    request: SummaryRequest,
+    graph: Graph,
+    control: Optional[RunControl],
+    resources: Optional[GraphResources],
 ) -> EngineResult:
-    """Run one whole job inside a warm forked worker.
+    """Run ``request`` on ``graph``: the job body of both service modes."""
+    summarizer = (
+        request.summarizer
+        if request.summarizer is not None
+        else create(request.method, **request.options)
+    )
+    return summarizer.summarize(
+        graph, seed=request.seed, control=control, resources=resources
+    )
 
-    ``payload`` is ``(token, record, graph)``: the token names the
-    submitting service's :class:`GraphStore` in :data:`_FORK_STORES`,
-    inherited copy-on-write at fork time.  Named graphs that were
-    registered (and pre-built) before the fork resolve warm from the
-    snapshot — the payload carries only the request record.  Anonymous
-    graphs, and named graphs registered after the fork, arrive pickled
-    in the payload and are served from a private per-job handle: an
-    unpickled graph is a fresh object, so worker-side interning could
-    never hit — register graphs (and :meth:`SummaryService.warm_restart`
-    after late registrations) to serve them warm.  Jobs run serially
-    inside the worker — process mode parallelizes *across* requests,
-    not within one.
 
-    Lock discipline: the fork can happen while a parent dispatcher
-    thread holds a store or handle lock, and the child would inherit it
-    held forever.  The worker therefore never acquires shared locks: the
-    named-handle table is read directly (this process is
-    single-threaded), and pre-fork warm-up guarantees snapshot handles
-    are fully built, so their accessors stay on the lock-free fast path.
+def _process_job_worker(payload: Tuple[Dict[str, Any], Graph]) -> EngineResult:
+    """Run one whole job inside a forked worker.
+
+    ``payload`` is ``(record, graph)``: the request's
+    :meth:`~repro.service.request.SummaryRequest.to_dict` record and its
+    graph, both pickled by the pool.  The worker reads nothing else: the
+    run builds the graph's substrate itself, which cannot change the
+    summary.  Jobs run serially inside the worker — process mode
+    parallelizes *across* requests, not within one.
+
+    Lock discipline: the fork can happen while a parent thread holds a
+    lock, and the child would inherit it held forever.  The one shared
+    lock on this path is the method registry's, which the parent loads
+    before the first fork, so :func:`create` stays on its lock-free
+    fast path here.
     """
-    token, record, graph = payload
-    if graph is None:
-        handle = _FORK_STORES[token]._named[record["graph_key"]]
-        graph = handle.graph
-    else:
-        handle = GraphHandle(graph)
+    record, graph = payload
     request = SummaryRequest.from_dict(record, graph=graph)
-    summarizer = create(request.method, **request.options)
-    return summarizer.summarize(graph, seed=request.seed, resources=handle)
+    return _summarize_request(request, graph, None, None)
 
 
 class SummaryService:
@@ -131,10 +124,11 @@ class SummaryService:
     mode:
         ``"thread"`` (default) runs jobs on ``max_inflight`` dispatcher
         threads in this process — full progress streams and mid-run
-        cancellation.  ``"process"`` additionally ships serializable
-        jobs to a persistent fork-based worker pool (warm across
-        requests); progress is then job-level only and cancellation
-        applies to queued jobs.  Falls back to ``"thread"`` where
+        cancellation.  ``"process"`` additionally ships each
+        serializable job, request record and graph, to a persistent
+        fork-based worker pool; progress is then job-level only,
+        cancellation applies to queued jobs, and a graph that cannot be
+        pickled fails its job.  Falls back to ``"thread"`` where
         ``fork`` is unavailable.
     max_inflight:
         Number of jobs executed concurrently (dispatcher threads), which
@@ -216,8 +210,6 @@ class SummaryService:
         self._stopped_dispatchers = 0
         self._teardown_error: Optional[BaseException] = None
         self._job_pool: Optional[ProcessPoolExecutor] = None
-        self._job_pool_generation = -1
-        self._token = next(_TOKENS)
         self.summary_cache: Optional[SummaryCache] = (
             SummaryCache(summary_cache_dir, budget_bytes=summary_cache_budget)
             if summary_cache_dir is not None
@@ -781,40 +773,19 @@ class SummaryService:
             graph, handle = self._resolve(request)
             if resources is None:
                 resources = handle
-        summarizer = (
-            request.summarizer
-            if request.summarizer is not None
-            else create(request.method, **request.options)
-        )
-        return summarizer.summarize(
-            graph, seed=request.seed, control=control, resources=resources
-        )
+        return _summarize_request(request, graph, control, resources)
 
     def _run_in_pool(self, request: SummaryRequest) -> EngineResult:
         graph, _handle = self._resolve(request)
+        with self._lock:
+            pool = self._job_pool_locked()
+            self._stats["pool_jobs"] += 1
+        # Submitting outside the lock is safe: only a broken pool is
+        # retired before teardown, and a broken pool's submit raises
+        # BrokenProcessPool, handled below like a failed job.  Teardown
+        # runs after the last dispatcher has left.
         try:
-            with self._lock:
-                pool = self._job_pool_locked()
-                # Named graphs whose *key* was registered before the pool
-                # forked live in the workers' copy-on-write snapshot and
-                # travel by key alone; anonymous graphs (workers cannot
-                # resolve them) and keys registered after the fork — even
-                # for an already-interned graph — ship with the payload.
-                warm_in_snapshot = (
-                    request.graph_key is not None
-                    and self.store.key_generation(request.graph_key)
-                    <= self._job_pool_generation
-                )
-                payload = (self._token, request.to_dict(),
-                           None if warm_in_snapshot else graph)
-                self._stats["pool_jobs"] += 1
-                # Submitting under the lock keeps warm_restart/shutdown
-                # from retiring the pool between lookup and submit.  The
-                # first submit forks the workers; they never acquire
-                # this lock.
-                # repro-lint: disable=fork-under-lock (forked job workers never acquire the service lock; holding it keeps the pool from being retired mid-submit)
-                future = pool.submit(_process_job_worker, payload)
-            return future.result()
+            return pool.submit(_process_job_worker, (request.to_dict(), graph)).result()
         except BrokenProcessPool:
             # A worker died (e.g. os._exit in a job): the stdlib pool is
             # unusable from now on, so retire it and let the next job
@@ -822,23 +793,11 @@ class SummaryService:
             self._retire_job_pool(pool)
             raise
 
-    def _prewarm_named_handles(self) -> None:
-        """Fully build every named handle before the pool (re)forks.
-
-        Builds dense *and* CSR so forked workers inherit finished
-        substrates copy-on-write and their accessors never touch a lock
-        (see the worker's lock-discipline note).  Only named handles
-        matter: anonymous graphs always ship with their payloads.
-        """
-        for handle in self.store.named_handles():
-            handle.csr()  # builds dense() first
-
     def _job_pool_locked(self) -> ProcessPoolExecutor:
         """The live job pool, created on first use (holding the lock).
 
         Creating the pool forks nothing; its workers fork at the first
-        submit, after the store is registered for them and every named
-        handle is built.
+        submit.
         """
         if self._job_pool is None:
             # Load the adapter registry in the parent before any fork:
@@ -846,42 +805,18 @@ class SummaryService:
             # importing under a lock another parent thread might hold at
             # fork time.
             available_methods()
-            self._prewarm_named_handles()
-            _FORK_STORES[self._token] = self.store
             self._job_pool = ProcessPoolExecutor(
                 max_workers=self.max_inflight,
                 mp_context=multiprocessing.get_context("fork"),
             )
-            self._job_pool_generation = self.store.generation
         return self._job_pool
 
     def _retire_job_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Drop ``pool`` if it is still the live one, then shut it down.
-
-        Waits for the pool's in-flight jobs; the next job forks a fresh
-        pool against the store as it is then.
-        """
+        """Drop the broken ``pool`` if it is still the live one, then shut
+        it down; the next job forks a fresh pool."""
         with self._lock:
             if self._job_pool is pool:
                 self._job_pool = None
-        pool.shutdown(wait=True)
-
-    def warm_restart(self) -> None:
-        """Re-fork the process-mode job pool against the current store.
-
-        Call after registering large graphs so subsequent jobs resolve
-        them from the copy-on-write snapshot instead of shipping them
-        per payload.  The replacement pool (and every named handle's
-        substrate) is built now; its workers fork at the next job.
-        In-flight jobs finish on the old pool.  No-op in thread mode or
-        before the pool exists.
-        """
-        with self._lock:
-            pool = self._job_pool
-            if pool is None:
-                return
-            self._job_pool = None
-            self._job_pool_locked()
         pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -979,7 +914,6 @@ class SummaryService:
         """
         with self._lock:
             pool, self._job_pool = self._job_pool, None
-            _FORK_STORES.pop(self._token, None)
         try:
             if pool is not None:
                 pool.shutdown(wait=True)

@@ -55,7 +55,6 @@ class GraphHandle(GraphResources):
         self,
         graph: Graph,
         key: Optional[str] = None,
-        generation: int = 0,
         dense: Optional[DenseAdjacency] = None,
         csr: Optional[CSRAdjacency] = None,
     ) -> None:
@@ -66,10 +65,6 @@ class GraphHandle(GraphResources):
         # separately (see :meth:`GraphStore.register`).
         self._graph = weakref.ref(graph)
         self.key = key
-        #: Store generation at creation; the process-mode service uses it
-        #: to decide whether a forked worker snapshot already holds this
-        #: handle's graph.
-        self.generation = generation
         self._stamp_at_build = mutation_stamp(graph)
         self._lock = threading.Lock()
         # Prebuilt substrate views (a storage-layer mmap load, a prior
@@ -172,14 +167,6 @@ class GraphStore:
         self._named: Dict[str, GraphHandle] = {}
         #: Strong references for named graphs (handles only hold weakrefs).
         self._pinned: Dict[str, Graph] = {}
-        #: Store generation at which each *key* was (last) registered —
-        #: distinct from the handle's creation generation: re-registering
-        #: an already-interned graph under a new key must still look
-        #: "young" to pools forked before that key existed.
-        self._key_generation: Dict[str, int] = {}
-        #: Bumped whenever a new handle is created; process-mode services
-        #: compare it against their forked snapshot's generation.
-        self.generation = 0
         self.hits = 0
         self.misses = 0
 
@@ -202,10 +189,7 @@ class GraphStore:
                 self.hits += 1
                 return handle
             self.misses += 1
-            self.generation += 1
-            handle = GraphHandle(
-                graph, key=key, generation=self.generation, dense=dense, csr=csr
-            )
+            handle = GraphHandle(graph, key=key, dense=dense, csr=csr)
             self._handles[graph] = handle
             return handle
 
@@ -222,25 +206,9 @@ class GraphStore:
         """
         handle = self.intern(graph, key=key, dense=dense, csr=csr)
         with self._lock:
-            if self._named.get(key) is not handle:
-                # New or rebound key: pools forked earlier cannot resolve
-                # it, so the binding must look younger than they are.
-                self.generation += 1
-                self._key_generation[key] = self.generation
             self._named[key] = handle
             self._pinned[key] = graph
         return handle
-
-    def key_generation(self, key: str) -> int:
-        """Store generation at which ``key`` was last registered.
-
-        Process-mode services compare this against their forked
-        snapshot's generation to decide whether a worker can resolve the
-        key from inherited memory.  Unknown keys report an impossibly
-        young generation so callers fall back to shipping the graph.
-        """
-        with self._lock:
-            return self._key_generation.get(key, self.generation + 1)
 
     def get(self, key: str) -> GraphHandle:
         """The handle registered under ``key``; raises if unknown.
@@ -269,11 +237,6 @@ class GraphStore:
         with self._lock:
             return sorted(self._named)
 
-    def named_handles(self) -> List[GraphHandle]:
-        """Handles of all registered (named, strongly pinned) graphs."""
-        with self._lock:
-            return list(self._named.values())
-
     def stats(self) -> Dict[str, int]:
         """Interning counters: hits, misses, live and named handles."""
         with self._lock:
@@ -282,7 +245,6 @@ class GraphStore:
                 "misses": self.misses,
                 "graphs": len(self._handles),
                 "named": len(self._named),
-                "generation": self.generation,
             }
 
     def close(self) -> None:
@@ -291,4 +253,3 @@ class GraphStore:
             self._handles = weakref.WeakKeyDictionary()
             self._named.clear()
             self._pinned.clear()
-            self._key_generation.clear()

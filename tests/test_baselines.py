@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.baselines import (
@@ -19,7 +21,13 @@ from repro.baselines import (
 )
 from repro.baselines.common import pair_encoding_cost
 from repro.exceptions import ConfigurationError, SummaryInvariantError
-from repro.graphs import Graph, caveman_graph, complete_bipartite_graph, complete_graph, erdos_renyi_graph
+from repro.graphs import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    erdos_renyi_graph,
+    load_dataset,
+)
 
 
 class TestFlatGroupingState:
@@ -97,6 +105,22 @@ class TestOfflineBaselines:
         summary = greedy_summarize(small_clique)
         assert summary.cost() <= small_clique.num_edges
         assert summary.num_non_singleton_groups() >= 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_randomized_ignores_set_layout(self, seed):
+        # A pickled graph has the same content but other set layouts
+        # (process-mode jobs ship their graph this way); partner ties
+        # must not follow set order.
+        graph = load_dataset("CA", seed=0)
+        clone = pickle.loads(pickle.dumps(graph))
+        signatures = [
+            tuple(sorted(map(tuple, edges)) for edges in (
+                summary.superedges, summary.corrections_plus,
+                summary.corrections_minus))
+            for summary in (randomized_summarize(g, seed=seed)
+                            for g in (graph, clone))
+        ]
+        assert signatures[0] == signatures[1]
 
     def test_randomized_max_rounds(self, small_random):
         summary = randomized_summarize(small_random, seed=0, max_rounds=3)

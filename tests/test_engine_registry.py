@@ -93,7 +93,7 @@ class TestRegistry:
         class Duplicate(Summarizer):
             name = "slugger"
 
-            def _run(self, graph, seed):  # pragma: no cover - never runs
+            def _run(self, graph, seed, control, resources):  # pragma: no cover - never runs
                 raise NotImplementedError
 
         with pytest.raises(ConfigurationError):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import engine
+from repro import engine, storage
 from repro.baselines.greedy import greedy_summarize
 from repro.engine.execution import process_execution_available
 from repro.engine.hooks import RunControl
@@ -89,7 +89,7 @@ class _GatedSummarizer(engine.Summarizer):
     #: Seeds in the order their runs started.
     started = []
 
-    def _run(self, graph, seed):
+    def _run(self, graph, seed, control, resources):
         type(self).started.append(seed)
         gate = type(self).gates.get(seed)
         if gate is not None:
@@ -110,7 +110,7 @@ class _CrashingSummarizer(engine.Summarizer):
 
     name = "svc-test-crash"
 
-    def _run(self, graph, seed):
+    def _run(self, graph, seed, control, resources):
         if os.getpid() != _TEST_PID:
             os._exit(3)
         return greedy_summarize(graph, max_merges=0), [], {}
@@ -205,8 +205,7 @@ class TestGraphStore:
         assert first.dense() is second.dense()
         assert first.csr() is second.csr()
         stats = store.stats()
-        assert stats == {"hits": 1, "misses": 1, "graphs": 1, "named": 0,
-                         "generation": 1}
+        assert stats == {"hits": 1, "misses": 1, "graphs": 1, "named": 0}
         store.close()
 
     def test_distinct_graphs_get_distinct_handles(self):
@@ -632,9 +631,9 @@ class TestServingDeterminism:
     @pytest.mark.skipif(not process_execution_available(),
                         reason="no fork on this platform")
     def test_process_mode_inline_graph_requests(self):
-        # Anonymous graphs cannot be resolved from the workers' snapshot,
-        # so they must ship with the payload (regression: this used to
-        # fail with KeyError('graph_key')).
+        # An anonymous graph has no key, so the worker can only run on
+        # the graph its payload carries (regression: this once failed
+        # with KeyError('graph_key')).
         graph = caveman_fixture()
         reference = engine.run("slugger", graph, seed=0, iterations=5)
         with SummaryService(mode="process", max_inflight=1) as service:
@@ -645,8 +644,8 @@ class TestServingDeterminism:
     @pytest.mark.skipif(not process_execution_available(),
                         reason="no fork on this platform")
     def test_process_mode_graph_registered_after_fork(self):
-        # A graph registered after the pool forked is not in the workers'
-        # snapshot; it must travel with the payload and still match.
+        # A graph registered after the pool forked exists only in the
+        # parent; it travels with the payload and still matches.
         early, late = caveman_fixture(), erdos_renyi_graph(150, 0.05, seed=9)
         with SummaryService(mode="process", max_inflight=1) as service:
             service.register_graph("early", early)
@@ -666,9 +665,9 @@ class TestServingDeterminism:
                         reason="no fork on this platform")
     def test_process_mode_rekeyed_graph_after_fork(self):
         # Registering an already-interned graph under a NEW key after the
-        # pool forked: the snapshot cannot resolve the new key, so the
-        # graph must ship with the payload (regression: KeyError in the
-        # worker because the handle's creation generation looked warm).
+        # pool forked: the workers never knew either key, so the job
+        # runs on the graph its payload carries (regression: this once
+        # failed with KeyError in the worker).
         graph = caveman_fixture()
         with SummaryService(mode="process", max_inflight=1) as service:
             service.register_graph("first", graph)
@@ -679,54 +678,47 @@ class TestServingDeterminism:
                                     options=SLUGGER_OPTIONS).result(timeout=300)
         assert fingerprint(first.summary) == fingerprint(second.summary)
 
-    def test_warm_restart_is_a_noop_in_thread_mode(self):
+    @pytest.mark.skipif(not process_execution_available(),
+                        reason="no fork on this platform")
+    @pytest.mark.parametrize("make_graph", [
+        lambda: caveman_graph(8, 6, 0.1, seed=1),
+        lambda: erdos_renyi_graph(150, 0.05, seed=9),
+    ], ids=["caveman", "er"])
+    def test_process_mode_sees_a_graph_mutated_after_fork(self, make_graph):
+        # Mutate a registered graph after the pool forked, keeping its
+        # edge count: the next job must summarize the mutated graph, not
+        # the one the workers inherited at fork time.
+        graph = make_graph()
+        with SummaryService(mode="process", max_inflight=1) as service:
+            service.register_graph("g", graph)
+            service.submit(method="slugger", graph_key="g", seed=0,
+                           options=SLUGGER_OPTIONS).result(timeout=300)
+            assert service._job_pool is not None
+            edges = graph.num_edges
+            u, v = sorted(graph.edges())[0]
+            absent = next((a, b) for a in sorted(graph.nodes())
+                          for b in sorted(graph.nodes())
+                          if a < b and not graph.has_edge(a, b))
+            graph.remove_edge(u, v)
+            graph.add_edge(*absent)
+            assert graph.num_edges == edges
+            mutated = service.submit(method="slugger", graph_key="g", seed=0,
+                                     options=SLUGGER_OPTIONS).result(timeout=300)
+        mutated.summary.validate(graph)
+        assert fingerprint(mutated.summary) == fingerprint(
+            engine.run("slugger", graph, seed=0, iterations=5).summary
+        )
+
+    def test_thread_mode_never_creates_a_job_pool(self):
         graph = caveman_fixture()
         with SummaryService(mode="thread") as service:
             service.register_graph("cave", graph)
-            service.warm_restart()
-            assert service._job_pool is None
             result = service.submit(method="slugger", graph_key="cave", seed=0,
                                     options=SLUGGER_OPTIONS).result(timeout=300)
             assert service._job_pool is None
             assert service.stats()["pool_jobs"] == 0
         assert fingerprint(result.summary) == fingerprint(
             engine.run("slugger", graph, seed=0, iterations=5).summary
-        )
-
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_warm_restart_is_a_noop_before_the_pool_exists(self):
-        with SummaryService(mode="process", max_inflight=1) as service:
-            service.register_graph("cave", caveman_fixture())
-            service.warm_restart()
-            assert service._job_pool is None
-            assert service._job_pool_generation == -1
-
-    @pytest.mark.skipif(not process_execution_available(),
-                        reason="no fork on this platform")
-    def test_warm_restart_reforks_with_late_registered_keys(self):
-        # A key registered after the pool forked is not in the workers'
-        # snapshot; warm_restart re-forks so the next job on that key
-        # resolves it from the snapshot instead of shipping the graph.
-        early, late = caveman_fixture(), erdos_renyi_graph(150, 0.05, seed=9)
-        with SummaryService(mode="process", max_inflight=1) as service:
-            service.register_graph("early", early)
-            service.submit(method="slugger", graph_key="early", seed=0,
-                           options=SLUGGER_OPTIONS).result(timeout=300)
-            forked = service._job_pool
-            assert forked is not None
-            service.register_graph("late", late)
-            assert service.store.key_generation("late") > service._job_pool_generation
-            service.warm_restart()
-            restarted = service._job_pool
-            assert restarted is not None and restarted is not forked
-            assert service.store.key_generation("late") <= service._job_pool_generation
-            result = service.submit(method="slugger", graph_key="late", seed=3,
-                                    options=SLUGGER_OPTIONS).result(timeout=300)
-            assert service._job_pool is restarted
-            assert service.stats()["pool_jobs"] == 2
-        assert fingerprint(result.summary) == fingerprint(
-            engine.run("slugger", late, seed=3, iterations=5).summary
         )
 
     def test_graph_key_and_inline_requests_agree(self):
@@ -863,9 +855,29 @@ class TestProcessJobPool:
                     engine.run("slugger", graph, seed=0, iterations=5).summary
                 )
 
-    def test_warm_restarts_racing_submissions_lose_no_job(self):
-        # warm_restart retires the live pool while dispatchers submit to
-        # it; every job must land on a pool that still accepts work.
+    def test_an_unpicklable_graph_fails_only_its_own_job(self, tmp_path):
+        # Every process-mode job ships its graph, so a view over a
+        # memory-mapped container fails even when registered before the
+        # pool forks; the pool keeps serving.
+        graph = caveman_graph(8, 6, 0.1, seed=1)
+        storage.pack(graph, tmp_path / "g.slg")
+        with storage.load(tmp_path / "g.slg") as stored, \
+                SummaryService(mode="process", max_inflight=1) as service:
+            service.register_graph("view", stored.view(), csr=stored.csr())
+            with pytest.raises(TypeError):
+                service.submit(method="slugger", graph_key="view", seed=0,
+                               options=SLUGGER_OPTIONS).result(timeout=120)
+            healthy = service.submit(method="slugger", graph=graph, seed=0,
+                                     options=SLUGGER_OPTIONS).result(timeout=120)
+            stats = service.stats()
+        assert fingerprint(healthy.summary) == fingerprint(
+            engine.run("slugger", graph, seed=0, iterations=5).summary
+        )
+        assert (stats["failed"], stats["completed"]) == (1, 1)
+
+    def test_concurrent_submissions_lose_no_job(self):
+        # Three dispatchers submit to the shared pool outside the
+        # service lock; every job must complete and match.
         graph = caveman_graph(6, 5, 0.05, seed=3)
         reference = engine.run("slugger", graph, seed=0, iterations=2)
         with SummaryService(mode="process", max_inflight=3) as service:
@@ -873,11 +885,7 @@ class TestProcessJobPool:
             jobs = [service.submit(method="slugger", graph_key="cave", seed=0,
                                    options={"iterations": 2})
                     for _ in range(12)]
-            deadline = time.monotonic() + 120
-            while not all(job.done() for job in jobs):
-                assert time.monotonic() < deadline, "jobs did not settle in time"
-                service.warm_restart()
-            results = [job.result(timeout=0) for job in jobs]
+            results = [job.result(timeout=120) for job in jobs]
             assert service.stats()["pool_jobs"] == len(jobs)
         for result in results:
             assert fingerprint(result.summary) == fingerprint(reference.summary)
