@@ -93,8 +93,8 @@ def main() -> None:
         stats = service.stats()
         print(f"\nservice: mode={stats['mode']} inflight={stats['max_inflight']} "
               f"completed={stats['completed']}")
-        print(f"graph store: {stats['store']['misses']} substrate builds served "
-              f"{stats['store']['hits']} warm hits across {len(batch)} requests")
+        print(f"graph store: {stats['store']['misses']} misses, "
+              f"{stats['store']['hits']} hits across {len(batch)} requests")
 
     # 6. The same service API, awaited from asyncio.
     async def async_demo():

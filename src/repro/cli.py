@@ -801,8 +801,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         print(format_table(
             rows, ["job", "method", "graph", "state", "cost", "relative_size", "seconds"],
             title=f"served {len(rows)} requests (mode={stats['mode']}, "
-                  f"inflight={stats['max_inflight']}, substrate builds: "
-                  f"{stats['store']['misses']}, warm hits: {stats['store']['hits']})",
+                  f"inflight={stats['max_inflight']}, graph-store misses: "
+                  f"{stats['store']['misses']}, hits: {stats['store']['hits']})",
         ))
         if arguments.summary_cache:
             print(f"summary cache: hits={stats['summary_cache_hits']} "

@@ -51,10 +51,11 @@ class RunControl:
     checkpoint_sink:
         Callback invoked with one payload ``dict`` (``iteration``,
         ``summary``, ``rng_state``, ``history``) after every completed
-        iteration — the persistence layer serializes it into a
-        checkpoint container.  Runs synchronously on the summarizer
-        thread, so the snapshot is consistent; ``None`` disables
-        checkpointing (the historical behavior).
+        iteration — the persistence layer freezes it into a checkpoint
+        snapshot, which is encoded later, off the summarizer thread.
+        Runs synchronously on the summarizer thread, so the snapshot is
+        consistent; ``None`` disables checkpointing (the historical
+        behavior).
     resume_payload:
         A previously checkpointed payload ``dict`` to restart from.
         Drivers that support resumption restore the summary and RNG

@@ -185,6 +185,20 @@ class Hierarchy:
             forest._next_id = next_id
         return forest
 
+    def to_parts(self) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...], int]:
+        """``(leaf count, internal, next_id)``: the forest as :meth:`from_parts` takes it.
+
+        ``internal`` holds every internal supernode as an ``(id, children)``
+        record, in ascending id order, with its children verbatim; the
+        leaves are given by count, since ``from_parts`` takes their
+        subnodes from the caller.  Everything is a tuple or an int, so
+        the parts stay valid however the forest changes later.
+        """
+        leaves = self._leaf_subnode
+        internal = tuple(sorted((node, tuple(kids)) for node, kids in self._children.items()
+                                if node not in leaves))
+        return len(leaves), internal, self._next_id
+
     def splice_out(self, supernode: int) -> None:
         """Remove an internal supernode, reattaching its children to its parent.
 

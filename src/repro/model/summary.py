@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.exceptions import SummaryInvariantError
 from repro.graphs.dense import DenseAdjacency
@@ -22,10 +24,27 @@ from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.staleness import mutation_stamp
 from repro.model.hierarchy import Hierarchy
 
-__all__ = ["HierarchicalSummary"]
+__all__ = ["HierarchicalSummary", "SummaryParts"]
 
 Subnode = Hashable
 SuperEdge = Tuple[int, int]
+
+
+class SummaryParts(NamedTuple):
+    """An immutable copy of a summary's ``(H, P+, P-)``, leaves by count.
+
+    What :meth:`HierarchicalSummary.to_parts` returns and every summary
+    encoder reads.  It holds only ints, tuples and frozensets, so it
+    pickles and no later change to the summary reaches it.
+    """
+
+    num_leaves: int
+    next_id: int
+    #: ``(id, children)`` per internal supernode, ascending id, children verbatim.
+    internal: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    p_edges: FrozenSet[SuperEdge]
+    n_edges: FrozenSet[SuperEdge]
+
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -120,6 +139,20 @@ class HierarchicalSummary:
     def from_graph(cls, graph: Graph) -> "HierarchicalSummary":
         """The trivial summary of ``graph`` (see :meth:`from_dense`)."""
         return cls.from_dense(DenseAdjacency.from_graph(graph))
+
+    def to_parts(self) -> SummaryParts:
+        """The summary frozen into the parts :meth:`from_parts` takes.
+
+        The inverse of the constructor pair: for the summary's subnodes
+        ``labels``, ``from_parts(Hierarchy.from_parts(labels,
+        parts.internal, parts.next_id), parts.p_edges, parts.n_edges)``
+        rebuilds an equal summary.  Copying the ids is far cheaper than
+        encoding them, so a running job takes its checkpoint snapshots
+        with this and leaves the encode to the cache's writer.
+        """
+        num_leaves, internal, next_id = self.hierarchy.to_parts()
+        return SummaryParts(num_leaves, next_id, internal,
+                            frozenset(self._p_edges), frozenset(self._n_edges))
 
     # ------------------------------------------------------------------
     # Superedge mutation

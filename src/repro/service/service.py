@@ -64,10 +64,10 @@ from repro.service.request import SummaryRequest
 from repro.service.store import GraphHandle, GraphStore
 from repro.storage.format import container_digest
 from repro.storage.summary_store import (
+    CheckpointSnapshot,
     SummaryCache,
     SummaryMeta,
     config_fingerprint,
-    encode_checkpoint_container,
     encode_summary_container,
     summary_key,
 )
@@ -694,26 +694,25 @@ class SummaryService:
                          request: SummaryRequest, job: Optional[SummaryJob]):
         """A RunControl checkpoint sink persisting iteration snapshots.
 
-        The snapshot is encoded here, on the run thread, so it is
-        consistent; the cache's writer thread persists it while the run
-        goes on, and the job's ``checkpoint`` event marks the snapshot,
-        not the file.
+        The sink freezes the summary into a :class:`CheckpointSnapshot`
+        here, on the run thread, so the snapshot is consistent; the
+        cache's writer thread encodes and writes it while the run goes
+        on, or never if a newer snapshot replaces it first.  The job's
+        ``checkpoint`` event marks the snapshot, not the file.
         """
+        meta = self._meta_for(address, request.method, request.seed, kind="hierarchical")
 
         def sink(payload: Dict[str, Any]) -> None:
             summary = payload.get("summary")
             if not isinstance(summary, HierarchicalSummary):
                 return
             try:
-                meta = self._meta_for(
-                    address, request.method, request.seed, kind="hierarchical"
-                )
-                image = encode_checkpoint_container(
-                    summary, meta, int(payload["iteration"]),
+                snapshot = CheckpointSnapshot.capture(
+                    summary, meta, payload["iteration"],
                     payload["rng_state"], payload["history"],
                 )
                 assert self.summary_cache is not None
-                self.summary_cache.post_checkpoint(address["key"], image)
+                self.summary_cache.post_checkpoint(address["key"], snapshot)
             except Exception:  # noqa: BLE001 - checkpointing must not fail a run
                 with self._lock:
                     self._stats["summary_cache_errors"] += 1

@@ -241,9 +241,13 @@ def check_indices(data, num_nodes: int, width: int) -> None:
     """Raise unless every fixed-width ``INDX`` entry is a node id below ``num_nodes``.
 
     Runs on the little-endian bytes (``bytes`` or a byte ``memoryview``)
-    at C speed: an entry whose most significant byte exceeds that of
-    ``num_nodes - 1`` is out of range, and only entries whose top byte
-    *equals* it need a full compare.
+    with whole-buffer operations only, compared byte by byte from the
+    most significant down against ``limit = num_nodes - 1``: an entry
+    whose top byte exceeds the limit's is out of range, and a lower byte
+    decides only the entries whose higher bytes all equal the limit's.
+    Those entries are tracked as one big int with a ``1`` byte per
+    entry, so each byte position costs a slice, two ``translate`` calls
+    and two big-int ANDs.
     """
     if not data:
         return
@@ -259,12 +263,22 @@ def check_indices(data, num_nodes: int, width: int) -> None:
     low_mask = (1 << shift) - 1
     if limit & low_mask == low_mask:  # A top byte of ``high`` is never too large.
         return
-    position = tops.find(high)
-    while position >= 0:
-        start = position * width
-        if int.from_bytes(data[start:start + width], "little") > limit:
+    tied = int.from_bytes(tops.translate(_equal_table(high)), "little")
+    for byte in range(width - 2, -1, -1):
+        if not tied:
+            return
+        column = bytes(data[byte::width])
+        bound = (limit >> (8 * byte)) & 0xFF
+        # 1 where the byte exceeds the limit's: 0 for 0..bound, 1 above.
+        if tied & int.from_bytes(column.translate(bytes(bound + 1) + b"\x01" * (255 - bound)),
+                                 "little"):
             raise error
-        position = tops.find(high, position + 1)
+        tied &= int.from_bytes(column.translate(_equal_table(bound)), "little")
+
+
+def _equal_table(value: int) -> bytes:
+    """A ``bytes.translate`` table mapping ``value`` to 1 and every other byte to 0."""
+    return bytes(value) + b"\x01" + bytes(255 - value)
 
 
 def _encode_labels(labels: Sequence) -> bytes:

@@ -58,27 +58,33 @@ summary itself.  Three pieces:
 * **Containers** — :func:`encode_summary_container` appends the family
   to a full CSR container (``FLAG_SUMMARY``): one self-contained file
   that serves queries off the mmap *and* yields the summary with zero
-  recompute.  :func:`encode_checkpoint_container` writes a CSR-less
-  variant (``FLAG_SUMMARY | FLAG_NO_CSR``) holding the summary snapshot
-  plus a ``CKPT`` section; leaves are rebuilt from the live graph at
-  restore time, with the ``SMET`` graph digest guarding mismatches.
+  recompute.  :meth:`CheckpointSnapshot.encode` (and
+  :func:`encode_checkpoint_container`, which captures and encodes in one
+  call) writes a CSR-less variant (``FLAG_SUMMARY | FLAG_NO_CSR``)
+  holding the summary snapshot plus a ``CKPT`` section; leaves are
+  rebuilt from the live graph at restore time, with the ``SMET`` graph
+  digest guarding mismatches.  Both containers read the summary through
+  :meth:`HierarchicalSummary.to_parts`, so there is one encoder and
+  equal summaries give byte-identical images.
 
 * **SummaryCache** — a flat content-addressed directory like
   :class:`~repro.storage.cache.GraphCache`, keyed by
   ``sha256(graph digest, method, seed, config digest)``, with
   LRU-by-mtime eviction under an optional size budget.  Checkpoints
   live next to their summary as ``<key>.ckpt.slg`` and are dropped
-  once the finished summary lands.  A running job hands each encoded
-  snapshot to :meth:`SummaryCache.post_checkpoint`, which queues it for
-  one writer thread: the write, ``fsync``, rename and budget sweep run
+  once the finished summary lands.  A running job freezes each
+  iteration boundary into a :class:`CheckpointSnapshot` (ids, tuples
+  and frozensets, no bytes) and hands it to
+  :meth:`SummaryCache.post_checkpoint`, which queues it for one writer
+  thread: the encode, write, ``fsync``, rename and budget sweep run
   while the job computes its next iteration.  The writer is latest-wins
-  per key — a snapshot replaced by a newer one before it is written is
-  never written — so the file on disk may trail the newest snapshot by
-  the images still queued; every snapshot resumes bit-identically.
-  :meth:`~SummaryCache.flush_checkpoint` waits for a key's newest image
-  to land, :meth:`~SummaryCache.store_summary` discards a key's pending
-  image before it drops the checkpoint, and
-  :meth:`~SummaryCache.close` drains the queue.
+  per key — a snapshot replaced by a newer one before the writer takes
+  it is never encoded or written — so the file on disk may trail the
+  newest snapshot by the snapshots still queued; every snapshot resumes
+  bit-identically.  :meth:`~SummaryCache.flush_checkpoint` waits for a
+  key's newest snapshot to land, :meth:`~SummaryCache.store_summary`
+  discards a key's pending snapshot unencoded before it drops the
+  checkpoint, and :meth:`~SummaryCache.close` drains the queue.
 
 :func:`load_summary` is the one decode path (:func:`load_checkpoint`
 wraps it).  A cache hit CRC-checks every section, range-checks ``INDX``
@@ -111,7 +117,7 @@ from repro.exceptions import (
 from repro.graphs.graph import canonical_edge
 from repro.model.flat import FlatSummary
 from repro.model.hierarchy import Hierarchy
-from repro.model.summary import HierarchicalSummary
+from repro.model.summary import HierarchicalSummary, SummaryParts
 from repro.storage.format import (
     CONTAINER_SUFFIX,
     FLAG_NO_CSR,
@@ -132,6 +138,7 @@ from repro.storage.mapped import StoredGraph, load as load_stored_graph
 
 __all__ = [
     "CHECKPOINT_SUFFIX",
+    "CheckpointSnapshot",
     "SummaryCache",
     "SummaryCheckpoint",
     "SummaryMeta",
@@ -392,13 +399,10 @@ def _encode_id_pairs(pairs: Iterable[Tuple[int, int]]) -> bytes:
 # ----------------------------------------------------------------------
 # Hierarchical codec
 # ----------------------------------------------------------------------
-def _encode_hierarchy(hierarchy: Hierarchy) -> bytes:
-    num_leaves = len(hierarchy.leaf_subnode_map())
-    internal = sorted(node for node in hierarchy.supernodes() if not hierarchy.is_leaf(node))
-    values = [num_leaves, hierarchy._next_id, len(internal)]
-    previous = num_leaves
-    for node_id in internal:
-        children = hierarchy.children(node_id)
+def _encode_hierarchy(parts: SummaryParts) -> bytes:
+    values = [parts.num_leaves, parts.next_id, len(parts.internal)]
+    previous = parts.num_leaves
+    for node_id, children in parts.internal:
         values += (node_id - previous, len(children), *children)
         previous = node_id
     return _varint_bytes(values)
@@ -426,12 +430,14 @@ def _decode_hierarchy(data: bytes, subnodes: Sequence) -> Hierarchy:
         raise ContainerFormatError(f"corrupt summary hierarchy: {error}") from None
 
 
-def _hierarchical_sections(summary: HierarchicalSummary,
+def _hierarchical_sections(parts: SummaryParts,
                            encode_pairs=_encode_pairs) -> List[Tuple[bytes, bytes]]:
+    """``SHIE``/``SPED``/``SNED`` of :meth:`HierarchicalSummary.to_parts`,
+    the one input every hierarchical encoder reads."""
     return [
-        (TAG_SUMMARY_HIERARCHY, _encode_hierarchy(summary.hierarchy)),
-        (TAG_SUMMARY_P_EDGES, encode_pairs(summary.p_edges())),
-        (TAG_SUMMARY_N_EDGES, encode_pairs(summary.n_edges())),
+        (TAG_SUMMARY_HIERARCHY, _encode_hierarchy(parts)),
+        (TAG_SUMMARY_P_EDGES, encode_pairs(parts.p_edges)),
+        (TAG_SUMMARY_N_EDGES, encode_pairs(parts.n_edges)),
     ]
 
 
@@ -527,7 +533,7 @@ def encode_summary_sections(summary, meta: SummaryMeta,
 def _summary_sections(summary, labels: Optional[Sequence],
                       encode_pairs) -> List[Tuple[bytes, bytes]]:
     if isinstance(summary, HierarchicalSummary):
-        return _hierarchical_sections(summary, encode_pairs)
+        return _hierarchical_sections(summary.to_parts(), encode_pairs)
     if isinstance(summary, FlatSummary):
         if labels is None:
             raise SummaryInvariantError(
@@ -665,28 +671,59 @@ def _decode_checkpoint_section(data: bytes):
     return iteration, rng_state, history
 
 
+@dataclass(frozen=True)
+class CheckpointSnapshot:
+    """One iteration boundary of a run, frozen now and encoded later.
+
+    :meth:`capture` copies what a checkpoint holds into immutable data
+    (:class:`SummaryParts`, the RNG state, a tuple of the history), which
+    costs a fraction of an encode; :meth:`encode` builds the container
+    image from it at any later time, on any thread.  A running job posts
+    snapshots to :meth:`SummaryCache.post_checkpoint`, and the writer
+    encodes only those it writes.
+    """
+
+    meta: SummaryMeta
+    iteration: int
+    parts: SummaryParts
+    #: As :meth:`random.Random.getstate` returns it.
+    rng_state: Tuple
+    #: The run's per-iteration records so far; a run never edits one it
+    #: has appended.
+    history: Tuple[Dict, ...]
+
+    @classmethod
+    def capture(cls, summary: HierarchicalSummary, meta: SummaryMeta, iteration: int,
+                rng_state, history: Sequence[Dict]) -> "CheckpointSnapshot":
+        if not isinstance(summary, HierarchicalSummary):
+            raise SummaryInvariantError("checkpoints snapshot hierarchical summaries only")
+        return cls(meta, int(iteration), summary.to_parts(), rng_state, tuple(history))
+
+    def encode(self) -> bytes:
+        """The CSR-less checkpoint container (``FLAG_SUMMARY | FLAG_NO_CSR``).
+
+        Holds the summary plus the RNG stream position and history so
+        far.  Node labels are *not* stored — leaves are rebuilt from the
+        live graph at restore time, and the ``SMET`` graph digest guards
+        against restoring onto the wrong graph.
+        """
+        sections = [(TAG_SUMMARY_META, _encode_meta(self.meta)),
+                    *_hierarchical_sections(self.parts),
+                    (TAG_CHECKPOINT, _encode_checkpoint_section(
+                        self.iteration, self.rng_state, self.history))]
+        num_leaves = self.parts.num_leaves
+        return encode_image(
+            FLAG_SUMMARY | FLAG_NO_CSR, num_leaves, 0,
+            index_width_for(num_leaves), sections,
+        )
+
+
 def encode_checkpoint_container(summary: HierarchicalSummary, meta: SummaryMeta,
                                 iteration: int, rng_state,
                                 history: Sequence[Dict]) -> bytes:
-    """A CSR-less checkpoint container (``FLAG_SUMMARY | FLAG_NO_CSR``).
-
-    Holds the iteration-boundary summary snapshot plus the RNG stream
-    position and history so far.  Node labels are *not* stored — leaves
-    are rebuilt from the live graph at restore time, and the ``SMET``
-    graph digest guards against restoring onto the wrong graph.
-    """
-    if not isinstance(summary, HierarchicalSummary):
-        raise SummaryInvariantError("checkpoints snapshot hierarchical summaries only")
-    sections = [(TAG_SUMMARY_META, _encode_meta(meta))]
-    sections.extend(_hierarchical_sections(summary))
-    sections.append(
-        (TAG_CHECKPOINT, _encode_checkpoint_section(iteration, rng_state, history))
-    )
-    num_leaves = len(summary.hierarchy.leaf_subnode_map())
-    return encode_image(
-        FLAG_SUMMARY | FLAG_NO_CSR, num_leaves, 0,
-        index_width_for(num_leaves), sections,
-    )
+    """The checkpoint image of ``summary`` at ``iteration``, encoded now
+    (see :class:`CheckpointSnapshot`)."""
+    return CheckpointSnapshot.capture(summary, meta, iteration, rng_state, history).encode()
 
 
 # ----------------------------------------------------------------------
@@ -862,9 +899,12 @@ class SummaryCache:
     (LRU by mtime) until the directory fits.  Loads touch the file's
     mtime, so warm entries survive eviction pressure.
 
-    Checkpoints posted with :meth:`post_checkpoint` are written by one
-    daemon writer thread, started on first use; the counters are bumped
-    from both threads under the cache's lock.
+    Checkpoint snapshots posted with :meth:`post_checkpoint` are encoded
+    and written by one daemon writer thread, started on first use, and
+    only the newest snapshot per key is: one that a newer post replaced
+    or :meth:`store_summary` discarded is never encoded.  The counters
+    are bumped from both threads under the cache's lock; an encode or
+    write that raises counts as a ``checkpoint_errors``.
 
     One slot remembers the last summary entry decoded: its key, its
     verified ``SUMM`` payloads, the labels it was decoded against and,
@@ -894,8 +934,9 @@ class SummaryCache:
         # Serializes budget sweeps: two concurrent sweeps would each
         # evict against the same stale total and free too much.
         self._sweep_lock = threading.Lock()
-        #: key -> newest checkpoint image not yet handed to the writer.
-        self._pending: Dict[str, bytes] = {}
+        #: key -> newest checkpoint snapshot (or image) not yet taken by
+        #: the writer.
+        self._pending: Dict[str, Union[CheckpointSnapshot, bytes]] = {}
         self._writing: Optional[str] = None
         self._writer: Optional[threading.Thread] = None
         self._stop_writer = False
@@ -924,8 +965,9 @@ class SummaryCache:
     def store_summary(self, key: str, image: bytes) -> Path:
         """Persist an encoded summary container under its content key.
 
-        The key's pending checkpoint image is discarded and an in-flight
-        one waited for, so no checkpoint outlives the finished summary.
+        The key's pending checkpoint snapshot is discarded unencoded and
+        an in-flight one waited for, so no checkpoint outlives the
+        finished summary.
         """
         with self._lock:
             self._pending.pop(key, None)
@@ -998,28 +1040,38 @@ class SummaryCache:
         self._evict()
         return path
 
-    def post_checkpoint(self, key: str, image: bytes) -> None:
-        """Queue ``image`` for the writer thread; a newer post for ``key``
-        replaces one that is not yet being written."""
+    def post_checkpoint(self, key: str,
+                        snapshot: Union[CheckpointSnapshot, bytes]) -> None:
+        """Queue ``snapshot`` for the writer thread; a newer post for ``key``
+        replaces one that is not yet being written.
+
+        The writer encodes a :class:`CheckpointSnapshot` when it takes it
+        to write, so a replaced or discarded snapshot is never encoded;
+        ``bytes`` are an image already encoded and are written as is.
+        """
         with self._lock:
-            self._pending[key] = image
-            if self._writer is None:
-                self._stop_writer = False
-                self._writer = threading.Thread(
-                    target=self._write_loop,
-                    name=f"summary-cache-writer-{id(self):x}", daemon=True,
-                )
-                self._writer.start()
-            self._lock.notify_all()
+            if self._writer is not None:
+                self._pending[key] = snapshot
+                self._lock.notify_all()
+                return
+            # A new writer is handed its first snapshot, so that one is
+            # taken now rather than whenever the thread first runs.
+            self._stop_writer = False
+            self._writing = key
+            self._writer = threading.Thread(
+                target=self._write_loop, args=(key, snapshot),
+                name=f"summary-cache-writer-{id(self):x}", daemon=True,
+            )
+            self._writer.start()
 
     def flush_checkpoint(self, key: str) -> None:
-        """Block until the newest image posted for ``key`` is written."""
+        """Block until the newest snapshot posted for ``key`` is written."""
         with self._lock:
             while key in self._pending or self._writing == key:
                 self._lock.wait()
 
     def close(self) -> None:
-        """Write every pending checkpoint image, then join the writer.
+        """Write every pending checkpoint snapshot, then join the writer.
 
         A later :meth:`post_checkpoint` starts a fresh writer.
         """
@@ -1031,9 +1083,19 @@ class SummaryCache:
         if writer is not None:
             writer.join()
 
-    def _write_loop(self) -> None:
+    def _write_loop(self, key: str, image: Union[CheckpointSnapshot, bytes]) -> None:
+        """Write ``image`` under ``key``, then the newest pending snapshot
+        per key, until nothing is pending and :meth:`close` asked to stop."""
         while True:
+            try:
+                if isinstance(image, CheckpointSnapshot):
+                    image = image.encode()
+                self.store_checkpoint(key, image)
+            except Exception:  # noqa: BLE001 - a failed encode or write is counted, the writer keeps serving
+                self._count("checkpoint_errors")
             with self._lock:
+                self._writing = None
+                self._lock.notify_all()
                 while not self._pending and not self._stop_writer:
                     self._lock.wait()
                 if not self._pending:
@@ -1044,14 +1106,6 @@ class SummaryCache:
                 key = next(iter(self._pending))
                 image = self._pending.pop(key)
                 self._writing = key
-            try:
-                self.store_checkpoint(key, image)
-            except Exception:  # noqa: BLE001 - a failed write is counted, the writer keeps serving
-                self._count("checkpoint_errors")
-            finally:
-                with self._lock:
-                    self._writing = None
-                    self._lock.notify_all()
 
     def load_checkpoint(self, key: str, subnodes: Sequence,
                         graph_digest: str) -> Optional[SummaryCheckpoint]:

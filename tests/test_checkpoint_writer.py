@@ -1,17 +1,20 @@
 """Tests for the summary cache's checkpoint writer and the CKPT RNG codec.
 
-A running job encodes each iteration's snapshot on its own thread and
+A running job freezes each iteration's snapshot on its own thread and
 posts it to :meth:`SummaryCache.post_checkpoint`; one writer thread
-persists the newest image per key.  These tests pin the ordering rules
-that keep the cache consistent: a finished job leaves no checkpoint
-behind, ``shutdown`` lands the newest pending image, a failed write is
-counted without stopping the writer, and asynchronous checkpointing
-never perturbs a run.  CI runs this module several times in a row
-(``-k checkpoint_writer``) so that ordering races show up.
+encodes and persists the newest snapshot per key.  These tests pin the
+ordering rules that keep the cache consistent: a finished job leaves no
+checkpoint behind, ``shutdown`` lands the newest pending image, a failed
+encode or write is counted without stopping the writer, only written
+snapshots are encoded, a snapshot encodes to the bytes the live summary
+did when it was taken, and asynchronous checkpointing never perturbs a
+run.  CI runs this module several times in a row (``-k
+checkpoint_writer``) so that ordering races show up.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import threading
@@ -21,13 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Slugger, SluggerConfig
+from repro.core.pruning import prune
+from repro.engine.hooks import RunControl
 from repro.graphs import DenseAdjacency, Graph, caveman_graph
 from repro.model.summary import HierarchicalSummary
 from repro.service import SummaryService
 from repro.storage import summary_store
-from repro.storage.format import container_digest
+from repro.storage.format import FLAG_NO_CSR, FLAG_SUMMARY, container_digest, encode_image
 from repro.storage.summary_store import (
     CHECKPOINT_SUFFIX,
+    CheckpointSnapshot,
     SummaryCache,
     SummaryMeta,
     config_fingerprint,
@@ -46,6 +52,11 @@ def int_fixture() -> Graph:
 
 def string_fixture() -> Graph:
     return Graph(edges=[(f"v{u}", f"v{v}") for u, v in int_fixture().edges()])
+
+
+def hot_sized_fixture() -> Graph:
+    """1,050 nodes, the size of the serve-mixed benchmark's hot graph."""
+    return caveman_graph(70, 15, 0.05, seed=1)
 
 
 def request(graph: Graph, seed: int = 0) -> dict:
@@ -68,6 +79,74 @@ def checkpoint_image(graph: Graph, iteration: int) -> bytes:
         HierarchicalSummary.from_graph(graph), meta_for(graph), iteration,
         random.Random(iteration).getstate(), [],
     )
+
+
+def snapshot(graph: Graph, iteration: int, history=()) -> CheckpointSnapshot:
+    """A snapshot that encodes to ``checkpoint_image(graph, iteration)``."""
+    return CheckpointSnapshot.capture(
+        HierarchicalSummary.from_graph(graph), meta_for(graph), iteration,
+        random.Random(iteration).getstate(), list(history),
+    )
+
+
+def live_image(summary: HierarchicalSummary, meta: SummaryMeta, iteration: int,
+               rng_state, history) -> bytes:
+    """The checkpoint image as it was encoded before snapshots existed:
+    straight off the live summary, on the run thread."""
+    hierarchy = summary.hierarchy
+    num_leaves = len(hierarchy.leaf_subnode_map())
+    internal = sorted(node for node in hierarchy.supernodes() if not hierarchy.is_leaf(node))
+    values = [num_leaves, hierarchy._next_id, len(internal)]
+    previous = num_leaves
+    for node_id in internal:
+        children = hierarchy.children(node_id)
+        values += (node_id - previous, len(children), *children)
+        previous = node_id
+    sections = [
+        (b"SMET", summary_store._encode_meta(meta)),
+        (b"SHIE", summary_store._varint_bytes(values)),
+        (b"SPED", summary_store._encode_pairs(summary.p_edges())),
+        (b"SNED", summary_store._encode_pairs(summary.n_edges())),
+        (b"CKPT", summary_store._encode_checkpoint_section(iteration, rng_state, history)),
+    ]
+    return encode_image(FLAG_SUMMARY | FLAG_NO_CSR, num_leaves, 0,
+                        summary_store.index_width_for(num_leaves), sections)
+
+
+def live_images(graph: Graph, seed: int) -> list:
+    """``live_image`` at every iteration boundary of a plain run."""
+    meta = meta_for(graph, seed)
+    images = []
+
+    def sink(payload):
+        images.append(live_image(payload["summary"], meta, payload["iteration"],
+                                 payload["rng_state"], payload["history"]))
+
+    Slugger(SluggerConfig(iterations=ITERATIONS, seed=seed)).summarize(
+        graph, control=RunControl(checkpoint_sink=sink))
+    return images
+
+
+def count_encodes(monkeypatch) -> list:
+    """The iterations of the snapshots encoded from now on, in order."""
+    encoded = []
+    encode = CheckpointSnapshot.encode
+
+    def counted(item):
+        encoded.append(item.iteration)
+        return encode(item)
+
+    monkeypatch.setattr(CheckpointSnapshot, "encode", counted)
+    return encoded
+
+
+#: sha256 over the concatenated seed-0 checkpoint images of every
+#: iteration, as ``encode_checkpoint_container`` wrote them before
+#: snapshots existed.
+PARENT_IMAGE_DIGESTS = {
+    "int_fixture": "e0c166e8e6abcd2ffc4aa3ae5546249d8c7390fc2df12d9ac15145b717e2e7df",
+    "hot_sized_fixture": "29cef1e9b7dd70e8e3a5a804f3418fa35e68dc99f98ae6fe990517ed5528af8f",
+}
 
 
 class HeldWrites:
@@ -265,3 +344,124 @@ def test_checkpoint_writer_stress_keeps_counters_and_newest_images(tmp_path):
     newest = images[(posts - 1) % len(images)]
     for number in range(threads):
         assert cache.checkpoint_path(f"k{number}").read_bytes() == newest
+
+
+@pytest.mark.parametrize("fixture", [int_fixture, string_fixture, hot_sized_fixture])
+def test_checkpoint_writer_posted_snapshots_encode_to_the_live_images(
+        tmp_path, monkeypatch, fixture):
+    graph = fixture()
+    posted = []
+    post = SummaryCache.post_checkpoint
+
+    def record(cache, key, item):
+        posted.append(item)
+        post(cache, key, item)
+
+    monkeypatch.setattr(SummaryCache, "post_checkpoint", record)
+    with SummaryService(summary_cache_dir=tmp_path) as service:
+        service.submit(**request(graph)).result(timeout=WAIT_S)
+    assert all(isinstance(item, CheckpointSnapshot) for item in posted)
+    assert [item.iteration for item in posted] == list(range(1, ITERATIONS + 1))
+    assert all(item.meta == meta_for(graph) for item in posted)
+    # Encoded after the run has moved on, each snapshot still gives the
+    # image its iteration's live summary gave.
+    images = [item.encode() for item in posted]
+    assert images == live_images(graph, 0)
+    if fixture.__name__ in PARENT_IMAGE_DIGESTS:
+        assert hashlib.sha256(b"".join(images)).hexdigest() == \
+            PARENT_IMAGE_DIGESTS[fixture.__name__]
+
+
+def test_checkpoint_writer_snapshot_outlives_later_changes():
+    graph = caveman_graph(6, 5, 0.1, seed=2)
+    summary = Slugger(SluggerConfig(iterations=3, seed=0, prune=False)).summarize(graph).summary
+    meta = meta_for(graph)
+    state = random.Random(7).getstate()
+    history = [{"iteration": 1.0}]
+    taken = CheckpointSnapshot.capture(summary, meta, 3, state, history)
+    image = previous = taken.encode()
+    assert image == live_image(summary, meta, 3, state, history)
+
+    def merge():
+        roots = summary.hierarchy.roots()
+        summary.hierarchy.create_parent(roots[:2])
+
+    def replace_edges():
+        a, b = next(summary.p_edges())
+        summary.replace_edges([(a, b, 1)], [(a, b, -1)])
+
+    for change in (lambda: prune(DenseAdjacency.from_graph(graph), summary), merge,
+                   replace_edges, lambda: history.append({"iteration": 2.0})):
+        change()
+        current = encode_checkpoint_container(summary, meta, 3, state, history)
+        assert current != previous
+        assert taken.encode() == image
+        previous = current
+
+
+def test_checkpoint_writer_encodes_only_the_snapshots_it_writes(tmp_path, monkeypatch):
+    held = HeldWrites(monkeypatch)
+    encoded = count_encodes(monkeypatch)
+    graph = int_fixture()
+    cache = SummaryCache(tmp_path)
+    try:
+        cache.post_checkpoint("k", snapshot(graph, 1))
+        assert held.entered.wait(WAIT_S)
+        posts = 8
+        for iteration in range(2, posts + 1):
+            cache.post_checkpoint("k", snapshot(graph, iteration))
+        held.release.set()
+        cache.flush_checkpoint("k")
+    finally:
+        held.release.set()
+        cache.close()
+    # The in-flight snapshot and the newest one; the six replaced in
+    # between were never encoded.
+    assert encoded == [1, posts]
+    assert cache.counters["checkpoint_stores"] == len(encoded)
+    assert cache.checkpoint_path("k").read_bytes() == checkpoint_image(graph, posts)
+
+
+def test_checkpoint_writer_never_encodes_a_snapshot_store_summary_discards(
+        tmp_path, monkeypatch):
+    held = HeldWrites(monkeypatch)
+    graph = int_fixture()
+    summary_image = checkpoint_image(graph, 9)  # Any valid container.
+    encoded = count_encodes(monkeypatch)
+    cache = SummaryCache(tmp_path)
+    try:
+        cache.post_checkpoint("k", snapshot(graph, 1))
+        assert held.entered.wait(WAIT_S)
+        cache.post_checkpoint("k", snapshot(graph, 2))
+        # store_summary discards the pending snapshot, then waits for the
+        # in-flight write, which the timer releases.
+        timer = threading.Timer(0.2, held.release.set)
+        timer.start()
+        try:
+            cache.store_summary("k", summary_image)
+        finally:
+            timer.cancel()
+            held.release.set()
+    finally:
+        cache.close()
+    assert encoded == [1]
+    assert cache.counters["checkpoint_stores"] == 1
+    assert not cache.has_checkpoint("k")
+
+
+def test_checkpoint_writer_counts_a_failed_encode_and_keeps_serving(tmp_path):
+    graph = int_fixture()
+    cache = SummaryCache(tmp_path)
+    try:
+        # The history is JSON-encoded at write time; an object fails it.
+        cache.post_checkpoint("a", snapshot(graph, 1, history=[{"bad": object()}]))
+        cache.flush_checkpoint("a")
+        assert cache.counters["checkpoint_errors"] == 1
+        assert not cache.has_checkpoint("a")
+        cache.post_checkpoint("b", snapshot(graph, 2))
+        cache.flush_checkpoint("b")
+        assert cache.checkpoint_path("b").read_bytes() == checkpoint_image(graph, 2)
+        assert cache.counters["checkpoint_stores"] == 1
+        assert cache.stats()["checkpoint_errors"] == 1
+    finally:
+        cache.close()

@@ -213,6 +213,28 @@ class TestFailures:
             "repro-slugger: error: cache budget must be non-negative, got -5\n"
         )
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_serve_footer_counts_graph_store_misses_and_hits(
+        self, edge_list_file, tmp_path, capsys, mode
+    ):
+        # The store interns each input once (a miss) and serves every job's
+        # graph key from it (a hit); process mode counts the same lookups,
+        # though its workers build the substrates.
+        path, _graph = edge_list_file
+        other = tmp_path / "other.txt"
+        write_edge_list(caveman_graph(2, 4), other)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"method": "slugger", "input": str(source), "seed": seed,
+             "options": {"iterations": 2}}
+            for source, seed in ((path, 0), (other, 0), (path, 1))
+        ]))
+        assert main(["serve", "--batch", str(batch), "--mode", mode, "--inflight", "2"]) == 0
+        out = capsys.readouterr().out
+        assert (f"served 3 requests (mode={mode}, inflight=2, "
+                f"graph-store misses: 2, hits: 3)") in out
+        assert "substrate" not in out
+
     @pytest.mark.parametrize("workers", ["2", 2.5, True])
     def test_serve_with_non_int_workers_is_one_line_error(
         self, edge_list_file, tmp_path, capsys, workers

@@ -21,6 +21,8 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import storage
 from repro.algorithms import (
@@ -581,6 +583,16 @@ class TestFromSubstrate:
 # Query dispatch, CLI, and service serving paths
 # ----------------------------------------------------------------------
 class TestQueryServing:
+    @settings(max_examples=40, deadline=None)
+    @given(num_nodes=st.integers(1, 30), density=st.floats(0.05, 0.9),
+           seed=st.integers(0, 2**16))
+    def test_triangles_query_total_equals_count_triangles(self, num_nodes, density, seed):
+        graph = erdos_renyi_graph(num_nodes, density, seed=seed)
+        expected = count_triangles(graph)
+        summary = Slugger(SluggerConfig(iterations=2, seed=0)).summarize(graph).summary
+        for provider in (graph, DenseAdjacency.from_graph(graph).freeze(), summary):
+            assert run_query(provider, "triangles").value["triangles"] == expected
+
     def test_run_query_validates(self):
         graph = _bridged_caveman()
         with pytest.raises(ConfigurationError, match="unknown query kind"):

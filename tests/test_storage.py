@@ -164,6 +164,30 @@ class TestFormatPrimitives:
             with pytest.raises(ContainerFormatError, match="INDX"):
                 check_indices(payload([0, bad, 1 % num_nodes]), num_nodes, width)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.sampled_from((1, 2, 4, 8)))
+    def test_check_indices_matches_a_per_entry_loop(self, data, width):
+        # num_nodes at and around byte boundaries, where the limit's lower
+        # bytes are 0x00 or 0xFF, plus arbitrary counts that fit the width.
+        top = 1 << (8 * width)
+        boundary = 1 << (8 * data.draw(st.integers(0, width)))
+        num_nodes = data.draw(st.one_of(
+            st.sampled_from([max(0, boundary + delta) for delta in (-2, -1, 0, 1, 2)]),
+            st.integers(0, top),
+        ))
+        limit = num_nodes - 1
+        # Entries near the limit share its high bytes and differ below.
+        near = st.integers(max(0, limit - 600), min(top - 1, limit + 600))
+        entries = data.draw(st.lists(st.one_of(near, st.integers(0, top - 1)), max_size=40))
+        view = memoryview(b"".join(value.to_bytes(width, "little") for value in entries))
+        in_range = all(value < num_nodes for value in entries)
+        try:
+            check_indices(view, num_nodes, width)
+        except ContainerFormatError:
+            assert not in_range
+        else:
+            assert in_range
+
     def test_varint_rejects_negative(self):
         with pytest.raises(ValueError):
             encode_varint(-1, bytearray())

@@ -401,6 +401,17 @@ class TestSummaryRoundTrip:
             assert sorted(restored.incident_edges(supernode)) == \
                 sorted(summary.incident_edges(supernode)), supernode
 
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_SUMMARIES))
+    def test_to_parts_inverts_the_constructor_pair(self, name):
+        summary = ROUND_TRIP_SUMMARIES[name]()
+        parts = summary.to_parts()
+        rebuilt = HierarchicalSummary.from_parts(
+            Hierarchy.from_parts(summary.hierarchy.subnodes(), parts.internal, parts.next_id),
+            parts.p_edges, parts.n_edges)
+        assert rebuilt.to_parts() == parts
+        assert rebuilt.hierarchy.roots() == summary.hierarchy.roots()
+        assert summary_fingerprint(rebuilt) == summary_fingerprint(summary)
+
     @pytest.mark.parametrize("decoder", sorted(DECODER_ERRORS))
     @pytest.mark.parametrize("fault", ["p-n-conflict", "unknown-endpoint", "repeated-pair"])
     def test_every_decoder_rejects_forged_superedges(self, tmp_path, decoder, fault):
