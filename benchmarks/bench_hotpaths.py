@@ -34,16 +34,11 @@ parse, packed-container mmap load) and gates the storage layer: mmap
 load >= 5x faster than the text parse and the container >= 2x smaller
 than the text edge list.
 
-The ``thaw`` section compares eager ``DenseAdjacency.from_csr`` versus the
-:class:`LazyDenseAdjacency` overlay on a mapped container, contents
-cross-checked equal (hardware-independent gate: lazy construction >= 5x
-cheaper than the eager O(m) thaw).
-
 The ``queries`` section times the CSR-native query kernels (pagerank,
 BFS, triangle counting) served straight off a mapped container against
 inline replicas of the seed's dict-of-sets analytics, results
 cross-checked equal (pagerank bit-identically) and the serving path
-asserted to materialize zero ``Graph`` nodes and no dense overlay
+asserted to materialize zero ``Graph`` nodes and no dense substrate
 (hardware-independent gate: each kernel >= 3x the dict implementation
 on the 10k-node ER fixture).
 
@@ -512,61 +507,6 @@ def bench_ingest(graph: Graph, name: str, repeats: int) -> Dict[str, object]:
     return section
 
 
-def bench_thaw(graph: Graph, repeats: int) -> Dict[str, object]:
-    """Mmap-backed thaw-on-demand versus the eager O(m) dense thaw.
-
-    Packs the fixture into a binary container, maps it back, and
-    compares materializing the full mutable dense substrate up front
-    (``DenseAdjacency.from_csr``) against the
-    :class:`~repro.graphs.dense.LazyDenseAdjacency` overlay, whose
-    construction is O(n) and whose read-dominated paths (degree reads,
-    membership probes, sorted edge streaming) never build per-node sets.
-    Contents are cross-checked equal, so the gate measures a pure
-    algorithmic ratio — independent of core count.
-    """
-    import tempfile
-
-    from repro import storage
-    from repro.graphs.dense import LazyDenseAdjacency
-
-    section: Dict[str, object] = {
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-    }
-    with tempfile.TemporaryDirectory() as workdir:
-        container_path = f"{workdir}/graph.slg"
-        storage.pack(graph, container_path)
-        with storage.load(container_path) as stored:
-            csr = stored.csr()
-            eager_seconds = best_of(repeats, lambda: DenseAdjacency.from_csr(csr))
-            lazy_seconds = best_of(repeats, lambda: LazyDenseAdjacency(csr))
-            eager = DenseAdjacency.from_csr(csr)
-            lazy = LazyDenseAdjacency(csr)
-
-            probes = [(u, (u * 7919) % graph.num_nodes) for u in range(0, graph.num_nodes, 97)]
-            read_path_seconds = best_of(repeats, lambda: (
-                sum(lazy.degree(u) for u, _ in probes),
-                sum(1 for u, v in probes if lazy.has_edge(u, v)),
-            ))
-            assert lazy.thawed_nodes == 0, "read-only probes must not thaw nodes"
-            assert sum(1 for _ in lazy.edge_ids()) == graph.num_edges
-            assert lazy.thawed_nodes == 0, "sorted edge streaming must not thaw nodes"
-            assert [lazy.degree(u) for u in range(graph.num_nodes)] == \
-                [eager.degree(u) for u in range(graph.num_nodes)]
-            assert list(lazy.neighbors) == list(eager.neighbors), "lazy thaw diverged"
-            assert lazy.thawed_nodes == graph.num_nodes
-    thaw_ratio = eager_seconds / lazy_seconds if lazy_seconds > 0 else float("inf")
-    section.update({
-        "eager_thaw_seconds": eager_seconds,
-        "lazy_init_seconds": lazy_seconds,
-        "read_path_seconds": read_path_seconds,
-        "thaw_ratio": thaw_ratio,
-    })
-    print(f"  thaw eager             {eager_seconds:8.3f}s  lazy init={lazy_seconds:8.3f}s  "
-          f"({thaw_ratio:5.1f}x)  read path={read_path_seconds:8.3f}s, 0 nodes thawed")
-    return section
-
-
 def bench_queries(graph: Graph, repeats: int) -> Dict[str, object]:
     """Dict-of-sets analytics versus the CSR-native query kernels.
 
@@ -577,7 +517,7 @@ def bench_queries(graph: Graph, repeats: int) -> Dict[str, object]:
     (per-node Python sets, dict accumulators).  Results are
     cross-checked equal — pagerank bit-identically — and the serving
     path is asserted to materialize zero :class:`Graph` nodes and build
-    no dense overlay, so the ratios measure pure algorithmic wins,
+    no dense substrate, so the ratios measure pure algorithmic wins,
     independent of core count.
     """
     import tempfile
@@ -665,7 +605,7 @@ def bench_queries(graph: Graph, repeats: int) -> Dict[str, object]:
             assert stored.materializations == 0, \
                 "serving queries must not materialize a label-keyed Graph"
             assert stored._dense is None, \
-                "serving queries must not build the dense overlay"
+                "serving queries must not build the dense substrate"
     section["materializations"] = 0
     return section
 
@@ -887,11 +827,6 @@ def main(argv: Sequence[str] = None) -> int:
     print(f"{ingest_name}: ingest (text parse vs mmap load)")
     record["ingest"] = bench_ingest(ingest_graph, ingest_name, repeats)
 
-    thaw_name, thaw_graph = graphs[0]
-    # Thaw-on-demand read path versus the eager O(m) dense thaw.
-    print(f"{thaw_name}: lazy thaw-on-demand vs eager dense thaw")
-    record["thaw"] = {"graph": thaw_name, **bench_thaw(thaw_graph, repeats)}
-
     # CSR-native query kernels versus the dict-of-sets analytics.
     queries_name, queries_graph = graphs[0]
     print(f"{queries_name}: query serving (dict-of-sets vs CSR-native kernels)")
@@ -963,16 +898,6 @@ def main(argv: Sequence[str] = None) -> int:
             serving["gate"] = "passed"  # type: ignore[index]
             print(f"PASS: warm-pool service served {serving['requests']} requests "
                   f"{serving['speedup']:.2f}x faster than per-call engine.run")
-        thaw_section = record["thaw"]  # type: ignore[assignment]
-        if thaw_section["thaw_ratio"] < 5.0:
-            thaw_section["gate"] = "failed"  # type: ignore[index]
-            failures.append(f"lazy dense construction is only "
-                            f"{thaw_section['thaw_ratio']:.2f}x cheaper than the "
-                            f"eager O(m) thaw (need >= 5x)")
-        else:
-            thaw_section["gate"] = "passed"  # type: ignore[index]
-            print(f"PASS: lazy dense construction {thaw_section['thaw_ratio']:.1f}x "
-                  f"cheaper than the eager thaw; read path thawed 0 nodes")
         summary_cache_section = record["summary_cache"]  # type: ignore[assignment]
         if summary_cache_section["speedup"] < 10.0:
             summary_cache_section["gate"] = "failed"  # type: ignore[index]
@@ -1003,7 +928,7 @@ def main(argv: Sequence[str] = None) -> int:
                 for label in ("pagerank", "bfs", "triangles")
             )
             print(f"PASS: CSR-native query kernels >= 3x the dict implementations "
-                  f"({speedups}); 0 graphs materialized, 0 dense overlays built")
+                  f"({speedups}); 0 graphs materialized, 0 dense substrates built")
         obs_section = record["obs"]  # type: ignore[assignment]
         if obs_section["overhead"] > 0.03:
             obs_section["gate"] = "failed"  # type: ignore[index]
@@ -1018,7 +943,7 @@ def main(argv: Sequence[str] = None) -> int:
         record["serving"]["gate"] = "not-evaluated"  # type: ignore[index]
         for gate in ("load_gate", "size_gate"):
             record["ingest"][gate] = "not-evaluated"  # type: ignore[index]
-        for section in ("thaw", "queries", "summary_cache", "obs"):
+        for section in ("queries", "summary_cache", "obs"):
             record[section]["gate"] = "not-evaluated"  # type: ignore[index]
         failures = []
 

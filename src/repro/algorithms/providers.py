@@ -7,9 +7,9 @@ those runs from every representation the library serves queries on:
 - a label-keyed :class:`~repro.graphs.graph.Graph` (flattened once into
   CSR arrays through a :class:`~repro.graphs.index.NodeIndex`),
 - any ``CSRAdjacency``-shaped view — the in-memory
-  :class:`~repro.graphs.dense.CSRAdjacency`, a zero-copy
-  :class:`~repro.storage.mapped.MappedCSR`, a (clean)
-  :class:`~repro.graphs.dense.LazyDenseAdjacency` — served as-is,
+  :class:`~repro.graphs.dense.CSRAdjacency` or a zero-copy
+  :class:`~repro.storage.mapped.MappedCSR` — served as-is,
+- a mutable :class:`~repro.graphs.dense.DenseAdjacency`, packed once,
 - a ``GraphResources`` carrier (:class:`~repro.storage.mapped.StoredGraph`,
   the service's ``GraphHandle``) via its interned ``csr()``,
 - a :class:`~repro.model.summary.HierarchicalSummary`, served from its
@@ -162,8 +162,6 @@ def resolve_id_adjacency(provider):
         index = NodeIndex(provider.group_of)
         return LabelIdAdjacency(provider.neighbors, index)
     if isinstance(provider, DenseAdjacency):
-        # freeze() is cheap for a clean lazy overlay (hands back the
-        # backing CSR) and one O(m) pack otherwise.
         return CSRIdAdjacency(provider.freeze())
     csr_method = getattr(provider, "csr", None)
     if callable(csr_method):

@@ -117,10 +117,11 @@ class MoSSo:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    # Candidate *sampling* stays on the label graph: the sampled neighbor
-    # lists (and therefore the RNG consumption) are exactly those of the
-    # original algorithm, keeping outputs bit-identical for fixed seeds.
-    # All grouping-state reads and writes go through dense ids.
+    # Candidate *sampling* reads neighbors off the label graph but puts
+    # them in dense-id order before any RNG draw, so a sample depends on
+    # the graph's content, not on a set's iteration order (which a pickle
+    # round trip can change).  All grouping-state reads and writes go
+    # through dense ids.
     def _ensure_state(self) -> None:
         if self._state is None:
             self._state = FlatGroupingState(self._graph)
@@ -129,8 +130,9 @@ class MoSSo:
         """Give a few sampled nodes around the update a chance to relocate."""
         assert self._state is not None
         candidates: List[Subnode] = [u, v]
+        id_of = self._state.index.id_of
         for endpoint in (u, v):
-            neighbors = list(self._graph.neighbor_set(endpoint))
+            neighbors = sorted(self._graph.neighbor_set(endpoint), key=id_of)
             if neighbors:
                 self._rng.shuffle(neighbors)
                 candidates.extend(neighbors[: self.config.moves_per_update])
@@ -144,7 +146,7 @@ class MoSSo:
         id_of = state.index.id_of
         node_id = id_of(node)
         current_group = state.group_of[node_id]
-        neighbors = list(self._graph.neighbor_set(node))
+        neighbors = sorted(self._graph.neighbor_set(node), key=id_of)
         if not neighbors:
             return False
         # Candidate target groups: a few sampled neighbors' groups, plus

@@ -743,7 +743,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                     # Through the container cache: the mapped CSR and
                     # its dense view seed the handle.  A fresh fetch
                     # hands over the dense substrate it packed; a cached
-                    # one a lazy overlay, thawed as jobs read it.
+                    # one thaws it from the map.
                     cached = cache.fetch_edge_list(input_path)
                     graph = cached.graph
                     stored = cached.stored

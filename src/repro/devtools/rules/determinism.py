@@ -345,6 +345,13 @@ class RngKeyedSortRule(Rule):
     already ordered by content passes: a ``sorted(...)``,
     ``content_order(...)`` or ``range(...)`` call, or a list or tuple
     literal.  :func:`repro.utils.rng.shuffled` does the sort-then-draw.
+
+    An RNG ``shuffle`` / ``sample`` / ``choice`` / ``choices`` over a
+    ``list(...)`` of a set-valued call draws in the set's order too, so
+    it is flagged as well — directly, or through a local name bound to
+    such a list in the same function.  Set-valued expressions are set
+    literals, ``set`` / ``frozenset`` calls, set algebra and, by naming
+    convention, any ``*_set`` accessor such as ``Graph.neighbor_set``.
     """
 
     id = "rng-keyed-sort"
@@ -378,6 +385,46 @@ class RngKeyedSortRule(Rule):
                 f"{node.func.id}() with an RNG-drawing key over an iterable that is "
                 "not content-ordered; sort it first or use repro.utils.rng.shuffled",
             )
+        for function in ast.walk(module.tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(_scope_nodes(function))
+            assigns = [node for node in nodes if isinstance(node, ast.Assign)
+                       and isinstance(node.targets[0], ast.Name)]
+            tainted: Set[str] = set()
+            for _ in assigns:  # Closes the bound names over ``a = b`` copies.
+                tainted |= {node.targets[0].id for node in assigns
+                            if _set_ordered_list(node.value, tainted)}
+            for node in nodes:
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("shuffle", "sample", "choice", "choices")
+                        and node.args and _set_ordered_list(node.args[0], tainted)):
+                    yield self.finding(module, node, f"{node.func.attr}() draws over a list "
+                                       "in a set's iteration order; sort it by content first")
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``scope`` outside nested functions, lambdas and classes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _set_ordered_list(expr: ast.expr, tainted: Set[str]) -> bool:
+    """Whether ``expr`` is ``list(<set-valued>)`` or a name bound to one."""
+    if isinstance(expr, ast.Name):
+        return expr.id in tainted
+    if not (isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "list" and expr.args):
+        return False
+    inner = expr.args[0]
+    while isinstance(inner, ast.BinOp):  # ``a - b``, ``a | b``, ... on sets
+        inner = inner.left
+    attr = getattr(inner.func, "attr", "") if isinstance(inner, ast.Call) else ""
+    # Dict views iterate in insertion order, which a pickle keeps.
+    return attr.endswith("_set") or (_is_unordered(inner) and attr not in ("keys", "values"))
 
 
 def _draws_random(expr: ast.expr) -> bool:

@@ -28,9 +28,11 @@ __all__ = [
 def process_execution_available() -> bool:
     """Whether a fork-based process pool is usable on this platform.
 
-    A process-mode service forks its job workers so they inherit the
-    parent's graph stores without pickling; on platforms without
-    ``fork`` (e.g. Windows) it falls back to thread mode.
+    A process-mode service runs its jobs in a fork-context pool; each
+    job ships its request record and graph to the worker pickled, and
+    the worker builds the graph's substrate itself.  On platforms
+    without ``fork`` (e.g. Windows) the service falls back to thread
+    mode.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 

@@ -2,7 +2,7 @@
 
 from repro.graphs.graph import Graph
 from repro.graphs.index import NodeIndex
-from repro.graphs.dense import CSRAdjacency, DenseAdjacency, LazyDenseAdjacency
+from repro.graphs.dense import CSRAdjacency, DenseAdjacency
 from repro.graphs.view import CSRGraphView
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.generators import (
@@ -39,7 +39,6 @@ __all__ = [
     "Graph",
     "NodeIndex",
     "DenseAdjacency",
-    "LazyDenseAdjacency",
     "CSRAdjacency",
     "CSRGraphView",
     "read_edge_list",

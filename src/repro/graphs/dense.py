@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from sys import getsizeof
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import InvalidGraphError
 from repro.graphs.index import Label, NodeIndex
@@ -28,7 +28,6 @@ from repro.graphs.index import Label, NodeIndex
 __all__ = [
     "CSRAdjacency",
     "DenseAdjacency",
-    "LazyDenseAdjacency",
     "graph_adjacency_bytes",
 ]
 
@@ -196,184 +195,6 @@ class DenseAdjacency:
 
     def __repr__(self) -> str:
         return f"DenseAdjacency(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
-
-
-class _LazyNeighborSets:
-    """Per-node neighbor sets thawed from a CSR run on first access.
-
-    Supports exactly the sequence operations :class:`DenseAdjacency`
-    performs on its ``neighbors`` list (index, iterate, ``len``,
-    ``append``), so a :class:`LazyDenseAdjacency` can reuse the dense
-    mutators unchanged.  Each materialized set is built as
-    ``set(csr.neighbors_of(u))`` — the identical construction
-    :meth:`DenseAdjacency.from_csr` performs eagerly — so reads observe
-    the same contents whether the thaw happened up front or on demand.
-    """
-
-    __slots__ = ("_csr", "_sets", "materialized")
-
-    def __init__(self, csr, size: int) -> None:
-        self._csr = csr
-        self._sets: List[Optional[Set[int]]] = [None] * size
-        #: Number of per-node sets thawed so far (benchmark observable).
-        self.materialized = 0
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, u: int) -> Set[int]:
-        made = self._sets[u]
-        if made is None:
-            made = set(self._csr.neighbors_of(u))
-            self._sets[u] = made
-            self.materialized += 1
-        return made
-
-    def __iter__(self) -> Iterator[Set[int]]:
-        for u in range(len(self._sets)):
-            yield self[u]
-
-    def append(self, value: Set[int]) -> None:
-        """Grow by one node (``add_node`` support); counts as materialized."""
-        self._sets.append(value)
-        self.materialized += 1
-
-    def peek(self, u: int) -> Optional[Set[int]]:
-        """The set for ``u`` if already thawed, else ``None`` (no thaw)."""
-        return self._sets[u]
-
-    def approx_bytes(self) -> int:
-        """Footprint of the slot list plus every thawed set."""
-        total = getsizeof(self._sets)
-        for made in self._sets:
-            if made is not None:
-                total += getsizeof(made)
-        return total
-
-
-class LazyDenseAdjacency(DenseAdjacency):
-    """Thaw-on-demand dense adjacency over a frozen CSR view.
-
-    A drop-in :class:`DenseAdjacency` whose per-node neighbor sets are
-    materialized lazily from a backing CSR (an in-memory
-    :class:`CSRAdjacency` or a storage-layer
-    :class:`~repro.storage.mapped.MappedCSR`) on first read or write —
-    copy-on-first-use per node instead of the eager O(m)
-    :meth:`DenseAdjacency.from_csr` thaw.  Read-dominated consumers that
-    only touch a fraction of the neighborhoods (pruning scans, panel
-    statistics, analytics over mmap-loaded graphs) never pay for the
-    rest; edge iteration and membership tests stream straight off the
-    CSR until a node is thawed.
-
-    Contents are identical to the eager thaw at every observation point,
-    so summarizer runs over a lazy substrate stay bit-identical to
-    in-memory runs.  Mutation (``add_edge`` / ``remove_edge``) thaws the
-    touched endpoints and marks the view dirty; from then on whole-graph
-    iteration merges thawed sets with untouched CSR runs, and
-    :meth:`freeze` re-packs instead of returning the stale backing view.
-
-    Examples
-    --------
-    >>> dense = DenseAdjacency(NodeIndex(range(3)))
-    >>> _ = dense.add_edge(0, 1); _ = dense.add_edge(1, 2)
-    >>> lazy = LazyDenseAdjacency(dense.freeze())
-    >>> lazy.thawed_nodes
-    0
-    >>> sorted(lazy.neighbors[1])
-    [0, 2]
-    >>> lazy.thawed_nodes, lazy.num_edges
-    (1, 2)
-    """
-
-    __slots__ = ("_csr", "_dirty")
-
-    def __init__(self, csr) -> None:
-        index = csr.index
-        if len(index) != csr.num_nodes:
-            raise InvalidGraphError(
-                f"CSR index holds {len(index)} labels for {csr.num_nodes} nodes"
-            )
-        self.index = index
-        self.neighbors = _LazyNeighborSets(csr, csr.num_nodes)
-        indptr = csr.indptr
-        degrees = array("q", bytes(8 * csr.num_nodes))
-        for u in range(csr.num_nodes):
-            degrees[u] = indptr[u + 1] - indptr[u]
-        self.degrees = degrees
-        self.num_edges = csr.num_edges
-        self._csr = csr
-        self._dirty = False
-
-    @property
-    def csr(self):
-        """The backing frozen view the overlay thaws from."""
-        return self._csr
-
-    @property
-    def dirty(self) -> bool:
-        """Whether any edge mutation diverged the overlay from the CSR."""
-        return self._dirty
-
-    @property
-    def thawed_nodes(self) -> int:
-        """Number of per-node sets materialized so far."""
-        return self.neighbors.materialized
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Thaw both endpoints, then add the edge (see base class)."""
-        self._dirty = True
-        return super().add_edge(u, v)
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Thaw both endpoints, then remove the edge (see base class)."""
-        self._dirty = True
-        return super().remove_edge(u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership test without thawing: binary search on cold nodes."""
-        made = self.neighbors.peek(u)
-        if made is not None:
-            return v in made
-        # A cold node's run is authoritative even after mutations
-        # elsewhere: every mutation thaws both of its endpoints.
-        return self._csr.has_edge(u, v)
-
-    def edge_ids(self) -> Iterator[Tuple[int, int]]:
-        """Stream edges off the CSR while clean; merge overlays when dirty."""
-        if not self._dirty:
-            yield from self._csr.edge_ids()
-            return
-        csr_nodes = self._csr.num_nodes
-        for u in range(self.num_nodes):
-            made = self.neighbors.peek(u)
-            if made is None and u < csr_nodes:
-                run: Iterable[int] = self._csr.neighbors_of(u)
-            else:
-                run = made if made is not None else ()
-            for v in run:
-                if u < v:
-                    yield (u, v)
-
-    def freeze(self) -> "CSRAdjacency":
-        """The backing CSR while clean (zero copy); a fresh pack when dirty."""
-        if not self._dirty:
-            return self._csr
-        return CSRAdjacency(self)
-
-    def approx_bytes(self) -> int:
-        """Footprint of the overlay only — thawed sets plus the degree array.
-
-        The backing CSR (possibly an mmap whose pages belong to the page
-        cache) is deliberately excluded: this reports what the lazy thaw
-        actually allocated.
-        """
-        return getsizeof(self.degrees) + self.neighbors.approx_bytes()
-
-    def __repr__(self) -> str:
-        return (
-            f"LazyDenseAdjacency(num_nodes={self.num_nodes}, "
-            f"num_edges={self.num_edges}, thawed={self.thawed_nodes})"
-        )
 
 
 class CSRAdjacency:

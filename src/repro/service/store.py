@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.hooks import GraphResources
 from repro.exceptions import ServiceError
-from repro.graphs.dense import CSRAdjacency, DenseAdjacency, LazyDenseAdjacency
+from repro.graphs.dense import CSRAdjacency, DenseAdjacency
 from repro.graphs.graph import Graph
 from repro.graphs.staleness import ensure_fresh_views, mutation_stamp, stamp_is_stale
 
@@ -95,22 +95,16 @@ class GraphHandle(GraphResources):
         """The interned dense substrate, built on first use.
 
         A handle seeded with a frozen CSR only (a storage-layer mmap
-        load) hands out a thaw-on-demand
-        :class:`~repro.graphs.dense.LazyDenseAdjacency` overlay over that
-        view instead of re-deriving an eager thaw from the label-keyed
-        graph — the contents are identical either way, and jobs that only
-        read a fraction of the neighborhoods never pay the O(m) thaw.
-        Concurrent jobs may race to thaw the same node; the overlay's
-        per-node slot assignment is atomic under the GIL and every racer
-        builds the identical set, so the race is benign for the
-        read-only-during-runs contract this handle already requires.
+        load) thaws it with ``DenseAdjacency.from_csr`` instead of
+        re-deriving the substrate from the label-keyed graph; the contents
+        are identical either way.  The build runs once, under the lock.
         """
         if self._dense is None:
             with self._lock:
                 if self._dense is None:
                     self._builds += 1
                     self._dense = (
-                        LazyDenseAdjacency(self._csr)
+                        DenseAdjacency.from_csr(self._csr)
                         if self._csr is not None
                         else DenseAdjacency.from_graph(self.graph)
                     )

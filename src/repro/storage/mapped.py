@@ -14,10 +14,9 @@ varint-decoded ``indptr`` and the label index — are materialized.
 
 :class:`StoredGraph` wraps a mapped view as a full
 :class:`~repro.engine.hooks.GraphResources` implementation: ``csr()``
-returns the zero-copy view, ``dense()`` hands out a
-:class:`~repro.graphs.dense.LazyDenseAdjacency` overlay that thaws
-per-node neighbor sets from the map on first access (never the eager
-O(m) thaw), and ``graph()`` lazily materializes the label-keyed
+returns the zero-copy view, ``dense()`` thaws the mutable
+:class:`~repro.graphs.dense.DenseAdjacency` from the map once (memoized),
+and ``graph()`` lazily materializes the label-keyed
 :class:`~repro.graphs.graph.Graph`.  Because nodes materialize in id
 order (the original insertion order) and substrate construction is
 deterministic in graph content, a run on a stored graph is
@@ -35,7 +34,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import ContainerFormatError
-from repro.graphs.dense import DenseAdjacency, LazyDenseAdjacency
+from repro.graphs.dense import DenseAdjacency
 from repro.graphs.graph import Graph
 from repro.graphs.index import NodeIndex
 from repro.graphs.staleness import ensure_fresh_views
@@ -204,7 +203,7 @@ class MappedCSR:
 
 
 class StoredGraph(GraphResources):
-    """A loaded container: zero-copy CSR plus lazily thawed views.
+    """A loaded container: zero-copy CSR plus views derived on first use.
 
     Implements the :class:`~repro.engine.hooks.GraphResources` protocol,
     so it can be passed straight to ``Summarizer.summarize(...,
@@ -244,19 +243,14 @@ class StoredGraph(GraphResources):
         return self._csr
 
     def dense(self) -> DenseAdjacency:
-        """The mutable dense substrate, thawed from the map on demand.
+        """The mutable dense substrate, thawed from the map on first use.
 
-        Returns a :class:`~repro.graphs.dense.LazyDenseAdjacency` overlay
-        over the mapped CSR: per-node neighbor sets materialize on first
-        access instead of paying the eager O(m) thaw up front, so
-        read-dominated consumers (pruning scans, analytics) touch only
-        the pages they actually read and summarization jobs off
-        ``--cache-dir`` start without a thaw pause.  Contents — and
-        therefore summarizer output — are bit-identical to the eager
-        ``DenseAdjacency.from_csr`` thaw.
+        ``DenseAdjacency.from_csr`` over the mapped CSR, memoized: the
+        same ids, neighbor sets and degrees as ``DenseAdjacency.from_graph``
+        on the text-parsed original, so summarizer output is bit-identical.
         """
         if self._dense is None:
-            self._dense = LazyDenseAdjacency(self._csr)
+            self._dense = DenseAdjacency.from_csr(self._csr)
         return self._dense
 
     def seed(

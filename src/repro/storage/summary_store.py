@@ -105,7 +105,8 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.compression.codes import decode_pair_gaps, encode_pair_gaps, zigzag_decode, zigzag_encode
 from repro.exceptions import (
@@ -242,7 +243,12 @@ def summary_key(graph_digest: str, method: str, seed: Optional[int],
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SummaryMeta:
-    """The ``SMET`` payload: what was summarized, how, and under what key."""
+    """The ``SMET`` payload: what was summarized, how, and under what key.
+
+    ``extra`` is copied into a read-only mapping and left out of the
+    hash, so a meta is hashable and a frozen snapshot holding one cannot
+    be changed through it.
+    """
 
     kind: str
     method: str
@@ -250,7 +256,15 @@ class SummaryMeta:
     graph_digest: str
     config_digest: str
     config_json: str
-    extra: Dict[str, Any] = field(default_factory=dict)
+    extra: Mapping[str, Any] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; rebuild from a plain dict.
+        return (type(self), (self.kind, self.method, self.seed, self.graph_digest,
+                             self.config_digest, self.config_json, dict(self.extra)))
 
     @property
     def key(self) -> str:
@@ -301,7 +315,7 @@ def _encode_meta(meta: SummaryMeta) -> bytes:
     out += bytes.fromhex(meta.graph_digest or "0" * 64)
     out += bytes.fromhex(meta.config_digest or "0" * 64)
     _encode_blob(meta.config_json.encode("utf-8"), out)
-    extra = json.dumps(meta.extra, sort_keys=True, separators=(",", ":"))
+    extra = json.dumps(dict(meta.extra), sort_keys=True, separators=(",", ":"))
     _encode_blob(extra.encode("utf-8"), out)
     return bytes(out)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.graphs import (
     erdos_renyi_graph,
     load_dataset,
 )
+from repro.storage.summary_store import summary_fingerprint
 
 
 class TestFlatGroupingState:
@@ -236,6 +238,37 @@ class TestMosso:
         for graph in (small_caveman, small_random):
             summary = mosso_summarize(graph, seed=0)
             summary.validate(graph)
+
+    def test_ignores_set_layout(self):
+        # A process-mode job receives its graph pickled: same content,
+        # other set layouts.  Neighbor samples must not follow set order.
+        graph = load_dataset("CA", seed=0)
+        clone = pickle.loads(pickle.dumps(graph))
+        fingerprints = [summary_fingerprint(mosso_summarize(g, seed=0),
+                                            labels=list(graph.nodes()))
+                        for g in (graph, clone)]
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_pickled_summarizer_continues_identically(self):
+        # Deletions leave neighbor sets whose iteration order a pickle
+        # round trip does not keep; the continued runs must not notice.
+        graph = load_dataset("CA", seed=0)
+        edges = sorted(graph.edges(), key=repr)
+        random.Random(5).shuffle(edges)
+        half = len(edges) // 2
+        live = MoSSo(seed=0)
+        for u, v in edges[:half]:
+            live.add_edge(u, v)
+        for u, v in edges[: half // 2]:
+            live.remove_edge(u, v)
+        clone = pickle.loads(pickle.dumps(live))
+        for summarizer in (live, clone):
+            for u, v in edges[half:]:
+                summarizer.add_edge(u, v)
+        labels = list(live.graph.nodes())
+        assert list(clone.graph.nodes()) == labels
+        assert summary_fingerprint(clone.summary(), labels=labels) == \
+            summary_fingerprint(live.summary(), labels=labels)
 
     def test_compresses_cliques(self, small_caveman):
         summary = mosso_summarize(small_caveman, seed=0)

@@ -14,7 +14,9 @@ checkpoint_writer``) so that ordering races show up.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -397,6 +399,33 @@ def test_checkpoint_writer_snapshot_outlives_later_changes():
         assert current != previous
         assert taken.encode() == image
         previous = current
+
+
+def test_checkpoint_snapshot_meta_is_frozen_hashable_and_pickles():
+    graph = int_fixture()
+    source = {"history": [{"iteration": 1.0}]}
+    meta = SummaryMeta(**{**vars(meta_for(graph)), "extra": source})
+    source["note"] = "changed after construction"
+    assert "note" not in meta.extra
+    with pytest.raises(TypeError):
+        meta.extra["note"] = "changed through the meta"
+    # Hashable: ``extra`` stays out of the hash, equality still compares it.
+    assert {field.name for field in dataclasses.fields(SummaryMeta)
+            if field.hash is False} == {"extra"}
+    assert meta != meta_for(graph)
+    assert len({meta, meta_for(graph)}) == 2
+    round_trip = pickle.loads(pickle.dumps(meta))
+    assert round_trip == meta and round_trip in {meta}
+    assert summary_store._encode_meta(round_trip) == summary_store._encode_meta(meta)
+    assert summary_store._decode_meta(summary_store._encode_meta(meta)) == meta
+
+    taken = CheckpointSnapshot.capture(
+        HierarchicalSummary.from_graph(graph), meta, 3,
+        random.Random(3).getstate(), [{"iteration": 1.0}],
+    )
+    copy = pickle.loads(pickle.dumps(taken))
+    assert copy == taken and copy.meta in {taken.meta}
+    assert copy.encode() == taken.encode()
 
 
 def test_checkpoint_writer_encodes_only_the_snapshots_it_writes(tmp_path, monkeypatch):

@@ -105,8 +105,9 @@ class TestCommands:
     ):
         # A fresh fetch packs the container from an eager dense
         # substrate; the handle must serve that very object (no second
-        # build), while a cached fetch hands over the mapped lazy overlay.
-        from repro.graphs.dense import DenseAdjacency, LazyDenseAdjacency
+        # build), while a cached fetch hands over the one it thawed from
+        # the map: same type, same contents.
+        from repro.graphs.dense import DenseAdjacency
         from repro.service import SummaryService
         from repro.storage import GraphCache
 
@@ -141,7 +142,10 @@ class TestCommands:
         assert type(fresh.dense()) is DenseAdjacency
         assert fresh.dense() is fetched[0].stored.dense()
         assert fresh.builds == 0
-        assert isinstance(warm.dense(), LazyDenseAdjacency)
+        assert type(warm.dense()) is DenseAdjacency
+        assert warm.dense() is fetched[1].stored.dense()
+        assert warm.dense().neighbors == fresh.dense().neighbors
+        assert list(warm.dense().degrees) == list(fresh.dense().degrees)
         assert warm.builds == 0
         assert tables[0] == tables[1] and len(tables[0]) == 1
 

@@ -226,6 +226,41 @@ class TestRngKeyedSortRule:
         }, rules=["rng-keyed-sort"])
         assert report.clean
 
+    def test_flags_rng_draws_over_a_list_in_set_order(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "baselines/__init__.py": "",
+            "baselines/mod.py": """
+                def f(graph, rng, node, k):
+                    neighbors = list(graph.neighbor_set(node))
+                    rng.shuffle(neighbors)
+                    sample = neighbors
+                    picked = rng.sample(sample, k)
+                    return picked, rng.choice(list(set(neighbors) - {node}))
+            """,
+        }, rules=["rng-keyed-sort"])
+        assert [(finding.rule, finding.line) for finding in report.findings] == [
+            ("rng-keyed-sort", 4), ("rng-keyed-sort", 6), ("rng-keyed-sort", 7),
+        ]
+
+    def test_rng_draws_over_content_ordered_lists_are_clean(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "baselines/__init__.py": "",
+            "baselines/mod.py": """
+                def f(graph, rng, node, k, id_of):
+                    neighbors = sorted(graph.neighbor_set(node), key=id_of)
+                    rng.shuffle(neighbors)
+                    sample = neighbors
+                    sample = rng.sample(sample, k)
+
+                    def inner(items):
+                        neighbors = list(set(items))
+                        return neighbors
+
+                    return sample, rng.choice(list(graph.nodes())), inner
+            """,
+        }, rules=["rng-keyed-sort"])
+        assert report.clean
+
     def test_out_of_scope_packages_are_exempt(self, tmp_path):
         report = lint_tree(tmp_path, {
             "experiments/__init__.py": "",

@@ -545,7 +545,8 @@ class TestFromSubstrate:
         # The constructor call a run over a stored graph makes.
         state = SluggerState(stored.view(), dense=stored.dense(), csr=stored.csr())
         state.check_consistency()
-        assert state.dense.thawed_nodes == 0
+        assert type(state.dense) is DenseAdjacency
+        assert state.dense.neighbors == DenseAdjacency.from_graph(graph).neighbors
         assert state.graph.thawed_rows == 0
         assert stored.materializations == 0
         reference = SluggerState(graph)
@@ -562,7 +563,8 @@ class TestFromSubstrate:
         reference = FlatGroupingState(graph)
         assert state.total_cost() == reference.total_cost()
         assert state.group_of == reference.group_of
-        assert state.dense.thawed_nodes == 0
+        assert type(state.dense) is DenseAdjacency
+        assert state.dense.neighbors == reference.dense.neighbors
         assert stored.materializations == 0
 
     def test_summarize_over_view_is_bit_identical(self, tmp_path):

@@ -31,7 +31,6 @@ from repro.exceptions import ContainerFormatError, GraphFormatError
 from repro.graphs import (
     DenseAdjacency,
     Graph,
-    LazyDenseAdjacency,
     caveman_graph,
     erdos_renyi_graph,
 )
@@ -47,6 +46,7 @@ from repro.storage.format import (
     index_width_for,
 )
 from repro.storage.mapped import MappedCSR
+from repro.storage.summary_store import summary_fingerprint
 
 #: Hash randomization changes ``hash(str)`` and therefore shingle values
 #: of string-labelled graphs; string pins were captured under
@@ -146,18 +146,20 @@ class TestFormatPrimitives:
         assert decoded == values
         assert position == len(out)
 
-    @pytest.mark.parametrize("width,num_nodes", [
-        (width, num_nodes)
+    @pytest.mark.parametrize("width,num_nodes,wrap", [
+        # A mapped container hands the check a memoryview of the file.
+        pytest.param(width, num_nodes, wrap, id=f"{prefix}{width}-{num_nodes}")
+        for prefix, wrap in (("", bytes), ("memoryview-", memoryview))
         for width in (1, 2, 4, 8)
         for num_nodes in (1, 2, 256, 257, 300, 1050, 65536)
         if num_nodes - 1 < 1 << (8 * width)
     ])
-    def test_check_indices_accepts_ids_below_num_nodes_only(self, width, num_nodes):
+    def test_check_indices_accepts_ids_below_num_nodes_only(self, width, num_nodes, wrap):
         def payload(ids):
-            return b"".join(i.to_bytes(width, "little") for i in ids)
+            return wrap(b"".join(i.to_bytes(width, "little") for i in ids))
 
         check_indices(payload([0, num_nodes - 1, num_nodes // 2]), num_nodes, width)
-        check_indices(b"", num_nodes, width)
+        check_indices(wrap(b""), num_nodes, width)
         for bad in (num_nodes, num_nodes + 255, (1 << (8 * width)) - 1):
             if bad >= 1 << (8 * width) or bad < num_nodes:
                 continue
@@ -261,20 +263,17 @@ class TestRoundTrip:
         storage.pack(graph, path)
         with storage.load(path) as stored:
             dense = stored.dense()
-            # The stored read path is a thaw-on-demand overlay: nothing
-            # is materialized up front, degrees/edges come straight off
-            # the map, and per-node sets appear only when read.
-            assert isinstance(dense, LazyDenseAdjacency)
-            assert dense.thawed_nodes == 0
+            # The stored read path thaws the map once, eagerly, into the
+            # same substrate type the in-memory path builds; the
+            # label-keyed graph is never materialized for it.
+            assert type(dense) is DenseAdjacency
+            assert stored.dense() is dense
+            assert stored.materializations == 0
             assert dense.num_nodes == reference.num_nodes
             assert dense.num_edges == reference.num_edges
             assert list(dense.degrees) == list(reference.degrees)
             assert sorted(dense.edge_ids()) == sorted(reference.edge_ids())
-            assert dense.thawed_nodes == 0
-            assert dense.neighbors[3] == reference.neighbors[3]
-            assert dense.thawed_nodes == 1
-            assert list(dense.neighbors) == reference.neighbors
-            assert dense.thawed_nodes == dense.num_nodes
+            assert dense.neighbors == reference.neighbors
             assert dense.index.labels() == reference.index.labels()
 
     def test_identity_labels_omit_dictionary(self, tmp_path):
@@ -425,6 +424,42 @@ class TestCorruption:
 # ----------------------------------------------------------------------
 # Bit-identical summarization through the storage path
 # ----------------------------------------------------------------------
+class TestMappedDifferential:
+    """Every registered method over a mapped container (``stored.view()``
+    with ``resources=stored``) matches its in-memory run byte for byte,
+    for int and string labels, whether the cache just packed the
+    container (dense view seeded) or mapped it again (dense view thawed
+    from the map)."""
+
+    @staticmethod
+    def run_fingerprint(method, graph, labels, **resources):
+        options = METHOD_OPTIONS.get(method, {})
+        result = engine.run(method, graph, seed=0, **options, **resources)
+        # Flat summaries serialize against the graph's node labels.
+        return summary_fingerprint(result.summary, labels=labels)
+
+    @pytest.mark.parametrize("label_kind", ["int", "str"])
+    @pytest.mark.parametrize("method", engine.available_methods())
+    def test_cache_miss_and_hit_match_the_in_memory_run(self, tmp_path, method, label_kind):
+        graph = caveman_graph(12, 8, seed=1)
+        if label_kind == "str":
+            graph = Graph(edges=[(f"v{u}", f"v{v}") for u, v in graph.edges()])
+        path = tmp_path / "g.txt"
+        write_edge_list(graph, path)
+        parsed = read_edge_list(path)
+        labels = list(parsed.nodes())
+        assert {type(label) for label in labels} == {int if label_kind == "int" else str}
+        expected = self.run_fingerprint(method, parsed, labels)
+        cache = GraphCache(tmp_path / "cache")
+        for hit in (False, True):
+            cached = cache.fetch_edge_list(path, materialize=False)
+            assert cached.hit is hit
+            with cached.stored as stored:
+                assert self.run_fingerprint(method, stored.view(), labels,
+                                            resources=stored) == expected
+                assert stored.materializations == 0
+
+
 class TestStorageDeterminism:
     @pytest.mark.parametrize("name,make", [("caveman", int_fixture), ("er", er_fixture)])
     @pytest.mark.parametrize("method", ["slugger", "sweg", "randomized"])
@@ -636,21 +671,25 @@ class TestGraphCache:
 # Service integration: seeded substrate views
 # ----------------------------------------------------------------------
 class TestStorePrefetch:
-    def test_seeded_csr_is_not_repacked(self, tmp_path):
+    def test_seeded_csr_is_not_repacked(self, tmp_path, monkeypatch):
         # A handle seeded with a container's CSR serves that mapped view
-        # as-is: it is never re-frozen, and the dense view is a lazy
-        # overlay over it rather than an eager thaw of the graph.
-        from repro.graphs.dense import LazyDenseAdjacency
-
+        # as-is: it is never re-frozen, and the dense view is thawed from
+        # it rather than re-derived from the label-keyed graph.
         graph = int_fixture()
+        reference = DenseAdjacency.from_graph(graph)
         path = tmp_path / "g.slg"
         storage.pack(graph, path)
         with storage.load(path) as stored, SummaryService() as service:
             handle = service.register_graph("g", graph, csr=stored.csr())
             assert handle.builds == 0
             assert handle.csr() is stored.csr()
-            assert isinstance(handle.dense(), LazyDenseAdjacency)
-            assert handle.builds == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(DenseAdjacency, "from_graph", None)
+                dense = handle.dense()
+            assert type(dense) is DenseAdjacency
+            assert dense.neighbors == reference.neighbors
+            assert list(dense.degrees) == list(reference.degrees)
+            assert handle.builds == 1 and stored.materializations == 0
             job = service.submit(method="slugger", graph_key="g", seed=0,
                                  options={"iterations": 5})
             assert fingerprint(job.result(timeout=120).summary) == \
